@@ -129,11 +129,6 @@ def valuation(n: int, p: int) -> int:
     return e
 
 
-def squarefree_part_primes(n: int) -> int:
-    """Product of the distinct primes dividing n (the radical)."""
-    return math.prod(prime_divisors(n)) if n > 1 else 1
-
-
 def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factor(n))
 
@@ -179,18 +174,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """x mod prod(moduli) with x = r_i mod m_i; moduli pairwise coprime."""
-    x, m = 0, 1
-    for r, mi in zip(residues, moduli):
-        g, s, _ = xgcd(m, mi)
-        if g != 1:
-            raise DomainError("crt moduli must be pairwise coprime")
-        x = (x + (r - x) * s % mi * m) % (m * mi)
-        m *= mi
-    return x
-
-
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
     x0, x1, y0, y1 = 1, 0, 0, 1
@@ -203,20 +186,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def inverse_mod(a: int, m: int) -> int:
-    g, x, _ = xgcd(a, m)
-    if g != 1:
-        raise DomainError(f"{a} is not invertible mod {m}")
-    return x % m
-
-
 def primes_up_to(bound: int) -> list[int]:
     """Primes <= bound by sieve."""
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(bound ** 0.5) + 1):
+    for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, v in enumerate(sieve) if v]

@@ -54,7 +54,6 @@ def unit_group(f: int):
         def lift(x):  # x mod q, 1 mod rest
             if rest == 1:
                 return x % f
-            g_, inv_q, _ = _xgcd(q, rest)
             return (x * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % f
         if p == 2:
             if e == 1:
@@ -82,15 +81,6 @@ def unit_group(f: int):
     return tuple(gens), tuple(orders), dlog
 
 
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
 @dataclass(frozen=True)
 class DirichletCharacter:
     """Character mod `modulus` of exact order `order`; exponents[a] in Z/order
@@ -116,8 +106,6 @@ class DirichletCharacter:
         exps = [None] * f
         for a, e in table.items():
             exps[a] = (e // g) % k2 if k2 > 1 else 0
-        if k2 == 1:
-            k2 = 1
         return DirichletCharacter(f, max(k2, 1), tuple(exps))
 
     @staticmethod

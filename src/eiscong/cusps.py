@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .arith import DomainError, divisors, euler_phi, is_prime, prime_divisors, valuation
+from .arith import (DomainError, divisors, euler_phi, is_prime, prime_divisors,
+                    valuation, xgcd)
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum
 from .cyclotomic import CycElement, CyclotomicField
 from .eisenstein import EisensteinParams
@@ -114,7 +115,7 @@ def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) ->
     def inv_mod(u, v):
         if v in (0, 1):
             return 1
-        g, s, _ = _xgcd(u, v)
+        g, s, _ = xgcd(u, v)
         return s % v
 
     (u1, v1), (u2, v2) = normalize(*frac1), normalize(*frac2)
@@ -123,17 +124,6 @@ def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) ->
     if m == 0:
         m = N
     return (s1 * v2 - s2 * v1) % m == 0
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 # --------------------------------------------------------------- divisors
@@ -312,7 +302,7 @@ def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:
 
 def _stabilizing_matrix(alpha: int, beta: int):
     """delta in SL2(Z) with delta(alpha/beta) = infinity."""
-    g, p, q = _xgcd(alpha, beta)
+    g, p, q = xgcd(alpha, beta)
     assert g == 1
     return ((p, q), (-beta, alpha))
 

@@ -261,11 +261,3 @@ class CycElement:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
-
-
-def embed(e: CycElement, m: int) -> CycElement:
-    return e.embed(m)
-
-
-def norm_to_Q(e: CycElement) -> Fraction:
-    return e.norm_to_Q()

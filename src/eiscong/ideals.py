@@ -13,7 +13,7 @@ examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import DomainError, is_p_good, is_prime, prime_divisors, valuation
 from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
@@ -137,23 +137,6 @@ class TrClassGroup:
         return "{" + xterm + body + " : r = " + ", ".join(map(str, self.classes)) + "}"
 
 
-def _render_poly_in_r(coeffs) -> list[tuple[str, int]]:
-    """[(term-string, sign)] for a polynomial in r, balanced coefficients."""
-    out = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if j == 0:
-            t = f"{mag}"
-        elif j == 1:
-            t = "r" if mag == 1 else f"{mag}*r"
-        else:
-            t = f"r^{j}" if mag == 1 else f"{mag}*r^{j}"
-        out.append((t, 1 if c > 0 else -1))
-    return out
-
-
 def _render_bivariate(poly, degree) -> str:
     """Render sum_{i<degree} (poly-in-r)_i X^i appended after the X^degree term."""
     # perfect-square prettification: X^2 + (a + b r)^2
@@ -202,13 +185,8 @@ def _render_poly_in_r_power(coeffs, xpow) -> list[tuple[str, int]]:
 
 
 def _isqrt(n: int):
-    if n < 0:
-        return None
-    r = int(n ** 0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
+    r = isqrt(max(n, 0))
+    return r if r * r == n else None
 
 
 @dataclass(frozen=True)

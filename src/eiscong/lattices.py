@@ -5,6 +5,15 @@ An ideal is stored as a degree x degree integer matrix in canonical row HNF
 the pivot); rows are a Z-basis in the power basis of Z[zeta_m].  Num(alpha) =
 (1/d)((d*alpha) cap (d)) avoids prime-ideal machinery entirely; the quotient
 index is the HNF determinant.
+
+`hnf` works modulo a determinant multiple (Cohen, GTM 138, Alg. 2.4.8;
+Domich-Kannan-Trotter 1987).  Its invariant: a full-rank lattice L in Z^n
+contains D*Z^n for every multiple D of det L, so entries can be reduced mod D
+without leaving L.  D starts as |det| of n independent input rows (Bareiss
+elimination).  Each column's pivot p = gcd(D, column entries) is an HNF
+diagonal entry; the rows left, zero in that column, span a lattice of
+determinant det L / p, so D // p serves for the next column and no entry
+grows past the first D.
 """
 
 from __future__ import annotations
@@ -12,84 +21,62 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DomainError
+from .arith import DomainError, xgcd
 from .cyclotomic import CycElement, _CycField
 
 
+def _det_multiple(rows: list[list[int]], n: int) -> int:
+    """|det| of n independent rows, by fraction-free (Bareiss) elimination."""
+    M = [list(r) for r in rows]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, len(M)) if M[i][k]), None)
+        if p is None:
+            raise DomainError("rows do not span a full-rank lattice")
+        M[k], M[p] = M[p], M[k]
+        pk = M[k]
+        # only columns > k are read again; the exact division is Bareiss's
+        for r in M[k + 1:]:
+            a = r[k]
+            for j in range(k + 1, n):
+                r[j] = (pk[k] * r[j] - a * pk[j]) // prev
+        prev = pk[k]
+    return abs(prev)
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical row HNF of the lattice spanned by integer rows."""
+    """Canonical row HNF of the full-rank lattice spanned by integer rows.
+
+    Raises DomainError when the rows do not span a full-rank lattice.
+    """
     if not rows:
         return []
     n = len(rows[0])
-    work = [list(r) for r in rows if any(r)]
+    D = _det_multiple(rows, n)
+    work = [list(r) for r in rows]
     basis: list[list[int]] = []
-    for col in range(n):
-        pivot = None
-        rest = []
+    for i in range(n):
+        # D*e_i is in the current lattice; fold every row's column i into it
+        work = [[x % D for x in r] for r in work]
+        pivot = [0] * n
+        pivot[i] = D
         for r in work:
-            if r[col]:
-                if pivot is None:
-                    pivot = r
-                else:
-                    rest.append(r)
-            else:
-                rest.append(r)
-        if pivot is None:
-            work = rest
-            continue
-        for r in rest:
-            while r[col]:
-                q = r[col] // pivot[col]
-                if q:
-                    for j in range(col, n):
-                        r[j] -= q * pivot[j]
-                if r[col]:
-                    pivot[:], r[:] = r[:], pivot[:]
-        if pivot[col] < 0:
-            pivot[:] = [-x for x in pivot]
+            a, b = pivot[i], r[i]
+            if b:
+                g, u, v = xgcd(a, b)
+                pivot, r[:] = (
+                    [(u * x + v * y) % D for x, y in zip(pivot, r)],
+                    [(a // g * y - b // g * x) % D for x, y in zip(pivot, r)],
+                )
         basis.append(pivot)
-        work = [r for r in rest if any(r)]
+        D //= pivot[i]
     # reduce entries above each pivot
-    for i in range(len(basis)):
-        pc = next(j for j in range(n) if basis[i][j])
+    for i in range(n):
         for k in range(i):
-            q = basis[k][pc] // basis[i][pc]
+            q = basis[k][i] // basis[i][i]
             if q:
-                for j in range(pc, n):
-                    basis[k][j] -= q * basis[i][j]
+                basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
     return basis
-
-
-def kernel_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Z-basis of the left kernel {u : u * M = 0} of the integer matrix M."""
-    r = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [0] * i + [1] + [0] * (r - i - 1) for i in range(r)]
-    work = list(aug)
-    for col in range(n):
-        pivot = None
-        rest = []
-        for row in work:
-            if row[col]:
-                if pivot is None:
-                    pivot = row
-                else:
-                    rest.append(row)
-            else:
-                rest.append(row)
-        if pivot is None:
-            work = rest
-            continue
-        for row in rest:
-            while row[col]:
-                q = row[col] // pivot[col]
-                if q:
-                    for j in range(len(row)):
-                        row[j] -= q * pivot[j]
-                if row[col]:
-                    pivot[:], row[:] = row[:], pivot[:]
-        work = rest
-    return [row[n:] for row in work if not any(row[:n])]
 
 
 def solve_membership(basis: list[list[int]], v: list[int]) -> list[int] | None:
@@ -186,19 +173,16 @@ def full_ring(field: _CycField) -> IntegralIdeal:
 
 
 def lattice_intersect(I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
-    """HNF basis of I cap J via the left kernel of the stacked bases."""
+    """HNF basis of I cap J: the bottom-right block of the HNF of [[A, A], [B, 0]].
+
+    Rows of that block are the vectors xA with xA + yB = 0, i.e. I cap J.
+    """
     if I.field.m != J.field.m:
         raise DomainError("lattice_intersect requires ideals of the same field")
-    A = [list(r) for r in I.basis]
-    B = [list(r) for r in J.basis]
-    stacked = A + B
     d = I.field.degree
-    rows = []
-    for u in kernel_basis(stacked):
-        vec = [sum(u[i] * A[i][j] for i in range(d)) for j in range(d)]
-        rows.append(vec)
-    basis = hnf(rows)
-    return IntegralIdeal(I.field, tuple(tuple(r) for r in basis))
+    stacked = [list(a) * 2 for a in I.basis] + [list(b) + [0] * d for b in J.basis]
+    basis = hnf(stacked)[d:]
+    return IntegralIdeal(I.field, tuple(tuple(r[d:]) for r in basis))
 
 
 def numerator_ideal(e: CycElement) -> IntegralIdeal:

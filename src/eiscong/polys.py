@@ -102,13 +102,6 @@ def gcdex(f: Poly, g: Poly) -> tuple[Poly, Poly, Poly]:
     return scale(r0, inv), scale(u0, inv), scale(v0, inv)
 
 
-def evaluate(f: Poly, x):
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def resultant(f: Poly, g: Poly) -> Fraction:
     """Res(f, g) by the Euclidean recursion; exact over Q."""
     f = trim([Fraction(c) for c in f])

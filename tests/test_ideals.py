@@ -4,7 +4,7 @@ from eiscong.arith import DomainError
 from eiscong.characters import (character_with_value, enumerate_characters,
                                 quadratic_character)
 from eiscong.eisenstein import EisensteinParams
-from eiscong.ideals import (candidate_characteristics, cuspidal_order,
+from eiscong.ideals import (_isqrt, candidate_characteristics, cuspidal_order,
                             descriptor, eisenstein_character, s1_set, s2_set)
 
 
@@ -149,3 +149,11 @@ def test_descriptor_higher_degree_groups():
     assert any(g.degree == 4 for g in d.tr_groups)
     text = d.render()
     assert "T_r^4" in text and text.startswith("<7, U_11, ")
+
+
+def test_isqrt_exact_at_any_size():
+    # a float square root loses these: the first rounds, the second overflows
+    assert _isqrt((10 ** 30 + 7) ** 2) == 10 ** 30 + 7
+    assert _isqrt((10 ** 30 + 7) ** 2 + 1) is None
+    assert _isqrt(4 ** 600) == 2 ** 600
+    assert [_isqrt(n) for n in (-4, 0, 1, 2, 9)] == [None, 0, 1, None, 3]

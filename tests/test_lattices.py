@@ -1,7 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import lattice_oracle
 
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import CyclotomicField
@@ -33,6 +38,74 @@ def test_hnf_canonical():
             assert row[piv] > 0
             for k in range(i):
                 assert 0 <= h1[k][piv] < row[piv]
+
+
+def _det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    n, det = len(M), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if M[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            M[k], M[p] = M[p], M[k]
+            det = -det
+        det *= M[k][k]
+        for r in M[k + 1:]:
+            f = r[k] / M[k][k]
+            r[:] = [x - f * y for x, y in zip(r, M[k])]
+    return int(det)
+
+
+@st.composite
+def _integer_matrices(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n, n + 2))
+    entry = st.integers(-6, 6)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_integer_matrices())
+def test_hnf_matches_oracle(rows):
+    n = len(rows[0])
+    # the lattice index is the gcd of the maximal minors; |det| when square
+    index = math.gcd(*(_det(sub) for sub in combinations(rows, n)))
+    assume(index != 0)
+    h = hnf(rows)
+    assert h == lattice_oracle.hnf(rows)
+    assert math.prod(h[i][i] for i in range(n)) == index
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]],
+    [[1, 2, 3], [4, 5, 6], [5, 7, 9], [0, 0, 0]],
+    [[1, 0, 0], [0, 1, 0]],
+    [[0, 0], [0, 0]],
+])
+def test_hnf_rank_deficient_raises(rows):
+    with pytest.raises(DomainError):
+        hnf(rows)
+
+
+_FIELDS = {m: CyclotomicField(m) for m in (5, 7, 9, 12)}
+
+
+@st.composite
+def _principal_ideal_pairs(draw):
+    K = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    coeffs = st.lists(st.integers(-3, 3), min_size=K.degree, max_size=K.degree)
+    a, b = K.element(draw(coeffs)), K.element(draw(coeffs))
+    assume(not a.is_zero() and not b.is_zero())
+    return ideal_from_element(a), ideal_from_element(b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_principal_ideal_pairs())
+def test_intersection_matches_oracle(pair):
+    I, J = pair
+    assert lattice_intersect(I, J) == lattice_oracle.lattice_intersect(I, J)
 
 
 def test_ideal_examples():
