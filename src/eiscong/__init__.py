@@ -6,7 +6,8 @@ from .arith import (DomainError, Factorization, euler_phi, factor, is_p_good,
                     is_prime, sturm_bound, valuation)
 from .characters import (DirichletCharacter, bernoulli_B1, bernoulli_B2,
                          character_from_label, character_with_value, chi_in_XS,
-                         enumerate_characters, gauss_sum, quadratic_character)
+                         enumerate_characters, gauss_sum, gauss_sum_inverse,
+                         quadratic_character)
 from .cusps import (Cusp, CuspDivisor, D_divisor, D_divisor_pair, D_NML, beta_constant,
                     beta_tilde, boundary_divisor, closed_form_boundary,
                     cusp_from_fraction, enumerate_cusps, pullback_pi_l,

@@ -316,7 +316,7 @@ def gauss_sum(chi: DirichletCharacter) -> CycElement:
         return CyclotomicField(1).one()
     L = lcm(f, k)
     K = CyclotomicField(L)
-    acc = [Fraction(0)] * L
+    acc = [0] * L
     for a in range(1, f):
         e = chi.value_exponent(a)
         if e is None:
@@ -325,13 +325,21 @@ def gauss_sum(chi: DirichletCharacter) -> CycElement:
     return K.element(acc)
 
 
+def gauss_sum_inverse(chi: DirichletCharacter) -> CycElement:
+    """1/tau(chi) = chi(-1) tau(chi^-1) / f for primitive chi of conductor f,
+    from tau(chi) tau(chi^-1) = chi(-1) f (Washington, Introduction to
+    Cyclotomic Fields, Lemma 4.8); in the field of gauss_sum(chi)."""
+    sign = 1 if chi.is_even() else -1
+    return gauss_sum(chi.inverse()) * Fraction(sign, chi.modulus)
+
+
 def bernoulli_B1(chi: DirichletCharacter) -> CycElement:
     """B1(chi) = (1/f) sum_a chi(a) a, for nontrivial chi; 0 when chi is even."""
     if chi.is_trivial():
         raise DomainError("B1 of the trivial character is not used by any formula in scope")
     f, k = chi.modulus, chi.order
     K = CyclotomicField(k)
-    acc = [Fraction(0)] * k
+    acc = [0] * k
     for a in range(1, f):
         e = chi.value_exponent(a)
         if e is None:
@@ -351,13 +359,13 @@ def bernoulli_B2(chi: DirichletCharacter) -> CycElement:
     K = CyclotomicField(k)
     if m == 1:
         return K.from_rational(Fraction(1, 6))
-    acc = [Fraction(0)] * k
+    acc = [0] * k  # 6 m^2 ((a/m)^2 - a/m + 1/6) per term
     for a in range(1, m):
         e = chi.value_exponent(a)
         if e is None:
             continue
-        acc[e % k] += Fraction(a * a, m * m) - Fraction(a, m) + Fraction(1, 6)
-    return K.element(acc) * m
+        acc[e % k] += 6 * a * a - 6 * a * m + m * m
+    return K.element(acc) * Fraction(1, 6 * m)
 
 
 def chi_in_XS(chi: DirichletCharacter, N: int) -> bool:

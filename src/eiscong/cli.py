@@ -12,7 +12,7 @@ import json
 import sys
 
 from .arith import DomainError, sturm_bound
-from .characters import character_from_label, gauss_sum
+from .characters import character_from_label, gauss_sum_inverse
 from .cusps import beta_tilde
 from .cyclotomic import CycElement
 from .arith import prime_divisors
@@ -35,8 +35,7 @@ def _sqrt_form(bt: CycElement, params: EisensteinParams) -> str | None:
     phi = params.phi
     if phi.order != 2:
         return None
-    tau = gauss_sum(phi)
-    ratio = bt / tau.embed(bt.field.m)
+    ratio = bt * gauss_sum_inverse(phi).embed(bt.field.m)
     if not ratio.is_rational():
         return None
     d = params.f if phi.is_even() else -params.f

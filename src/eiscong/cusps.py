@@ -23,7 +23,7 @@ from math import gcd, prod
 
 from .arith import (DomainError, divisors, euler_phi, is_prime, prime_divisors,
                     valuation, xgcd)
-from .characters import DirichletCharacter, bernoulli_B2, gauss_sum
+from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
 from .cyclotomic import CycElement, CyclotomicField
 from .eisenstein import EisensteinParams
 
@@ -354,7 +354,7 @@ def beta_constant(params: EisensteinParams) -> CycElement:
         n_p = valuation(N, p) - 2 * valuation(f, p)
         delta_p = 1 if (valuation(M, p) == 0 and n_p >= 1) else 0
         acc = acc * p ** (valuation(M, p) + delta_p)
-    acc = acc * gauss_sum(phi.inverse()).embed(m) / gauss_sum(xi.inverse()).embed(m)
+    acc = acc * gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
     acc = acc * bernoulli_B2(xi.inverse()).embed(m)
     for p in sorted(set(prime_divisors(f)) | set(prime_divisors(params.T1))):
         acc = acc * (1 - xi.value(p).embed(m) * Fraction(1, p * p))

@@ -1,4 +1,15 @@
-"""Exact arithmetic in Q(zeta_m), power-basis representation mod Phi_m.
+"""Exact arithmetic in Q(zeta_m), on integer numerators over one denominator.
+
+An element is num/den: `num` holds integer coefficients on the power basis
+1, zeta, ..., zeta^(d-1) (d = euler_phi(m)) and `den` > 0 is one common
+denominator, kept canonical with gcd(den, content(num)) = 1 (the design of
+FLINT's fmpq_poly).  Equal elements of one field therefore have equal
+(num, den) and equal hashes.  All arithmetic stays in Z: a product is reduced
+by folding exponents with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
+(so Q(zeta_2n) costs what Q(zeta_n) costs for odd n), and then subtracting
+integer multiples of the monic Phi_m from the top down.  Rational scalars
+scale num and den and are never promoted to elements.  The inverse is the
+product of the nontrivial Galois conjugates divided by the norm.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
@@ -26,7 +37,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     f = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in divisors(m):
         if d < m:
-            f = polys.divmod_int_exact(f, list(cyclotomic_polynomial(d)))
+            f, r = polys.divmod_monic(f, cyclotomic_polynomial(d))
+            assert not any(r), "Phi_d must divide x^m - 1"
     return tuple(f)
 
 
@@ -49,12 +61,31 @@ class _CycField:
     def __repr__(self):
         return f"Q(zeta_{self.m})"
 
+    def reduce(self, v: list[int]) -> list[int]:
+        """Integer coefficients on 1..x^(len-1) mod Phi_m, as `degree` entries."""
+        m, d = self.m, self.degree
+        # fold with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
+        h, s = (m, 1) if m % 2 else (m // 2, -1)
+        if len(v) > h:
+            w = v[:h]
+            for k in range(h, len(v), h):
+                sign = s ** (k // h)
+                for i, c in enumerate(v[k:k + h]):
+                    if c:
+                        w[i] += sign * c
+            v = w
+        if len(v) > d:
+            return polys.divmod_monic(v, self.modulus)[1]
+        return v + [0] * (d - len(v))
+
     def element(self, coeffs) -> "CycElement":
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > self.degree:
-            cs = polys.mod(cs, list(self.modulus))
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return CycElement(self, tuple(cs[: self.degree]))
+        cs = list(coeffs)
+        den = 1
+        if not all(isinstance(c, int) for c in cs):
+            cs = [Fraction(c) for c in cs]
+            den = lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) for c in cs]
+        return _canonical(self, self.reduce(cs), den)
 
     def zero(self) -> "CycElement":
         return self.element([])
@@ -63,7 +94,7 @@ class _CycField:
         return self.element([1])
 
     def from_rational(self, q) -> "CycElement":
-        return self.element([Fraction(q)])
+        return self.element([q])
 
     def zeta(self, j: int = 1) -> "CycElement":
         """zeta_m ** j."""
@@ -74,38 +105,57 @@ class _CycField:
         return [a for a in range(1, self.m + 1) if gcd(a, self.m) == 1]
 
 
-def compositum(a: _CycField, b: _CycField) -> _CycField:
-    return CyclotomicField(lcm(a.m, b.m))
+def _canonical(field: _CycField, num: list[int], den: int) -> "CycElement":
+    """num/den with gcd(den, content(num)) = 1 and den > 0."""
+    g = gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    return CycElement(field, tuple(num), den)
 
 
-@dataclass(frozen=True)
+def _rational(q) -> tuple[int, int] | None:
+    """(numerator, denominator) of an int or Fraction, else None."""
+    if isinstance(q, int):
+        return q, 1
+    if isinstance(q, Fraction):
+        return q.numerator, q.denominator
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class CycElement:
-    """Element of Q(zeta_m) as Fraction coefficients on 1, zeta, ..., zeta^(deg-1)."""
+    """Element num/den of Q(zeta_m); num on 1, zeta, ..., zeta^(deg-1)."""
 
     field: _CycField
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     # -- basic structure ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise DomainError(f"{self} is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def denominator(self) -> int:
-        d = 1
-        for c in self.coeffs:
-            d = lcm(d, c.denominator)
-        return d
+        return self.den
 
     # -- field promotion ---------------------------------------------------
 
@@ -118,10 +168,10 @@ class CycElement:
             return self
         target = CyclotomicField(m)
         step = m // a
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
+        out = [0] * m
+        for i, c in enumerate(self.num):
             out[(i * step) % m] += c
-        return target.element(out)
+        return _canonical(target, target.reduce(out), self.den)
 
     @staticmethod
     def promote(a: "CycElement", b: "CycElement"):
@@ -132,59 +182,75 @@ class CycElement:
 
     # -- ring/field operations ----------------------------------------------
 
-    def _coerce(self, other) -> "CycElement | None":
-        if isinstance(other, CycElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, CycElement):
+            a, b = CycElement.promote(self, other)
+            den = lcm(a.den, b.den)
+            sa, sb = den // a.den, den // b.den
+            return _canonical(a.field, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
+        q = _rational(other)
+        if q is None:
             return NotImplemented
-        a, b = CycElement.promote(self, o)
-        return a.field.element([x + y for x, y in zip(a.coeffs, b.coeffs)])
+        n, d = q
+        num = [c * d for c in self.num]
+        num[0] += n * self.den
+        return _canonical(self.field, num, self.den * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self.field.element([-c for c in self.coeffs])
+        return CycElement(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        if isinstance(other, (CycElement, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, CycElement):
+            a, b = CycElement.promote(self, other)
+            return _canonical(a.field, a.field.reduce(polys.mul(a.num, b.num)), a.den * b.den)
+        q = _rational(other)
+        if q is None:
             return NotImplemented
-        a, b = CycElement.promote(self, o)
-        prod = polys.mul(list(a.coeffs), list(b.coeffs))
-        return a.field.element(prod)
+        n, d = q
+        return _canonical(self.field, [c * n for c in self.num], self.den * d)
 
     __rmul__ = __mul__
 
+    def _galois_num(self, j: int) -> list[int]:
+        m = self.field.m
+        out = [0] * m
+        for i, c in enumerate(self.num):
+            out[(i * j) % m] += c
+        return self.field.reduce(out)
+
+    def _conjugate_product(self) -> tuple[list[int], int]:
+        """(prod of sigma_j(num) over j != 1, N(num)): num times the first is
+        the second, a rational integer."""
+        K = self.field
+        others = K.reduce([1])
+        for j in K.galois_group()[1:]:
+            others = K.reduce(polys.mul(others, self._galois_num(j)))
+        return others, K.reduce(polys.mul(self.num, others))[0]
+
     def inverse(self) -> "CycElement":
-        """Field inverse via extended gcd with Phi_m."""
+        """Product of the nontrivial Galois conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in cyclotomic field")
-        g, u, _ = polys.gcdex(list(self.coeffs), [Fraction(c) for c in self.field.modulus])
-        if polys.degree(g) != 0:
-            raise ArithmeticError("representative not invertible mod Phi_m")
-        return self.field.element(polys.scale(u, Fraction(1) / g[0]))
+        others, norm = self._conjugate_product()
+        return _canonical(self.field, [c * self.den for c in others], norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = CycElement.promote(self, o)
-        return a * b.inverse()
+        if isinstance(other, CycElement):
+            a, b = CycElement.promote(self, other)
+            return a * b.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -202,14 +268,16 @@ class CycElement:
         return result
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, CycElement):
+            a, b = CycElement.promote(self, other)
+            return a.num == b.num and a.den == b.den
+        q = _rational(other)
+        if q is None:
             return NotImplemented
-        a, b = CycElement.promote(self, o)
-        return a.coeffs == b.coeffs
+        return self.is_rational() and (self.num[0], self.den) == q
 
     def __hash__(self):
-        return hash((self.field.m, self.coeffs))
+        return hash((self.field.m, self.num, self.den))
 
     # -- Galois action -------------------------------------------------------
 
@@ -218,21 +286,17 @@ class CycElement:
         m = self.field.m
         if gcd(j, m) != 1:
             raise DomainError(f"sigma_{j} is not a Galois element for m={m}")
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            out[(i * j) % m] += c
-        return self.field.element(out)
+        return _canonical(self.field, self._galois_num(j), self.den)
 
     def conjugate(self) -> "CycElement":
         """Complex conjugation zeta -> zeta^(-1)."""
         return self.galois(self.field.m - 1) if self.field.m > 1 else self
 
     def norm_to_Q(self) -> Fraction:
-        """N_{Q(zeta_m)/Q}: resultant of Phi_m with the representative."""
+        """N_{Q(zeta_m)/Q}: the product of all Galois conjugates."""
         if self.is_zero():
             return Fraction(0)
-        r = polys.resultant([Fraction(c) for c in self.field.modulus], list(self.coeffs))
-        return Fraction(r)
+        return Fraction(self._conjugate_product()[1], self.den ** self.field.degree)
 
     # -- display ---------------------------------------------------------------
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .arith import DomainError, is_prime, prime_divisors, valuation
-from .characters import DirichletCharacter, bernoulli_B1, chi_in_XS, gauss_sum
+from .characters import (DirichletCharacter, bernoulli_B1, chi_in_XS, gauss_sum,
+                         gauss_sum_inverse)
 from .cyclotomic import CycElement, CyclotomicField
 
 
@@ -122,20 +123,19 @@ def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
         raise DomainError("e_phi requires a primitive character")
     f, k = phi.modulus, phi.order
     K = CyclotomicField(k)
-    coeffs = []
-    for n in range(1, B + 1):
-        acc = [Fraction(0)] * k
-        for b in range(1, n + 1):
-            if n % b:
-                continue
-            c = n // b
-            ec = phi.value_exponent(c)
-            eb = phi.value_exponent(b)
-            if ec is None or eb is None:
-                continue
-            acc[(ec - eb) % k] += b
-        coeffs.append(K.element(acc))
-    return QExpansion(f * f, B, tuple(coeffs), K.zero())
+    exps = [phi.value_exponent(n) for n in range(B + 1)]
+    acc = [[0] * k for _ in range(B + 1)]
+    # sieve: each b with phi(b) != 0 adds to every multiple n = b*c <= B
+    for b in range(1, B + 1):
+        eb = exps[b]
+        if eb is None:
+            continue
+        for c in range(1, B // b + 1):
+            ec = exps[c]
+            if ec is not None:
+                acc[b * c][(ec - eb) % k] += b
+    coeffs = tuple(K.element(a) for a in acc[1:])
+    return QExpansion(f * f, B, coeffs, K.zero())
 
 
 def _refine(g: QExpansion, l: int, phi: DirichletCharacter, multiplier: CycElement) -> QExpansion:
@@ -327,7 +327,7 @@ def lambda_twisted(params: EisensteinParams, chi: DirichletCharacter) -> CycElem
     phi = params.phi
     phi_inv = phi.inverse()
     T1, T2 = params.T1, params.T2
-    front = phi.value(m_chi) / (gauss_sum(phi_inv) * 2)
+    front = phi.value(m_chi) * gauss_sum_inverse(phi_inv) * Fraction(1, 2)
     front = front * chi.value(params.f * params.M * params.L // (T1 * T2))
     for l in prime_divisors(T1) if T1 > 1 else ():
         front = front * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))

@@ -120,8 +120,7 @@ class IntegralIdeal:
     def contains(self, e: CycElement) -> bool:
         if e.field.m != self.field.m or not e.is_integral():
             return False
-        v = [int(c) for c in e.coeffs]
-        return solve_membership([list(r) for r in self.basis], v) is not None
+        return solve_membership([list(r) for r in self.basis], list(e.num)) is not None
 
     def is_subset_of(self, other: "IntegralIdeal") -> bool:
         ob = [list(r) for r in other.basis]
@@ -148,11 +147,15 @@ class IntegralIdeal:
 
 
 def _mult_rows(e: CycElement) -> list[list[int]]:
-    rows = []
-    for i in range(e.field.degree):
-        prod = e * e.field.zeta(i)
-        assert prod.is_integral()
-        rows.append([int(c) for c in prod.coeffs])
+    """Coordinates of e * zeta^i for i < degree, e integral: each row is the
+    previous one shifted up by one, less its top entry times the monic Phi_m."""
+    phi = e.field.modulus
+    row = list(e.num)
+    rows = [row]
+    for _ in range(1, e.field.degree):
+        c = row[-1]
+        row = [x - c * p for x, p in zip([0] + row[:-1], phi)]
+        rows.append(row)
     return rows
 
 

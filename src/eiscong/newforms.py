@@ -20,8 +20,6 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-import requests
-
 from .arith import DomainError
 from . import polys
 
@@ -62,9 +60,7 @@ class NewformRecord:
         return self.an[n - 1]
 
     def _kmul(self, u, v):
-        g = [Fraction(c) for c in self.field_poly]
-        w = polys.mod(polys.mul(list(u), list(v)), g)
-        return tuple(w + [Fraction(0)] * (self.degree - len(w)))
+        return tuple(polys.divmod_monic(polys.mul(u, v), self.field_poly)[1])
 
 
 def _require(cond, where, msg):
@@ -198,6 +194,8 @@ def fetch_newforms(
             f"offline and no cache at {cache_file}; "
             f"run `eiscong fetch --level {level}` online first"
         )
+    import requests  # slow to import, and only a network fetch needs it
+
     http = session if session is not None else requests
     try:
         resp = http.get(endpoint, params={"level": level, "weight": 2}, timeout=30)

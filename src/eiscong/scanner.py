@@ -95,8 +95,14 @@ def scan(
     record: NewformRecord,
     q: int,
     B: int | None = None,
+    *,
+    embeddings: dict | None = None,
 ) -> CongruenceReport:
-    """Coefficientwise congruence check of E against one newform at q."""
+    """Coefficientwise congruence check of E against one newform at q.
+
+    `embeddings` maps (phi order, field_poly, q) to the reduction_embeddings
+    result and gains the ones computed here; a caller that scans many pairs
+    passes one dict, so that each root search runs once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
@@ -106,8 +112,12 @@ def scan(
             f"bound {B} exceeds available precision ({E.precision} Eisenstein, "
             f"{record.bound} newform)"
         )
-    k = params.phi.order
-    r, F, pairs = reduction_embeddings(k, record.field_poly, q)
+    key = (params.phi.order, record.field_poly, q)
+    if embeddings is None:
+        embeddings = {}
+    if key not in embeddings:
+        embeddings[key] = reduction_embeddings(*key)
+    r, F, pairs = embeddings[key]
     first_mismatch = None
     for zr, gr in pairs:
         ok = True
@@ -194,6 +204,7 @@ def full_scan(
     reports: list[CongruenceReport] = []
     skipped: list[str] = []
     raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor]] = []
+    embeddings: dict = {}  # one root search per (phi order, field_poly, l)
     for params in eisenstein_basis(N, p):
         E = build_E(params, bound)
         for l in ls:
@@ -204,7 +215,7 @@ def full_scan(
                 )
                 continue
             for rec in records:
-                rep = scan(E, params, rec, l, bound)
+                rep = scan(E, params, rec, l, bound, embeddings=embeddings)
                 reports.append(rep)
                 if rep.matched:
                     raw_hits.append((rep, params, descriptor(params, l, eps)))

@@ -15,10 +15,10 @@ from eiscong.eisenstein import EisensteinParams
 def tensor_gauss_product(chi):
     """tau(chi) tau(chi^{-1}) and tau(chi) conj(tau(chi)) computed in
     Q[x]/(Phi_f) (x) Q[y]/(Phi_k), avoiding the large compositum; equality
-    there implies it in every embedding."""
+    there implies it in every embedding.  All entries are integers."""
     f, k = chi.modulus, chi.order
-    phif = [Fraction(c) for c in cyclotomic_polynomial(f)]
-    phik = [Fraction(c) for c in cyclotomic_polynomial(k)]
+    phif = cyclotomic_polynomial(f)
+    phik = cyclotomic_polynomial(k)
     taus = {}
     for kind in ("inv", "conj"):
         grid = {}
@@ -37,19 +37,17 @@ def tensor_gauss_product(chi):
                 grid[key] = grid.get(key, 0) + 1
         ypolys = {}
         for (xa, ye), c in grid.items():
-            ypolys.setdefault(ye, [Fraction(0)] * f)
+            ypolys.setdefault(ye, [0] * f)
             ypolys[ye][xa] += c
-        reduced = {ye: polys.mod(v, phif) for ye, v in ypolys.items()}
+        reduced = {ye: polys.divmod_monic(v, phif)[1] for ye, v in ypolys.items()}
         dx = len(phif) - 1
-        acc = [[Fraction(0)] * dx for _ in range(k)]
+        acc = [[0] * dx for _ in range(k)]
         for ye, v in reduced.items():
             for i, cv in enumerate(v):
                 acc[ye][i] += cv
         out = []
         for i in range(dx):
-            col = polys.mod([acc[ye][i] for ye in range(k)], phik)
-            col += [Fraction(0)] * (len(phik) - 1 - len(col))
-            out.append(col)
+            out.append(polys.divmod_monic([acc[ye][i] for ye in range(k)], phik)[1])
         taus[kind] = out
     return taus
 
@@ -60,10 +58,9 @@ def check_gauss_identity(chi):
     taus = tensor_gauss_product(chi)
     dx, dk = euler_phi(f), euler_phi(k)
     em1 = chi.value_exponent(f - 1)
-    ycol = [Fraction(0)] * k
-    ycol[em1] = Fraction(f)
-    ycol = polys.mod(ycol, [Fraction(c) for c in cyclotomic_polynomial(k)])
-    ycol += [Fraction(0)] * (dk - len(ycol))
+    ycol = [0] * k
+    ycol[em1] = f
+    ycol = polys.divmod_monic(ycol, cyclotomic_polynomial(k))[1]
     want_inv = [[Fraction(0)] * dk for _ in range(dx)]
     want_inv[0] = list(ycol)
     assert taus["inv"] == want_inv, f"tau-product identity fails for {chi.label()}"

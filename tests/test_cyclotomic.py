@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import cyclotomic_oracle
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import (CycElement, CyclotomicField,
                                 cyclotomic_polynomial)
-from eiscong import polys
+from cyclotomic_oracle import divmod_exact
 
 
 def test_cyclotomic_polynomials():
@@ -17,7 +20,7 @@ def test_cyclotomic_polynomials():
     # Phi_m divides x^m - 1
     for m in (6, 8, 15, 30):
         xm1 = [-1] + [0] * (m - 1) + [1]
-        q, r = polys.divmod_exact(
+        q, r = divmod_exact(
             [Fraction(c) for c in xm1], [Fraction(c) for c in cyclotomic_polynomial(m)]
         )
         assert not r
@@ -127,3 +130,88 @@ def test_galois_and_conjugate():
     for j in K.galois_group():
         prod = prod * e.galois(j)
     assert prod == K.from_rational(e.norm_to_Q())
+
+
+# -- the integer kernel against the Fraction oracle ------------------------------
+
+_ORACLE_FIELDS = (1, 3, 4, 5, 7, 9, 12, 15, 55, 110)
+
+
+@st.composite
+def _elements(draw, m, n=1):
+    """n elements of Q(zeta_m) as Fraction coefficient lists, some longer than
+    the degree so that construction reduces them."""
+    d = CyclotomicField(m).degree
+    out = []
+    for _ in range(n):
+        length = draw(st.integers(0, d + 3))
+        nums = draw(st.lists(st.integers(-6, 6), min_size=length, max_size=length))
+        dens = draw(st.lists(st.integers(1, 6), min_size=length, max_size=length))
+        out.append([Fraction(a, b) for a, b in zip(nums, dens)])
+    return out
+
+
+@st.composite
+def _field_and_elements(draw, n):
+    m = draw(st.sampled_from(_ORACLE_FIELDS))
+    return m, draw(_elements(m, n))
+
+
+def _same(x, y) -> bool:
+    """x (integer kernel) and y (oracle) are the same element."""
+    return x.field.m == y.field.m and x.coeffs == y.coeffs
+
+
+_scalars = st.one_of(st.integers(-12, 12),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=9))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_field_and_elements(2), _scalars, st.data())
+def test_ring_operations_match_oracle(mc, c, data):
+    m, (u, v) = mc
+    K, OK = CyclotomicField(m), cyclotomic_oracle.CyclotomicField(m)
+    a, b, oa, ob = K.element(u), K.element(v), OK.element(u), OK.element(v)
+    assert _same(a, oa) and _same(b, ob)
+    assert _same(a + b, oa + ob)
+    assert _same(a - b, oa - ob)
+    assert _same(a * b, oa * ob)
+    assert _same(-a, -oa)
+    assert _same(a * c, oa * c) and _same(c * a, c * oa)
+    assert _same(a + c, oa + c) and _same(c - a, c - oa)
+    j = data.draw(st.sampled_from(K.galois_group()))
+    assert _same(a.galois(j), oa.galois(j))
+    t = data.draw(st.sampled_from((1, 2, 3)))
+    assert _same(a.embed(m * t), oa.embed(m * t))
+    assert str(a) == str(oa)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_field_and_elements(2))
+def test_inverse_and_norm_match_oracle(mc):
+    m, (u, v) = mc
+    K, OK = CyclotomicField(m), cyclotomic_oracle.CyclotomicField(m)
+    a, b, oa = K.element(u), K.element(v), OK.element(u)
+    assert a.norm_to_Q() == oa.norm_to_Q()
+    assert (a * b).norm_to_Q() == a.norm_to_Q() * b.norm_to_Q()
+    assume(not a.is_zero())
+    inv = a.inverse()
+    assert _same(inv, oa.inverse())
+    assert a * inv == K.one()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_field_and_elements(2), st.integers(1, 30))
+def test_equal_values_hash_equal(mc, c):
+    m, (u, v) = mc
+    K = CyclotomicField(m)
+    a, b = K.element(u), K.element(v)
+    for other in (K.element([x * c for x in u]) * Fraction(1, c),
+                  (a + b) - b,
+                  (a * c) / c,
+                  K.element(list(u) + [0] * m)):
+        assert other == a and hash(other) == hash(a)
+        assert other.num == a.num and other.den == a.den
+    assert a.den > 0 and gcd(a.den, *a.num) == 1
+    assert K.element([2, 4]) * Fraction(1, 2) == K.element([1, 2])
+    assert hash(K.element([2, 4]) * Fraction(1, 2)) == hash(K.element([1, 2]))

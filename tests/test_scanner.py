@@ -1,4 +1,7 @@
+import hashlib
+import json
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +194,42 @@ def test_paper_234_congruences_mod_2_and_3():
         P, E = built[key]
         for lbl in ("234.2.a.a", "234.2.a.c", "234.2.a.d"):
             assert scan(E, P, recs[lbl], 2, B).matched, (key, lbl)
+
+
+def _scan_payload(res) -> str:
+    """Canonical JSON of a FullScanResult (the `scan --json` fields), as the
+    benchmark hashes it for its goldens."""
+    return json.dumps({
+        "level": res.level,
+        "p": res.p,
+        "bound": res.bound,
+        "candidate_primes": list(res.candidate_primes),
+        "hits": [
+            {"eisenstein": h.report.eisenstein, "newform": h.report.newform,
+             "prime": h.report.prime, "largest_M": h.largest_M,
+             "descriptor": h.descriptor.to_json()}
+            for h in res.hits
+        ],
+        "reports": [r.to_json() for r in res.reports],
+        "skipped": list(res.skipped),
+    }, sort_keys=True)
+
+
+def test_full_scan_one_root_search_per_key(monkeypatch):
+    """full_scan computes reduction_embeddings once per distinct (phi order,
+    field_poly, l): 22 keys among the 72 scans at 725, with the golden result."""
+    from eiscong import scanner
+
+    keys = []
+    original = scanner.reduction_embeddings
+
+    def counting(k, field_poly, q):
+        keys.append((k, tuple(field_poly), q))
+        return original(k, field_poly, q)
+
+    monkeypatch.setattr(scanner, "reduction_embeddings", counting)
+    res = full_scan(725, 5)
+    assert len(res.reports) == 72
+    assert len(keys) == len(set(keys)) == 22
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
+    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
