@@ -171,8 +171,10 @@ def cmd_scan(args) -> None:
     if not res.hits:
         lines.append("  no congruences certified")
     unmatched = [r for r in res.reports if not r.matched]
+    rational = [s for s in res.skipped if s.endswith("(rational case)")]
     lines.append(f"  ({len(res.hits)} certified, {len(unmatched)} non-matches, "
-                 f"{len(res.skipped)} skipped rational reductions)")
+                 f"{len(rational)} skipped rational reductions)")
+    lines.extend(f"  skipped {s}" for s in res.skipped if s not in rational)
     _emit(
         args,
         {

@@ -47,11 +47,6 @@ class Cusp:
     def ram_index(self) -> int:
         return self.level // (self.d * self.t)
 
-    def width(self) -> int:
-        # equals ram_index for Gamma0; kept as a distinct accessor because the
-        # covering computations manipulate widths directly
-        return self.level // (self.d * self.t)
-
     def field_torsion(self) -> int:
         return self.t
 
@@ -331,7 +326,7 @@ def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
         m21 = dy[1][0] * l * dx_inv[0][0] + dy[1][1] * dx_inv[1][0]
         m22 = dy[1][0] * l * dx_inv[0][1] + dy[1][1] * dx_inv[1][1]
         assert m21 == 0, "conjugated scaling matrix must fix infinity"
-        e = Fraction(abs(m11), abs(m22)) * Fraction(c.width(), y.width())
+        e = Fraction(abs(m11), abs(m22)) * Fraction(c.ram_index(), y.ram_index())
         assert e.denominator == 1 and e > 0, f"pi_l ramification not integral: {e}"
         out[c] = coeff * int(e)
     return CuspDivisor(A * l, out)

@@ -2,9 +2,23 @@
 
 The field is realized as F_q[x]/(h) with h the lexicographically smallest
 monic irreducible of degree r (a fixed, bundled, Conway-style choice, so
-element representations are reproducible).  Root finding enumerates the field
-when q^r <= 2^16 and falls back to equal-degree (Cantor-Zassenhaus) splitting
-above that.
+element representations are reproducible).  A product is a schoolbook
+product into 2r - 1 integers, folded down by the monic h, with one `% q` at
+the end.
+
+Roots of an integer polynomial f start from g = gcd(f mod q, y^|F| - y),
+computed over F_q: g is the product of (y - x) over the distinct roots x of
+f in F, so deg g counts them and deg g <= 0 means there are none.  When
+|F| <= 2^16 the roots are found by evaluating g at the elements in a fixed
+order until deg g of them are found; above that g is split by equal-degree
+(Cantor-Zassenhaus) splitting, with (y + c)^((|F|-1)/2) - 1 in odd
+characteristic and the trace sum_i (c y)^(2^i) in characteristic 2 (Cohen,
+GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).
+
+Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
+Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
+order k': z^j with gcd(j, k') = 1 for one such z, and z = g^((|F|-1)/k') for
+the first g in the fixed element order that gives exact order k'.
 """
 
 from __future__ import annotations
@@ -12,8 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
-from .arith import DomainError, is_prime
+from .arith import DomainError, is_prime, prime_divisors
 
 ENUMERATION_CAP = 1 << 16
 
@@ -146,11 +161,6 @@ class FiniteField:
     def one(self):
         return tuple([1] + [0] * (self.r - 1))
 
-    def gen(self):
-        if self.r == 1:
-            raise DomainError("prime field has no generator element x")
-        return tuple([0, 1] + [0] * (self.r - 2))
-
     def from_int(self, n: int):
         return tuple([n % self.q] + [0] * (self.r - 1))
 
@@ -164,8 +174,22 @@ class FiniteField:
         return tuple(-x % self.q for x in a)
 
     def mul(self, a, b):
-        prod = _polmod(_polmul(list(a), list(b), self.q), list(self.modulus), self.q)
-        return tuple(prod + [0] * (self.r - len(prod)))
+        q, r = self.q, self.r
+        if r == 1:
+            return (a[0] * b[0] % q,)
+        prod = [0] * (2 * r - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+        h = self.modulus
+        for top in range(2 * r - 2, r - 1, -1):
+            c = prod[top]
+            if c:
+                off = top - r
+                for i in range(r):
+                    prod[off + i] -= c * h[i]
+        return tuple(x % q for x in prod[:r])
 
     def pow(self, a, e: int):
         if e < 0:
@@ -218,13 +242,15 @@ class FiniteField:
     def elements(self):
         if self.size > ENUMERATION_CAP:
             raise DomainError("field too large to enumerate")
-        for n in range(self.size):
-            t = n
-            vec = []
-            for _ in range(self.r):
-                vec.append(t % self.q)
-                t //= self.q
-            yield tuple(vec)
+        return map(self.element, range(self.size))
+
+    def element(self, n: int):
+        """The n-th element in the fixed order: the base-q digits of n."""
+        vec = []
+        for _ in range(self.r):
+            n, c = divmod(n, self.q)
+            vec.append(c)
+        return tuple(vec)
 
     def multiplicative_order(self, a) -> int:
         if not any(a):
@@ -245,14 +271,6 @@ class FiniteField:
             while order % p == 0 and self.pow(a, order // p) == self.one():
                 order //= p
         return order
-
-
-def reduce_int_poly(poly, F: FiniteField):
-    """Integer polynomial -> list of F-elements (ascending)."""
-    out = [F.from_int(int(c)) for c in poly]
-    while out and not any(out[-1]):
-        out.pop()
-    return out
 
 
 def _fpoly_mul(a, b, F):
@@ -314,22 +332,56 @@ def _fpoly_eval(poly, x, F):
 
 
 def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
-    """All roots in F of an integer polynomial (each distinct root once)."""
-    fp = reduce_int_poly(int_poly, F)
+    """All roots in F of an integer polynomial (each distinct root once), sorted."""
+    q = F.q
+    fp = [int(c) % q for c in int_poly]
+    while fp and fp[-1] == 0:
+        fp.pop()
     if not fp:
         raise DomainError("polynomial vanishes identically mod q")
     if len(fp) == 1:
         return []
-    if F.size <= ENUMERATION_CAP and not force_splitting:
-        return sorted(x for x in F.elements() if not any(_fpoly_eval(fp, x, F)))
-    # split off the linear factors: g = gcd(f, y^{|F|} - y)
-    yq = _fpoly_powmod([F.zero(), F.one()], F.size, fp, F)
-    diff = [F.sub(a, b) for a, b in _pad(yq, [F.zero(), F.one()], F)]
-    while diff and not any(diff[-1]):
+    # g = gcd(f, y^{|F|} - y) over F_q: the product of (y - x) over the roots x in F
+    yq = _polpowmod([0, 1], F.size, fp, q)
+    diff = [(a - b) % q for a, b in _zip_pad(yq, [0, 1])]
+    while diff and diff[-1] == 0:
         diff.pop()
-    g = _fpoly_gcd(fp, diff, F)
+    g = [F.from_int(c) for c in _polgcd(fp, diff, q)]
+    count = len(g) - 1
     roots = []
-    _equal_degree_split(g, F, roots, random.Random(0x5EED))
+    if count <= 0:
+        return roots
+    if F.size <= ENUMERATION_CAP and not force_splitting:
+        for x in F.elements():
+            if not any(_fpoly_eval(g, x, F)):
+                roots.append(x)
+                if len(roots) == count:
+                    break
+    else:
+        _equal_degree_split(g, F, roots, random.Random(0x5EED))
+    return sorted(roots)
+
+
+def cyclotomic_roots(k: int, F: FiniteField):
+    """The roots of Phi_k in F, sorted, without a search (see the module notes)."""
+    kp = k
+    while kp % F.q == 0:
+        kp //= F.q
+    n = F.size - 1
+    if n % kp:
+        return []
+    one = F.one()
+    primes = prime_divisors(kp)
+    for i in range(1, F.size):
+        z = F.pow(F.element(i), n // kp)
+        if all(F.pow(z, kp // s) != one for s in primes):
+            break
+    roots = []
+    power = one
+    for j in range(1, kp + 1):
+        power = F.mul(power, z)
+        if gcd(j, kp) == 1:
+            roots.append(power)
     return sorted(roots)
 
 
@@ -350,9 +402,16 @@ def _equal_degree_split(g, F, roots, rng):
         return
     while True:
         c = tuple(rng.randrange(F.q) for _ in range(F.r))
-        probe = [c, F.one()]  # y + c
-        h = _fpoly_powmod(probe, (F.size - 1) // 2, g, F)
-        h = [F.sub(a, b) for a, b in _pad(h, [F.one()], F)]
+        if F.q == 2:
+            # trace of c*y, sum_{i<r} (c y)^(2^i): it is 0 or 1 at each root
+            power = h = _fpoly_mod([F.zero(), c], g, F)
+            for _ in range(F.r - 1):
+                power = _fpoly_mod(_fpoly_mul(power, power, F), g, F)
+                h = [F.add(a, b) for a, b in _pad(h, power, F)]
+        else:
+            probe = [c, F.one()]  # y + c
+            h = _fpoly_powmod(probe, (F.size - 1) // 2, g, F)
+            h = [F.sub(a, b) for a, b in _pad(h, [F.one()], F)]
         while h and not any(h[-1]):
             h.pop()
         d = _fpoly_gcd(g, h, F) if h else []

@@ -19,8 +19,7 @@ from .arith import DomainError, is_p_good, is_prime, prime_divisors, valuation
 from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
 from .eisenstein import EisensteinParams
-from .ffield import FiniteField, roots_in_field
-from .cyclotomic import cyclotomic_polynomial
+from .ffield import FiniteField, cyclotomic_roots
 from .lattices import ideal_index, numerator_ideal
 
 
@@ -259,7 +258,7 @@ def descriptor(params: EisensteinParams, l: int, eps: DirichletCharacter | None 
     while pow(l, d, k) != 1 % k:
         d += 1
     F = FiniteField.create(l, d)
-    zroots = roots_in_field(cyclotomic_polynomial(k), F)
+    zroots = cyclotomic_roots(k, F)
     assert zroots, "Phi_k must have roots in F_{l^d}"
     zbar = zroots[0]
 

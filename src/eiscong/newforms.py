@@ -213,9 +213,24 @@ def fetch_newforms(
     if not isinstance(payload, dict) or "data" not in payload:
         raise NewformDataError("endpoint payload must be an object with a 'data' list")
     records = parse_newforms(payload["data"], where=f"{endpoint}?level={level}")
-    cdir.mkdir(parents=True, exist_ok=True)
-    cache_file.write_text(json.dumps(payload["data"]))
+    _write_atomic(cache_file, json.dumps(payload["data"]))
     return records
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a temp file next to `path`, then rename it over `path`: a reader
+    sees the old file or the new one, never a partial write."""
+    import tempfile  # only a fetch writes the cache
+
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def newforms_for_level(level: int, cache_dir=None, offline: bool = True) -> list[NewformRecord]:

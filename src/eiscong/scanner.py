@@ -6,18 +6,27 @@ reduction zeta -> 1 on the q-part), the newform side through a root of its
 defining polynomial.  r is minimal so that both acquire roots, and every
 (zeta-root, poly-root) pair is tried in a fixed order.  A match certifies
 a_n congruences for all n up to the bound (Sturm by default).
+
+A coefficient num/den on the power basis reduces at a root through the
+root's power table (root^0, ..., root^(d-1), computed once per root and
+scan): one integer dot product mod q per coordinate of F, times den^-1 mod q.
+Within a scan each a_n is reduced once per root, and only when the pair loop
+reaches it.  A (newform, l) pair whose coefficients have l in a denominator
+is skipped by `full_scan` with the reason; the rest of the scan runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, lcm
+from operator import mul
 
 from .arith import DomainError, divisors, is_p_good, is_prime, sturm_bound
 from .characters import enumerate_characters
-from .cyclotomic import cyclotomic_polynomial
 from .eisenstein import EisensteinParams, QExpansion, build_E
-from .ffield import FiniteField, factor_degrees_mod_q, roots_in_field
+from .ffield import (FiniteField, cyclotomic_roots, factor_degrees_mod_q,
+                     roots_in_field)
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
 from .newforms import NewformRecord, newforms_for_level
@@ -69,24 +78,32 @@ def reduction_embeddings(k, field_poly, q: int):
     degrees = factor_degrees_mod_q(list(field_poly), q)
     r = min(lcm(d_phi, e) for e in degrees)
     F = FiniteField.create(q, r)
-    zroots = roots_in_field(cyclotomic_polynomial(k), F)
+    zroots = cyclotomic_roots(k, F)
     groots = roots_in_field(list(field_poly), F)
     assert zroots and groots
     return r, F, [(z, g) for z in zroots for g in groots]
 
 
-def _reduce_vector(vec, root, F: FiniteField):
-    """sum vec[i] * root^i with Fraction entries; q | denominator is an error."""
-    q = F.q
-    acc = F.zero()
-    power = F.one()
-    for c in vec:
-        if c.denominator % q == 0:
-            raise UnsupportedPrimeError(f"denominator of {c} not invertible mod {q}")
-        cf = F.from_int(c.numerator * pow(c.denominator, -1, q))
-        acc = F.add(acc, F.mul(cf, power))
-        power = F.mul(power, root)
-    return acc
+def _power_table(root, F: FiniteField, d: int):
+    """root^0, ..., root^(d-1) by coordinate: r tuples of d ints."""
+    powers = [F.one()]
+    for _ in range(d - 1):
+        powers.append(F.mul(powers[-1], root))
+    return tuple(zip(*powers))
+
+
+def _reduce_vector(num, den, table, q: int):
+    """sum num[i] root^i / den in F from root's power table; q | den is an error."""
+    if den % q == 0:
+        raise UnsupportedPrimeError(f"denominator {den} not invertible mod {q}")
+    inv = pow(den, -1, q)
+    return tuple(sum(map(mul, num, col)) * inv % q for col in table)
+
+
+def _common_denominator(vec):
+    """Fractions -> (integer numerators, their lcm denominator)."""
+    den = lcm(*(c.denominator for c in vec))
+    return [c.numerator * (den // c.denominator) for c in vec], den
 
 
 def scan(
@@ -118,13 +135,26 @@ def scan(
     if key not in embeddings:
         embeddings[key] = reduction_embeddings(*key)
     r, F, pairs = embeddings[key]
+
+    @cache
+    def table(root, d):
+        return _power_table(root, F, d)
+
+    @cache
+    def lhs(zr, n):
+        c = E.coefficient(n)
+        return _reduce_vector(c.num, c.den, table(zr, len(c.num)), q)
+
+    @cache
+    def rhs(gr, n):
+        num, den = _common_denominator(record.coefficient(n))
+        return _reduce_vector(num, den, table(gr, len(num)), q)
+
     first_mismatch = None
     for zr, gr in pairs:
         ok = True
         for n in range(1, B + 1):
-            lhs = _reduce_vector(E.coefficient(n).coeffs, zr, F)
-            rhs = _reduce_vector(record.coefficient(n), gr, F)
-            if lhs != rhs:
+            if lhs(zr, n) != rhs(gr, n):
                 ok = False
                 if first_mismatch is None:
                     first_mismatch = n
@@ -205,6 +235,7 @@ def full_scan(
     skipped: list[str] = []
     raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor]] = []
     embeddings: dict = {}  # one root search per (phi order, field_poly, l)
+    unusable: set[tuple[str, int]] = set()  # (newform, l) with l in a denominator
     for params in eisenstein_basis(N, p):
         E = build_E(params, bound)
         for l in ls:
@@ -215,7 +246,14 @@ def full_scan(
                 )
                 continue
             for rec in records:
-                rep = scan(E, params, rec, l, bound, embeddings=embeddings)
+                if (rec.label, l) in unusable:
+                    continue
+                try:
+                    rep = scan(E, params, rec, l, bound, embeddings=embeddings)
+                except UnsupportedPrimeError as exc:
+                    unusable.add((rec.label, l))
+                    skipped.append(f"{rec.label} at l={l}: {exc} (reduction undefined)")
+                    continue
                 reports.append(rep)
                 if rep.matched:
                     raw_hits.append((rep, params, descriptor(params, l, eps)))

@@ -79,3 +79,22 @@ def test_fetch_offline_no_cache(capsys, tmp_path):
         capsys, "fetch", "--level", "11", "--offline", "--cache-dir", str(tmp_path)
     )
     assert code == 1 and "cache" in err
+
+
+def test_scan_reports_unusable_newform(capsys, monkeypatch):
+    """A fetched newform with 5 in a denominator is listed as skipped; the
+    rational-reduction count and the certified hits stay as they were."""
+    from fractions import Fraction
+
+    from eiscong import cli
+    from eiscong.newforms import NewformRecord, bundled_newforms
+
+    recs = bundled_newforms(121)
+    d = recs[-1]
+    bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly,
+                        (d.an[0], (d.an[1][0] + Fraction(1, 5),)) + d.an[2:])
+    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: recs + [bad])
+    code, out, _ = run_cli(capsys, "scan", "--level", "121", "--p", "11")
+    assert code == 0
+    assert "(5 certified, 15 non-matches, 4 skipped rational reductions)" in out
+    assert out.splitlines()[-1].startswith("  skipped 121.2.a.z at l=5: ")

@@ -83,7 +83,7 @@ def test_ram_index_and_width():
     assert cusp_from_fraction(121, 1, 11).ram_index() == 1
     assert cusp_from_fraction(725, 1, 5).ram_index() == 29
     assert cusp_from_fraction(121, 1, 121).ram_index() == 1   # infinity
-    assert cusp_from_fraction(11, 0, 1).width() == 11          # the cusp 0
+    assert cusp_from_fraction(11, 0, 1).ram_index() == 11      # the cusp 0
     assert cusp_from_fraction(121, 1, 11).field_torsion() == 11
     assert cusp_from_fraction(242, 1, 11).field_torsion() == 11
     assert cusp_from_fraction(121, 1, 121).field_torsion() == 1

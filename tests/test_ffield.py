@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ffield_oracle
+from eiscong import polys
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import cyclotomic_polynomial
-from eiscong.ffield import (FiniteField, conway_style_modulus,
-                            factor_degrees_mod_q, finite_field_roots)
+from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
+                            factor_degrees_mod_q, finite_field_roots,
+                            roots_in_field)
 
 
 def test_root_examples():
@@ -58,3 +62,85 @@ def test_factor_degrees():
     assert factor_degrees_mod_q([0, 1], 5) == [1]
     with pytest.raises(DomainError):
         factor_degrees_mod_q([5, 10], 5)
+
+
+# ---------------------------------------------------------------- oracle suites
+
+_PRIMES = (2, 3, 5, 7, 11)
+
+
+@st.composite
+def _field_and_pair(draw):
+    q = draw(st.sampled_from(_PRIMES))
+    r = draw(st.integers(1, 6))
+    elem = st.tuples(*[st.integers(0, q - 1)] * r)
+    return FiniteField.create(q, r), draw(elem), draw(elem)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_and_pair())
+def test_mul_matches_oracle(case):
+    F, a, b = case
+    assert F.mul(a, b) == ffield_oracle.OracleField.create(F.q, F.r).mul(a, b)
+
+
+@st.composite
+def _small_field_and_poly(draw, odd=True):
+    """A field with q^r <= 3000 and a monic integer polynomial that is a
+    product of random linear factors over Z and a random monic cofactor."""
+    q = draw(st.sampled_from((3, 5, 7, 11) if odd else (2,)))
+    r = draw(st.integers(1, 6).filter(lambda r: q ** r <= 3000))
+    poly = [1]
+    for a in draw(st.lists(st.integers(-20, 20), max_size=3)):
+        poly = list(polys.mul(poly, [a, 1]))
+    cofactor = draw(st.lists(st.integers(-20, 20), max_size=5)) + [1]
+    return FiniteField.create(q, r), list(polys.mul(poly, cofactor))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_small_field_and_poly(), st.booleans())
+def test_roots_in_field_matches_oracle(case, force_splitting):
+    F, poly = case
+    assert (roots_in_field(poly, F, force_splitting=force_splitting)
+            == ffield_oracle.roots_in_field(poly, F, force_splitting=force_splitting))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_field_and_poly(odd=False))
+def test_characteristic_two_splitting_matches_enumeration(case):
+    F, poly = case
+    assert (roots_in_field(poly, F, force_splitting=True)
+            == ffield_oracle.roots_in_field(poly, F))
+
+
+@st.composite
+def _field_and_cyclotomic_index(draw):
+    q = draw(st.sampled_from(_PRIMES + (13,)))
+    r = draw(st.integers(1, 6).filter(lambda r: q ** r <= 3000))
+    k = draw(st.integers(1, 39))
+    if draw(st.booleans()):
+        k = k * q if k * q < 40 else q  # ramified: q | k
+    return FiniteField.create(q, r), k
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_field_and_cyclotomic_index())
+def test_cyclotomic_roots_match_oracle(case):
+    F, k = case
+    assert cyclotomic_roots(k, F) == ffield_oracle.roots_in_field(cyclotomic_polynomial(k), F)
+
+
+def test_cyclotomic_roots_above_enumeration_cap():
+    F = FiniteField.create(7, 6)  # 117649 elements, too many to enumerate
+    roots = cyclotomic_roots(4, F)
+    assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(4), F)
+    assert roots == roots_in_field(cyclotomic_polynomial(4), F)
+    assert [F.multiplicative_order(z) for z in roots] == [4, 4]
+
+
+def test_characteristic_two_splitting_terminates():
+    """In characteristic 2 the probe (y + c)^((|F|-1)/2) - 1 of odd
+    characteristic is constant, so the split must use the trace map."""
+    assert finite_field_roots([0, 1, 1], 2, 1, force_splitting=True) == [(0,), (1,)]
+    roots = finite_field_roots(cyclotomic_polynomial(7), 2, 3, force_splitting=True)
+    assert roots == finite_field_roots(cyclotomic_polynomial(7), 2, 3) and len(roots) == 6

@@ -154,3 +154,39 @@ def test_cache_env_var(tmp_path, monkeypatch):
     session = _FakeSession(_FakeResponse(200, {"data": data}))
     fetch_newforms(14, endpoint="http://x/api", session=session)
     assert (tmp_path / "newforms_14.json").exists()
+
+
+def test_cache_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    """A write that fails halfway leaves the previous cache file whole and no
+    temp file behind."""
+    import os
+
+    old = [{"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
+            "an": [[1], [-2], [-1], [2], [1], [2]]}]
+    fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path,
+                   session=_FakeSession(_FakeResponse(200, {"data": old})))
+    cache_file = tmp_path / "newforms_11.json"
+    before = cache_file.read_bytes()
+
+    class _DiskFull(io.StringIO):
+        def __init__(self, fd):
+            super().__init__()
+            self.fd = fd
+
+        def write(self, text):
+            os.write(self.fd, text[: len(text) // 2].encode())
+            raise OSError(28, "No space left on device")
+
+        def close(self):
+            os.close(self.fd)
+            super().close()
+
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode="r": _DiskFull(fd))
+    new = [dict(old[0], an=old[0]["an"] + [[-2], [0]])]
+    with pytest.raises(OSError):
+        fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path,
+                       session=_FakeSession(_FakeResponse(200, {"data": new})))
+    monkeypatch.undo()
+    assert cache_file.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["newforms_11.json"]
+    assert len(fetch_newforms(11, cache_dir=tmp_path, offline=True)[0].an) == 6

@@ -1,9 +1,12 @@
 import hashlib
 import json
+from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
 import pytest
+
+import ffield_oracle
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import character_with_value, quadratic_character
@@ -11,9 +14,19 @@ from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
-from eiscong.newforms import bundled_newforms
-from eiscong.scanner import (_reduce_vector, eisenstein_basis, full_scan,
-                             reduction_embeddings, scan)
+from eiscong.newforms import NewformRecord, bundled_newforms
+from eiscong.scanner import (UnsupportedPrimeError, _common_denominator,
+                             _power_table, _reduce_vector, eisenstein_basis,
+                             full_scan, reduction_embeddings, scan)
+
+
+def _reduce_newform(vec, root, F):
+    num, den = _common_denominator(vec)
+    return _reduce_vector(num, den, _power_table(root, F, len(num)), F.q)
+
+
+def _reduce_element(x, root, F):
+    return _reduce_vector(x.num, x.den, _power_table(root, F, len(x.num)), F.q)
 
 
 def test_reduction_embeddings():
@@ -135,9 +148,9 @@ def test_hecke_consistency_of_hits():
     for r in primes_up_to(80):
         if 234 % r == 0:
             continue
-        lhs = _reduce_vector(rec.coefficient(r), gr, F)
+        lhs = _reduce_newform(rec.coefficient(r), gr, F)
         val = tl_eigenvalue(eps, r)
-        rhs = _reduce_vector(val.embed(eps.order).coeffs if val.field.m != eps.order else val.coeffs, zr, F)
+        rhs = _reduce_element(val.embed(eps.order) if val.field.m != eps.order else val, zr, F)
         assert lhs == rhs, r
 
 
@@ -162,11 +175,11 @@ def test_u_eigenvalue_consistency_of_hits():
             F = FiniteField.create(l, h.report.residue_degree)
             zr, gr = h.report.embedding
             # U_p in m: a_p = 0 mod the prime
-            assert _reduce_vector(rec.coefficient(p), gr, F) == F.zero()
+            assert _reduce_newform(rec.coefficient(p), gr, F) == F.zero()
             eps = eisenstein_character(h.params.phi, l)
             for pi in (q for q in (2, 13, 29) if N % q == 0 and q != p):
-                api = _reduce_vector(rec.coefficient(pi), gr, F)
-                eb = _reduce_vector(eps.value(pi).coeffs, zr, F)
+                api = _reduce_newform(rec.coefficient(pi), gr, F)
+                eb = _reduce_element(eps.value(pi), zr, F)
                 alt = F.mul(F.from_int(pi), F.inv(eb))
                 assert api in (eb, alt), (N, h.report.newform, pi)
 
@@ -233,3 +246,53 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
     assert len(keys) == len(set(keys)) == 22
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
+
+
+def _golden_scan_hash(level):
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
+    return golden["scan"][str(level)]
+
+
+@pytest.mark.parametrize("N,p", [(121, 11), (234, 3)])
+def test_full_scan_golden(N, p):
+    res = full_scan(N, p)
+    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
+
+
+def test_scan_matches_per_coefficient_oracle(monkeypatch):
+    """Every scan of full_scan(725, 5) gives the report of the former
+    per-coefficient Horner reduction over the same embedding pairs."""
+    from eiscong import scanner
+
+    calls = []
+    original = scanner.scan
+
+    def checking(E, params, record, q, B=None, *, embeddings=None):
+        rep = original(E, params, record, q, B, embeddings=embeddings)
+        r, F, pairs = embeddings[(params.phi.order, record.field_poly, q)]
+        assert rep == ffield_oracle.scan_pairs(E, params, record, q, B, r, F, pairs)
+        calls.append(rep)
+        return rep
+
+    monkeypatch.setattr(scanner, "scan", checking)
+    full_scan(725, 5)
+    assert len(calls) == 72 and sum(rep.matched for rep in calls) == 6
+
+
+def test_full_scan_skips_unusable_newform_prime():
+    """A newform with 5 in a coefficient denominator cannot be reduced mod a
+    prime above 5: full_scan records one skipped entry for the pair and
+    scans everything else as before."""
+    recs = bundled_newforms(121)
+    d = next(r for r in recs if r.label == "121.2.a.d")
+    a2 = tuple(c + Fraction(1, 5) for c in d.an[1])
+    bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly, (d.an[0], a2) + d.an[2:])
+    with pytest.raises(UnsupportedPrimeError):
+        scan(build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), 22),
+             EisensteinParams(quadratic_character(11), 121, 1, 1), bad, 5)
+    base = full_scan(121, 11)
+    res = full_scan(121, 11, records=recs + [bad])
+    extra = [s for s in res.skipped if s not in base.skipped]
+    assert len(extra) == 1 and extra[0].startswith("121.2.a.z at l=5:")
+    assert res.reports == base.reports
+    assert res.hit_labels() == base.hit_labels()
