@@ -20,65 +20,23 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd
 from pathlib import Path
 
 from sympy import Poly, symbols
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
 DATA_DIR = HERE.parent / "src" / "eiscong" / "data"
+
+from eiscong.arith import (divisors, euler_phi, is_prime,  # noqa: E402
+                           prime_divisors, primes_up_to, xgcd)
 
 X = symbols("x")
 
 
-def xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
-def prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def divisors(n):
-    ds = [1]
-    for p in prime_factors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            e += 1
-            m //= p
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(set(ds))
-
-
-def primes_up_to(b):
-    sieve = bytearray([1]) * (b + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(b) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, v in enumerate(sieve) if v]
-
-
 def genus_gamma0(N):
-    ps = prime_factors(N)
+    ps = prime_divisors(N)
     mu = N
     for p in ps:
         mu = mu // p * (p + 1)
@@ -102,13 +60,6 @@ def genus_gamma0(N):
     g = Fraction(1) + Fraction(mu, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) - Fraction(nu_inf, 2)
     assert g.denominator == 1
     return int(g)
-
-
-def euler_phi(n):
-    out = n
-    for p in prime_factors(n):
-        out = out // p * (p - 1)
-    return out
 
 
 # ----------------------------------------------------------------- P^1(Z/N)
@@ -628,7 +579,7 @@ def charpoly(A):
         # next prime not dividing any denominator
         while True:
             p += 2 if p % 2 else 1
-            if _is_prime_small(p) and all(d % p for d in dens):
+            if is_prime(p) and all(d % p for d in dens):
                 break
         Ap = [[(x.numerator * pow(x.denominator, -1, p)) % p for x in row] for row in A]
         residues.append(_charpoly_modp(Ap, p))
@@ -652,29 +603,6 @@ def charpoly(A):
         if len(primes) > 80:
             raise RuntimeError("charpoly did not stabilize")
     return current  # ascending coefficients, monic
-
-
-def _is_prime_small(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 # ----------------------------------------------------- polynomial helpers
@@ -754,7 +682,7 @@ class Orbit:
             m = n
             acc = one
             ok = True
-            for p in prime_factors(n):
+            for p in prime_divisors(n):
                 pk = 1
                 while m % p == 0:
                     m //= p
@@ -1267,7 +1195,7 @@ def check_paper_data(by_label):
 def _eis_an(n, special, chi):
     out = 1
     m = n
-    for p in prime_factors(n):
+    for p in prime_divisors(n):
         e = 0
         while m % p == 0:
             m //= p

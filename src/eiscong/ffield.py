@@ -4,7 +4,14 @@ The field is realized as F_q[x]/(h) with h the lexicographically smallest
 monic irreducible of degree r (a fixed, bundled, Conway-style choice, so
 element representations are reproducible).  A product is a schoolbook
 product into 2r - 1 integers, folded down by the monic h, with one `% q` at
-the end.
+the end.  An inverse is a^(|F| - 2) by Fermat's little theorem, and
+pow(a, -1, q) when r = 1.
+
+Polynomials over a field F are lists of F-elements, ascending, with no zero
+leading coefficient.  One set of functions serves every such F: F_q itself
+is the r = 1 case FiniteField(q, 1, (0, 1)), whose elements are 1-tuples.
+Division is by monic divisors only.  Inputs are made monic once, on entry,
+and the gcd makes each remainder monic before dividing by it.
 
 Roots of an integer polynomial f start from g = gcd(f mod q, y^|F| - y),
 computed over F_q: g is the product of (y - x) over the distinct roots x of
@@ -26,117 +33,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 from .arith import DomainError, is_prime, prime_divisors
 
 ENUMERATION_CAP = 1 << 16
-
-
-def _polmul(a, b, q):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % q
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _polmod(a, m, q):
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, q)
-    while len(a) > dm:
-        c = a[-1] * inv % q
-        if c:
-            off = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[off + i] = (a[off + i] - c * m[i]) % q
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _polpowmod(a, e, m, q):
-    result = [1]
-    base = _polmod(a, m, q)
-    while e:
-        if e & 1:
-            result = _polmod(_polmul(result, base, q), m, q)
-        base = _polmod(_polmul(base, base, q), m, q)
-        e >>= 1
-    return result
-
-
-def _polgcd(a, b, q):
-    a, b = list(a), list(b)
-    while b:
-        a = _polmod(a, b, q) if len(a) >= len(b) else a
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        a, b = b, a
-        b = _polmod(b, a, q)
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [x * inv % q for x in a]
-    return a
-
-
-def _irreducible_modq(h, q):
-    """h monic over F_q irreducible iff x^{q^r} = x mod h and the subfield
-    conditions gcd(x^{q^{r/s}} - x, h) = 1 hold for primes s | r."""
-    r = len(h) - 1
-    xq = _polpowmod([0, 1], q ** r, h, q)
-    if xq != [0, 1]:
-        return False
-    rr = r
-    s = 2
-    primes = set()
-    while s * s <= rr:
-        if rr % s == 0:
-            primes.add(s)
-            while rr % s == 0:
-                rr //= s
-        s += 1
-    if rr > 1:
-        primes.add(rr)
-    for s in primes:
-        xs = _polpowmod([0, 1], q ** (r // s), h, q)
-        diff = _polmod([(a - b) % q for a, b in _zip_pad(xs, [0, 1])], h, q)
-        if len(_polgcd(diff, h, q)) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(n)]
-
-
-@lru_cache(maxsize=None)
-def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
-    """Lexicographically smallest monic irreducible of degree r over F_q."""
-    if not is_prime(q):
-        raise DomainError(f"{q} is not prime")
-    if r == 1:
-        return (0, 1)
-    # iterate constant-first tuples in lexicographic order
-    for total in range(q ** r):
-        coeffs = []
-        t = total
-        for _ in range(r):
-            coeffs.append(t % q)
-            t //= q
-        h = coeffs + [1]
-        if h[0] == 0:
-            continue
-        if _irreducible_modq(h, q):
-            return tuple(h)
-    raise ArithmeticError("no irreducible polynomial found")
 
 
 @dataclass(frozen=True)
@@ -165,9 +67,13 @@ class FiniteField:
         return tuple([n % self.q] + [0] * (self.r - 1))
 
     def add(self, a, b):
+        if self.r == 1:
+            return ((a[0] + b[0]) % self.q,)
         return tuple((x + y) % self.q for x, y in zip(a, b))
 
     def sub(self, a, b):
+        if self.r == 1:
+            return ((a[0] - b[0]) % self.q,)
         return tuple((x - y) % self.q for x, y in zip(a, b))
 
     def neg(self, a):
@@ -206,38 +112,9 @@ class FiniteField:
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of 0 in finite field")
-        # extended Euclid in F_q[x]
-        r0, r1 = list(self.modulus), [x for x in a]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        t0, t1 = [], [1]
-        q = self.q
-        while r1:
-            if len(r0) < len(r1):
-                r0, r1, t0, t1 = r1, r0, t1, t0
-                continue
-            # quotient of r0 by r1
-            quo = [0] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            inv_lead = pow(r1[-1], -1, q)
-            for d in range(len(r0) - len(r1), -1, -1):
-                if len(rem) < len(r1) + d:
-                    continue
-                c = rem[len(r1) + d - 1] * inv_lead % q
-                if c:
-                    quo[d] = c
-                    for i in range(len(r1)):
-                        rem[d + i] = (rem[d + i] - c * r1[i]) % q
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            r0, r1 = r1, rem
-            t0, t1 = t1, [(x - y) % q for x, y in _zip_pad(t0, _polmul(quo, t1, q))]
-            while t1 and t1[-1] == 0:
-                t1.pop()
-        assert len(r0) == 1
-        c = pow(r0[0], -1, q)
-        out = [x * c % q for x in t0]
-        return tuple(out + [0] * (self.r - len(out)))
+        if self.r == 1:
+            return (pow(a[0], -1, self.q),)
+        return self.pow(a, self.size - 2)
 
     def elements(self):
         if self.size > ENUMERATION_CAP:
@@ -255,105 +132,145 @@ class FiniteField:
     def multiplicative_order(self, a) -> int:
         if not any(a):
             raise DomainError("0 has no multiplicative order")
-        n = self.size - 1
-        order = n
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                while order % p == 0 and self.pow(a, order // p) == self.one():
-                    order //= p
-            p += 1
-        if m > 1:
-            p = m
+        order = self.size - 1
+        for p in prime_divisors(order):
             while order % p == 0 and self.pow(a, order // p) == self.one():
                 order //= p
         return order
 
 
-def _fpoly_mul(a, b, F):
-    out = [F.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if any(x):
-            for j, y in enumerate(b):
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    while out and not any(out[-1]):
-        out.pop()
-    return out
+# ------------------------------------------------- polynomials over a field F
 
 
-def _fpoly_mod(a, m, F):
-    a = list(a)
-    dm = len(m) - 1
-    inv = F.inv(m[-1])
-    while len(a) > dm:
-        c = F.mul(a[-1], inv)
-        if any(c):
-            off = len(a) - 1 - dm
-            for i in range(dm + 1):
-                a[off + i] = F.sub(a[off + i], F.mul(c, m[i]))
-        a.pop()
+def _trim(a):
     while a and not any(a[-1]):
         a.pop()
     return a
 
 
-def _fpoly_gcd(a, b, F):
-    a, b = list(a), list(b)
+def _monic(a, F):
+    if not a or a[-1] == F.one():
+        return a
+    inv = F.inv(a[-1])
+    return [F.mul(c, inv) for c in a]
+
+
+def _pmul(a, b, F):
+    out = [F.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if any(x):
+            for j, y in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
+    return _trim(out)
+
+
+def _psub(a, b, F):
+    return _trim([F.sub(x, y) for x, y in zip_longest(a, b, fillvalue=F.zero())])
+
+
+def _pdivmod(a, m, F):
+    """(quotient, remainder) of a by the monic m."""
+    d = len(m) - 1
+    rem = list(a)
+    quo = [F.zero()] * max(0, len(rem) - d)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem[top]
+        if any(c):
+            off = top - d
+            quo[off] = c
+            for i in range(d):
+                rem[off + i] = F.sub(rem[off + i], F.mul(c, m[i]))
+    return _trim(quo), _trim(rem[:d])
+
+
+def _pgcd(a, b, F):
+    """The monic gcd of a and b."""
     while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        a, b = b, _fpoly_mod(a, b, F)
-    if a:
-        inv = F.inv(a[-1])
-        a = [F.mul(x, inv) for x in a]
-    return a
+        b = _monic(b, F)
+        a, b = b, _pdivmod(a, b, F)[1]
+    return _monic(a, F)
 
 
-def _fpoly_powmod(a, e, m, F):
+def _ppowmod(a, e, m, F):
+    """a^e mod the monic m."""
     result = [F.one()]
-    base = _fpoly_mod(a, m, F)
+    base = _pdivmod(a, m, F)[1]
     while e:
         if e & 1:
-            result = _fpoly_mod(_fpoly_mul(result, base, F), m, F)
-        base = _fpoly_mod(_fpoly_mul(base, base, F), m, F)
+            result = _pdivmod(_pmul(result, base, F), m, F)[1]
+        base = _pdivmod(_pmul(base, base, F), m, F)[1]
         e >>= 1
     return result
 
 
-def _fpoly_eval(poly, x, F):
+def _peval(poly, x, F):
     acc = F.zero()
     for c in reversed(poly):
         acc = F.add(F.mul(acc, x), c)
     return acc
 
 
+def _reduce_monic(int_poly, Fq):
+    """An integer polynomial mod q, made monic; [] if it vanishes mod q."""
+    return _monic(_trim([Fq.from_int(int(c)) for c in int_poly]), Fq)
+
+
+def _irreducible_modq(h, q):
+    """h monic over F_q irreducible iff x^{q^r} = x mod h and the subfield
+    conditions gcd(x^{q^{r/s}} - x, h) = 1 hold for primes s | r."""
+    Fq = FiniteField(q, 1, (0, 1))
+    h = [(c,) for c in h]
+    r = len(h) - 1
+    x = [(0,), (1,)]
+    if _ppowmod(x, q ** r, h, Fq) != x:
+        return False
+    return all(
+        len(_pgcd(_psub(_ppowmod(x, q ** (r // s), h, Fq), x, Fq), h, Fq)) == 1
+        for s in prime_divisors(r)
+    )
+
+
+@lru_cache(maxsize=None)
+def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree r over F_q."""
+    if not is_prime(q):
+        raise DomainError(f"{q} is not prime")
+    if r == 1:
+        return (0, 1)
+    # iterate constant-first tuples in lexicographic order
+    for total in range(q ** r):
+        coeffs = []
+        t = total
+        for _ in range(r):
+            coeffs.append(t % q)
+            t //= q
+        h = coeffs + [1]
+        if h[0] == 0:
+            continue
+        if _irreducible_modq(h, q):
+            return tuple(h)
+    raise ArithmeticError("no irreducible polynomial found")
+
+
 def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
     """All roots in F of an integer polynomial (each distinct root once), sorted."""
-    q = F.q
-    fp = [int(c) % q for c in int_poly]
-    while fp and fp[-1] == 0:
-        fp.pop()
+    Fq = FiniteField(F.q, 1, (0, 1))
+    fp = _reduce_monic(int_poly, Fq)
     if not fp:
         raise DomainError("polynomial vanishes identically mod q")
     if len(fp) == 1:
         return []
     # g = gcd(f, y^{|F|} - y) over F_q: the product of (y - x) over the roots x in F
-    yq = _polpowmod([0, 1], F.size, fp, q)
-    diff = [(a - b) % q for a, b in _zip_pad(yq, [0, 1])]
-    while diff and diff[-1] == 0:
-        diff.pop()
-    g = [F.from_int(c) for c in _polgcd(fp, diff, q)]
+    y = [Fq.zero(), Fq.one()]
+    g = _pgcd(fp, _psub(_ppowmod(y, F.size, fp, Fq), y, Fq), Fq)
+    g = [F.from_int(c[0]) for c in g]
     count = len(g) - 1
     roots = []
     if count <= 0:
         return roots
     if F.size <= ENUMERATION_CAP and not force_splitting:
         for x in F.elements():
-            if not any(_fpoly_eval(g, x, F)):
+            if not any(_peval(g, x, F)):
                 roots.append(x)
                 if len(roots) == count:
                     break
@@ -385,15 +302,8 @@ def cyclotomic_roots(k: int, F: FiniteField):
     return sorted(roots)
 
 
-def _pad(a, b, F):
-    n = max(len(a), len(b))
-    za = list(a) + [F.zero()] * (n - len(a))
-    zb = list(b) + [F.zero()] * (n - len(b))
-    return list(zip(za, zb))
-
-
 def _equal_degree_split(g, F, roots, rng):
-    """g splits into distinct linear factors over F; collect the roots."""
+    """g monic splits into distinct linear factors over F; collect the roots."""
     if len(g) <= 1:
         return
     if len(g) == 2:
@@ -404,42 +314,17 @@ def _equal_degree_split(g, F, roots, rng):
         c = tuple(rng.randrange(F.q) for _ in range(F.r))
         if F.q == 2:
             # trace of c*y, sum_{i<r} (c y)^(2^i): it is 0 or 1 at each root
-            power = h = _fpoly_mod([F.zero(), c], g, F)
+            power = h = _trim([F.zero(), c])
             for _ in range(F.r - 1):
-                power = _fpoly_mod(_fpoly_mul(power, power, F), g, F)
-                h = [F.add(a, b) for a, b in _pad(h, power, F)]
+                power = _pdivmod(_pmul(power, power, F), g, F)[1]
+                h = _psub(h, power, F)  # h + power in characteristic 2
         else:
-            probe = [c, F.one()]  # y + c
-            h = _fpoly_powmod(probe, (F.size - 1) // 2, g, F)
-            h = [F.sub(a, b) for a, b in _pad(h, [F.one()], F)]
-        while h and not any(h[-1]):
-            h.pop()
-        d = _fpoly_gcd(g, h, F) if h else []
+            h = _psub(_ppowmod([c, F.one()], (F.size - 1) // 2, g, F), [F.one()], F)
+        d = _pgcd(g, h, F)
         if 1 < len(d) < len(g):
-            q1, r1 = _fpoly_divmod(g, d, F)
-            assert not r1
             _equal_degree_split(d, F, roots, rng)
-            _equal_degree_split(q1, F, roots, rng)
+            _equal_degree_split(_pdivmod(g, d, F)[0], F, roots, rng)
             return
-
-
-def _fpoly_divmod(a, b, F):
-    a = list(a)
-    q = [F.zero()] * max(0, len(a) - len(b) + 1)
-    inv = F.inv(b[-1])
-    while len(a) >= len(b) and a:
-        if not any(a[-1]):
-            a.pop()
-            continue
-        c = F.mul(a[-1], inv)
-        d = len(a) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] = F.sub(a[d + i], F.mul(c, b[i]))
-        a.pop()
-    while a and not any(a[-1]):
-        a.pop()
-    return q, a
 
 
 def finite_field_roots(int_poly, q: int, r: int, force_splitting: bool = False):
@@ -449,48 +334,24 @@ def finite_field_roots(int_poly, q: int, r: int, force_splitting: bool = False):
 
 
 def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
-    """Degrees of the irreducible factors of the squarefree part mod q."""
-    fp = [int(c) % q for c in int_poly]
-    while fp and fp[-1] == 0:
-        fp.pop()
+    """Degrees of the irreducible factors of f / gcd(f, f') mod q, ascending."""
+    Fq = FiniteField(q, 1, (0, 1))
+    fp = _reduce_monic(int_poly, Fq)
     if len(fp) <= 1:
         raise DomainError("polynomial is constant mod q")
-    # squarefree part: f / gcd(f, f')
-    deriv = [(i * fp[i]) % q for i in range(1, len(fp))]
-    while deriv and deriv[-1] == 0:
-        deriv.pop()
-    g = _polgcd(fp, deriv, q) if deriv else fp
-    if len(g) > 1:
-        sf = _poldiv_exact(fp, g, q)
-    else:
-        sf = fp
+    deriv = _trim([Fq.from_int(i * fp[i][0]) for i in range(1, len(fp))])
+    work = _pdivmod(fp, _pgcd(fp, deriv, Fq), Fq)[0]
+    # distinct-degree factoring: gcd(y^{q^e} - y, work) is the product of
+    # the factors of degree e once those of lower degree are divided out
+    y = [Fq.zero(), Fq.one()]
     degrees = []
-    work = list(sf)
     e = 0
     while len(work) > 2:
         e += 1
-        xqe = _polpowmod([0, 1], q ** e, work, q)
-        diff = _polmod([(a - b) % q for a, b in _zip_pad(xqe, [0, 1])], work, q)
-        d = _polgcd(diff, work, q) if diff else work
+        d = _pgcd(_psub(_ppowmod(y, q ** e, work, Fq), y, Fq), work, Fq)
         if len(d) > 1:
             degrees.extend([e] * ((len(d) - 1) // e))
-            work = _poldiv_exact(work, d, q)
+            work = _pdivmod(work, d, Fq)[0]
     if len(work) == 2:
         degrees.append(1)
-    elif len(work) > 2:
-        degrees.append(len(work) - 1)
-    return sorted(degrees)
-
-
-def _poldiv_exact(a, b, q):
-    out = [0] * (len(a) - len(b) + 1)
-    rem = list(a)
-    inv = pow(b[-1], -1, q)
-    for d in range(len(a) - len(b), -1, -1):
-        c = rem[len(b) + d - 1] * inv % q
-        out[d] = c
-        if c:
-            for i in range(len(b)):
-                rem[d + i] = (rem[d + i] - c * b[i]) % q
-    assert all(x == 0 for x in rem[: len(b) - 1])
-    return out
+    return degrees

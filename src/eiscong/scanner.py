@@ -62,11 +62,7 @@ class CongruenceReport:
 
 def reduction_embeddings(k, field_poly, q: int):
     """(r, F, pairs): minimal r with roots of Phi_k and of field_poly in
-    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order.
-
-    `k` may be the cyclotomic index or a CyclotomicField."""
-    if hasattr(k, "m"):
-        k = k.m
+    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     kp = k

@@ -2,21 +2,26 @@
 as a test oracle.
 
 `OracleField` is `FiniteField` with its former `mul` (a list product reduced
-mod h with a `% q` at every step).  `roots_in_field` is the former root
-search: it evaluates the polynomial at every element of F up to
+mod h with a `% q` at every step) and its former `inv` (an extended Euclid in
+F_q[x]).  `conway_style_modulus` and `factor_degrees_mod_q` are the former
+searches on the integer-list polynomial core over F_q (`_polmul`, `_polmod`,
+`_polpowmod`, `_polgcd`, `_poldiv_exact`).  `roots_in_field` is the former
+root search: it evaluates the polynomial at every element of F up to
 ENUMERATION_CAP, else takes gcd(f, y^|F| - y) over F and splits it by
 Cantor-Zassenhaus.  `reduce_vector` is the former per-coefficient Horner
 reduction of the scanner, and `scan_pairs` its former loop over embedding
 pairs.  The code is verbatim apart from `F` being an `OracleField`, so every
-product in it goes through the old `mul`.
+product in it goes through the old `mul`, and from `OracleField.create`
+taking the modulus from this module's search.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
-from eiscong.arith import DomainError
-from eiscong.ffield import ENUMERATION_CAP, FiniteField, conway_style_modulus
+from eiscong.arith import DomainError, is_prime
+from eiscong.ffield import ENUMERATION_CAP, FiniteField
 from eiscong.scanner import CongruenceReport, UnsupportedPrimeError
 
 
@@ -47,8 +52,87 @@ def _polmod(a, m, q):
     return a
 
 
+def _polpowmod(a, e, m, q):
+    result = [1]
+    base = _polmod(a, m, q)
+    while e:
+        if e & 1:
+            result = _polmod(_polmul(result, base, q), m, q)
+        base = _polmod(_polmul(base, base, q), m, q)
+        e >>= 1
+    return result
+
+
+def _polgcd(a, b, q):
+    a, b = list(a), list(b)
+    while b:
+        a = _polmod(a, b, q) if len(a) >= len(b) else a
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        a, b = b, a
+        b = _polmod(b, a, q)
+    if a:
+        inv = pow(a[-1], -1, q)
+        a = [x * inv % q for x in a]
+    return a
+
+
+def _irreducible_modq(h, q):
+    """h monic over F_q irreducible iff x^{q^r} = x mod h and the subfield
+    conditions gcd(x^{q^{r/s}} - x, h) = 1 hold for primes s | r."""
+    r = len(h) - 1
+    xq = _polpowmod([0, 1], q ** r, h, q)
+    if xq != [0, 1]:
+        return False
+    rr = r
+    s = 2
+    primes = set()
+    while s * s <= rr:
+        if rr % s == 0:
+            primes.add(s)
+            while rr % s == 0:
+                rr //= s
+        s += 1
+    if rr > 1:
+        primes.add(rr)
+    for s in primes:
+        xs = _polpowmod([0, 1], q ** (r // s), h, q)
+        diff = _polmod([(a - b) % q for a, b in _zip_pad(xs, [0, 1])], h, q)
+        if len(_polgcd(diff, h, q)) != 1:
+            return False
+    return True
+
+
+def _zip_pad(a, b):
+    n = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0), (b[i] if i < len(b) else 0)) for i in range(n)]
+
+
+@lru_cache(maxsize=None)
+def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree r over F_q."""
+    if not is_prime(q):
+        raise DomainError(f"{q} is not prime")
+    if r == 1:
+        return (0, 1)
+    # iterate constant-first tuples in lexicographic order
+    for total in range(q ** r):
+        coeffs = []
+        t = total
+        for _ in range(r):
+            coeffs.append(t % q)
+            t //= q
+        h = coeffs + [1]
+        if h[0] == 0:
+            continue
+        if _irreducible_modq(h, q):
+            return tuple(h)
+    raise ArithmeticError("no irreducible polynomial found")
+
+
 class OracleField(FiniteField):
-    """FiniteField whose products take the former list-and-pop path."""
+    """FiniteField whose products and inverses take the former paths."""
 
     @staticmethod
     def create(q: int, r: int) -> "OracleField":
@@ -57,6 +141,42 @@ class OracleField(FiniteField):
     def mul(self, a, b):
         prod = _polmod(_polmul(list(a), list(b), self.q), list(self.modulus), self.q)
         return tuple(prod + [0] * (self.r - len(prod)))
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inverse of 0 in finite field")
+        # extended Euclid in F_q[x]
+        r0, r1 = list(self.modulus), [x for x in a]
+        while r1 and r1[-1] == 0:
+            r1.pop()
+        t0, t1 = [], [1]
+        q = self.q
+        while r1:
+            if len(r0) < len(r1):
+                r0, r1, t0, t1 = r1, r0, t1, t0
+                continue
+            # quotient of r0 by r1
+            quo = [0] * (len(r0) - len(r1) + 1)
+            rem = list(r0)
+            inv_lead = pow(r1[-1], -1, q)
+            for d in range(len(r0) - len(r1), -1, -1):
+                if len(rem) < len(r1) + d:
+                    continue
+                c = rem[len(r1) + d - 1] * inv_lead % q
+                if c:
+                    quo[d] = c
+                    for i in range(len(r1)):
+                        rem[d + i] = (rem[d + i] - c * r1[i]) % q
+                while rem and rem[-1] == 0:
+                    rem.pop()
+            r0, r1 = r1, rem
+            t0, t1 = t1, [(x - y) % q for x, y in _zip_pad(t0, _polmul(quo, t1, q))]
+            while t1 and t1[-1] == 0:
+                t1.pop()
+        assert len(r0) == 1
+        c = pow(r0[0], -1, q)
+        out = [x * c % q for x in t0]
+        return tuple(out + [0] * (self.r - len(out)))
 
 
 def reduce_int_poly(poly, F: FiniteField):
@@ -194,6 +314,54 @@ def _fpoly_divmod(a, b, F):
     while a and not any(a[-1]):
         a.pop()
     return q, a
+
+
+def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
+    """Degrees of the irreducible factors of the squarefree part mod q."""
+    fp = [int(c) % q for c in int_poly]
+    while fp and fp[-1] == 0:
+        fp.pop()
+    if len(fp) <= 1:
+        raise DomainError("polynomial is constant mod q")
+    # squarefree part: f / gcd(f, f')
+    deriv = [(i * fp[i]) % q for i in range(1, len(fp))]
+    while deriv and deriv[-1] == 0:
+        deriv.pop()
+    g = _polgcd(fp, deriv, q) if deriv else fp
+    if len(g) > 1:
+        sf = _poldiv_exact(fp, g, q)
+    else:
+        sf = fp
+    degrees = []
+    work = list(sf)
+    e = 0
+    while len(work) > 2:
+        e += 1
+        xqe = _polpowmod([0, 1], q ** e, work, q)
+        diff = _polmod([(a - b) % q for a, b in _zip_pad(xqe, [0, 1])], work, q)
+        d = _polgcd(diff, work, q) if diff else work
+        if len(d) > 1:
+            degrees.extend([e] * ((len(d) - 1) // e))
+            work = _poldiv_exact(work, d, q)
+    if len(work) == 2:
+        degrees.append(1)
+    elif len(work) > 2:
+        degrees.append(len(work) - 1)
+    return sorted(degrees)
+
+
+def _poldiv_exact(a, b, q):
+    out = [0] * (len(a) - len(b) + 1)
+    rem = list(a)
+    inv = pow(b[-1], -1, q)
+    for d in range(len(a) - len(b), -1, -1):
+        c = rem[len(b) + d - 1] * inv % q
+        out[d] = c
+        if c:
+            for i in range(len(b)):
+                rem[d + i] = (rem[d + i] - c * b[i]) % q
+    assert all(x == 0 for x in rem[: len(b) - 1])
+    return out
 
 
 def reduce_vector(vec, root, F: FiniteField):

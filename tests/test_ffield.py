@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import ffield_oracle
 from eiscong import polys
-from eiscong.arith import DomainError
+from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
-from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
-                            factor_degrees_mod_q, finite_field_roots,
-                            roots_in_field)
+from eiscong.ffield import (FiniteField, _irreducible_modq, conway_style_modulus,
+                            cyclotomic_roots, factor_degrees_mod_q,
+                            finite_field_roots, roots_in_field)
 
 
 def test_root_examples():
@@ -82,6 +82,77 @@ def _field_and_pair(draw):
 def test_mul_matches_oracle(case):
     F, a, b = case
     assert F.mul(a, b) == ffield_oracle.OracleField.create(F.q, F.r).mul(a, b)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_and_pair())
+def test_inv_matches_oracle(case):
+    F, a, _ = case
+    if not any(a):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+        return
+    inv = F.inv(a)
+    assert inv == ffield_oracle.OracleField(F.q, F.r, F.modulus).inv(a)
+    assert F.mul(a, inv) == F.one()
+
+
+_FIELDS_TO_3000 = [(q, r) for q in range(2, 60) if is_prime(q)
+                   for r in range(1, 12) if q ** r <= 3000]
+
+
+def test_conway_style_modulus_matches_oracle():
+    for q, r in _FIELDS_TO_3000:
+        assert conway_style_modulus(q, r) == ffield_oracle.conway_style_modulus(q, r)
+
+
+@st.composite
+def _monic_modq(draw):
+    q, r = draw(st.sampled_from(_FIELDS_TO_3000))
+    return draw(st.lists(st.integers(0, q - 1), min_size=r, max_size=r)) + [1], q
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_monic_modq())
+def test_irreducibility_matches_oracle(case):
+    h, q = case
+    assert _irreducible_modq(h, q) == ffield_oracle._irreducible_modq(h, q)
+
+
+@st.composite
+def _int_poly(draw, q):
+    """An integer polynomial of degree >= 1 mod q whose leads need not be 1 mod q:
+    a product of random factors, some squared, some with an integer lead
+    divisible by q, scaled by a random unit mod q."""
+    unit = st.integers(1, q - 1)
+    poly = [draw(unit) * draw(st.sampled_from((1, -1)))]
+    for _ in range(draw(st.integers(1, 3))):
+        factor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=3))
+        factor.append(draw(unit) + q * draw(st.integers(0, 2)))
+        if draw(st.integers(0, 3)) == 0:
+            factor.append(q * draw(st.integers(1, 3)))
+        for _ in range(draw(st.integers(1, 2))):
+            poly = polys.mul(poly, factor)
+    return poly
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_PRIMES + (13,)).flatmap(
+    lambda q: st.tuples(st.just(q), _int_poly(q))))
+def test_factor_degrees_matches_oracle(case):
+    q, poly = case
+    assert factor_degrees_mod_q(poly, q) == ffield_oracle.factor_degrees_mod_q(poly, q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(q, r) for q, r in _FIELDS_TO_3000 if q <= 11 and q ** r <= 1000])
+       .flatmap(lambda qr: st.tuples(st.just(qr), _int_poly(qr[0]))),
+       st.booleans())
+def test_roots_in_field_non_monic_matches_oracle(case, force_splitting):
+    (q, r), poly = case
+    F = FiniteField.create(q, r)
+    assert (roots_in_field(poly, F, force_splitting=force_splitting)
+            == ffield_oracle.roots_in_field(poly, F, force_splitting=force_splitting))
 
 
 @st.composite

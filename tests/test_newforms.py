@@ -190,3 +190,22 @@ def test_cache_write_failure_keeps_old_file(tmp_path, monkeypatch):
     assert cache_file.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["newforms_11.json"]
     assert len(fetch_newforms(11, cache_dir=tmp_path, offline=True)[0].an) == 6
+
+
+def test_fixture_script_regenerates_121(monkeypatch):
+    """The fixture generator (a dev tool needing sympy) rebuilds the bundled
+    level-121 file byte for byte."""
+    pytest.importorskip("sympy")
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_newform_fixtures", root / "scripts" / "make_newform_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    bundled = (root / "src" / "eiscong" / "data" / "newforms_121.json").read_text()
+    assert json.dumps(script.build_level(121, 32), indent=1) == bundled
