@@ -9,7 +9,10 @@ by folding exponents with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
 (so Q(zeta_2n) costs what Q(zeta_n) costs for odd n), and then subtracting
 integer multiples of the monic Phi_m from the top down.  Rational scalars
 scale num and den and are never promoted to elements.  The inverse is the
-product of the nontrivial Galois conjugates divided by the norm.
+product of the nontrivial Galois conjugates divided by the norm.  zeta^j is a
+unit vector, built without a reduction, when j (after the sign fold) is below
+the degree, and `polys.mul` by it costs O(d), since it loops over the sparser
+factor.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
@@ -97,9 +100,13 @@ class _CycField:
         return self.element([q])
 
     def zeta(self, j: int = 1) -> "CycElement":
-        """zeta_m ** j."""
-        j %= self.m
-        return self.element([0] * j + [1])
+        """zeta_m ** j: a unit vector when j, after zeta^(m/2) = -1, is below the degree."""
+        j, sign = j % self.m, 1
+        if self.m % 2 == 0 and j >= self.m // 2:
+            j, sign = j - self.m // 2, -1
+        if j >= self.degree:
+            return self.element([0] * j + [sign])
+        return CycElement(self, tuple(sign if i == j else 0 for i in range(self.degree)))
 
     def galois_group(self) -> list[int]:
         return [a for a in range(1, self.m + 1) if gcd(a, self.m) == 1]

@@ -14,13 +14,17 @@ Division is by monic divisors only.  Inputs are made monic once, on entry,
 and the gcd makes each remainder monic before dividing by it.
 
 Roots of an integer polynomial f start from g = gcd(f mod q, y^|F| - y),
-computed over F_q: g is the product of (y - x) over the distinct roots x of
-f in F, so deg g counts them and deg g <= 0 means there are none.  When
-|F| <= 2^16 the roots are found by evaluating g at the elements in a fixed
-order until deg g of them are found; above that g is split by equal-degree
-(Cantor-Zassenhaus) splitting, with (y + c)^((|F|-1)/2) - 1 in odd
-characteristic and the trace sum_i (c y)^(2^i) in characteristic 2 (Cohen,
-GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).
+computed over F_q: the product of (y - x) over the distinct roots x of f in
+F.  g is factored over F_q by distinct-degree and equal-degree
+(Cantor-Zassenhaus) splitting, with gcd(g, a^((q^e-1)/2) - 1) for a random
+a, or the trace sum_{i<e} a^(2^i) in characteristic 2 (Cohen, GTM 138, 3.4;
+von zur Gathen-Gerhard, ch. 14).  The roots of a factor u of degree e are
+one Frobenius orbit x, x^q, ..., x^(q^(e-1)) in F_{q^e}.  One is found by
+splitting u over F with y + c (c y in characteristic 2), c the trace to
+F_{q^e} of a random element (a c in F_q cannot separate conjugates): the
+norm prod_i (y^(q^i) + c^(q^i)), or the trace sum_i c^(2^i) y^(2^i), has its
+values at the roots in F_q, so the e = 1 split applies, with y^(q^i) mod u
+computed once over F_q.
 
 Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
 Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
@@ -179,7 +183,7 @@ def _pdivmod(a, m, F):
             off = top - d
             quo[off] = c
             for i in range(d):
-                rem[off + i] = F.sub(rem[off + i], F.mul(c, m[i]))
+                rem[off + i] = F.sub(rem[off + i], F.mul(m[i], c))
     return _trim(quo), _trim(rem[:d])
 
 
@@ -192,22 +196,15 @@ def _pgcd(a, b, F):
 
 
 def _ppowmod(a, e, m, F):
-    """a^e mod the monic m."""
+    """a^e mod the monic m, left to right, so every product but the squares
+    is by a mod m (often y or y + c)."""
     result = [F.one()]
     base = _pdivmod(a, m, F)[1]
-    while e:
-        if e & 1:
+    for bit in bin(e)[2:]:
+        result = _pdivmod(_pmul(result, result, F), m, F)[1]
+        if bit == "1":
             result = _pdivmod(_pmul(result, base, F), m, F)[1]
-        base = _pdivmod(_pmul(base, base, F), m, F)[1]
-        e >>= 1
     return result
-
-
-def _peval(poly, x, F):
-    acc = F.zero()
-    for c in reversed(poly):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def _reduce_monic(int_poly, Fq):
@@ -253,29 +250,22 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
 
 
 def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
-    """All roots in F of an integer polynomial (each distinct root once), sorted."""
+    """All roots in F of an integer polynomial (each distinct root once), sorted.
+    No root is found by enumerating F, so `force_splitting` changes nothing."""
     Fq = FiniteField(F.q, 1, (0, 1))
     fp = _reduce_monic(int_poly, Fq)
     if not fp:
         raise DomainError("polynomial vanishes identically mod q")
-    if len(fp) == 1:
-        return []
-    # g = gcd(f, y^{|F|} - y) over F_q: the product of (y - x) over the roots x in F
     y = [Fq.zero(), Fq.one()]
     g = _pgcd(fp, _psub(_ppowmod(y, F.size, fp, Fq), y, Fq), Fq)
-    g = [F.from_int(c[0]) for c in g]
-    count = len(g) - 1
+    rng = random.Random(0x5EED)
     roots = []
-    if count <= 0:
-        return roots
-    if F.size <= ENUMERATION_CAP and not force_splitting:
-        for x in F.elements():
-            if not any(_peval(g, x, F)):
-                roots.append(x)
-                if len(roots) == count:
-                    break
-    else:
-        _equal_degree_split(g, F, roots, random.Random(0x5EED))
+    for e, ge in _distinct_degree(g, Fq, F.r):
+        for u in _equal_degree(ge, e, Fq, rng):
+            orbit = [_one_root(u, e, F, rng)]
+            while len(orbit) < e:
+                orbit.append(F.pow(orbit[-1], F.q))
+            roots += orbit
     return sorted(roots)
 
 
@@ -302,56 +292,88 @@ def cyclotomic_roots(k: int, F: FiniteField):
     return sorted(roots)
 
 
-def _equal_degree_split(g, F, roots, rng):
-    """g monic splits into distinct linear factors over F; collect the roots."""
-    if len(g) <= 1:
-        return
-    if len(g) == 2:
-        # monic y + c -> root -c
-        roots.append(F.neg(g[0]))
-        return
-    while True:
-        c = tuple(rng.randrange(F.q) for _ in range(F.r))
-        if F.q == 2:
-            # trace of c*y, sum_{i<r} (c y)^(2^i): it is 0 or 1 at each root
-            power = h = _trim([F.zero(), c])
-            for _ in range(F.r - 1):
-                power = _pdivmod(_pmul(power, power, F), g, F)[1]
-                h = _psub(h, power, F)  # h + power in characteristic 2
-        else:
-            h = _psub(_ppowmod([c, F.one()], (F.size - 1) // 2, g, F), [F.one()], F)
-        d = _pgcd(g, h, F)
-        if 1 < len(d) < len(g):
-            _equal_degree_split(d, F, roots, rng)
-            _equal_degree_split(_pdivmod(g, d, F)[0], F, roots, rng)
-            return
-
-
 def finite_field_roots(int_poly, q: int, r: int, force_splitting: bool = False):
     """Spec surface: all roots of the integer polynomial in F_{q^r}."""
     F = FiniteField.create(q, r)
     return roots_in_field(int_poly, F, force_splitting=force_splitting)
 
 
+def _probe(a, g, e, F):
+    """a^((q^e-1)/2) - 1 mod g, or sum_{i<e} a^(2^i) mod g when q = 2."""
+    if F.q == 2:
+        power = h = _pdivmod(a, g, F)[1]
+        for _ in range(e - 1):
+            power = _pdivmod(_pmul(power, power, F), g, F)[1]
+            h = _psub(h, power, F)  # h + power in characteristic 2
+        return h
+    return _psub(_ppowmod(a, (F.q ** e - 1) // 2, g, F), [F.one()], F)
+
+
+def _equal_degree(g, e, Fq, rng):
+    """The irreducible factors over F_q of g, a product of distinct ones of degree e."""
+    if len(g) - 1 == e:
+        return [g]
+    while True:
+        a = _trim([Fq.from_int(rng.randrange(Fq.q)) for _ in range(len(g) - 1)])
+        d = _pgcd(g, _probe(a, g, e, Fq), Fq)
+        if 1 < len(d) < len(g):
+            return (_equal_degree(d, e, Fq, rng)
+                    + _equal_degree(_pdivmod(g, d, Fq)[0], e, Fq, rng))
+
+
+def _one_root(u, e, F, rng):
+    """One root in F of u, irreducible of degree e over F_q (see the module notes)."""
+    Fq = FiniteField(F.q, 1, (0, 1))
+    frob = [[Fq.zero(), Fq.one()]]  # y^(q^i) mod u, i < e
+    for _ in range(e - 1):
+        frob.append(_ppowmod(frob[-1], F.q, u, Fq))
+    u, *frob = ([F.from_int(c[0]) for c in p] for p in (u, *frob))
+    while len(u) > 2:
+        # c = Tr_{F/F_{q^e}}(z): a c in F_q cannot separate conjugate roots
+        z = c = tuple(rng.randrange(F.q) for _ in range(F.r))
+        for _ in range(F.r // e - 1):
+            z = F.pow(z, F.q ** e)
+            c = F.add(c, z)
+        a = [] if F.q == 2 else [F.one()]  # the trace of c y, or the norm of y + c
+        for i, y_i in enumerate(frob):
+            c = F.pow(c, F.q) if i else c
+            if F.q == 2:
+                a = _psub(a, [F.mul(c, x) for x in y_i], F)
+            else:
+                a = _pdivmod(_pmul(a, _psub(y_i, [F.neg(c)], F), F), u, F)[1]
+        d = _pgcd(u, _probe(a, u, 1, F), F)
+        if 1 < len(d) < len(u):
+            u = min(d, _pdivmod(u, d, F)[0], key=len)
+            frob = [_pdivmod(y_i, u, F)[1] for y_i in frob]
+    return F.neg(u[0])
+
+
+def _distinct_degree(f, Fq, top=None):
+    """[(e, f_e)], f_e the product of the distinct irreducible factors of
+    degree e of the monic f over F_q: gcd(y^{q^e} - y, f) once every copy of
+    the factors of lower degree is divided out, so f need not be squarefree.
+    A given `top` promises that every factor's degree divides it."""
+    power = y = [Fq.zero(), Fq.one()]
+    out, e = [], 0
+    while len(f) > 1:
+        e += 1
+        if 2 * e > len(f) - 1 or e == top:  # f is irreducible, or of degree-top factors
+            out.append((top if e == top else len(f) - 1, f))
+            break
+        power = _ppowmod(power, Fq.q, f, Fq)
+        d = _pgcd(_psub(power, y, Fq), f, Fq)
+        if len(d) > 1:
+            out.append((e, d))
+            while len(d) > 1:
+                f = _pdivmod(f, d, Fq)[0]
+                d = _pgcd(f, d, Fq)
+    return out
+
+
 def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
-    """Degrees of the irreducible factors of f / gcd(f, f') mod q, ascending."""
+    """Degrees of the distinct irreducible factors of f mod q, ascending."""
     Fq = FiniteField(q, 1, (0, 1))
     fp = _reduce_monic(int_poly, Fq)
     if len(fp) <= 1:
         raise DomainError("polynomial is constant mod q")
-    deriv = _trim([Fq.from_int(i * fp[i][0]) for i in range(1, len(fp))])
-    work = _pdivmod(fp, _pgcd(fp, deriv, Fq), Fq)[0]
-    # distinct-degree factoring: gcd(y^{q^e} - y, work) is the product of
-    # the factors of degree e once those of lower degree are divided out
-    y = [Fq.zero(), Fq.one()]
-    degrees = []
-    e = 0
-    while len(work) > 2:
-        e += 1
-        d = _pgcd(_psub(_ppowmod(y, q ** e, work, Fq), y, Fq), work, Fq)
-        if len(d) > 1:
-            degrees.extend([e] * ((len(d) - 1) // e))
-            work = _pdivmod(work, d, Fq)[0]
-    if len(work) == 2:
-        degrees.append(1)
-    return degrees
+    return [e for e, fe in _distinct_degree(fp, Fq) for _ in range((len(fe) - 1) // e)]

@@ -8,6 +8,11 @@ Optionally a record carries an integral basis ("nu"-basis):
   "basis_matrix": [[int, ...], ...], "basis_denominators": [int, ...]
 in which case each an entry holds coordinates in that basis and ingestion
 converts exactly to the power basis of the field_poly root.
+
+A `NewformRecord` stores a_n as (num, den), integer power-basis numerators
+over one denominator with gcd(den, content(num)) = 1, as `CycElement` does.
+A basis matrix is scaled once by the lcm of its denominators, so parsing and
+its checks stay in Z; `coefficient(n)` gives the Fraction view.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import gcd, lcm
 from pathlib import Path
 
 from .arith import DomainError
@@ -44,7 +50,7 @@ class NewformRecord:
     level: int
     weight: int
     field_poly: tuple[int, ...]
-    an: tuple[tuple[Fraction, ...], ...]  # power-basis coordinates of a_1..a_B
+    an: tuple[tuple[tuple[int, ...], int], ...]  # (num, den) of a_1..a_B
 
     @property
     def degree(self) -> int:
@@ -55,12 +61,17 @@ class NewformRecord:
         return len(self.an)
 
     def coefficient(self, n: int) -> tuple[Fraction, ...]:
+        """The power-basis coordinates of a_n as Fractions."""
         if not 1 <= n <= self.bound:
             raise DomainError(f"a_{n} outside available range 1..{self.bound}")
-        return self.an[n - 1]
+        num, den = self.an[n - 1]
+        return tuple(Fraction(c, den) for c in num)
 
-    def _kmul(self, u, v):
-        return tuple(polys.divmod_monic(polys.mul(u, v), self.field_poly)[1])
+
+def _canonical(num, den: int):
+    """(num, den) with den > 0 and gcd(den, content(num)) = 1."""
+    g = gcd(den, *num)
+    return tuple(c // g for c in num), den // g
 
 
 def _require(cond, where, msg):
@@ -98,7 +109,8 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
         _require(all(isinstance(r, list) and len(r) == deg and all(isinstance(c, int) for c in r) for r in bm),
                  where, "basis_matrix entries must be ints")
         _require(all(isinstance(x, int) and x >= 1 for x in bd), where, "denominators must be positive ints")
-        basis = [[Fraction(num, den) for num in row] for row, den in zip(bm, bd)]
+        den = lcm(*bd)
+        basis = [[num * (den // d) for num in row] for row, d in zip(bm, bd)]
 
     an = []
     for i, vec in enumerate(an_raw):
@@ -106,20 +118,21 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
         _require(isinstance(vec, list) and len(vec) == deg, w, f"coefficient vector must have length {deg}")
         _require(all(isinstance(c, int) for c in vec), w, "coefficients must be ints (no floats)")
         if basis is None:
-            an.append(tuple(Fraction(c) for c in vec))
+            an.append((tuple(vec), 1))
         else:
-            acc = [Fraction(0)] * deg
+            acc = [0] * deg
             for c, row in zip(vec, basis):
                 if c:
                     acc = [x + c * y for x, y in zip(acc, row)]
-            an.append(tuple(acc))
+            an.append(_canonical(acc, den))
 
     rec = NewformRecord(label, level, 2, tuple(poly), tuple(an))
-    one = tuple([Fraction(1)] + [Fraction(0)] * (deg - 1))
-    _require(rec.an[0] == one, where, "a_1 must be 1")
+    _require(rec.an[0] == ((1,) + (0,) * (deg - 1), 1), where, "a_1 must be 1")
     # multiplicativity spot check where gcd conditions hold
     if rec.bound >= 6 and level % 2 and level % 3:
-        _require(rec.an[5] == rec._kmul(rec.an[1], rec.an[2]), where, "a_6 != a_2 * a_3")
+        (n2, d2), (n3, d3) = rec.an[1:3]
+        a6 = _canonical(polys.divmod_monic(polys.mul(n2, n3), rec.field_poly)[1], d2 * d3)
+        _require(rec.an[5] == a6, where, "a_6 != a_2 * a_3")
     return rec
 
 

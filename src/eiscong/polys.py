@@ -14,6 +14,8 @@ def mul(f: Poly, g: Poly) -> Poly:
     """f * g, len(f) + len(g) - 1 coefficients (no trimming)."""
     if not f or not g:
         return []
+    if f.count(0) < g.count(0):
+        f, g = g, f  # loop over the sparser factor
     n = len(g)
     out = [0] * (len(f) + n - 1)
     for i, a in enumerate(f):

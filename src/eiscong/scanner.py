@@ -7,12 +7,14 @@ defining polynomial.  r is minimal so that both acquire roots, and every
 (zeta-root, poly-root) pair is tried in a fixed order.  A match certifies
 a_n congruences for all n up to the bound (Sturm by default).
 
-A coefficient num/den on the power basis reduces at a root through the
-root's power table (root^0, ..., root^(d-1), computed once per root and
-scan): one integer dot product mod q per coordinate of F, times den^-1 mod q.
-Within a scan each a_n is reduced once per root, and only when the pair loop
-reaches it.  A (newform, l) pair whose coefficients have l in a denominator
-is skipped by `full_scan` with the reason; the rest of the scan runs.
+Both sides store a coefficient as integer power-basis numerators over one
+denominator (`CycElement.num`/`den`, `NewformRecord.an`), and `scan` reads
+them as stored.  num/den reduces at a root through the root's power table
+(root^0, ..., root^(d-1), computed once per root and scan): one integer dot
+product mod q per coordinate of F, times den^-1 mod q.  Within a scan each
+a_n is reduced once per root, and only when the pair loop reaches it.  A
+(newform, l) pair whose coefficients have l in a denominator is skipped by
+`full_scan` with the reason; the rest of the scan runs.
 """
 
 from __future__ import annotations
@@ -96,12 +98,6 @@ def _reduce_vector(num, den, table, q: int):
     return tuple(sum(map(mul, num, col)) * inv % q for col in table)
 
 
-def _common_denominator(vec):
-    """Fractions -> (integer numerators, their lcm denominator)."""
-    den = lcm(*(c.denominator for c in vec))
-    return [c.numerator * (den // c.denominator) for c in vec], den
-
-
 def scan(
     E: QExpansion,
     params: EisensteinParams,
@@ -143,7 +139,7 @@ def scan(
 
     @cache
     def rhs(gr, n):
-        num, den = _common_denominator(record.coefficient(n))
+        num, den = record.an[n - 1]
         return _reduce_vector(num, den, table(gr, len(num)), q)
 
     first_mismatch = None

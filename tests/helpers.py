@@ -3,7 +3,7 @@ suite (single source of truth for the heavier sweeps)."""
 
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from eiscong import polys
 from eiscong.arith import divisors, euler_phi, prime_divisors, primes_up_to
@@ -111,3 +111,11 @@ def random_valid_params(rng, count):
         except Exception:
             continue
     return out
+
+
+def integer_coefficient(vec):
+    """Fraction power-basis coordinates -> (num, den), a `NewformRecord.an`
+    entry: integer numerators over the lcm of the reduced denominators."""
+    vec = [Fraction(c) for c in vec]
+    den = lcm(*(c.denominator for c in vec))
+    return tuple(c.numerator * (den // c.denominator) for c in vec), den

@@ -88,11 +88,13 @@ def test_scan_reports_unusable_newform(capsys, monkeypatch):
 
     from eiscong import cli
     from eiscong.newforms import NewformRecord, bundled_newforms
+    from helpers import integer_coefficient
 
     recs = bundled_newforms(121)
     d = recs[-1]
     bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly,
-                        (d.an[0], (d.an[1][0] + Fraction(1, 5),)) + d.an[2:])
+                        (d.an[0], integer_coefficient([d.coefficient(2)[0] + Fraction(1, 5)]))
+                        + d.an[2:])
     monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: recs + [bad])
     code, out, _ = run_cli(capsys, "scan", "--level", "121", "--p", "11")
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import cyclotomic_oracle
+from eiscong import polys
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import (CycElement, CyclotomicField,
                                 cyclotomic_polynomial)
@@ -215,3 +216,32 @@ def test_equal_values_hash_equal(mc, c):
     assert a.den > 0 and gcd(a.den, *a.num) == 1
     assert K.element([2, 4]) * Fraction(1, 2) == K.element([1, 2])
     assert hash(K.element([2, 4]) * Fraction(1, 2)) == hash(K.element([1, 2]))
+
+
+def test_zeta_matches_reduced_power():
+    """zeta(j), a unit vector up to sign when it can be, is the reduction of
+    x^j, for every j in three periods and m up to 110."""
+    for m in (1, 3, 4, 5, 7, 9, 12, 15, 55, 110):
+        K = CyclotomicField(m)
+        for j in range(-m, 2 * m):
+            assert K.zeta(j) == K.element([0] * (j % m) + [1]), (m, j)
+
+
+def _plain_product(f, g):
+    out = [0] * (len(f) + len(g) - 1) if f and g else []
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+_sparse_ints = st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_sparse_ints, _sparse_ints, st.booleans())
+def test_polys_mul_matches_plain_product(f, g, fractions):
+    if fractions:
+        f = [Fraction(c, 3) for c in f]
+    assert polys.mul(f, g) == _plain_product(f, g)
+    assert polys.mul(g, f) == _plain_product(f, g)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffield_oracle
-from eiscong import polys
+import roots_oracle
+from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.ffield import (FiniteField, _irreducible_modq, conway_style_modulus,
@@ -62,6 +63,16 @@ def test_factor_degrees():
     assert factor_degrees_mod_q([0, 1], 5) == [1]
     with pytest.raises(DomainError):
         factor_degrees_mod_q([5, 10], 5)
+
+
+def test_factor_degrees_multiplicity_divisible_by_q():
+    """A factor whose multiplicity q divides is counted once, also when
+    f' = 0 mod q."""
+    assert factor_degrees_mod_q([-1, 0, 0, 1], 3) == [1]  # (y - 1)^3
+    assert factor_degrees_mod_q([1, 0, 1], 2) == [1]  # (y + 1)^2
+    assert factor_degrees_mod_q(polys.mul([-1, 0, 0, 1], [1, 0, 1]), 3) == [1, 2]
+    assert factor_degrees_mod_q(polys.mul([1, 0, 1], [1, 1, 1]), 2) == [1, 2]
+    assert factor_degrees_mod_q(polys.mul([1, 0, 1], [1, 0, 1]), 2) == [1]  # (y + 1)^4
 
 
 # ---------------------------------------------------------------- oracle suites
@@ -141,7 +152,19 @@ def _int_poly(draw, q):
     lambda q: st.tuples(st.just(q), _int_poly(q))))
 def test_factor_degrees_matches_oracle(case):
     q, poly = case
-    assert factor_degrees_mod_q(poly, q) == ffield_oracle.factor_degrees_mod_q(poly, q)
+    degrees = factor_degrees_mod_q(poly, q)
+    if len(ffield._reduce_monic(poly, FiniteField(q, 1, (0, 1)))) <= q:
+        # degree < q: no multiplicity is divisible by q, so the oracle's
+        # f / gcd(f, f') is the product of the distinct factors
+        assert degrees == ffield_oracle.factor_degrees_mod_q(poly, q)
+        return
+    # The oracle drops factors whose multiplicity q divides.  Count instead:
+    # with n_d distinct factors of degree d <= 3, f has sum_{d | e} d n_d
+    # distinct roots in F_{q^e}, found by enumeration, and e = 1, 2, 3 fix n.
+    assert max(degrees) <= 3
+    for e in (1, 2, 3):
+        count = len(ffield_oracle.roots_in_field(poly, FiniteField.create(q, e)))
+        assert count == sum(d for d in degrees if e % d == 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -182,6 +205,31 @@ def test_characteristic_two_splitting_matches_enumeration(case):
     F, poly = case
     assert (roots_in_field(poly, F, force_splitting=True)
             == ffield_oracle.roots_in_field(poly, F))
+
+
+@st.composite
+def _same_degree_product(draw):
+    """A field F_{q^r} and an integer polynomial that is, mod q, a product of
+    distinct monic irreducibles of one degree e | r, times a unit."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    e = draw(st.integers(1, 3).filter(lambda e: q ** e <= 1000))
+    r = e * draw(st.integers(1, 3).filter(lambda k: q ** (e * k) <= 1000))
+    irreducible = (st.lists(st.integers(0, q - 1), min_size=e, max_size=e)
+                   .map(lambda h: h + [1])
+                   .filter(lambda h: ffield_oracle._irreducible_modq(h, q)))
+    poly = [draw(st.integers(1, q - 1))]
+    for h in {tuple(draw(irreducible)) for _ in range(draw(st.integers(1, 3)))}:
+        poly = polys.mul(poly, [c + q * draw(st.integers(-2, 2)) for c in h])
+    return FiniteField.create(q, r), poly
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_same_degree_product(), st.booleans())
+def test_frobenius_orbit_roots_match_gcd_roots(case, force_splitting):
+    F, poly = case
+    roots = roots_in_field(poly, F, force_splitting=force_splitting)
+    assert roots == roots_oracle.roots_in_field(poly, F, force_splitting=force_splitting)
+    assert len(roots) == len(poly) - 1
 
 
 @st.composite

@@ -1,7 +1,12 @@
 """Cross-module checks that don't belong to any single unit module."""
 
+import json
+import sys
+from importlib import resources
+
 import pytest
 
+from eiscong import ffield, newforms, scanner
 from eiscong.arith import DomainError
 from eiscong.characters import quadratic_character
 from eiscong.cusps import D_divisor, boundary_divisor
@@ -61,3 +66,60 @@ def test_readme_worked_example():
         "<5, U_11, {T_r - 1 - r : r = 1, 3, 4, 5, 9} (mod 11), "
         "{T_r + 1 + r : r = 2, 6, 7, 8, 10} (mod 11)>"
     )
+
+
+def _record_call_stacks(monkeypatch, targets):
+    """Wrap each module attribute wherever a loaded eiscong module binds it,
+    as a tracer from outside the library does, and return the list that
+    gains the stack of wrapped names at every wrapped call."""
+    stack, seen = [], []
+    for module, name in targets:
+        orig = getattr(module, name)
+
+        def traced(*args, _orig=orig, _name=name, **kwargs):
+            stack.append(_name)
+            seen.append(tuple(stack))
+            try:
+                return _orig(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").split(".")[0] == "eiscong":
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, traced)
+    return seen
+
+
+class _Session:
+    """A stand-in HTTP session that is also its own 200 response."""
+
+    status_code = 200
+
+    def __init__(self, data):
+        self.data = data
+
+    def get(self, url, params=None, timeout=None):
+        return self
+
+    def json(self):
+        return {"data": self.data}
+
+
+def test_traced_call_chains(monkeypatch, tmp_path):
+    """A tracer that wraps public functions through module globals reaches
+    every layer of a scan and both parses of a cache round trip."""
+    seen = _record_call_stacks(monkeypatch, [
+        (scanner, "full_scan"), (scanner, "scan"), (scanner, "reduction_embeddings"),
+        (ffield, "roots_in_field"), (newforms, "fetch_newforms"), (newforms, "parse_newforms")])
+    scanner.full_scan(121, 11)
+    assert ("full_scan", "scan", "reduction_embeddings", "roots_in_field") in seen
+    data = json.loads(resources.files("eiscong.data").joinpath("newforms_121.json").read_text())
+    seen.clear()
+    newforms.fetch_newforms(121, endpoint="http://stub/api", cache_dir=tmp_path,
+                            session=_Session(data))
+    assert seen == [("fetch_newforms",), ("fetch_newforms", "parse_newforms")]
+    seen.clear()
+    newforms.fetch_newforms(121, cache_dir=tmp_path, offline=True)
+    assert seen == [("fetch_newforms",), ("fetch_newforms", "parse_newforms")]

@@ -1,10 +1,15 @@
 import io
 import json
 from fractions import Fraction
+from importlib import resources
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eiscong.newforms import (NetworkUnavailable, NewformDataError,
+import newforms_oracle
+from eiscong import polys
+from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
                               bundled_newforms, fetch_newforms, load_newforms,
                               parse_newforms)
 
@@ -79,6 +84,56 @@ def test_multiplicativity_spot_check():
         parse_newforms([rec])
     rec["an"][5] = [1]
     assert len(parse_newforms([rec])) == 1
+
+
+def _assert_same_parse(data):
+    """parse_newforms gives the Fraction parse's records, in canonical form,
+    or raises the same error."""
+    try:
+        want = newforms_oracle.parse_newforms(data)
+    except NewformDataError as exc:
+        with pytest.raises(NewformDataError) as got:
+            parse_newforms(data)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_newforms(data)
+    assert [(r.label, r.level, r.field_poly) for r in got] == [
+        (r.label, r.level, r.field_poly) for r in want]
+    for g, w in zip(got, want):
+        assert tuple(g.coefficient(n) for n in range(1, g.bound + 1)) == w.an
+        assert all(den > 0 and gcd(den, *num) == 1 for num, den in g.an)
+
+
+@pytest.mark.parametrize("level", BUNDLED_LEVELS)
+def test_bundled_parse_matches_fraction_parse(level):
+    _assert_same_parse(json.loads(
+        resources.files("eiscong.data").joinpath(f"newforms_{level}.json").read_text()))
+
+
+@st.composite
+def _raw_record(draw):
+    """A record with a_1 = 1, random a_2..a_B, at a level where the a_6 check
+    runs or not, with or without a basis whose first element is 1.  Without
+    a basis, a_6 is a_2 a_3 in half of the draws, so both outcomes occur."""
+    deg = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-40, 40), min_size=deg, max_size=deg)
+    poly = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg)) + [1]
+    an = [[1] + [0] * (deg - 1)] + [draw(vec) for _ in range(draw(st.integers(0, 8)))]
+    rec = {"label": "t", "level": draw(st.sampled_from((35, 36, 725))), "weight": 2,
+           "field_poly": poly, "an": an}
+    if draw(st.booleans()):
+        bd = draw(st.lists(st.integers(1, 12), min_size=deg, max_size=deg))
+        rec["basis_matrix"] = [[bd[0]] + [0] * (deg - 1)] + [draw(vec) for _ in range(deg - 1)]
+        rec["basis_denominators"] = bd
+    elif len(an) >= 6 and draw(st.booleans()):
+        an[5] = polys.divmod_monic(polys.mul(an[1], an[2]), poly)[1]
+    return rec
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_raw_record(), min_size=1, max_size=3))
+def test_integer_parse_matches_fraction_parse(data):
+    _assert_same_parse(data)
 
 
 class _FakeResponse:

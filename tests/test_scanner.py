@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
+from helpers import integer_coefficient
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import character_with_value, quadratic_character
@@ -15,13 +16,12 @@ from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
 from eiscong.newforms import NewformRecord, bundled_newforms
-from eiscong.scanner import (UnsupportedPrimeError, _common_denominator,
-                             _power_table, _reduce_vector, eisenstein_basis,
-                             full_scan, reduction_embeddings, scan)
+from eiscong.scanner import (UnsupportedPrimeError, _power_table, _reduce_vector,
+                             eisenstein_basis, full_scan, reduction_embeddings, scan)
 
 
 def _reduce_newform(vec, root, F):
-    num, den = _common_denominator(vec)
+    num, den = integer_coefficient(vec)
     return _reduce_vector(num, den, _power_table(root, F, len(num)), F.q)
 
 
@@ -40,6 +40,9 @@ def test_reduction_embeddings():
     # Q(zeta_11)-side at q=5 has residue degree 5
     r, F, pairs = reduction_embeddings(11, [0, 1], 5)
     assert r == 5
+    # y^3 - 1 = (y - 1)^3 mod 3 has f' = 0; its root 1 needs no extension
+    r, F, pairs = reduction_embeddings(4, [-1, 0, 0, 1], 3)
+    assert r == 2 and [g for _, g in pairs] == [(1, 0), (1, 0)]
 
 
 def test_eisenstein_basis():
@@ -285,7 +288,7 @@ def test_full_scan_skips_unusable_newform_prime():
     scans everything else as before."""
     recs = bundled_newforms(121)
     d = next(r for r in recs if r.label == "121.2.a.d")
-    a2 = tuple(c + Fraction(1, 5) for c in d.an[1])
+    a2 = integer_coefficient(c + Fraction(1, 5) for c in d.coefficient(2))
     bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly, (d.an[0], a2) + d.an[2:])
     with pytest.raises(UnsupportedPrimeError):
         scan(build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), 22),
