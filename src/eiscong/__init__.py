@@ -20,8 +20,7 @@ from .ffield import FiniteField, finite_field_roots
 from .ideals import (CandidateReport, IdealDescriptor,
                      candidate_characteristics, cuspidal_order, descriptor,
                      s1_set, s2_set)
-from .lattices import (IntegralIdeal, ideal_from_element, ideal_index,
-                       lattice_intersect, numerator_ideal)
+from .lattices import IntegralIdeal, ideal_from_element, numerator_index
 from .newforms import (NewformRecord, bundled_newforms, fetch_newforms,
                        load_newforms)
 from .scanner import (CongruenceReport, FullScanResult, eisenstein_basis,

@@ -11,14 +11,14 @@ import argparse
 import json
 import sys
 
-from .arith import DomainError, sturm_bound
+from .arith import DomainError, factor, prime_divisors, primes_up_to, sturm_bound
 from .characters import character_from_label, gauss_sum_inverse
 from .cusps import beta_tilde
 from .cyclotomic import CycElement
-from .arith import prime_divisors
 from .eisenstein import EisensteinParams, build_E, uq_eigenvalue
 from .ideals import candidate_characteristics, cuspidal_order
-from .newforms import NetworkUnavailable, NewformDataError, fetch_newforms
+from .newforms import (DEFAULT_ENDPOINT, NetworkUnavailable, NewformDataError,
+                       fetch_newforms)
 from .scanner import eisenstein_basis, full_scan
 
 
@@ -101,8 +101,6 @@ def cmd_beta(args) -> None:
 
 def _display_factorization(n: int) -> str:
     """Small-prime factorization for display; huge rough cofactors are kept whole."""
-    from .arith import factor, primes_up_to
-
     parts = []
     for p in primes_up_to(10 ** 4):
         e = 0
@@ -260,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, pgood=True)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--offline", action="store_true")
-    p.add_argument("--endpoint", type=str, default=None)
+    p.add_argument("--endpoint", type=str, default=DEFAULT_ENDPOINT)
     p.add_argument("--cache-dir", type=str, default=None)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("fetch", help="fetch newform data into the cache")
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--endpoint", type=str, default=None)
+    p.add_argument("--endpoint", type=str, default=DEFAULT_ENDPOINT)
     p.add_argument("--cache-dir", type=str, default=None)
     p.add_argument("--offline", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -278,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "endpoint", None) is None and hasattr(args, "endpoint"):
-        from .newforms import DEFAULT_ENDPOINT
-
-        args.endpoint = DEFAULT_ENDPOINT
     try:
         args.func(args)
     except DomainError as exc:

@@ -249,9 +249,8 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
     raise ArithmeticError("no irreducible polynomial found")
 
 
-def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
-    """All roots in F of an integer polynomial (each distinct root once), sorted.
-    No root is found by enumerating F, so `force_splitting` changes nothing."""
+def roots_in_field(int_poly, F: FiniteField):
+    """All roots in F of an integer polynomial (each distinct root once), sorted."""
     Fq = FiniteField(F.q, 1, (0, 1))
     fp = _reduce_monic(int_poly, Fq)
     if not fp:
@@ -292,10 +291,9 @@ def cyclotomic_roots(k: int, F: FiniteField):
     return sorted(roots)
 
 
-def finite_field_roots(int_poly, q: int, r: int, force_splitting: bool = False):
+def finite_field_roots(int_poly, q: int, r: int):
     """Spec surface: all roots of the integer polynomial in F_{q^r}."""
-    F = FiniteField.create(q, r)
-    return roots_in_field(int_poly, F, force_splitting=force_splitting)
+    return roots_in_field(int_poly, FiniteField.create(q, r))
 
 
 def _probe(a, g, e, F):

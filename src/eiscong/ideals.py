@@ -2,7 +2,9 @@
 Eisenstein-maximal-ideal descriptors.
 
 The order of the cuspidal subgroup attached to E_{phi,M,L} is the index of
-Num(beta-tilde) in Z[zeta_lcm(f,k)].  Candidate residual characteristics of
+Num(beta-tilde) in Z[zeta_lcm(f,k)]: |N(beta-tilde)| when beta-tilde is
+integral, and otherwise |N(d*beta-tilde)| over the index of (d*beta-tilde) + (d),
+d its denominator (see `lattices`).  Candidate residual characteristics of
 non-rational Eisenstein ideals at a p-good level N lie in
 {2,3,p} u S1(N) u S2(N).  A descriptor spells out the ideal
 (l, U_p, U_s - s eps^{-1}(s), U_q - eps(q), T_r-relations grouped by the value
@@ -20,13 +22,12 @@ from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
 from .eisenstein import EisensteinParams
 from .ffield import FiniteField, cyclotomic_roots
-from .lattices import ideal_index, numerator_ideal
+from .lattices import numerator_index
 
 
 def cuspidal_order(params: EisensteinParams) -> int:
     """|C_{Gamma0(N)}(E_{phi,M,L})| = [Z[zeta_f,phi] : Num(beta-tilde)]."""
-    bt = beta_tilde(params)
-    return ideal_index(numerator_ideal(bt))
+    return numerator_index(beta_tilde(params))
 
 
 def s1_set(N: int) -> frozenset[int]:
@@ -242,7 +243,7 @@ def descriptor(params: EisensteinParams, l: int, eps: DirichletCharacter | None 
     """
     p = params.f
     N = params.N
-    if not is_prime(l) or (6 * p) % l == 0 or gcd(l, 6 * p) != 1:
+    if not is_prime(l) or gcd(l, 6 * p) != 1:
         raise DomainError(f"descriptor requires l coprime to 6p (l={l}, p={p})")
     if not is_p_good(N, p):
         raise DomainError(f"descriptor requires a p-good level (N={N}, p={p})")

@@ -2,9 +2,16 @@
 
 An ideal is stored as a degree x degree integer matrix in canonical row HNF
 (upper triangular, positive diagonal, entries above each pivot reduced mod
-the pivot); rows are a Z-basis in the power basis of Z[zeta_m].  Num(alpha) =
-(1/d)((d*alpha) cap (d)) avoids prime-ideal machinery entirely; the quotient
-index is the HNF determinant.
+the pivot); rows are a Z-basis in the power basis of Z[zeta_m], and the
+quotient index is the HNF determinant.
+
+`numerator_index` gives [O : Num(e)] (O = Z[zeta_m], n = its degree) without
+building Num(e).  With d the denominator of e, Num(e) = (1/d)((d*e) cap (d)),
+and for full-rank lattices [O : I cap J] * [O : I + J] = [O : I] * [O : J].
+The [O : (d)] = d^n on the right cancels the 1/d, so
+[O : Num(e)] = |N(d*e)| / [O : (d*e) + (d)]: a norm, and for d > 1 one HNF of
+(d*e) + (d).  That lattice contains d*Z^n, so d^n is a multiple of its
+determinant, and `hnf` takes exactly d^n when the rows of d*I_n come first.
 
 `hnf` works modulo a determinant multiple (Cohen, GTM 138, Alg. 2.4.8;
 Domich-Kannan-Trotter 1987).  Its invariant: a full-rank lattice L in Z^n
@@ -79,29 +86,6 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return basis
 
 
-def solve_membership(basis: list[list[int]], v: list[int]) -> list[int] | None:
-    """Coefficients c with sum(c_i * basis_i) = v, or None; basis in HNF."""
-    n = len(v)
-    v = list(v)
-    coeffs = []
-    pivots = [next(j for j in range(n) if row[j]) for row in basis]
-    for i, row in enumerate(basis):
-        pc = pivots[i]
-        for j in range(pc):
-            if v[j]:
-                return None
-        if v[pc] % row[pc]:
-            return None
-        c = v[pc] // row[pc]
-        coeffs.append(c)
-        if c:
-            for j in range(pc, n):
-                v[j] -= c * row[j]
-    if any(v):
-        return None
-    return coeffs
-
-
 @dataclass(frozen=True)
 class IntegralIdeal:
     """Full-rank sublattice of Z[zeta_m], rows = canonical HNF basis."""
@@ -116,26 +100,6 @@ class IntegralIdeal:
     def index(self) -> int:
         """|Z[zeta_m] / L| = product of the HNF diagonal."""
         return math.prod(self.basis[i][i] for i in range(len(self.basis)))
-
-    def contains(self, e: CycElement) -> bool:
-        if e.field.m != self.field.m or not e.is_integral():
-            return False
-        return solve_membership([list(r) for r in self.basis], list(e.num)) is not None
-
-    def is_subset_of(self, other: "IntegralIdeal") -> bool:
-        ob = [list(r) for r in other.basis]
-        return all(
-            solve_membership(ob, list(r)) is not None for r in self.basis
-        )
-
-    def is_ideal(self) -> bool:
-        """Closed under multiplication by zeta (membership of zeta * each row)."""
-        z = self.field.zeta()
-        for row in self.basis:
-            e = self.field.element(row) * z
-            if not self.contains(e):
-                return False
-        return True
 
     def __eq__(self, other):
         return isinstance(other, IntegralIdeal) and (
@@ -169,43 +133,21 @@ def ideal_from_element(e: CycElement) -> IntegralIdeal:
     return IntegralIdeal(e.field, tuple(tuple(r) for r in basis))
 
 
-def full_ring(field: _CycField) -> IntegralIdeal:
-    d = field.degree
-    basis = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    return IntegralIdeal(field, basis)
+def numerator_index(e: CycElement) -> int:
+    """[Z[zeta_m] : Num(e)] for nonzero e, Num(e) = (e) cap Z[zeta_m].
 
-
-def lattice_intersect(I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
-    """HNF basis of I cap J: the bottom-right block of the HNF of [[A, A], [B, 0]].
-
-    Rows of that block are the vectors xA with xA + yB = 0, i.e. I cap J.
+    With d the denominator of e, this is |N(d*e)| // [Z[zeta_m] : (d*e) + (d)]
+    (see the module notes), and just |N(e)| when e is integral.
     """
-    if I.field.m != J.field.m:
-        raise DomainError("lattice_intersect requires ideals of the same field")
-    d = I.field.degree
-    stacked = [list(a) * 2 for a in I.basis] + [list(b) + [0] * d for b in J.basis]
-    basis = hnf(stacked)[d:]
-    return IntegralIdeal(I.field, tuple(tuple(r[d:]) for r in basis))
-
-
-def numerator_ideal(e: CycElement) -> IntegralIdeal:
-    """Num(e) = (e) cap Z[zeta_m], via (1/d)((d*e) cap (d)) with d clearing e."""
     if e.is_zero():
-        raise DomainError("numerator_ideal requires a nonzero element")
+        raise DomainError("numerator_index requires a nonzero element")
     d = e.denominator()
-    if d == 1:
-        return ideal_from_element(e)
     de = e * d
-    I = ideal_from_element(de)
-    J = ideal_from_element(e.field.from_rational(d))
-    K = lattice_intersect(I, J)
-    rows = []
-    for r in K.basis:
-        assert all(x % d == 0 for x in r), "division by d must be exact on the intersection"
-        rows.append([x // d for x in r])
+    norm = abs(int(de.norm_to_Q()))
+    if d == 1:
+        return norm
+    n = e.field.degree
+    # the rows of d*I_n first, so hnf's determinant multiple is d^n
+    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)] + _mult_rows(de)
     basis = hnf(rows)
-    return IntegralIdeal(e.field, tuple(tuple(r) for r in basis))
-
-
-def ideal_index(I: IntegralIdeal) -> int:
-    return I.index()
+    return norm // math.prod(basis[i][i] for i in range(n))

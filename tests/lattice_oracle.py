@@ -1,16 +1,26 @@
-"""Reference lattice kernels: Euclid-step row HNF and kernel-based intersection.
+"""Reference lattice kernels: Euclid-step row HNF, two lattice intersections,
+the numerator ideal, and membership tests.
 
 `eiscong.lattices` takes its HNF modulo a determinant multiple.  These are the
 direct algorithms it replaced, kept verbatim as an oracle: `hnf` reduces with
 unbounded Euclid steps (entries can blow up, so it is slow on some degree-40
 inputs), and `lattice_intersect` intersects through the left kernel of the
 stacked bases.
+
+`eiscong.lattices.numerator_index` gives [Z[zeta_m] : Num(e)] from a norm and
+one HNF of (d*e) + (d).  The code it replaced builds Num(e) itself:
+`numerator_ideal` is (1/d)((d*e) cap (d)), with the intersection taken by
+`block_lattice_intersect` from one HNF of [[A, A], [B, 0]] (both on the
+library's modular `hnf`).  `solve_membership`, `contains`, `is_subset_of` and
+`is_ideal` are the membership tests that went with it.
 """
 
 from __future__ import annotations
 
+from eiscong import lattices
 from eiscong.arith import DomainError
-from eiscong.lattices import IntegralIdeal
+from eiscong.cyclotomic import CycElement, _CycField
+from eiscong.lattices import IntegralIdeal, ideal_from_element
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -103,3 +113,87 @@ def lattice_intersect(I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
         rows.append(vec)
     basis = hnf(rows)
     return IntegralIdeal(I.field, tuple(tuple(r) for r in basis))
+
+
+def block_lattice_intersect(I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal:
+    """HNF basis of I cap J: the bottom-right block of the HNF of [[A, A], [B, 0]].
+
+    Rows of that block are the vectors xA with xA + yB = 0, i.e. I cap J.
+    """
+    if I.field.m != J.field.m:
+        raise DomainError("lattice_intersect requires ideals of the same field")
+    d = I.field.degree
+    stacked = [list(a) * 2 for a in I.basis] + [list(b) + [0] * d for b in J.basis]
+    basis = lattices.hnf(stacked)[d:]
+    return IntegralIdeal(I.field, tuple(tuple(r[d:]) for r in basis))
+
+
+def numerator_ideal(e: CycElement) -> IntegralIdeal:
+    """Num(e) = (e) cap Z[zeta_m], via (1/d)((d*e) cap (d)) with d clearing e."""
+    if e.is_zero():
+        raise DomainError("numerator_ideal requires a nonzero element")
+    d = e.denominator()
+    if d == 1:
+        return ideal_from_element(e)
+    de = e * d
+    I = ideal_from_element(de)
+    J = ideal_from_element(e.field.from_rational(d))
+    K = block_lattice_intersect(I, J)
+    rows = []
+    for r in K.basis:
+        assert all(x % d == 0 for x in r), "division by d must be exact on the intersection"
+        rows.append([x // d for x in r])
+    basis = lattices.hnf(rows)
+    return IntegralIdeal(e.field, tuple(tuple(r) for r in basis))
+
+
+def full_ring(field: _CycField) -> IntegralIdeal:
+    d = field.degree
+    basis = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
+    return IntegralIdeal(field, basis)
+
+
+def solve_membership(basis: list[list[int]], v: list[int]) -> list[int] | None:
+    """Coefficients c with sum(c_i * basis_i) = v, or None; basis in HNF."""
+    n = len(v)
+    v = list(v)
+    coeffs = []
+    pivots = [next(j for j in range(n) if row[j]) for row in basis]
+    for i, row in enumerate(basis):
+        pc = pivots[i]
+        for j in range(pc):
+            if v[j]:
+                return None
+        if v[pc] % row[pc]:
+            return None
+        c = v[pc] // row[pc]
+        coeffs.append(c)
+        if c:
+            for j in range(pc, n):
+                v[j] -= c * row[j]
+    if any(v):
+        return None
+    return coeffs
+
+
+def contains(I: IntegralIdeal, e: CycElement) -> bool:
+    if e.field.m != I.field.m or not e.is_integral():
+        return False
+    return solve_membership([list(r) for r in I.basis], list(e.num)) is not None
+
+
+def is_subset_of(I: IntegralIdeal, other: IntegralIdeal) -> bool:
+    ob = [list(r) for r in other.basis]
+    return all(
+        solve_membership(ob, list(r)) is not None for r in I.basis
+    )
+
+
+def is_ideal(I: IntegralIdeal) -> bool:
+    """Closed under multiplication by zeta (membership of zeta * each row)."""
+    z = I.field.zeta()
+    for row in I.basis:
+        e = I.field.element(row) * z
+        if not contains(I, e):
+            return False
+    return True

@@ -1,11 +1,15 @@
 import pytest
+from lattice_oracle import numerator_ideal
 
 from eiscong.arith import DomainError
 from eiscong.characters import (character_with_value, enumerate_characters,
                                 quadratic_character)
+from eiscong.cusps import beta_tilde
 from eiscong.eisenstein import EisensteinParams
 from eiscong.ideals import (_isqrt, candidate_characteristics, cuspidal_order,
                             descriptor, eisenstein_character, s1_set, s2_set)
+from eiscong.lattices import numerator_index
+from eiscong.scanner import eisenstein_basis
 
 
 def test_cuspidal_order_121():
@@ -18,7 +22,7 @@ def test_cuspidal_order_121():
 
 def test_cuspidal_order_galois_invariance():
     # conjugate characters give ideals of equal index
-    for f, N, ML in ((5, 725, (1, 29)), (11, 121, (1, 1))):
+    for f, N, ML in ((5, 725, (1, 29)), (11, 121, (1, 1)), (13, 169, (1, 1))):
         by_order = {}
         for phi in enumerate_characters(f):
             if phi.is_trivial():
@@ -32,11 +36,8 @@ def test_cuspidal_order_galois_invariance():
 def test_12_saturation():
     phi = quadratic_character(3)
     P = EisensteinParams(phi, 234, 13, 2)
-    from eiscong.cusps import beta_tilde
-    from eiscong.lattices import ideal_index, numerator_ideal
-
     order = cuspidal_order(P)
-    order12 = ideal_index(numerator_ideal(beta_tilde(P) * 12))
+    order12 = numerator_index(beta_tilde(P) * 12)
     deg = P.field().degree
     assert order12 % order == 0
     assert (12 ** deg * order) % order12 == 0
@@ -157,3 +158,9 @@ def test_isqrt_exact_at_any_size():
     assert _isqrt((10 ** 30 + 7) ** 2 + 1) is None
     assert _isqrt(4 ** 600) == 2 ** 600
     assert [_isqrt(n) for n in (-4, 0, 1, 2, 9)] == [None, 0, 1, None, 3]
+
+
+@pytest.mark.parametrize("N, p", ((121, 11), (234, 3), (725, 5)))
+def test_cuspidal_order_matches_oracle(N, p):
+    for P in eisenstein_basis(N, p):
+        assert cuspidal_order(P) == numerator_ideal(beta_tilde(P)).index(), P.label()

