@@ -12,6 +12,12 @@ the refinement/scaling/promotion recursion through these pullbacks starting
 from beta_phi * D_{Gamma0(f^2),f}(phi); the closed-form path recomputes it
 from the multi-sum with the alpha/beta/gamma coefficient recurrences, and
 verify_boundary compares the two exactly.
+
+Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
+core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so
+verify_boundary computes the core once for beta_phi and beta.  A `Cusp` is
+the tuple (level, d, x): it hashes and sorts as that tuple, which keeps the
+divisors' dict lookups cheap.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
+from typing import NamedTuple
 
 from .arith import (DomainError, divisors, euler_phi, is_prime, prime_divisors,
                     valuation, xgcd)
@@ -32,9 +39,10 @@ class DivisorUndefinedError(DomainError):
     """D_{Gamma0(N),d}(phi) needs conductor(phi) | gcd(d, N/d)."""
 
 
-@dataclass(frozen=True, order=True)
-class Cusp:
-    """Cusp of X0(level) with divisor d and class x in (Z/t)^*, t = gcd(d, N/d)."""
+class Cusp(NamedTuple):
+    """Cusp of X0(level) with divisor d and class x in (Z/t)^*, t = gcd(d, N/d).
+
+    A tuple (level, d, x), so it hashes and sorts as that tuple."""
 
     level: int
     d: int
@@ -335,22 +343,32 @@ def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
 # ----------------------------------------------------- beta and the boundary
 
 
+def _beta_core(phi: DirichletCharacter) -> CycElement:
+    """tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1) in Q(zeta_lcm(f,k)), xi the primitive
+    character of phi^2: the factor of every beta_{Gamma0(N),phi,M,L} that phi
+    alone fixes."""
+    xi = (phi * phi).primitive_part()
+    m = lcm(phi.modulus, phi.order)
+    return (gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
+            * bernoulli_B2(xi.inverse()).embed(m))
+
+
 def beta_constant(params: EisensteinParams) -> CycElement:
     """beta_{Gamma0(N),phi,M,L}, exact in Q(zeta_lcm(f,k))."""
-    phi = params.phi
+    return _beta_constant(params, _beta_core(params.phi))
+
+
+def _beta_constant(params: EisensteinParams, core: CycElement) -> CycElement:
+    """beta_constant(params) from `core` = _beta_core(params.phi)."""
     f, N, M = params.f, params.N, params.M
     xi = params.xi
-    n = xi.conductor()
-    K = params.field()
-    m = K.m
-    front = Fraction(f ** 3 * params.T1 * euler_phi(params.T2_phi), 4 * n)
-    acc = K.from_rational(front)
+    m = core.field.m
+    front = Fraction(f ** 3 * params.T1 * euler_phi(params.T2_phi), 4 * xi.conductor())
     for p in prime_divisors(f):
         n_p = valuation(N, p) - 2 * valuation(f, p)
         delta_p = 1 if (valuation(M, p) == 0 and n_p >= 1) else 0
-        acc = acc * p ** (valuation(M, p) + delta_p)
-    acc = acc * gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
-    acc = acc * bernoulli_B2(xi.inverse()).embed(m)
+        front *= p ** (valuation(M, p) + delta_p)
+    acc = core * front
     for p in sorted(set(prime_divisors(f)) | set(prime_divisors(params.T1))):
         acc = acc * (1 - xi.value(p).embed(m) * Fraction(1, p * p))
     return acc
@@ -361,16 +379,17 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
     return beta_constant(params) * (params.f * params.T1)
 
 
-def _beta_phi(phi: DirichletCharacter) -> CycElement:
-    return beta_constant(EisensteinParams(phi, phi.modulus ** 2, 1, 1))
-
-
 def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
     """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion of the
     refinement/scaling/promotion construction (proof order)."""
+    return _boundary_divisor(params, _beta_core(params.phi))
+
+
+def _boundary_divisor(params: EisensteinParams, core: CycElement) -> CuspDivisor:
+    """boundary_divisor(params) from `core` = _beta_core(params.phi)."""
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
-    D = D_divisor(f * f, f, phi).scale(_beta_phi(phi))
+    D = D_divisor(f * f, f, phi).scale(_beta_constant(EisensteinParams(phi, f * f, 1, 1), core))
     for l in prime_divisors(params.T1) if params.T1 > 1 else ():
         # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^*
         D = pullback_pi_paren(D, l) - pullback_pi_l(D, l).scale(phi.value(l) * Fraction(1, l))
@@ -480,7 +499,8 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
     def rec(i, d, coeff):
         nonlocal total
         if i == len(tables):
-            total = total + D_divisor(N, d, phi).scale(coeff)
+            D = D_divisor(N, d, phi)
+            total = total + (D if coeff == 1 else D.scale(coeff))
             return
         p, table = tables[i]
         for e, v in table.items():
@@ -491,7 +511,12 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
 
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
-    return D_NML(params).scale(beta_constant(params))
+    return _closed_form_boundary(params, _beta_core(params.phi))
+
+
+def _closed_form_boundary(params: EisensteinParams, core: CycElement) -> CuspDivisor:
+    """closed_form_boundary(params) from `core` = _beta_core(params.phi)."""
+    return D_NML(params).scale(_beta_constant(params, core))
 
 
 @dataclass(frozen=True)
@@ -505,9 +530,11 @@ class BoundaryReport:
 
 
 def verify_boundary(params: EisensteinParams) -> BoundaryReport:
-    """Recursion path vs closed-form path; the theorem asserts equality."""
-    lhs = boundary_divisor(params)
-    rhs = closed_form_boundary(params)
+    """Recursion path vs closed-form path; the theorem asserts equality.
+    Both scale by a beta whose Gauss-sum core is computed once here."""
+    core = _beta_core(params.phi)
+    lhs = _boundary_divisor(params, core)
+    rhs = _closed_form_boundary(params, core)
     if lhs == rhs:
         return BoundaryReport(True, params.N, None)
     return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))

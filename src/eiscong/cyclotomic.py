@@ -9,10 +9,13 @@ by folding exponents with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
 (so Q(zeta_2n) costs what Q(zeta_n) costs for odd n), and then subtracting
 integer multiples of the monic Phi_m from the top down.  Rational scalars
 scale num and den and are never promoted to elements.  The inverse is the
-product of the nontrivial Galois conjugates divided by the norm.  zeta^j is a
-unit vector, built without a reduction, when j (after the sign fold) is below
-the degree, and `polys.mul` by it costs O(d), since it loops over the sparser
-factor.
+product of the nontrivial Galois conjugates divided by the norm.  Each field
+holds the m powers zeta^0, ..., zeta^(m-1) as a table built once, in O(m d),
+when the field is made; `zeta(j)` returns entry j mod m, so a character value
+is a lookup.  The table is constant data of the field, like its modulus, and
+takes no part in equality, hashing or repr.  zeta^j is a unit vector when j
+(after the sign fold) is below the degree, and `polys.mul` by it costs O(d),
+since it loops over the sparser factor.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
@@ -21,7 +24,7 @@ arithmetic.  Degrees are capped at 200; nothing at desk scale needs more.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -60,6 +63,17 @@ class _CycField:
     m: int
     degree: int
     modulus: tuple[int, ...]  # Phi_m, ascending, monic
+    powers: tuple = field(init=False, compare=False, repr=False)  # zeta^0..zeta^(m-1)
+
+    def __post_init__(self):
+        m, d = self.m, self.degree
+        h = m if m % 2 else m // 2  # zeta^h = -1 when m is even
+        powers = [CycElement(self, tuple(int(i == j) for i in range(d))) for j in range(min(d, h))]
+        for _ in range(d, h):  # zeta^j = zeta * zeta^(j-1): one step of the reduction
+            powers.append(CycElement(self, tuple(self.reduce([0, *powers[-1].num]))))
+        if h < m:
+            powers += [-z for z in powers]
+        object.__setattr__(self, "powers", tuple(powers))
 
     def __repr__(self):
         return f"Q(zeta_{self.m})"
@@ -100,13 +114,8 @@ class _CycField:
         return self.element([q])
 
     def zeta(self, j: int = 1) -> "CycElement":
-        """zeta_m ** j: a unit vector when j, after zeta^(m/2) = -1, is below the degree."""
-        j, sign = j % self.m, 1
-        if self.m % 2 == 0 and j >= self.m // 2:
-            j, sign = j - self.m // 2, -1
-        if j >= self.degree:
-            return self.element([0] * j + [sign])
-        return CycElement(self, tuple(sign if i == j else 0 for i in range(self.degree)))
+        """zeta_m ** j, from the field's table of powers."""
+        return self.powers[j % self.m]
 
     def galois_group(self) -> list[int]:
         return [a for a in range(1, self.m + 1) if gcd(a, self.m) == 1]

@@ -29,7 +29,10 @@ computed once over F_q.
 Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
 Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
 order k': z^j with gcd(j, k') = 1 for one such z, and z = g^((|F|-1)/k') for
-the first g in the fixed element order that gives exact order k'.
+the first g in the fixed element order that gives exact order k'.  When k'
+does not divide q - 1 the search starts at element q (the class of x), since
+every g in F_q^* gives a z in F_q^*, of order dividing q - 1.  The sorted
+set of roots does not depend on which z is found.
 """
 
 from __future__ import annotations
@@ -278,7 +281,8 @@ def cyclotomic_roots(k: int, F: FiniteField):
         return []
     one = F.one()
     primes = prime_divisors(kp)
-    for i in range(1, F.size):
+    # g in F_q^* (elements 1..q-1) gives z in F_q^*, of exact order k' only if k' | q - 1
+    for i in range(1 if (F.q - 1) % kp == 0 else F.q, F.size):
         z = F.pow(F.element(i), n // kp)
         if all(F.pow(z, kp // s) != one for s in primes):
             break

@@ -114,9 +114,11 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
 
     an = []
     for i, vec in enumerate(an_raw):
-        w = f"{where}.an[{i}]"
-        _require(isinstance(vec, list) and len(vec) == deg, w, f"coefficient vector must have length {deg}")
-        _require(all(isinstance(c, int) for c in vec), w, "coefficients must be ints (no floats)")
+        # the location is formatted only when a check fails
+        if not (isinstance(vec, list) and len(vec) == deg):
+            raise NewformDataError(f"{where}.an[{i}]: coefficient vector must have length {deg}")
+        if not all(isinstance(c, int) for c in vec):
+            raise NewformDataError(f"{where}.an[{i}]: coefficients must be ints (no floats)")
         if basis is None:
             an.append((tuple(vec), 1))
         else:

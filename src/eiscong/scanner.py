@@ -3,18 +3,29 @@
 Both coefficient rings are reduced into a common F_{q^r}: the Eisenstein side
 through a root of Phi_k (k = order of phi; at ramified q this realizes the
 reduction zeta -> 1 on the q-part), the newform side through a root of its
-defining polynomial.  r is minimal so that both acquire roots, and every
-(zeta-root, poly-root) pair is tried in a fixed order.  A match certifies
-a_n congruences for all n up to the bound (Sturm by default).
+defining polynomial.  r is minimal so that both acquire roots.  A match
+certifies a_n congruences for all n up to the bound (Sturm by default).
+
+Whether a (zeta-root, poly-root) pair matches does not change when x -> x^q
+is applied to both roots, since Frobenius fixes the reduced integers.  The
+pairs are sorted, so the first matching pair is the smallest of its orbit,
+and the first pair of all is the smallest of its own; `scan` therefore tries
+only the orbit minima, in order, and reports what trying every pair would.
 
 Both sides store a coefficient as integer power-basis numerators over one
 denominator (`CycElement.num`/`den`, `NewformRecord.an`), and `scan` reads
 them as stored.  num/den reduces at a root through the root's power table
-(root^0, ..., root^(d-1), computed once per root and scan): one integer dot
-product mod q per coordinate of F, times den^-1 mod q.  Within a scan each
-a_n is reduced once per root, and only when the pair loop reaches it.  A
-(newform, l) pair whose coefficients have l in a denominator is skipped by
-`full_scan` with the reason; the rest of the scan runs.
+(root^0, ..., root^(d-1)): one integer dot product mod q per coordinate of F,
+times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
+
+A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
+inputs fix across scans: per (phi order, field_poly, q) the reduction
+embeddings and their orbit minima; the factor degrees of a field polynomial
+once per q, its roots once per F and the roots of Phi_k once per (k', F);
+and, per series and per newform record, the power tables and reduced
+coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
+pair whose coefficients have l in a denominator is skipped by `full_scan`
+with the reason; the rest of the scan runs.
 """
 
 from __future__ import annotations
@@ -62,24 +73,51 @@ class CongruenceReport:
         }
 
 
-def reduction_embeddings(k, field_poly, q: int):
+def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     """(r, F, pairs): minimal r with roots of Phi_k and of field_poly in
-    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order."""
+    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order.
+
+    `memo` (a scan memo, see `scan`) shares the factor degrees of field_poly
+    mod q, its roots in F and the roots of Phi_k in F between calls."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
+    if memo is None:
+        memo = {}
     kp = k
     while kp % q == 0:
         kp //= q
     d_phi = 1
     while pow(q, d_phi, kp) != 1 % kp:
         d_phi += 1
-    degrees = factor_degrees_mod_q(list(field_poly), q)
+    poly = tuple(field_poly)
+    degrees = _shared(memo, ("factor degrees", poly, q), factor_degrees_mod_q, list(poly), q)
     r = min(lcm(d_phi, e) for e in degrees)
     F = FiniteField.create(q, r)
-    zroots = cyclotomic_roots(k, F)
-    groots = roots_in_field(list(field_poly), F)
+    zroots = _shared(memo, ("Phi roots", kp, F), cyclotomic_roots, k, F)
+    groots = _shared(memo, ("roots", poly, F), roots_in_field, list(poly), F)
     assert zroots and groots
     return r, F, [(z, g) for z in zroots for g in groots]
+
+
+def _shared(memo: dict, key, fn, *args):
+    """fn(*args), computed once per key of `memo`."""
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
+
+
+def _orbit_minima(F: FiniteField, pairs):
+    """The pairs that are the smallest of their orbit under x -> x^q on both
+    roots, in the order of `pairs`."""
+    frob = {x: F.pow(x, F.q) for pair in pairs for x in pair}
+    out = []
+    for pair in pairs:
+        z, g = frob[pair[0]], frob[pair[1]]
+        while (z, g) > pair:
+            z, g = frob[z], frob[g]
+        if (z, g) == pair:
+            out.append(pair)
+    return out
 
 
 def _power_table(root, F: FiniteField, d: int):
@@ -98,6 +136,23 @@ def _reduce_vector(num, den, table, q: int):
     return tuple(sum(map(mul, num, col)) * inv % q for col in table)
 
 
+def _reducer(memo: dict, owner, F: FiniteField, coefficient):
+    """(root, n) -> owner's a_n, given as coefficient(n) = (num, den), reduced
+    at root in F through one power table per root, each computed once per
+    memo.  The entry is keyed on owner's identity (newform labels may repeat)
+    and holds owner, so that identity is not reused while the memo lives."""
+    key = ("reduced", id(owner), F)
+    if key not in memo:
+        table = cache(lambda root, d: _power_table(root, F, d))
+
+        @cache
+        def reduced(root, n):
+            num, den = coefficient(n)
+            return _reduce_vector(num, den, table(root, len(num)), F.q)
+        memo[key] = owner, reduced
+    return memo[key][1]
+
+
 def scan(
     E: QExpansion,
     params: EisensteinParams,
@@ -109,9 +164,11 @@ def scan(
 ) -> CongruenceReport:
     """Coefficientwise congruence check of E against one newform at q.
 
-    `embeddings` maps (phi order, field_poly, q) to the reduction_embeddings
-    result and gains the ones computed here; a caller that scans many pairs
-    passes one dict, so that each root search runs once."""
+    `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
+    reduction_embeddings result, and also holds what those results share,
+    the orbit minima of each key's pairs, the root power tables and the
+    reduced coefficients of E and of the record.  A caller that scans many
+    pairs passes one dict, so that each of these is computed once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
@@ -125,25 +182,21 @@ def scan(
     if embeddings is None:
         embeddings = {}
     if key not in embeddings:
-        embeddings[key] = reduction_embeddings(*key)
+        embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
+    minima = _shared(embeddings, ("orbit minima", key), _orbit_minima, F, pairs)
 
-    @cache
-    def table(root, d):
-        return _power_table(root, F, d)
-
-    @cache
-    def lhs(zr, n):
+    def eisenstein_coefficient(n):
         c = E.coefficient(n)
-        return _reduce_vector(c.num, c.den, table(zr, len(c.num)), q)
+        return c.num, c.den
 
-    @cache
-    def rhs(gr, n):
-        num, den = record.an[n - 1]
-        return _reduce_vector(num, den, table(gr, len(num)), q)
+    lhs = _reducer(embeddings, E, F, eisenstein_coefficient)
+    rhs = _reducer(embeddings, record, F, lambda n: record.an[n - 1])
 
+    # a pair matches iff its Frobenius images do, so the first matching pair
+    # is the smallest of its orbit, and pairs[0] is one of the minima
     first_mismatch = None
-    for zr, gr in pairs:
+    for zr, gr in minima:
         ok = True
         for n in range(1, B + 1):
             if lhs(zr, n) != rhs(gr, n):
@@ -226,7 +279,7 @@ def full_scan(
     reports: list[CongruenceReport] = []
     skipped: list[str] = []
     raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor]] = []
-    embeddings: dict = {}  # one root search per (phi order, field_poly, l)
+    embeddings: dict = {}  # the scan memo: one root search per field polynomial and F
     unusable: set[tuple[str, int]] = set()  # (newform, l) with l in a denominator
     for params in eisenstein_basis(N, p):
         E = build_E(params, bound)

@@ -1,8 +1,13 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import cusps_oracle
+from helpers import random_pgood_params
 
 from eiscong.arith import (divisors, euler_phi, is_squarefree, prime_divisors,
                            primes_up_to, valuation)
@@ -16,6 +21,7 @@ from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
                            verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams
+from eiscong.scanner import eisenstein_basis
 
 
 def test_cusp_counts_up_to_1000():
@@ -341,3 +347,50 @@ def test_verify_boundary_general_parameters():
     for phi, N, M, L in cases:
         P = EisensteinParams(phi, N, M, L)
         assert verify_boundary(P), P.label()
+
+
+def _same_divisor(a, b):
+    """Equal divisors with equal coefficient representations at every cusp."""
+    return a.level == b.level and {c: (v.field, v.num, v.den) for c, v in a.support.items()} == {
+        c: (v.field, v.num, v.den) for c, v in b.support.items()}
+
+
+def _check_beta_against_oracle(P):
+    beta = beta_constant(P)
+    want = cusps_oracle.beta_constant(P)
+    assert (beta.field, beta.num, beta.den) == (want.field, want.num, want.den), P.label()
+    assert _same_divisor(D_NML(P), cusps_oracle.D_NML(P)), P.label()
+    assert _same_divisor(closed_form_boundary(P), cusps_oracle.closed_form_boundary(P)), P.label()
+    assert verify_boundary(P).ok
+
+
+def test_beta_matches_oracle_on_eigenbases():
+    """beta, D_NML and the closed form agree with the former code on the 19
+    eigenbasis series at 121, 234 and 725."""
+    basis = [P for N, p in ((121, 11), (234, 3), (725, 5)) for P in eisenstein_basis(N, p)]
+    assert len(basis) == 19
+    for P in basis:
+        _check_beta_against_oracle(P)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_beta_matches_oracle_on_random_pgood_params(rng):
+    for P in random_pgood_params(rng, 2):
+        _check_beta_against_oracle(P)
+
+
+@pytest.mark.parametrize("N,count,digest", [
+    (121, 12, "ba220bb09a800ae3fb767488a30521311dd4a79208cdeef591e7afdab976789e"),
+    (234, 16, "7bd338fd27ab72fc16a459e6b644d077f97206a4a86338333d016d44c8312c53"),
+    (725, 12, "4dc1add95bc092244a942693db96e41783ec0665677c0d3732039d21b505face"),
+])
+def test_cusp_order_hash_and_repr(N, count, digest):
+    """Cusps sort and hash as their (level, d, x) tuples; the sorted reprs are
+    those the cusps had as a dataclass."""
+    cs = sorted(enumerate_cusps(N))
+    assert len(cs) == count
+    assert cs == sorted(enumerate_cusps(N), key=lambda c: (c.level, c.d, c.x))
+    assert all(hash(c) == hash((c.level, c.d, c.x)) for c in cs)
+    text = " ".join(f"{c!r}={c.d},{c.x}" for c in cs)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -70,15 +70,17 @@ def test_readme_worked_example():
 
 def _record_call_stacks(monkeypatch, targets):
     """Wrap each module attribute wherever a loaded eiscong module binds it,
-    as a tracer from outside the library does, and return the list that
-    gains the stack of wrapped names at every wrapped call."""
-    stack, seen = [], []
+    as a tracer from outside the library does.  Return the list that gains
+    the stack of wrapped names at every wrapped call, and the dict that maps
+    each wrapped name to the positional arguments of its calls."""
+    stack, seen, positional = [], [], {}
     for module, name in targets:
         orig = getattr(module, name)
 
         def traced(*args, _orig=orig, _name=name, **kwargs):
             stack.append(_name)
             seen.append(tuple(stack))
+            positional.setdefault(_name, []).append(args)
             try:
                 return _orig(*args, **kwargs)
             finally:
@@ -89,7 +91,7 @@ def _record_call_stacks(monkeypatch, targets):
                 for key, value in list(vars(mod).items()):
                     if value is orig:
                         monkeypatch.setattr(mod, key, traced)
-    return seen
+    return seen, positional
 
 
 class _Session:
@@ -109,12 +111,20 @@ class _Session:
 
 def test_traced_call_chains(monkeypatch, tmp_path):
     """A tracer that wraps public functions through module globals reaches
-    every layer of a scan and both parses of a cache round trip."""
-    seen = _record_call_stacks(monkeypatch, [
+    every layer of a scan and both parses of a cache round trip.  The
+    benchmark's tracer reads the embedding key as the three positional
+    arguments (k, field_poly, q) of reduction_embeddings, and the field as
+    the second positional argument of roots_in_field."""
+    seen, positional = _record_call_stacks(monkeypatch, [
         (scanner, "full_scan"), (scanner, "scan"), (scanner, "reduction_embeddings"),
         (ffield, "roots_in_field"), (newforms, "fetch_newforms"), (newforms, "parse_newforms")])
     scanner.full_scan(121, 11)
     assert ("full_scan", "scan", "reduction_embeddings", "roots_in_field") in seen
+    keys = positional["reduction_embeddings"]
+    assert keys and all(len(a) == 3 and isinstance(a[0], int) and isinstance(a[2], int)
+                        and list(a[1]) == [int(c) for c in a[1]] for a in keys)
+    roots = positional["roots_in_field"]
+    assert roots and all(len(a) == 2 and isinstance(a[1], ffield.FiniteField) for a in roots)
     data = json.loads(resources.files("eiscong.data").joinpath("newforms_121.json").read_text())
     seen.clear()
     newforms.fetch_newforms(121, endpoint="http://stub/api", cache_dir=tmp_path,

@@ -233,20 +233,29 @@ def _scan_payload(res) -> str:
 
 def test_full_scan_one_root_search_per_key(monkeypatch):
     """full_scan computes reduction_embeddings once per distinct (phi order,
-    field_poly, l): 22 keys among the 72 scans at 725, with the golden result."""
+    field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
+    Within them it factors each field polynomial once per l (11 calls), finds
+    its roots once per F (18) and the roots of Phi_k once per (k', F) (5)."""
     from eiscong import scanner
 
     keys = []
     original = scanner.reduction_embeddings
 
-    def counting(k, field_poly, q):
+    def counting(k, field_poly, q, **kwargs):
         keys.append((k, tuple(field_poly), q))
-        return original(k, field_poly, q)
+        return original(k, field_poly, q, **kwargs)
 
+    calls = {}
+    for name in ("roots_in_field", "factor_degrees_mod_q", "cyclotomic_roots"):
+        def counted(*args, _fn=getattr(scanner, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(scanner, name, counted)
     monkeypatch.setattr(scanner, "reduction_embeddings", counting)
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
+    assert calls == {"roots_in_field": 18, "factor_degrees_mod_q": 11, "cyclotomic_roots": 5}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
 
@@ -299,3 +308,38 @@ def test_full_scan_skips_unusable_newform_prime():
     assert len(extra) == 1 and extra[0].startswith("121.2.a.z at l=5:")
     assert res.reports == base.reports
     assert res.hit_labels() == base.hit_labels()
+
+
+def _brute_orbit_minima(F, pairs):
+    """The pairs equal to the smallest pair of their orbit under x -> x^q."""
+    def orbit(pair):
+        out = [pair]
+        while len(out) < F.r:
+            out.append(tuple(F.pow(x, F.q) for x in out[-1]))
+        return out
+    return [pair for pair in pairs if pair == min(orbit(pair))]
+
+
+def test_scan_tries_orbit_minima(monkeypatch):
+    """full_scan(725, 5) tries 42 of the 85 (zeta-root, poly-root) pairs of
+    its 22 embedding keys, the smallest of each Frobenius orbit, once per key;
+    every certified embedding is one of them."""
+    from eiscong import scanner
+
+    tried = []
+    original = scanner._orbit_minima
+
+    def recording(F, pairs):
+        out = original(F, pairs)
+        assert out == _brute_orbit_minima(F, pairs) and out[0] == pairs[0]
+        tried.append((len(out), len(pairs)))
+        return out
+
+    monkeypatch.setattr(scanner, "_orbit_minima", recording)
+    res = full_scan(725, 5)
+    assert len(tried) == 22
+    assert tuple(map(sum, zip(*tried))) == (42, 85)
+    F = {h.report.residue_degree: FiniteField.create(7, h.report.residue_degree) for h in res.hits}
+    for h in res.hits:
+        zr, gr = h.report.embedding
+        assert _brute_orbit_minima(F[h.report.residue_degree], [(zr, gr)]) == [(zr, gr)]
