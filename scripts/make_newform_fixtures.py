@@ -11,6 +11,12 @@ multiplicities, U_p behaviour, Hasse traces), and then frozen as JSON under
 src/eiscong/data/.
 
 This script is not part of the library; the library only ingests the JSON.
+It does reuse the library's exact helpers: integer arithmetic from
+`eiscong.arith`, ring-generic polynomial products and monic division from
+`eiscong.polys` (on Fraction coefficients here), the canonical row HNF from
+`eiscong.lattices.hnf`, and cusp counting and Gamma0(N)-equivalence from
+`eiscong.cusps`.  Dense linear algebra over Q is one reduced-row-echelon
+routine, `rref`, with thin callers.
 Run:  python scripts/make_newform_fixtures.py [--selfcheck]
 """
 
@@ -20,7 +26,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 from sympy import Poly, symbols
@@ -29,8 +35,11 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 DATA_DIR = HERE.parent / "src" / "eiscong" / "data"
 
-from eiscong.arith import (divisors, euler_phi, is_prime,  # noqa: E402
-                           prime_divisors, primes_up_to, xgcd)
+from eiscong import polys  # noqa: E402
+from eiscong.arith import (divisors, is_prime, prime_divisors,  # noqa: E402
+                           primes_up_to, xgcd)
+from eiscong.cusps import cusp_count, gamma0_equivalent  # noqa: E402
+from eiscong.lattices import hnf  # noqa: E402
 
 X = symbols("x")
 
@@ -40,7 +49,7 @@ def genus_gamma0(N):
     mu = N
     for p in ps:
         mu = mu // p * (p + 1)
-    nu_inf = sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
+    nu_inf = cusp_count(N)
     if N % 4 == 0:
         nu2 = 0
     else:
@@ -176,13 +185,17 @@ class PlusQuotient:
         dead = [False] * n
 
         def find2(i):
-            # returns (root, s) with x_i = s * x_root
-            if parent[i] == i:
-                return i, 1
-            r, s = find2(parent[i])
-            parent[i] = r
-            sign[i] = sign[i] * s
-            return r, sign[i]
+            # returns (root, s) with x_i = s * x_root; compresses the path
+            path = []
+            while parent[i] != i:
+                path.append(i)
+                i = parent[i]
+            s = 1
+            for j in reversed(path):
+                s *= sign[j]
+                sign[j] = s
+                parent[j] = i
+            return i, s
 
         def union(i, j, s):
             # impose x_i = s * x_j
@@ -198,7 +211,6 @@ class PlusQuotient:
             if dead[ri]:
                 dead[rj] = True
 
-        sys.setrecursionlimit(10000)
         for i in range(n):
             c, d = self.p1[i]
             union(i, idx((d, -c)), -1)      # x = -x*sigma
@@ -304,36 +316,10 @@ class PlusQuotient:
 
     # -- boundary ---------------------------------------------------------
 
-    def _gamma0_equiv(self, p, q):
-        """Gamma0(N)-equivalence of cusps (u1,v1), (u2,v2) (Cremona Prop 8.13)."""
-        (u1, v1), (u2, v2) = self._normalize_cusp(p), self._normalize_cusp(q)
-        s1 = self._inv_mod(u1, v1)
-        s2 = self._inv_mod(u2, v2)
-        m = gcd(v1 * v2, self.N)
-        if m == 0:
-            m = self.N
-        return (s1 * v2 - s2 * v1) % m == 0
-
     def _cusp_equiv(self, p, q):
-        """Equivalence up to the star involution (u,v) -> (-u,v)."""
-        return self._gamma0_equiv(p, q) or self._gamma0_equiv((-p[0], p[1]), q)
-
-    @staticmethod
-    def _normalize_cusp(p):
-        u, v = p
-        g = gcd(u, v)
-        if g:
-            u, v = u // g, v // g
-        if v < 0:
-            u, v = -u, -v
-        return u, v
-
-    @staticmethod
-    def _inv_mod(u, v):
-        if v in (0, 1, -1):
-            return 1
-        _, s, _ = xgcd(u, v)
-        return s % abs(v)
+        """Gamma0(N)-equivalence up to the star involution (u,v) -> (-u,v)."""
+        N = self.N
+        return gamma0_equivalent(N, p, q) or gamma0_equivalent(N, (-p[0], p[1]), q)
 
     def boundary_matrix(self):
         """Boundary map into cusp classes modulo the star action."""
@@ -434,84 +420,64 @@ def mat_vec(A, v):
     return [sum(a * x for a, x in zip(row, v) if a and x) for row in A]
 
 
-def nullspace(mat, ncols):
-    """Basis of the right kernel of a Fraction matrix (rows x ncols)."""
-    rows = [list(r) for r in mat]
-    nrows = len(rows)
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
+def rref(rows):
+    """Reduced row echelon form over Q: (nonzero rows, their pivot columns).
+
+    This is the one dense Gauss-Jordan elimination in the script; the
+    nullspace, rank and solves below all read its output.
+    """
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(nrows):
+        for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def nullspace(mat, ncols):
+    """(basis of the right kernel, free columns) of a Fraction matrix.
+
+    Basis vector j is 1 at free column j and 0 at the other free columns, so
+    the basis restricted to the free columns is the identity.
+    """
+    R, piv_cols = rref(mat)
     free_cols = [c for c in range(ncols) if c not in piv_cols]
     basis = []
     for fc in free_cols:
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -rows[i][fc]
+        for row, pc in zip(R, piv_cols):
+            v[pc] = -row[fc]
         basis.append(v)
-    return basis
+    return basis, free_cols
 
 
-def rref_pivot_rows(B):
-    """Row indices P such that B[P] is invertible (B has full column rank)."""
-    rows = [list(r) for r in B]
-    n = len(rows)
-    m = len(rows[0])
-    piv_rows = []
-    used = [False] * n
-    col = 0
-    work = [list(r) for r in rows]
-    for col in range(m):
-        piv = None
-        for i in range(n):
-            if not used[i] and work[i][col]:
-                piv = i
-                break
-        assert piv is not None, "matrix does not have full column rank"
-        used[piv] = True
-        piv_rows.append(piv)
-        inv = Fraction(1) / work[piv][col]
-        work[piv] = [x * inv for x in work[piv]]
-        for i in range(n):
-            if i != piv and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[piv])]
-    return piv_rows
+def solve(A, B):
+    """The X with A X = B (A rows x n of full column rank, B rows x m), or
+    None when the system is inconsistent."""
+    n = len(A[0])
+    R, piv_cols = rref([list(a) + list(b) for a, b in zip(A, B)])
+    if piv_cols and piv_cols[-1] >= n:
+        return None
+    assert piv_cols == list(range(n)), "matrix does not have full column rank"
+    return [row[n:] for row in R]
 
 
-def solve_square(A, B):
-    """Solve A X = B for square invertible Fraction matrix A; B matrix."""
-    n = len(A)
-    m = len(B[0])
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+def columns(vecs):
+    """The matrix whose columns are the given vectors."""
+    return [list(col) for col in zip(*vecs)]
 
 
 # ------------------------------------------------------- charpoly via CRT
@@ -605,34 +571,6 @@ def charpoly(A):
     return current  # ascending coefficients, monic
 
 
-# ----------------------------------------------------- polynomial helpers
-
-
-def poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return out
-
-
-def poly_mod(f, g):
-    f = list(f)
-    dg = len(g) - 1
-    inv = Fraction(1) / g[-1]
-    while len(f) > dg:
-        c = f[-1] * inv
-        if c:
-            off = len(f) - 1 - dg
-            for i in range(dg + 1):
-                f[off + i] -= c * g[i]
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
 # --------------------------------------------------------------- newforms
 
 
@@ -649,15 +587,8 @@ class Orbit:
 
     def an_vectors(self, bound):
         """a_n for n=1..bound in the generator power basis (Fraction vectors)."""
-        d = self.dim
-        g = [Fraction(c) for c in self.field_poly]
-        one = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        zero = [Fraction(0)] * d
-
-        def kmul(u, v):
-            w = poly_mod(poly_mul(u, v), g)
-            return w + [Fraction(0)] * (d - len(w))
-
+        g = self.field_poly  # monic, so products reduce by divmod_monic
+        one = [Fraction(1)] + [Fraction(0)] * (self.dim - 1)
         an = {1: one}
         N = self.level
         for p, ap in sorted(self.ap.items()):
@@ -671,9 +602,10 @@ class Orbit:
                 pk *= p
                 k += 1
                 if N % p == 0:
-                    cur = kmul(prev1, ap)
+                    cur = polys.divmod_monic(polys.mul(prev1, ap), g)[1]
                 else:
-                    cur = [a - p * b for a, b in zip(kmul(ap, prev1), prev2)]
+                    apa = polys.divmod_monic(polys.mul(ap, prev1), g)[1]
+                    cur = [a - p * b for a, b in zip(apa, prev2)]
                 an[pk] = cur
                 prev2, prev1 = prev1, cur
         out = [None] * (bound + 1)
@@ -690,7 +622,7 @@ class Orbit:
                 if pk not in an:
                     ok = False
                     break
-                acc = kmul(acc, an[pk])
+                acc = polys.divmod_monic(polys.mul(acc, an[pk]), g)[1]
             if not ok:
                 raise RuntimeError(f"missing a_p for n={n}")
             out[n] = acc
@@ -724,19 +656,19 @@ def extract_newforms(N, prime_bound, verbose=True):
     sp = PlusQuotient(N)
     g_expected = genus_gamma0(N)
     bmat = sp.boundary_matrix()
-    cusp_basis = nullspace(bmat, sp.dim)
+    cusp_basis, free_cols = nullspace(bmat, sp.dim)
     gdim = len(cusp_basis)
     assert gdim == g_expected, f"cuspidal dim {gdim} != genus {g_expected}"
     if verbose:
         print(f"[{N}] manin dim {sp.dim}, cuspidal dim {gdim} ({time.time()-t0:.1f}s)")
 
-    B = [[cusp_basis[j][i] for j in range(gdim)] for i in range(sp.dim)]  # sp.dim x gdim
-    piv = rref_pivot_rows(B)
-    Bp = [B[i] for i in piv]
+    B = columns(cusp_basis)  # sp.dim x gdim
 
     def restrict(T):
+        # B is the identity on the rows of the free columns, so those rows
+        # of B A = T B give A
         TB = mat_mul(T, B)
-        A = solve_square(Bp, [TB[i] for i in piv])
+        A = [TB[i] for i in free_cols]
         # exact stability check
         BA = mat_mul(B, A)
         assert BA == TB, "cuspidal subspace not stable / restriction wrong"
@@ -778,8 +710,9 @@ def extract_newforms(N, prime_bound, verbose=True):
         g = [Fraction(int(c)) for c in reversed(f.all_coeffs())]
         d = len(g) - 1
         # q = chi // g  (exact)
-        q, r = _poly_divmod(chiR, g)
-        assert not r
+        assert g[-1] == 1
+        q, r = polys.divmod_monic(chiR, g)
+        assert not any(r)
         # kernel vectors via q(T) * e_j
         vecs = []
         j = 0
@@ -790,7 +723,7 @@ def extract_newforms(N, prime_bound, verbose=True):
             j += 1
             if any(w):
                 cand = vecs + [w]
-                if _rank(cand) == len(cand):
+                if len(rref(cand)[1]) == len(cand):
                     vecs.append(w)
         assert len(vecs) == d
         v = vecs[0]
@@ -799,15 +732,12 @@ def extract_newforms(N, prime_bound, verbose=True):
         W = [v]
         for _ in range(d - 1):
             W.append(mat_vec(T, W[-1]))
-        Wm = [[W[t][i] for t in range(d)] for i in range(gdim)]  # gdim x d
-        wpiv = rref_pivot_rows(Wm)
-        Wp = [Wm[i] for i in wpiv]
+        tvs = [mat_vec(hecke[p], v) for p in plist]
+        C = solve(columns(W), columns(tvs))
+        assert C is not None, "a Hecke operator does not act as a scalar on the orbit"
         orbit = Orbit(N, d)
         theta_ap = {}
-        for p in plist:
-            tv = mat_vec(hecke[p], v)
-            c = solve_square(Wp, [[tv[i]] for i in wpiv])
-            coeffs = [c[t][0] for t in range(d)]
+        for p, tv, coeffs in zip(plist, tvs, columns(C)):
             # exact check on the full vector
             full = [sum(coeffs[t] * W[t][i] for t in range(d)) for i in range(gdim)]
             assert full == tv, f"T_{p} does not act as a scalar on the orbit"
@@ -845,24 +775,6 @@ def _new_dimension(M):
     return nd
 
 
-def _poly_divmod(f, g):
-    f = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    while len(f) >= len(g) and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        c = f[-1] / g[-1]
-        d = len(f) - len(g)
-        q[d] = c
-        for i in range(len(g)):
-            f[d + i] -= c * g[i]
-        f.pop()
-    while f and f[-1] == 0:
-        f.pop()
-    return q, f
-
-
 def _horner_matvec(poly, T, v):
     acc = [poly[-1] * x for x in v]
     for c in reversed(poly[:-1]):
@@ -872,32 +784,7 @@ def _horner_matvec(poly, T, v):
     return acc
 
 
-def _rank(vecs):
-    rows = [list(v) for v in vecs]
-    n = len(rows[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
 # --------------------------------------- choose generator / presentation
-
-
-def _kmul(u, v, g):
-    d = len(g) - 1
-    w = poly_mod(poly_mul(u, v), [Fraction(c) for c in g])
-    return w + [Fraction(0)] * (d - len(w))
 
 
 def _minpoly_and_powers(gamma, theta_poly):
@@ -905,47 +792,15 @@ def _minpoly_and_powers(gamma, theta_poly):
     d = len(theta_poly) - 1
     pows = [[Fraction(1)] + [Fraction(0)] * (d - 1)]
     for _ in range(d):
-        pows.append(_kmul(pows[-1], gamma, theta_poly))
-    # find the first linear dependency among pows[0..k]
+        pows.append(polys.divmod_monic(polys.mul(pows[-1], gamma), theta_poly)[1])
+    # the first k with gamma^k = sum_{i<k} c_i gamma^i; gamma^0..gamma^(k-1)
+    # are independent, so the solve has full column rank
     for k in range(1, d + 1):
-        rows = [pows[i] for i in range(k + 1)]
-        # solve: pows[k] = sum_{i<k} c_i pows[i]?
-        M = [[rows[i][j] for i in range(k)] for j in range(d)]  # d x k
-        target = [rows[k][j] for j in range(d)]
-        sol = _solve_overdetermined(M, target)
+        sol = solve(columns(pows[:k]), [[x] for x in pows[k]])
         if sol is not None:
-            minpoly = [-c for c in sol] + [Fraction(1)]
+            minpoly = [-c for c, in sol] + [Fraction(1)]
             return minpoly, pows[:k]
     raise RuntimeError("no dependency found")
-
-
-def _solve_overdetermined(M, target):
-    """Solve M c = target exactly if consistent; M is tall (rows x cols)."""
-    rows = len(M)
-    cols = len(M[0]) if M and M[0] else 0
-    aug = [list(M[i]) + [target[i]] for i in range(rows)]
-    r = 0
-    piv_cols = []
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    out = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        out[c] = aug[i][cols]
-    return out
 
 
 PREFERRED_POLYS = {
@@ -995,13 +850,10 @@ def finalize_orbit(orbit, prime_bound):
             best = entry
     assert best is not None, "no generator found"
     minpoly, pows = best
-    # basis-change: solve G^T c = a_p where rows of G are gamma^j in theta basis
-    G = [[pows[j][i] for j in range(d)] for i in range(d)]  # d x d, column j = gamma^j
+    # basis change: solve G c = a_p, column j of G = gamma^j in theta basis
     orbit.field_poly = [int(c) for c in minpoly]
-    orbit.ap = {}
-    for p, vec in theta_ap.items():
-        c = solve_square(G, [[x] for x in vec])
-        orbit.ap[p] = [c[j][0] for j in range(d)]
+    C = solve(columns(pows), columns(theta_ap.values()))
+    orbit.ap = dict(zip(theta_ap, columns(C)))
     # verify: a_2 reconstructed
     for p, vec in theta_ap.items():
         rec = [Fraction(0)] * d
@@ -1039,86 +891,35 @@ def record_for_orbit(orbit, bound):
         assert all(v[0].denominator == 1 for v in an)
         rec["an"] = [[int(v[0])] for v in an]
         return rec
+
+    def integral_coordinates(basis_rows):
+        # the an in the basis with these elements, which must be integral
+        C = solve(columns(basis_rows), columns(an))
+        assert all(x.denominator == 1 for row in C for x in row), "basis is not integral for an"
+        return [[int(x) for x in c] for c in columns(C)]
+
     if orbit.level == 725 and orbit.field_poly == PAPER_BASIS_725_L["field_poly"]:
         basis = PAPER_BASIS_725_L
         rows = [
             [Fraction(num, den) for num in row]
             for row, den in zip(basis["basis_matrix"], basis["basis_denominators"])
         ]
-        Bm = [[rows[j][i] for j in range(orbit.dim)] for i in range(orbit.dim)]
-        converted = []
-        for v in an:
-            c = solve_square(Bm, [[x] for x in v])
-            cv = [c[j][0] for j in range(orbit.dim)]
-            assert all(x.denominator == 1 for x in cv), "paper basis is not integral for an"
-            converted.append([int(x) for x in cv])
         rec["basis_matrix"] = basis["basis_matrix"]
         rec["basis_denominators"] = basis["basis_denominators"]
-        rec["an"] = converted
+        rec["an"] = integral_coordinates(rows)
         return rec
     if all(all(x.denominator == 1 for x in v) for v in an):
         rec["an"] = [[int(x) for x in v] for v in an]
         return rec
     # general fallback: HNF basis of the lattice spanned by the an (a ring, so
     # full rank); coordinates in that basis are integral by construction
-    d = orbit.dim
-    D = 1
-    for v in an:
-        for x in v:
-            D = D * x.denominator // gcd(D, x.denominator)
-    ivecs = [[int(x * D) for x in v] for v in an]
-    H = _hnf(ivecs)
-    assert len(H) == d, "an lattice is not full rank"
-    rows = [[Fraction(x, D) for x in hrow] for hrow in H]
-    Bm = [[rows[j][i] for j in range(d)] for i in range(d)]
-    converted = []
-    for v in an:
-        c = solve_square(Bm, [[x] for x in v])
-        cv = [c[j][0] for j in range(d)]
-        assert all(x.denominator == 1 for x in cv)
-        converted.append([int(x) for x in cv])
-    rec["basis_matrix"] = [list(h) for h in H]
-    rec["basis_denominators"] = [D] * d
-    rec["an"] = converted
+    D = lcm(*(x.denominator for v in an for x in v))
+    H = hnf([[int(x * D) for x in v] for v in an])
+    assert len(H) == orbit.dim, "an lattice is not full rank"
+    rec["basis_matrix"] = H
+    rec["basis_denominators"] = [D] * orbit.dim
+    rec["an"] = integral_coordinates([[Fraction(x, D) for x in h] for h in H])
     return rec
-
-
-def _hnf(rows):
-    rows = [list(r) for r in rows if any(r)]
-    n = len(rows[0])
-    basis = []
-    work = rows
-    for col in range(n):
-        pivot = None
-        rest = []
-        for r in work:
-            if r[col] and pivot is None:
-                pivot = r
-            else:
-                rest.append(r)
-        if pivot is None:
-            work = rest
-            continue
-        for r in rest:
-            while r[col]:
-                q = r[col] // pivot[col]
-                if q:
-                    for j in range(col, n):
-                        r[j] -= q * pivot[j]
-                if r[col]:
-                    pivot[:], r[:] = r[:], pivot[:]
-        if pivot[col] < 0:
-            pivot[:] = [-x for x in pivot]
-        basis.append(pivot)
-        work = [r for r in rest if any(r)]
-    for i in range(len(basis)):
-        pc = next(j for j in range(n) if basis[i][j])
-        for k in range(i):
-            q = basis[k][pc] // basis[i][pc]
-            if q:
-                for j in range(pc, n):
-                    basis[k][j] -= q * basis[i][j]
-    return basis
 
 
 def assign_labels(orbits, trace_len=40):

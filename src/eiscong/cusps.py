@@ -105,7 +105,9 @@ def cusp_count(N: int) -> int:
 
 
 def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) -> bool:
-    """Independent cusp-equivalence oracle (Cremona Prop. 8.13), for tests."""
+    """Gamma0(N)-equivalence of the cusps u1/v1 and u2/v2 (Cremona Prop. 8.13),
+    independent of the (d, x) representatives; the tests and the fixture
+    generator use it."""
 
     def normalize(u, v):
         g = gcd(u, v)

@@ -39,11 +39,6 @@ class QExpansion:
             raise DomainError(f"coefficient a_{n} outside valid precision {self.precision}")
         return self.coeffs[n - 1]
 
-    def truncate(self, B: int) -> "QExpansion":
-        if B > self.precision:
-            raise DomainError("cannot extend precision by truncation")
-        return QExpansion(self.level, B, self.coeffs[:B], self.a0)
-
     def scale(self, c) -> "QExpansion":
         return QExpansion(self.level, self.precision, tuple(a * c for a in self.coeffs), self.a0 * c)
 
@@ -57,11 +52,6 @@ class QExpansion:
             tuple(self.coeffs[i] - other.coeffs[i] for i in range(B)),
             self.a0 - other.a0,
         )
-
-    def equals_up_to(self, other: "QExpansion", B: int) -> bool:
-        if B > min(self.precision, other.precision):
-            raise DomainError("comparison bound exceeds available precision")
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(B)) and self.a0 == other.a0
 
     def is_scalar_multiple_of(self, other: "QExpansion", B: int):
         """The scalar c with self = c * other up to q^B, or None."""
@@ -316,6 +306,20 @@ def uq_eigenvalue(params: EisensteinParams, q: int) -> CycElement:
 # ----------------------------------------------------------- twisted L-values
 
 
+def _lambda_common(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
+    """The factors Lambda and Lambda_pm share: chi(f M L / (T1 T2)), the Euler
+    factors at the primes of T1 and T2, and B1(chi^{-1} phi^{-1}) B1(chi phi^{-1})."""
+    phi = params.phi
+    phi_inv = phi.inverse()
+    T1, T2 = params.T1, params.T2
+    out = chi.value(params.f * params.M * params.L // (T1 * T2))
+    for l in prime_divisors(T1) if T1 > 1 else ():
+        out = out * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
+    for q in prime_divisors(T2) if T2 > 1 else ():
+        out = out * (1 - chi.value(q) * phi_inv.value(q))
+    return out * bernoulli_B1(chi.inverse() * phi_inv) * bernoulli_B1(chi * phi_inv)
+
+
 def lambda_twisted(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
     """Lambda(E_{phi,M,L}, chi, 1) in closed form, chi primitive with
     conductor coprime to N."""
@@ -325,17 +329,8 @@ def lambda_twisted(params: EisensteinParams, chi: DirichletCharacter) -> CycElem
     if gcd(m_chi, params.N) != 1:
         raise DomainError(f"conductor {m_chi} must be coprime to N = {params.N}")
     phi = params.phi
-    phi_inv = phi.inverse()
-    T1, T2 = params.T1, params.T2
-    front = phi.value(m_chi) * gauss_sum_inverse(phi_inv) * Fraction(1, 2)
-    front = front * chi.value(params.f * params.M * params.L // (T1 * T2))
-    for l in prime_divisors(T1) if T1 > 1 else ():
-        front = front * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
-    for q in prime_divisors(T2) if T2 > 1 else ():
-        front = front * (1 - chi.value(q) * phi_inv.value(q))
-    b1a = bernoulli_B1(chi.inverse() * phi_inv)
-    b1b = bernoulli_B1(chi * phi_inv)
-    return front * b1a * b1b
+    front = phi.value(m_chi) * gauss_sum_inverse(phi.inverse()) * Fraction(1, 2)
+    return front * _lambda_common(params, chi)
 
 
 def lambda_pm(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
@@ -345,15 +340,6 @@ def lambda_pm(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
     phi = params.phi
     if chi.is_even() == phi.is_even():
         raise DomainError("chi must lie in X_S^{-phi(-1)} (opposite parity to phi)")
-    m_chi = chi.modulus
-    phi_inv = phi.inverse()
-    T1, T2 = params.T1, params.T2
-    front = phi.value(-m_chi) * gauss_sum(phi) * Fraction(1, params.f)
-    front = front * chi.value(params.f * params.M * params.L // (T1 * T2))
-    for l in prime_divisors(T1) if T1 > 1 else ():
-        front = front * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
-    for q in prime_divisors(T2) if T2 > 1 else ():
-        front = front * (1 - chi.value(q) * phi_inv.value(q))
-    b1a = bernoulli_B1(chi.inverse() * phi_inv) * Fraction(1, 2)
-    b1b = bernoulli_B1(chi * phi_inv) * Fraction(1, 2)
-    return front * b1a * b1b
+    front = phi.value(-chi.modulus) * gauss_sum(phi) * Fraction(1, params.f)
+    # each of the two B1 values carries a factor 1/2 here
+    return front * _lambda_common(params, chi) * Fraction(1, 4)

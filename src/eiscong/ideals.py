@@ -90,14 +90,6 @@ def candidate_characteristics(N: int, p: int) -> CandidateReport:
 # ------------------------------------------------------------- descriptors
 
 
-def reduced_character_order(phi: DirichletCharacter, l: int) -> int:
-    """Order of phi reduced mod a prime above l: the prime-to-l part of order(phi)."""
-    k = phi.order
-    while k % l == 0:
-        k //= l
-    return k
-
-
 def eisenstein_character(phi: DirichletCharacter, l: int) -> DirichletCharacter:
     """The canonical lift eps of the reduction of phi mod a prime above l:
     the power of phi of order = prime-to-l part of order(phi) with the same
@@ -209,7 +201,7 @@ class IdealDescriptor:
         parts = [str(self.residual_char)]
         parts.extend(self.u_generators)
         parts.extend(
-            g.render().replace("r =", "r =") + f" (mod {self.p})" for g in self.tr_groups
+            g.render() + f" (mod {self.p})" for g in self.tr_groups
         )
         return "<" + ", ".join(parts) + ">"
 

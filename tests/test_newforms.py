@@ -247,9 +247,8 @@ def test_cache_write_failure_keeps_old_file(tmp_path, monkeypatch):
     assert len(fetch_newforms(11, cache_dir=tmp_path, offline=True)[0].an) == 6
 
 
-def test_fixture_script_regenerates_121(monkeypatch):
-    """The fixture generator (a dev tool needing sympy) rebuilds the bundled
-    level-121 file byte for byte."""
+def _fixture_script(monkeypatch):
+    """The fixture generator (a dev tool needing sympy), loaded as a module."""
     pytest.importorskip("sympy")
     import importlib.util
     import sys
@@ -262,5 +261,28 @@ def test_fixture_script_regenerates_121(monkeypatch):
         "make_newform_fixtures", root / "scripts" / "make_newform_fixtures.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    bundled = (root / "src" / "eiscong" / "data" / "newforms_121.json").read_text()
+    return script
+
+
+def test_fixture_script_regenerates_121(monkeypatch):
+    """The fixture generator rebuilds the bundled level-121 file byte for
+    byte, and level 171, whose 4-dimensional orbit 171.2.a.e takes the HNF
+    basis fallback, to pinned bytes that parse."""
+    import hashlib
+
+    script = _fixture_script(monkeypatch)
+    bundled = (script.DATA_DIR / "newforms_121.json").read_text()
     assert json.dumps(script.build_level(121, 32), indent=1) == bundled
+
+    recs = script.build_level(171, 40)
+    text = json.dumps(recs, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "75355a1bc9b4e85f6adf6f19a7d15f6a66aab703c44680294e7b64818ffeb27c")
+    assert "basis_matrix" in next(r for r in recs if r["label"] == "171.2.a.e")
+    parsed = parse_newforms(json.loads(text))
+    assert [r.label for r in parsed] == [r["label"] for r in recs]
+
+
+def test_fixture_script_selfcheck(monkeypatch):
+    """`--selfcheck`: the known newforms at levels 11, 23, 29 and 37."""
+    _fixture_script(monkeypatch).selfcheck()
