@@ -14,8 +14,8 @@ from the multi-sum with the alpha/beta/gamma coefficient recurrences, and
 verify_boundary compares the two exactly.
 
 Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
-core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so
-verify_boundary computes the core once for beta_phi and beta.  A `Cusp` is
+core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so it is
+computed once per phi and shared by every beta of that phi.  A `Cusp` is
 the tuple (level, d, x): it hashes and sorts as that tuple, which keeps the
 divisors' dict lookups cheap.
 """
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
@@ -102,33 +102,6 @@ def enumerate_cusps(N: int) -> tuple[Cusp, ...]:
 
 def cusp_count(N: int) -> int:
     return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
-
-
-def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) -> bool:
-    """Gamma0(N)-equivalence of the cusps u1/v1 and u2/v2 (Cremona Prop. 8.13),
-    independent of the (d, x) representatives; the tests and the fixture
-    generator use it."""
-
-    def normalize(u, v):
-        g = gcd(u, v)
-        if g:
-            u, v = u // g, v // g
-        if v < 0:
-            u, v = -u, -v
-        return u, v
-
-    def inv_mod(u, v):
-        if v in (0, 1):
-            return 1
-        g, s, _ = xgcd(u, v)
-        return s % v
-
-    (u1, v1), (u2, v2) = normalize(*frac1), normalize(*frac2)
-    s1, s2 = inv_mod(u1, v1), inv_mod(u2, v2)
-    m = gcd(v1 * v2, N)
-    if m == 0:
-        m = N
-    return (s1 * v2 - s2 * v1) % m == 0
 
 
 # --------------------------------------------------------------- divisors
@@ -345,10 +318,11 @@ def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
 # ----------------------------------------------------- beta and the boundary
 
 
+@cache
 def _beta_core(phi: DirichletCharacter) -> CycElement:
     """tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1) in Q(zeta_lcm(f,k)), xi the primitive
     character of phi^2: the factor of every beta_{Gamma0(N),phi,M,L} that phi
-    alone fixes."""
+    alone fixes, computed once per phi."""
     xi = (phi * phi).primitive_part()
     m = lcm(phi.modulus, phi.order)
     return (gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
@@ -357,11 +331,7 @@ def _beta_core(phi: DirichletCharacter) -> CycElement:
 
 def beta_constant(params: EisensteinParams) -> CycElement:
     """beta_{Gamma0(N),phi,M,L}, exact in Q(zeta_lcm(f,k))."""
-    return _beta_constant(params, _beta_core(params.phi))
-
-
-def _beta_constant(params: EisensteinParams, core: CycElement) -> CycElement:
-    """beta_constant(params) from `core` = _beta_core(params.phi)."""
+    core = _beta_core(params.phi)
     f, N, M = params.f, params.N, params.M
     xi = params.xi
     m = core.field.m
@@ -384,14 +354,9 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
 def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
     """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion of the
     refinement/scaling/promotion construction (proof order)."""
-    return _boundary_divisor(params, _beta_core(params.phi))
-
-
-def _boundary_divisor(params: EisensteinParams, core: CycElement) -> CuspDivisor:
-    """boundary_divisor(params) from `core` = _beta_core(params.phi)."""
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
-    D = D_divisor(f * f, f, phi).scale(_beta_constant(EisensteinParams(phi, f * f, 1, 1), core))
+    D = D_divisor(f * f, f, phi).scale(beta_constant(EisensteinParams(phi, f * f, 1, 1)))
     for l in prime_divisors(params.T1) if params.T1 > 1 else ():
         # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^*
         D = pullback_pi_paren(D, l) - pullback_pi_l(D, l).scale(phi.value(l) * Fraction(1, l))
@@ -513,12 +478,7 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
 
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
-    return _closed_form_boundary(params, _beta_core(params.phi))
-
-
-def _closed_form_boundary(params: EisensteinParams, core: CycElement) -> CuspDivisor:
-    """closed_form_boundary(params) from `core` = _beta_core(params.phi)."""
-    return D_NML(params).scale(_beta_constant(params, core))
+    return D_NML(params).scale(beta_constant(params))
 
 
 @dataclass(frozen=True)
@@ -532,11 +492,9 @@ class BoundaryReport:
 
 
 def verify_boundary(params: EisensteinParams) -> BoundaryReport:
-    """Recursion path vs closed-form path; the theorem asserts equality.
-    Both scale by a beta whose Gauss-sum core is computed once here."""
-    core = _beta_core(params.phi)
-    lhs = _boundary_divisor(params, core)
-    rhs = _closed_form_boundary(params, core)
+    """Recursion path vs closed-form path; the theorem asserts equality."""
+    lhs = boundary_divisor(params)
+    rhs = closed_form_boundary(params)
     if lhs == rhs:
         return BoundaryReport(True, params.N, None)
     return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))

@@ -111,6 +111,8 @@ def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
         raise DomainError("e_phi requires a nontrivial character (rational series are out of scope)")
     if not phi.is_primitive():
         raise DomainError("e_phi requires a primitive character")
+    if B < 1:
+        raise DomainError(f"the precision must be at least 1 (got {B})")
     f, k = phi.modulus, phi.order
     K = CyclotomicField(k)
     exps = [phi.value_exponent(n) for n in range(B + 1)]

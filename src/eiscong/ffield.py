@@ -33,6 +33,16 @@ the first g in the fixed element order that gives exact order k'.  When k'
 does not divide q - 1 the search starts at element q (the class of x), since
 every g in F_q^* gives a z in F_q^*, of order dividing q - 1.  The sorted
 set of roots does not depend on which z is found.
+
+Monic integer polynomials factor over Z on the same core (Zassenhaus; von
+zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
+gcd a heuristic one that division confirms.  It is split mod the prime l,
+among the first five that keep it squarefree, with the fewest factors, by
+the distinct- and equal-degree splitting above.  A tree of quadratic Hensel
+steps lifts the factors mod l^k past twice Mignotte's bound on the
+coefficients of a factor, and the smallest subsets whose product divides f
+exactly give the irreducible factors.  Their multiplicities come from
+repeated division.
 """
 
 from __future__ import annotations
@@ -40,9 +50,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
-from math import gcd
+from itertools import combinations, zip_longest
+from math import gcd, isqrt
 
+from . import polys
 from .arith import DomainError, is_prime, prime_divisors
 
 ENUMERATION_CAP = 1 << 16
@@ -379,3 +390,179 @@ def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
     if len(fp) <= 1:
         raise DomainError("polynomial is constant mod q")
     return [e for e, fe in _distinct_degree(fp, Fq) for _ in range((len(fe) - 1) // e)]
+
+
+# ------------------------------------------------------ factoring over Z
+
+
+def _pxgcd(a, b, F):
+    """(s, t) with s a + t b = 1, for coprime a and b over F."""
+    r0, r1, s0, s1, t0, t1 = a, b, [F.one()], [], [], [F.one()]
+    while r1:
+        c = F.inv(r1[-1])
+        q = [F.mul(x, c) for x in _pdivmod(r0, [F.mul(x, c) for x in r1], F)[0]]
+        r0, r1 = r1, _psub(r0, _pmul(q, r1, F), F)
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, F), F)
+        t0, t1 = t1, _psub(t0, _pmul(q, t1, F), F)
+    c = F.inv(r0[0])
+    return [F.mul(x, c) for x in s0], [F.mul(x, c) for x in t0]
+
+
+def _zmod(a, m):
+    """An integer polynomial mod m, in [0, m), trimmed."""
+    out = [x % m for x in a]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zlin(m, *terms):
+    """The sum of c * a over the (c, a) in terms, mod m."""
+    out = []
+    for c, a in terms:
+        out += [0] * (len(a) - len(out))
+        for i, x in enumerate(a):
+            out[i] += c * x
+    return _zmod(out, m)
+
+
+def _hensel(f, g, h, ell, top):
+    """Monic (g, h) with f = g h mod top, from monic g, h with f = g h mod ell
+    and gcd(g, h) = 1 mod ell, top a power of ell (quadratic lifting, von zur
+    Gathen-Gerhard, Alg. 15.10)."""
+    Fl = FiniteField(ell, 1, (0, 1))
+    s, t = ([x[0] for x in v] for v in _pxgcd([(x,) for x in g], [(x,) for x in h], Fl))
+    mul, m = polys.mul, ell
+    while m < top:
+        m = min(m * m, top)
+        e = _zlin(m, (1, f), (-1, mul(g, h)))
+        q, r = polys.divmod_monic(mul(s, e), h)
+        g = _zlin(m, (1, g), (1, mul(t, e)), (1, mul(q, g)))
+        h = _zlin(m, (1, h), (1, r))
+        b = _zlin(m, (1, mul(s, g)), (1, mul(t, h)), (-1, [1]))
+        c, d = polys.divmod_monic(mul(s, b), h)
+        s = _zlin(m, (1, s), (-1, d))
+        t = _zlin(m, (1, t), (-1, mul(t, b)), (-1, mul(c, g)))
+    return g, h
+
+
+def _lift_all(f, factors, ell, top):
+    """Monic lifts mod top of the monic factors mod ell of f, by a balanced
+    tree of two-factor lifts."""
+    if len(factors) == 1:
+        return [_zmod(f, top)]
+    half = len(factors) // 2
+    g, h = ([x[0] for x in _product(part, ell)] for part in (factors[:half], factors[half:]))
+    g, h = _hensel(f, g, h, ell, top)
+    return _lift_all(g, factors[:half], ell, top) + _lift_all(h, factors[half:], ell, top)
+
+
+def _product(factors, ell):
+    """The product of polynomials over F_ell."""
+    Fl = FiniteField(ell, 1, (0, 1))
+    out = [Fl.one()]
+    for u in factors:
+        out = _pmul(out, u, Fl)
+    return out
+
+
+def _gcd_z(f, g):
+    """The monic gcd of the monic f and g in Z[x]: the heuristic gcd (Geddes,
+    Czapor and Labahn, Algorithms for Computer Algebra, Thm. 7.7), whose
+    candidate is the gcd once it divides both."""
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(20):
+        h = gcd(_eval(f, xi), _eval(g, xi))
+        cand = []
+        while h:
+            c = h % xi
+            c -= xi if 2 * c > xi else 0
+            cand.append(c)
+            h = (h - c) // xi
+        content = gcd(*cand) if cand[-1] > 0 else -gcd(*cand)
+        cand = [c // content for c in cand]
+        if cand[-1] == 1 and not any(polys.divmod_monic(f, cand)[1]) \
+                and not any(polys.divmod_monic(g, cand)[1]):
+            return cand
+        xi = xi * 73794 // 27011
+    raise ArithmeticError("heuristic gcd did not converge")
+
+
+def _eval(f, x):
+    """f(x) by Horner's rule."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _zassenhaus(f):
+    """The monic irreducible factors over Z of the monic squarefree f: factor
+    mod the prime ell (among the first five that keep f squarefree) with the
+    fewest factors, lift them past twice Mignotte's bound, and recombine the
+    smallest subsets whose product divides f."""
+    n = len(f) - 1
+    best = None
+    ell, tried = 2, 0
+    while tried < 5:
+        ell += 1
+        if not is_prime(ell):
+            continue
+        Fl = FiniteField(ell, 1, (0, 1))
+        fl = _reduce_monic(f, Fl)
+        derivative = _trim([Fl.from_int(i * c) for i, c in enumerate(f)][1:])
+        if len(_pgcd(fl, derivative, Fl)) != 1:
+            continue
+        tried += 1
+        count = sum((len(fe) - 1) // e for e, fe in _distinct_degree(fl, Fl))
+        if best is None or count < best[0]:
+            best = (count, ell, fl)
+        if count == 1:
+            return [f]
+    _, ell, fl = best
+    Fl = FiniteField(ell, 1, (0, 1))
+    rng = random.Random(0x5EED)
+    factors = [u for e, fe in _distinct_degree(fl, Fl) for u in _equal_degree(fe, e, Fl, rng)]
+    bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    top = ell
+    while top <= 2 * bound:
+        top *= ell
+    lifted = _lift_all(f, factors, ell, top)
+    out, size = [], 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [1]
+            for i in subset:
+                g = _zmod(polys.mul(g, lifted[i]), top)
+            g = [c - top if 2 * c > top else c for c in g]
+            q, r = polys.divmod_monic(f, g)
+            if not any(r):
+                out.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [f] if len(f) > 1 else out
+
+
+def factor_over_z(f) -> list[tuple[list[int], int]]:
+    """[(g, m)]: the monic irreducible factors g over Z of the monic integer
+    polynomial f (ascending coefficients), each with its multiplicity m,
+    sorted by degree and then by descending coefficients."""
+    f = [int(c) for c in f]
+    if not f or f[-1] != 1:
+        raise DomainError("factor_over_z needs a monic polynomial")
+    if len(f) == 1:
+        return []
+    square_free = polys.divmod_monic(f, _gcd_z(f, [i * c for i, c in enumerate(f)][1:]))[0]
+    out = []
+    for g in _zassenhaus(square_free):
+        m = 0
+        while True:
+            q, r = polys.divmod_monic(f, g)
+            if any(r):
+                break
+            f, m = q, m + 1
+        out.append((g, m))
+    return sorted(out, key=lambda gm: (len(gm[0]), gm[0][::-1]))

@@ -173,6 +173,8 @@ def scan(
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
         B = sturm_bound(E.level)
+    if B < 1:
+        raise DomainError(f"the bound must be at least 1 (got {B})")
     if B > E.precision or B > record.bound:
         raise DomainError(
             f"bound {B} exceeds available precision ({E.precision} Eisenstein, "
@@ -261,6 +263,8 @@ def full_scan(
     residual characteristic l coprime to 6p; emit a descriptor per certified
     congruence (pairs whose reduced character is trivial are skipped: those
     would be rational Eisenstein congruences, out of scope)."""
+    if bound is not None and bound < 1:
+        raise DomainError(f"the bound must be at least 1 (got {bound})")
     if records is None:
         records = newforms_for_level(N, cache_dir=cache_dir)
     if not records:

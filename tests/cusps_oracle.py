@@ -2,11 +2,13 @@
 kept as a test oracle.
 
 `beta_constant` computes the Gauss-sum factor tau(phi^-1) tau(xi^-1)^-1
-B2(xi^-1) anew on every call, where the library computes it once per
-boundary check; `D_NML` scales every D-divisor of the multi-sum, also when
-its coefficient is 1.  The code is verbatim; the coefficient tables,
+B2(xi^-1) anew on every call, where the library computes it once per phi;
+`D_NML` scales every D-divisor of the multi-sum, also when its coefficient
+is 1.  The code is verbatim; the coefficient tables,
 `D_divisor` and `CuspDivisor` are the library's, which this change left as
-they were.
+they were.  `gamma0_equivalent`, the classical criterion for two cusps to
+be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
+`cusp_from_fraction`, which the Manin-symbol boundary map now uses too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from eiscong.arith import euler_phi, prime_divisors, valuation
+from eiscong.arith import euler_phi, prime_divisors, valuation, xgcd
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
 from eiscong.cusps import (CuspDivisor, D_divisor, _alpha_table, _beta_table,
                            _gamma_table)
@@ -76,3 +78,29 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
     return D_NML(params).scale(beta_constant(params))
+
+
+def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) -> bool:
+    """Gamma0(N)-equivalence of the cusps u1/v1 and u2/v2 (Cremona Prop. 8.13),
+    independent of the (d, x) representatives."""
+
+    def normalize(u, v):
+        g = gcd(u, v)
+        if g:
+            u, v = u // g, v // g
+        if v < 0:
+            u, v = -u, -v
+        return u, v
+
+    def inv_mod(u, v):
+        if v in (0, 1):
+            return 1
+        g, s, _ = xgcd(u, v)
+        return s % v
+
+    (u1, v1), (u2, v2) = normalize(*frac1), normalize(*frac2)
+    s1, s2 = inv_mod(u1, v1), inv_mod(u2, v2)
+    m = gcd(v1 * v2, N)
+    if m == 0:
+        m = N
+    return (s1 * v2 - s2 * v1) % m == 0

@@ -72,6 +72,13 @@ def test_usage_errors(capsys):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "qexp", "--level", "120", "--char", "11.2.1")
     assert code == 2
+    # a bound or precision below 1 is refused, not answered vacuously
+    code, out, err = run_cli(capsys, "scan", "--level", "121", "--p", "11", "--bound", "0",
+                             "--offline")
+    assert code == 2 and not out and "at least 1" in err
+    code, out, err = run_cli(capsys, "qexp", "--level", "121", "--char", "11.2.1",
+                             "--prec", "-3")
+    assert code == 2 and not out and "at least 1" in err
 
 
 def test_fetch_offline_no_cache(capsys, tmp_path):

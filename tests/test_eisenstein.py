@@ -51,6 +51,11 @@ def test_e_phi_preconditions():
         e_phi(DirichletCharacter.trivial(3), 5)
     with pytest.raises(DomainError):
         e_phi(quadratic_character(3).extend(12), 5)
+    for B in (0, -3):  # no coefficient to compute
+        with pytest.raises(DomainError):
+            e_phi(quadratic_character(3), B)
+        with pytest.raises(DomainError):
+            build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), B)
 
 
 def test_refinements_234():

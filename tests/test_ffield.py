@@ -267,3 +267,72 @@ def test_characteristic_two_splitting_terminates():
     roots = finite_field_roots(cyclotomic_polynomial(7), 2, 3)
     F = FiniteField.create(2, 3)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(7), F) and len(roots) == 6
+
+
+# ---------------------------------------------------------- factoring over Z
+
+
+def _irreducible_mod_some_prime(f):
+    """A monic f that stays irreducible mod some small prime is irreducible over Z."""
+    return any(factor_degrees_mod_q(f, q) == [len(f) - 1] for q in (2, 3, 5, 7, 11, 13))
+
+
+def _bundled_field_polys():
+    from eiscong.newforms import bundled_newforms
+
+    return sorted({tuple(r.field_poly) for N in (121, 234, 725) for r in bundled_newforms(N)})
+
+
+_IRREDUCIBLES = st.one_of(
+    st.integers(1, 20).map(cyclotomic_polynomial),
+    st.sampled_from(_bundled_field_polys()),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5)
+    .map(lambda c: tuple(c) + (1,)).filter(_irreducible_mod_some_prime),
+)
+
+
+def _descending_key(g):
+    return (len(g), g[::-1])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(_IRREDUCIBLES, st.integers(1, 3)), min_size=1, max_size=3))
+def test_factor_over_z_recovers_products(parts):
+    """A product of known irreducibles with multiplicities 1-3 factors back
+    into exactly that multiset, sorted by degree and descending coefficients."""
+    expected = {}
+    for g, m in parts:
+        expected[tuple(g)] = expected.get(tuple(g), 0) + m
+    f = [1]
+    for g, m in expected.items():
+        for _ in range(m):
+            f = polys.mul(f, list(g))
+    got = ffield.factor_over_z(f)
+    assert {tuple(g): m for g, m in got} == expected
+    assert [g for g, _ in got] == sorted((list(g) for g in expected), key=_descending_key)
+
+
+def test_factor_over_z_edges():
+    assert ffield.factor_over_z([1]) == []
+    assert ffield.factor_over_z([0, 0, 0, 1]) == [([0, 1], 3)]
+    # irreducible over Z, reducible mod every prime
+    assert ffield.factor_over_z([1, 0, 0, 0, 1]) == [([1, 0, 0, 0, 1], 1)]
+    # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2), Sophie Germain
+    assert ffield.factor_over_z([4, 0, 0, 0, 1]) == [([2, -2, 1], 1), ([2, 2, 1], 1)]
+    with pytest.raises(DomainError):
+        ffield.factor_over_z([1, 2])
+
+
+def test_factor_over_z_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rng = random.Random(11)
+    for _ in range(40):
+        f = [1]
+        for _ in range(rng.randint(1, 4)):
+            g = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [1]
+            for _ in range(rng.randint(1, 2)):
+                f = polys.mul(f, g)
+        _, ref = sympy.Poly(f[::-1], x).factor_list()
+        ref = sorted(([int(c) for c in p.all_coeffs()[::-1]], m) for p, m in ref)
+        assert sorted(ffield.factor_over_z(f)) == ref

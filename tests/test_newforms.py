@@ -248,8 +248,7 @@ def test_cache_write_failure_keeps_old_file(tmp_path, monkeypatch):
 
 
 def _fixture_script(monkeypatch):
-    """The fixture generator (a dev tool needing sympy), loaded as a module."""
-    pytest.importorskip("sympy")
+    """The fixture generator, loaded as a module."""
     import importlib.util
     import sys
     from pathlib import Path
@@ -283,6 +282,36 @@ def test_fixture_script_regenerates_121(monkeypatch):
     assert [r.label for r in parsed] == [r["label"] for r in recs]
 
 
+@pytest.mark.parametrize("N, bound", [(234, 94), (725, 160)])
+def test_fixture_script_regenerates_bundled(monkeypatch, N, bound):
+    """The bundled levels 234 (five rational newforms, found on the second
+    choice of generic operator) and 725 (orbits of degree up to 6, 725.2.a.l
+    on its published basis) regenerate byte for byte."""
+    script = _fixture_script(monkeypatch)
+    bundled = (script.DATA_DIR / f"newforms_{N}.json").read_text()
+    assert json.dumps(script.build_level(N, bound), indent=1) == bundled
+
+
 def test_fixture_script_selfcheck(monkeypatch):
     """`--selfcheck`: the known newforms at levels 11, 23, 29 and 37."""
     _fixture_script(monkeypatch).selfcheck()
+
+
+def test_fixture_script_needs_no_sympy():
+    """Generating newforms imports no sympy (in a fresh interpreter, since
+    another test may have imported it)."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_newform_fixtures.py"
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('m', sys.argv[1])\n"
+        "m = importlib.util.module_from_spec(spec); spec.loader.exec_module(m)\n"
+        "m.build_level(121, 32)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(script)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

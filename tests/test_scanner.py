@@ -66,6 +66,9 @@ def test_scan_121():
     assert all(not scan(E, P, r, 5).matched for r in others)
     with pytest.raises(DomainError):
         scan(E, P, rec_d, 5, B=23)  # beyond Eisenstein precision
+    for B in (0, -1):  # would certify every pair vacuously
+        with pytest.raises(DomainError):
+            scan(E, P, rec_d, 5, B=B)
 
 
 def test_scan_725_b_and_l():
@@ -103,6 +106,8 @@ def test_full_scan_121():
         assert cuspidal_order(h.params) % h.report.prime == 0
     # identical displayed ideal across conjugate hits
     assert len({h.descriptor.render() for h in res.hits}) == 1
+    with pytest.raises(DomainError):
+        full_scan(121, 11, bound=0)  # would certify all 20 pairs vacuously
 
 
 def test_full_scan_234():
