@@ -322,7 +322,7 @@ def gauss_sum(chi: DirichletCharacter) -> CycElement:
         if e is None:
             continue
         acc[(e * (L // k) + a * (L // f)) % L] += 1
-    return K.element(acc)
+    return K.power_sum(acc)
 
 
 def gauss_sum_inverse(chi: DirichletCharacter) -> CycElement:
@@ -345,7 +345,7 @@ def bernoulli_B1(chi: DirichletCharacter) -> CycElement:
         if e is None:
             continue
         acc[e % k] += a
-    return K.element(acc) * Fraction(1, f)
+    return K.power_sum(acc) * Fraction(1, f)
 
 
 def bernoulli_B2(chi: DirichletCharacter) -> CycElement:
@@ -365,7 +365,7 @@ def bernoulli_B2(chi: DirichletCharacter) -> CycElement:
         if e is None:
             continue
         acc[e % k] += 6 * a * a - 6 * a * m + m * m
-    return K.element(acc) * Fraction(1, 6 * m)
+    return K.power_sum(acc) * Fraction(1, 6 * m)
 
 
 def chi_in_XS(chi: DirichletCharacter, N: int) -> bool:

@@ -63,7 +63,7 @@ def _params_from_args(args) -> EisensteinParams:
 
 def cmd_qexp(args) -> None:
     P = _params_from_args(args)
-    prec = args.prec if args.prec else sturm_bound(args.level) + 1
+    prec = sturm_bound(args.level) + 1 if args.prec is None else args.prec
     E = build_E(P, prec)
     lines = [f"{P.label()} to q^{prec}:", E.pretty()] + E.machine_lines()
     _emit(

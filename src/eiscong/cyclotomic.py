@@ -15,7 +15,19 @@ when the field is made; `zeta(j)` returns entry j mod m, so a character value
 is a lookup.  The table is constant data of the field, like its modulus, and
 takes no part in equality, hashing or repr.  zeta^j is a unit vector when j
 (after the sign fold) is below the degree, and `polys.mul` by it costs O(d),
-since it loops over the sparser factor.
+since it loops over the sparser factor.  Beside it the field keeps each
+power's nonzero entries, so `power_sum(counts)`, the element
+sum_j counts[j] zeta^j that Gauss sums, Bernoulli numbers and q-expansion
+coefficients are made of, costs one addition per nonzero entry and no
+reduction.
+
+Every element is built by `_element`, which sets the three slots directly
+(the class stays frozen: assigning to a field raises) and trusts its caller
+for canonical num/den.  `_canonical` divides out gcd(den, content(num)) and is
+skipped for den = 1, where that gcd is 1 whatever num is: an element of
+Z[zeta_m], such as a power sum or a product of integral elements, is
+canonical as it is computed.  Arithmetic between elements of one field
+object skips `promote`; only mixed fields embed into the compositum.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
@@ -64,16 +76,19 @@ class _CycField:
     degree: int
     modulus: tuple[int, ...]  # Phi_m, ascending, monic
     powers: tuple = field(init=False, compare=False, repr=False)  # zeta^0..zeta^(m-1)
+    terms: tuple = field(init=False, compare=False, repr=False)  # nonzero (i, c) of each power's num
 
     def __post_init__(self):
         m, d = self.m, self.degree
         h = m if m % 2 else m // 2  # zeta^h = -1 when m is even
-        powers = [CycElement(self, tuple(int(i == j) for i in range(d))) for j in range(min(d, h))]
+        powers = [_element(self, tuple(int(i == j) for i in range(d))) for j in range(min(d, h))]
         for _ in range(d, h):  # zeta^j = zeta * zeta^(j-1): one step of the reduction
-            powers.append(CycElement(self, tuple(self.reduce([0, *powers[-1].num]))))
+            powers.append(_element(self, tuple(self.reduce([0, *powers[-1].num]))))
         if h < m:
             powers += [-z for z in powers]
         object.__setattr__(self, "powers", tuple(powers))
+        object.__setattr__(self, "terms", tuple(tuple((i, c) for i, c in enumerate(z.num) if c)
+                                                for z in powers))
 
     def __repr__(self):
         return f"Q(zeta_{self.m})"
@@ -104,6 +119,17 @@ class _CycField:
             cs = [c.numerator * (den // c.denominator) for c in cs]
         return _canonical(self, self.reduce(cs), den)
 
+    def power_sum(self, counts) -> "CycElement":
+        """sum_j counts[j] * zeta^j for integers counts[j], j < m, read off the
+        table of powers.  The sum lies in Z[zeta_m], so den = 1 and the result
+        is canonical as built."""
+        num = [0] * self.degree
+        for c, t in zip(counts, self.terms):
+            if c:
+                for i, x in t:
+                    num[i] += c * x
+        return _element(self, tuple(num))
+
     def zero(self) -> "CycElement":
         return self.element([])
 
@@ -123,13 +149,15 @@ class _CycField:
 
 def _canonical(field: _CycField, num: list[int], den: int) -> "CycElement":
     """num/den with gcd(den, content(num)) = 1 and den > 0."""
+    if den == 1:
+        return _element(field, tuple(num))
     g = gcd(den, *num)
     if den < 0:
         g = -g
     if g != 1:
         num = [c // g for c in num]
         den //= g
-    return CycElement(field, tuple(num), den)
+    return _element(field, tuple(num), den)
 
 
 def _rational(q) -> tuple[int, int] | None:
@@ -200,7 +228,7 @@ class CycElement:
 
     def __add__(self, other):
         if isinstance(other, CycElement):
-            a, b = CycElement.promote(self, other)
+            a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
             den = lcm(a.den, b.den)
             sa, sb = den // a.den, den // b.den
             return _canonical(a.field, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
@@ -215,7 +243,7 @@ class CycElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return CycElement(self.field, tuple(-c for c in self.num), self.den)
+        return _element(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         if isinstance(other, (CycElement, int, Fraction)):
@@ -227,7 +255,7 @@ class CycElement:
 
     def __mul__(self, other):
         if isinstance(other, CycElement):
-            a, b = CycElement.promote(self, other)
+            a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
             return _canonical(a.field, a.field.reduce(polys.mul(a.num, b.num)), a.den * b.den)
         q = _rational(other)
         if q is None:
@@ -285,7 +313,7 @@ class CycElement:
 
     def __eq__(self, other):
         if isinstance(other, CycElement):
-            a, b = CycElement.promote(self, other)
+            a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
             return a.num == b.num and a.den == b.den
         q = _rational(other)
         if q is None:
@@ -341,3 +369,17 @@ class CycElement:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
+
+
+_field_slot, _num_slot, _den_slot = (CycElement.__dict__[f].__set__ for f in ("field", "num", "den"))
+
+
+def _element(field: _CycField, num: tuple[int, ...], den: int = 1) -> CycElement:
+    """CycElement(field, num, den) for a canonical num/den, with the slots set
+    directly instead of through the frozen dataclass's object.__setattr__;
+    assigning to a field of the result still raises."""
+    e = object.__new__(CycElement)
+    _field_slot(e, field)
+    _num_slot(e, num)
+    _den_slot(e, den)
+    return e

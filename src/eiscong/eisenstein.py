@@ -7,6 +7,12 @@ critical refinement at l sends g(z) to g(z) - phi(l) g(lz); the ordinary one
 to g(z) - l phi^{-1}(l) g(lz); both are the identity for l | f.  Scaling by
 gamma_d multiplies the argument by d and the expansion by d.  All coefficients
 live in Q(zeta_k), k = order(phi); nothing is ever evaluated numerically.
+
+`e_phi` sieves exponents: b_n is sum_j c_j zeta_k^j with integer counts c_j,
+accumulated over the pairs bc = n, and the `power_sum` of Q(zeta_k) maps the
+counts to power-basis numerators through the field's table of zeta powers.
+The sum is an algebraic integer, so its denominator is 1 and the element
+needs no reduction mod Phi_k and no canonicalization.
 """
 
 from __future__ import annotations
@@ -126,7 +132,7 @@ def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
             ec = exps[c]
             if ec is not None:
                 acc[b * c][(ec - eb) % k] += b
-    coeffs = tuple(K.element(a) for a in acc[1:])
+    coeffs = tuple(K.power_sum(a) for a in acc[1:])
     return QExpansion(f * f, B, coeffs, K.zero())
 
 

@@ -10,17 +10,18 @@ building Num(e).  With d the denominator of e, Num(e) = (1/d)((d*e) cap (d)),
 and for full-rank lattices [O : I cap J] * [O : I + J] = [O : I] * [O : J].
 The [O : (d)] = d^n on the right cancels the 1/d, so
 [O : Num(e)] = |N(d*e)| / [O : (d*e) + (d)]: a norm, and for d > 1 one HNF of
-(d*e) + (d).  That lattice contains d*Z^n, so d^n is a multiple of its
-determinant, and `hnf` takes exactly d^n when the rows of d*I_n come first.
+(d*e) + (d).  That lattice contains d*Z^n, so `hnf` takes d itself as the
+modulus of every column, and no entry grows past d.
 
-`hnf` works modulo a determinant multiple (Cohen, GTM 138, Alg. 2.4.8;
-Domich-Kannan-Trotter 1987).  Its invariant: a full-rank lattice L in Z^n
-contains D*Z^n for every multiple D of det L, so entries can be reduced mod D
-without leaving L.  D starts as |det| of n independent input rows (Bareiss
-elimination).  Each column's pivot p = gcd(D, column entries) is an HNF
-diagonal entry; the rows left, zero in that column, span a lattice of
-determinant det L / p, so D // p serves for the next column and no entry
-grows past the first D.
+`hnf` works modulo an integer D with D*Z^n inside the lattice L (Cohen, GTM
+138, Alg. 2.4.8; Domich-Kannan-Trotter 1987), so entries can be reduced mod D
+without leaving L.  Each column's pivot p = gcd(D, column entries) is an HNF
+diagonal entry, and the rows left, zero in that column, together with D*Z^n
+span the part of L that is zero in the columns done so far; so a D given by
+the caller serves every column.  By default D is |det| of n independent input
+rows (Bareiss elimination), a multiple of det L; the rows left then span a
+lattice of determinant det L / p, so D // p serves for the next column and no
+entry grows past the first D.
 """
 
 from __future__ import annotations
@@ -51,15 +52,17 @@ def _det_multiple(rows: list[list[int]], n: int) -> int:
     return abs(prev)
 
 
-def hnf(rows: list[list[int]]) -> list[list[int]]:
+def hnf(rows: list[list[int]], modulus: int | None = None) -> list[list[int]]:
     """Canonical row HNF of the full-rank lattice spanned by integer rows.
 
-    Raises DomainError when the rows do not span a full-rank lattice.
+    With `modulus` D > 0 the lattice is that of the rows and D*Z^n, and D is
+    the modulus of every column.  Without it, raises DomainError when the rows
+    do not span a full-rank lattice.
     """
     if not rows:
         return []
     n = len(rows[0])
-    D = _det_multiple(rows, n)
+    D = modulus or _det_multiple(rows, n)
     work = [list(r) for r in rows]
     basis: list[list[int]] = []
     for i in range(n):
@@ -76,7 +79,8 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
                     [(a // g * y - b // g * x) % D for x, y in zip(pivot, r)],
                 )
         basis.append(pivot)
-        D //= pivot[i]
+        if modulus is None:
+            D //= pivot[i]
     # reduce entries above each pivot
     for i in range(n):
         for k in range(i):
@@ -146,8 +150,5 @@ def numerator_index(e: CycElement) -> int:
     norm = abs(int(de.norm_to_Q()))
     if d == 1:
         return norm
-    n = e.field.degree
-    # the rows of d*I_n first, so hnf's determinant multiple is d^n
-    rows = [[d if i == j else 0 for j in range(n)] for i in range(n)] + _mult_rows(de)
-    basis = hnf(rows)
-    return norm // math.prod(basis[i][i] for i in range(n))
+    basis = hnf(_mult_rows(de), modulus=d)
+    return norm // math.prod(basis[i][i] for i in range(len(basis)))

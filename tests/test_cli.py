@@ -81,6 +81,16 @@ def test_usage_errors(capsys):
     assert code == 2 and not out and "at least 1" in err
 
 
+def test_qexp_prec_zero_is_refused(capsys):
+    """An explicit --prec 0 reaches build_E's check; it is not read as "no
+    precision given" and answered at the Sturm bound."""
+    code, out, err = run_cli(capsys, "qexp", "--level", "121", "--char", "11.2.1",
+                             "--prec", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the precision must be at least 1 (got 0)\n"
+
+
 def test_fetch_offline_no_cache(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "fetch", "--level", "11", "--offline", "--cache-dir", str(tmp_path)

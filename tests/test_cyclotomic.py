@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -216,6 +217,63 @@ def test_equal_values_hash_equal(mc, c):
     assert a.den > 0 and gcd(a.den, *a.num) == 1
     assert K.element([2, 4]) * Fraction(1, 2) == K.element([1, 2])
     assert hash(K.element([2, 4]) * Fraction(1, 2)) == hash(K.element([1, 2]))
+
+
+# operand pairs from two fields: m | m', and coprime m and m'
+_CROSS_FIELDS = ((3, 12), (4, 12), (5, 10), (11, 110), (3, 4), (5, 7), (4, 9))
+
+
+@st.composite
+def _over(draw, m, den):
+    """Fraction coefficients of an element of Q(zeta_m) with denominator den."""
+    d = CyclotomicField(m).degree
+    nums = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+    nums[draw(st.integers(0, d - 1))] = 1  # content 1, so den is not cancelled
+    return [Fraction(c, den) for c in nums]
+
+
+@pytest.mark.parametrize("dens", ((1, 1), (1, 6), (4, 1), (6, 10)))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(pair=st.sampled_from(_CROSS_FIELDS), data=st.data())
+def test_cross_field_operations_match_oracle(dens, pair, data):
+    """+, -, * and == of elements of two different fields promote to the
+    compositum exactly as the oracle does; results hash as the same element
+    built in the compositum."""
+    m, m2 = pair
+    u, v = data.draw(_over(m, dens[0])), data.draw(_over(m2, dens[1]))
+    a, b = CyclotomicField(m).element(u), CyclotomicField(m2).element(v)
+    oa, ob = cyclotomic_oracle.CyclotomicField(m).element(u), cyclotomic_oracle.CyclotomicField(m2).element(v)
+    assert (a.den, b.den) == dens
+    if m2 % m == 0 and data.draw(st.booleans()):  # an equal pair across the fields
+        b, ob = a.embed(m2), oa.embed(m2)
+    for x, y, ox, oy in ((a, b, oa, ob), (b, a, ob, oa)):
+        for got, want in ((x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy)):
+            assert _same(got, want)
+            rebuilt = CyclotomicField(want.field.m).element(want.coeffs)
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+        assert (x == y) == (ox == oy)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(_ORACLE_FIELDS), st.data())
+def test_power_sum_matches_element(m, data):
+    """sum_j counts[j] zeta^j from the table of powers is the element that
+    reducing the counts mod Phi_m gives."""
+    counts = data.draw(st.lists(st.integers(-20, 20), min_size=m, max_size=m))
+    K = CyclotomicField(m)
+    got, want = K.power_sum(counts), K.element(counts)
+    assert (got.num, got.den, hash(got)) == (want.num, want.den, hash(want))
+
+
+def test_elements_stay_frozen():
+    K = CyclotomicField(12)
+    a = K.element([1, Fraction(1, 3)])
+    for x in (a, K.zeta(5), -a, a + a, a * K.zeta(7), a * 3, K.power_sum([0, 2, 0, 1]),
+              a.embed(24), K.zero()):
+        for name, value in (("num", (0,)), ("den", 2), ("field", K)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, value)
+        assert x.den > 0 and gcd(x.den, *x.num) == 1
 
 
 def test_zeta_matches_reduced_power():

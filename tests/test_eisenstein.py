@@ -1,9 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eiscong.arith import DomainError, primes_up_to
+import eisenstein_oracle
+from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import (DirichletCharacter, character_with_value,
                                 enumerate_characters, quadratic_character)
 from eiscong.cyclotomic import CyclotomicField
@@ -11,6 +16,7 @@ from eiscong.eisenstein import (EisensteinParams, build_E, e_phi, hecke_Tl,
                                 hecke_Uq, lambda_pm, lambda_twisted,
                                 refine_critical, refine_ordinary, slash_scale,
                                 tl_eigenvalue, uq_eigenvalue)
+from eiscong.scanner import eisenstein_basis
 
 
 def rational_coeffs(E, B):
@@ -246,3 +252,34 @@ def test_hecke_eigenform_property_randomized():
                 continue
             lam = hecke_Tl(E, r).is_scalar_multiple_of(E, B // r)
             assert lam is not None and lam == tl_eigenvalue(P.phi, r).embed(lam.field.m)
+
+
+# -- e_phi against the former sieve, and the benchmark's pinned expansions ------
+
+_ORACLE_CHARACTERS = [phi for f in range(3, 41) for phi in enumerate_characters(f)
+                      if phi.is_primitive() and 2 <= phi.order <= 12]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_ORACLE_CHARACTERS), st.integers(1, 100))
+def test_e_phi_matches_oracle(phi, B):
+    """Every coefficient read off the table of zeta powers is the element the
+    former per-coefficient `K.element` built: same num, den and hash."""
+    E, O = e_phi(phi, B), eisenstein_oracle.e_phi(phi, B)
+    assert (E.level, E.precision, len(E.coeffs)) == (O.level, O.precision, len(O.coeffs))
+    for a, b in zip(E.coeffs + (E.a0,), O.coeffs + (O.a0,)):
+        assert a.field is b.field
+        assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+
+
+def test_build_E_matches_benchmark_goldens():
+    """The 19 eigenbasis expansions at the Sturm bound hash to the digests the
+    benchmark checks (bench/goldens.json, read only)."""
+    golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
+    got = {}
+    for N, p in ((121, 11), (234, 3), (725, 5)):
+        for P in eisenstein_basis(N, p):
+            lines = "\n".join(build_E(P, sturm_bound(N)).machine_lines())
+            got[P.label()] = hashlib.sha256(lines.encode()).hexdigest()
+    assert len(got) == 19
+    assert got == golden["build_E"]

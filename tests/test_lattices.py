@@ -79,6 +79,16 @@ def test_hnf_matches_oracle(rows):
     assert math.prod(h[i][i] for i in range(n)) == index
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_integer_matrices(), st.integers(1, 60))
+def test_hnf_with_modulus_matches_oracle(rows, D):
+    """hnf(rows, modulus=D) is the HNF of the lattice of the rows and D*Z^n,
+    rank-deficient rows included."""
+    n = len(rows[0])
+    scaled = [[D * (i == j) for j in range(n)] for i in range(n)]
+    assert hnf(rows, modulus=D) == lattice_oracle.hnf(scaled + rows)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 2], [2, 4]],
     [[1, 2, 3], [4, 5, 6], [5, 7, 9], [0, 0, 0]],
