@@ -10,8 +10,9 @@ policy: the generator of each coefficient field (`finalize_orbit`, with
 from trace vectors, the JSON records, and the checks against the
 coefficients the paper displays (`check_paper_data`) and against known
 small levels (`selfcheck`).  Dense linear algebra over Q on the d <= 6
-dimensional coefficient vectors is one reduced-row-echelon routine, `rref`.
-The results are frozen as JSON under src/eiscong/data/.
+dimensional coefficient vectors scales each row to integers and eliminates
+with the library's fraction-free `eiscong.modsym._echelon`.  The results are
+frozen as JSON under src/eiscong/data/.
 
 Run:  python scripts/make_newform_fixtures.py [--selfcheck]
 """
@@ -31,47 +32,30 @@ DATA_DIR = HERE.parent / "src" / "eiscong" / "data"
 from eiscong import polys  # noqa: E402
 from eiscong.arith import prime_divisors  # noqa: E402
 from eiscong.lattices import hnf  # noqa: E402
-from eiscong.modsym import newform_orbits  # noqa: E402
+from eiscong.modsym import _echelon, newform_orbits  # noqa: E402
 
 
 # ------------------------------------------------------------- dense Q linalg
 
 
-def rref(rows):
-    """Reduced row echelon form over Q: (nonzero rows, their pivot columns).
-
-    This is the one dense Gauss-Jordan elimination in the script; the
-    solves below read its output.
-    """
-    rows = [list(r) for r in rows]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows[:len(pivots)], pivots
+def echelon_q(rows):
+    """`_echelon` on rational rows, each scaled to integers first: (R, pivot
+    columns), with R[i] / R[i][pivots[i]] the reduced row echelon form."""
+    ints = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (m // x.denominator) for x in row])
+    return _echelon(ints)
 
 
 def solve(A, B):
-    """The X with A X = B (A rows x n of full column rank, B rows x m), or
-    None when the system is inconsistent."""
+    """The X with A X = B (A rows x n of full column rank, B rows x m, the
+    system consistent)."""
     n = len(A[0])
-    R, piv_cols = rref([list(a) + list(b) for a, b in zip(A, B)])
-    if piv_cols and piv_cols[-1] >= n:
-        return None
-    assert piv_cols == list(range(n)), "matrix does not have full column rank"
-    return [row[n:] for row in R]
+    R, piv_cols = echelon_q([list(a) + list(b) for a, b in zip(A, B)])
+    assert piv_cols == list(range(n)), "inconsistent, or not of full column rank"
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(R)]
 
 
 def columns(vecs):
@@ -174,14 +158,13 @@ def _minpoly_and_powers(gamma, theta_poly):
     pows = [[Fraction(1)] + [Fraction(0)] * (d - 1)]
     for _ in range(d):
         pows.append(polys.divmod_monic(polys.mul(pows[-1], gamma), theta_poly)[1])
-    # the first k with gamma^k = sum_{i<k} c_i gamma^i; gamma^0..gamma^(k-1)
-    # are independent, so the solve has full column rank
-    for k in range(1, d + 1):
-        sol = solve(columns(pows[:k]), [[x] for x in pows[k]])
-        if sol is not None:
-            minpoly = [-c for c, in sol] + [Fraction(1)]
-            return minpoly, pows[:k]
-    raise RuntimeError("no dependency found")
+    # the first non-pivot column k of [1, gamma, ..., gamma^d] gives
+    # gamma^k = sum_{i<k} c_i gamma^i, with c_i read off the pivot rows
+    R, piv = echelon_q(columns(pows))
+    k = len(piv)
+    assert piv == list(range(k)), "powers of gamma past a dependent one must stay dependent"
+    minpoly = [-Fraction(R[i][k], R[i][i]) for i in range(k)] + [Fraction(1)]
+    return minpoly, pows[:k]
 
 
 PREFERRED_POLYS = {

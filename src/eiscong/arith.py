@@ -186,6 +186,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def crt(a: int, m: int, b: int, n: int) -> int:
+    """The x in [0, mn) with x = a mod m and x = b mod n, for coprime m, n."""
+    return (a + m * ((b - a) * pow(m, -1, n) % n)) % (m * n)
+
+
 def primes_up_to(bound: int) -> list[int]:
     """Primes <= bound by sieve."""
     if bound < 2:

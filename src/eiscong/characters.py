@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import DomainError, divisors, euler_phi, factor, is_prime
+from .arith import DomainError, crt, divisors, euler_phi, factor, is_prime
 from .cyclotomic import CycElement, CyclotomicField
 
 CHARACTER_MODULUS_CAP = 10 ** 4
@@ -51,20 +51,16 @@ def unit_group(f: int):
     for p, e in factor(f):
         q = p ** e
         rest = f // q
-        def lift(x):  # x mod q, 1 mod rest
-            if rest == 1:
-                return x % f
-            return (x * rest * pow(rest, -1, q) + q * pow(q, -1, rest)) % f
         if p == 2:
             if e == 1:
                 continue
-            gens.append(lift(q - 1))
+            gens.append(crt(q - 1, q, 1, rest))
             orders.append(2)
             if e >= 3:
-                gens.append(lift(5))
+                gens.append(crt(5, q, 1, rest))
                 orders.append(2 ** (e - 2))
         else:
-            gens.append(lift(_primitive_root(p, e)))
+            gens.append(crt(_primitive_root(p, e), q, 1, rest))
             orders.append(euler_phi(q))
     dlog = {1 % f: (0,) * len(gens)}
     for i, (g, n) in enumerate(zip(gens, orders)):

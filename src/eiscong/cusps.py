@@ -2,16 +2,23 @@
 
 A cusp [a; b] with d = gcd(b, N) and t = gcd(d, N/d) is classified by the
 pair (d, a*(b/d) mod t); there are euler_phi(t) cusps of divisor d, each
-defined over Q(zeta_t), with ramification index (= width) N/(d t).
+defined over Q(zeta_t), with ramification index (= width) w = N/(d t).
 
-The two coverings X0(Al) -> X0(A) are pulled back at cusp level: pi_(l) is
-the forgetful map on fractions, pi_l acts by a/b -> la/b; ramification
-indices come from width ratios (for pi_l via the upper-triangular conjugated
-scaling matrix).  The boundary divisor of E_{phi,M,L} is computed by running
-the refinement/scaling/promotion recursion through these pullbacks starting
-from beta_phi * D_{Gamma0(f^2),f}(phi); the closed-form path recomputes it
-from the multi-sum with the alpha/beta/gamma coefficient recurrences, and
-verify_boundary compares the two exactly.
+The two coverings X0(Al) -> X0(A) are pulled back at cusp level, one loop
+over the cusps c = [a; b] of X0(Al): pi_(l) is the forgetful map, with image
+y = [a; b] and ramification index w(c)/w(y); pi_l acts by a/b -> la/b, with
+image y = [la; b] and index gcd(l, b)^2 w(c) / (l w(y)), since the scaling
+matrix diag(l, 1) conjugated by the stabilisers of c and y is upper
+triangular with diagonal (g, l/g), g = gcd(l, b) (Diamond-Shurman, *A First
+Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
+Approach*, ch. 8).  The boundary divisor of E_{phi,M,L} is computed by
+running the refinement/scaling/promotion recursion through these pullbacks
+starting from beta_phi * D_{Gamma0(f^2),f}(phi); the closed-form path
+recomputes it from the multi-sum with the alpha/beta/gamma coefficient
+recurrences, and verify_boundary compares the two exactly.  The primes of
+that multi-sum (l | T1, q | T2, t | N/(f^2 M L)) are distinct and prime to
+its f-part, so every term has its own divisor d and D_{Gamma0(N),M,L}(phi)
+is a disjoint union of scaled D-divisors, built as one support dict.
 
 Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
 core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so it is
@@ -25,11 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .arith import (DomainError, divisors, euler_phi, is_prime, prime_divisors,
-                    valuation, xgcd)
+from .arith import DomainError, divisors, euler_phi, is_prime, prime_divisors, valuation
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
 from .cyclotomic import CycElement, CyclotomicField
 from .eisenstein import EisensteinParams
@@ -89,15 +96,14 @@ def cusp_from_fraction(N: int, alpha: int, beta: int) -> Cusp:
     return Cusp(N, d, x)
 
 
+def _classes(t: int):
+    """The classes x in (Z/t)^*, as 1..t-1 (just 1 when t = 1)."""
+    return (x for x in range(1, max(t, 2)) if gcd(x, t) == 1)
+
+
 @lru_cache(maxsize=None)
 def enumerate_cusps(N: int) -> tuple[Cusp, ...]:
-    out = []
-    for d in divisors(N):
-        t = gcd(d, N // d)
-        for x in range(1, t + 1):
-            if gcd(x, t) == 1:
-                out.append(Cusp(N, d, x % t if t > 1 else 1))
-    return tuple(out)
+    return tuple(Cusp(N, d, x) for d in divisors(N) for x in _classes(gcd(d, N // d)))
 
 
 def cusp_count(N: int) -> int:
@@ -183,11 +189,12 @@ class CuspDivisor:
         return f"CuspDivisor({self.level}, {len(self.support)} cusps)"
 
 
-def D_divisor(N: int, d: int, phi: DirichletCharacter, check: bool = True) -> CuspDivisor:
+def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
     """D_{Gamma0(N),d}(phi) = sum phi(ab) [a; db] over cusps of divisor d.
 
     Defined when conductor(phi) | gcd(d, N/d); the coefficient at the class
-    (d, x) is phi(x), which `check` re-derives from representative pairs.
+    (d, x) is phi(x), which `_assert_well_defined` re-derives from
+    representative pairs.
     """
     if N % d:
         raise DomainError(f"{d} does not divide {N}")
@@ -200,21 +207,16 @@ def D_divisor(N: int, d: int, phi: DirichletCharacter, check: bool = True) -> Cu
     phi = phi.primitive_part()
     K = CyclotomicField(phi.order)
     support = {}
-    for x in range(1, max(t, 2)):
-        if t > 1 and gcd(x, t) != 1:
-            continue
-        if t == 1 and x != 1:
-            break
+    for x in _classes(t):
         e = phi.value_exponent(x)
         assert e is not None
-        support[Cusp(N, d, x % t if t > 1 else 1)] = K.zeta(e)
-    if check:
-        _assert_well_defined(N, d, phi, support)
+        support[Cusp(N, d, x)] = K.zeta(e)
+    _assert_well_defined(N, d, phi, support)
     return CuspDivisor(N, support)
 
 
 def D_divisor_pair(N: int, d: int, eps1: DirichletCharacter,
-                   eps2: DirichletCharacter, check: bool = True) -> CuspDivisor:
+                   eps2: DirichletCharacter) -> CuspDivisor:
     """The torus-character divisor sum eps1(b) eps2^{-1}(a) [a; db].
 
     The eigenspace vanishes unless eps1 = eps2^{-1} (then the sum is
@@ -228,7 +230,7 @@ def D_divisor_pair(N: int, d: int, eps1: DirichletCharacter,
                 f"D_(N={N},d={d}) needs both conductors dividing gcd(d, N/d) = {t}"
             )
         return CuspDivisor(N)
-    return D_divisor(N, d, eps1, check=check)
+    return D_divisor(N, d, eps1)
 
 
 def _assert_well_defined(N, d, phi, support):
@@ -256,63 +258,35 @@ def _assert_well_defined(N, d, phi, support):
 # --------------------------------------------------------------- pullbacks
 
 
-def _forget(cusp: Cusp, A: int) -> Cusp:
-    a, b = cusp.canonical_rep()
-    return cusp_from_fraction(A, a, b)
-
-
-def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:
-    """pi_(l)^* for the forgetful covering X0(Al) -> X0(A)."""
-    if not is_prime(l):
-        raise DomainError("pullback requires a prime")
-    A = D.level
-    out = {}
-    for c in enumerate_cusps(A * l):
-        y = _forget(c, A)
-        coeff = D.support.get(y)
-        if coeff is None:
-            continue
-        e = Fraction(c.ram_index(), y.ram_index())
-        assert e.denominator == 1 and e > 0
-        out[c] = coeff * int(e)
-    return CuspDivisor(A * l, out)
-
-
-def _stabilizing_matrix(alpha: int, beta: int):
-    """delta in SL2(Z) with delta(alpha/beta) = infinity."""
-    g, p, q = xgcd(alpha, beta)
-    assert g == 1
-    return ((p, q), (-beta, alpha))
-
-
-def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
-    """pi_l^* for the covering X0(Al) -> X0(A) induced by z -> lz."""
+def _pullback(D: CuspDivisor, l: int, scaled: bool) -> CuspDivisor:
+    """pi^* D over the cusps c = [a; b] of X0(Al): pi_l when `scaled`, else pi_(l)."""
     if not is_prime(l):
         raise DomainError("pullback requires a prime")
     A = D.level
     out = {}
     for c in enumerate_cusps(A * l):
         a, b = c.canonical_rep()
-        ia, ib = l * a, b
-        g = gcd(ia, ib)
-        ia, ib = ia // g, ib // g
-        y = cusp_from_fraction(A, ia, ib)
+        y = cusp_from_fraction(A, l * a if scaled else a, b)
         coeff = D.support.get(y)
         if coeff is None:
             continue
-        dx = _stabilizing_matrix(a, b)
-        dy = _stabilizing_matrix(ia, ib)
-        # B = dy * diag(l, 1) * dx^{-1}; dx^{-1} = [[b_22, -q],[beta, p]] form
-        (p, q), (mb, al) = dx
-        dx_inv = ((al, -q), (-mb, p))
-        m11 = dy[0][0] * l * dx_inv[0][0] + dy[0][1] * dx_inv[1][0]
-        m21 = dy[1][0] * l * dx_inv[0][0] + dy[1][1] * dx_inv[1][0]
-        m22 = dy[1][0] * l * dx_inv[0][1] + dy[1][1] * dx_inv[1][1]
-        assert m21 == 0, "conjugated scaling matrix must fix infinity"
-        e = Fraction(abs(m11), abs(m22)) * Fraction(c.ram_index(), y.ram_index())
-        assert e.denominator == 1 and e > 0, f"pi_l ramification not integral: {e}"
-        out[c] = coeff * int(e)
+        num, den = c.ram_index(), y.ram_index()
+        if scaled:  # the conjugated scaling matrix has diagonal (g, l/g), g = gcd(l, b)
+            num, den = gcd(l, b) ** 2 * num, l * den
+        e, r = divmod(num, den)
+        assert r == 0 and e > 0, f"ramification index not a positive integer at {c!r}"
+        out[c] = coeff * e
     return CuspDivisor(A * l, out)
+
+
+def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:
+    """pi_(l)^* for the forgetful covering X0(Al) -> X0(A)."""
+    return _pullback(D, l, scaled=False)
+
+
+def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
+    """pi_l^* for the covering X0(Al) -> X0(A) induced by z -> lz."""
+    return _pullback(D, l, scaled=True)
 
 
 # ----------------------------------------------------- beta and the boundary
@@ -461,19 +435,15 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
     for t in prime_divisors(rest) if rest > 1 else ():
         if gcd(t, f * params.M * params.L) == 1:
             tables.append((t, _gamma_table(params, t)))
-    K = CyclotomicField(phi.order)
-    total = CuspDivisor(N)
-    def rec(i, d, coeff):
-        nonlocal total
-        if i == len(tables):
-            D = D_divisor(N, d, phi)
-            total = total + (D if coeff == 1 else D.scale(coeff))
-            return
-        p, table = tables[i]
-        for e, v in table.items():
-            rec(i + 1, d * p ** e, coeff * v)
-    rec(0, d_base, K.one())
-    return total
+    one = CyclotomicField(phi.order).one()
+    support = {}  # the terms' divisors d differ, so their supports are disjoint
+    for term in product(*([(p ** e, v) for e, v in table.items()] for p, table in tables)):
+        d, coeff = d_base, one
+        for pe, v in term:
+            d, coeff = d * pe, coeff * v
+        D = D_divisor(N, d, phi)
+        support.update((D if coeff == 1 else D.scale(coeff)).support)
+    return CuspDivisor(N, support)
 
 
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:

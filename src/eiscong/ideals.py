@@ -141,10 +141,8 @@ def _render_bivariate(poly, degree) -> str:
             b2 = _isqrt(c2)
             a2 = _isqrt(c0)
             if b2 is not None and a2 is not None:
-                b = b2 if c1 > 0 else -b2
-                if a2 != 0 or b != 0:
-                    inner = f"{a2}" + (f" + {abs(b)}*r" if b > 0 else f" - {abs(b)}*r" if abs(b) != 1 else (" + r" if b > 0 else " - r"))
-                    return f" + ({inner})^2"
+                rt = "r" if b2 == 1 else f"{b2}*r"
+                return f" + ({a2} {'+' if c1 > 0 else '-'} {rt})^2"
     parts = []
     for i in range(len(poly) - 1, -1, -1):
         if i >= degree:

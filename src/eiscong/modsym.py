@@ -37,7 +37,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 
 from . import polys
-from .arith import divisors, is_prime, prime_divisors, primes_up_to, xgcd
+from .arith import crt, divisors, is_prime, prime_divisors, primes_up_to, xgcd
 from .cusps import cusp_count, cusp_from_fraction
 from .ffield import factor_over_z
 
@@ -116,7 +116,7 @@ class P1:
         while h > 1:
             u, v = u * h, v // h
             h = gcd(v, h)
-        return g, (s * v * pow(v, -1, u) + u * pow(u, -1, v)) % N if u > 1 else 1
+        return g, crt(s, u, 1, v)
 
     def index(self, cd):
         return self._index[self.reduce(cd)]
@@ -326,25 +326,24 @@ def _charpoly_modp(A, p):
 
 def charpoly(A, den: int = 1):
     """The characteristic polynomial of A / den (A an integer matrix), which
-    must be integral: ascending coefficients, by CRT over 61-bit primes until
-    the lift is stable for three primes."""
+    must be integral: ascending coefficients, lifted by CRT one 61-bit prime
+    at a time until the lift is stable for three primes."""
     p = (1 << 61) - 1
-    M, residues, current, stable = 1, [], None, 0
-    while stable < 3:
+    M, lifted, current, stable = 1, [0] * (len(A) + 1), None, 0
+    for _ in range(80):
         p += 2
         while not is_prime(p) or den % p == 0:
             p += 2
         inv = pow(den, -1, p)
-        residues.append((p, _charpoly_modp([[x * inv for x in row] for row in A], p)))
+        poly = _charpoly_modp([[x * inv for x in row] for row in A], p)
+        lifted = [crt(r, M, x, p) for r, x in zip(lifted, poly)]
         M *= p
-        lifted = [sum(poly[k] * (M // q) * pow(M // q, -1, q) for q, poly in residues) % M
-                  for k in range(len(A) + 1)]
-        lifted = [r - M if r > M // 2 else r for r in lifted]
-        stable = stable + 1 if lifted == current else 0
-        current = lifted
-        if len(residues) > 80:
-            raise ArithmeticError("charpoly did not stabilize")
-    return current
+        signed = [r - M if r > M // 2 else r for r in lifted]
+        stable = stable + 1 if signed == current else 0
+        current = signed
+        if stable == 3:
+            return current
+    raise ArithmeticError("charpoly did not stabilize")
 
 
 # -------------------------------------------------------------- newforms

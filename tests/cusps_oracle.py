@@ -1,14 +1,21 @@
-"""The beta constant and D_{Gamma0(N),M,L}(phi) that eiscong.cusps replaced,
-kept as a test oracle.
+"""The beta constant, D_{Gamma0(N),M,L}(phi) and the two pullbacks that
+eiscong.cusps replaced, kept as a test oracle.
 
 `beta_constant` computes the Gauss-sum factor tau(phi^-1) tau(xi^-1)^-1
 B2(xi^-1) anew on every call, where the library computes it once per phi;
-`D_NML` scales every D-divisor of the multi-sum, also when its coefficient
-is 1.  The code is verbatim; the coefficient tables,
-`D_divisor` and `CuspDivisor` are the library's, which this change left as
-they were.  `gamma0_equivalent`, the classical criterion for two cusps to
+`D_NML` adds up the multi-sum recursively, one divisor copy per term, and
+scales every D-divisor, also when its coefficient is 1.  The code is
+verbatim; the coefficient tables, `D_divisor` and `CuspDivisor` are the
+library's.  `gamma0_equivalent`, the classical criterion for two cusps to
 be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
 `cusp_from_fraction`, which the Manin-symbol boundary map now uses too.
+
+`pullback_pi_paren` and `pullback_pi_l` (with `_forget` and
+`_stabilizing_matrix`) are the former pullbacks, verbatim with their
+asserts: pi_l's ramification index comes from the scaling matrix
+diag(l, 1) conjugated by two SL2(Z) matrices that stabilise the cusps, in
+Fractions, where the library now uses the closed form
+gcd(l, b)^2 w(c) / (l w(y)).
 """
 
 from __future__ import annotations
@@ -16,10 +23,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from eiscong.arith import euler_phi, prime_divisors, valuation, xgcd
+from eiscong.arith import (DomainError, euler_phi, is_prime, prime_divisors, valuation,
+                          xgcd)
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
-from eiscong.cusps import (CuspDivisor, D_divisor, _alpha_table, _beta_table,
-                           _gamma_table)
+from eiscong.cusps import (Cusp, CuspDivisor, D_divisor, _alpha_table, _beta_table,
+                           _gamma_table, cusp_from_fraction, enumerate_cusps)
 from eiscong.cyclotomic import CycElement, CyclotomicField
 from eiscong.eisenstein import EisensteinParams
 
@@ -104,3 +112,62 @@ def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) ->
     if m == 0:
         m = N
     return (s1 * v2 - s2 * v1) % m == 0
+
+
+def _forget(cusp: Cusp, A: int) -> Cusp:
+    a, b = cusp.canonical_rep()
+    return cusp_from_fraction(A, a, b)
+
+
+def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:
+    """pi_(l)^* for the forgetful covering X0(Al) -> X0(A)."""
+    if not is_prime(l):
+        raise DomainError("pullback requires a prime")
+    A = D.level
+    out = {}
+    for c in enumerate_cusps(A * l):
+        y = _forget(c, A)
+        coeff = D.support.get(y)
+        if coeff is None:
+            continue
+        e = Fraction(c.ram_index(), y.ram_index())
+        assert e.denominator == 1 and e > 0
+        out[c] = coeff * int(e)
+    return CuspDivisor(A * l, out)
+
+
+def _stabilizing_matrix(alpha: int, beta: int):
+    """delta in SL2(Z) with delta(alpha/beta) = infinity."""
+    g, p, q = xgcd(alpha, beta)
+    assert g == 1
+    return ((p, q), (-beta, alpha))
+
+
+def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
+    """pi_l^* for the covering X0(Al) -> X0(A) induced by z -> lz."""
+    if not is_prime(l):
+        raise DomainError("pullback requires a prime")
+    A = D.level
+    out = {}
+    for c in enumerate_cusps(A * l):
+        a, b = c.canonical_rep()
+        ia, ib = l * a, b
+        g = gcd(ia, ib)
+        ia, ib = ia // g, ib // g
+        y = cusp_from_fraction(A, ia, ib)
+        coeff = D.support.get(y)
+        if coeff is None:
+            continue
+        dx = _stabilizing_matrix(a, b)
+        dy = _stabilizing_matrix(ia, ib)
+        # B = dy * diag(l, 1) * dx^{-1}; dx^{-1} = [[b_22, -q],[beta, p]] form
+        (p, q), (mb, al) = dx
+        dx_inv = ((al, -q), (-mb, p))
+        m11 = dy[0][0] * l * dx_inv[0][0] + dy[0][1] * dx_inv[1][0]
+        m21 = dy[1][0] * l * dx_inv[0][0] + dy[1][1] * dx_inv[1][0]
+        m22 = dy[1][0] * l * dx_inv[0][1] + dy[1][1] * dx_inv[1][1]
+        assert m21 == 0, "conjugated scaling matrix must fix infinity"
+        e = Fraction(abs(m11), abs(m22)) * Fraction(c.ram_index(), y.ram_index())
+        assert e.denominator == 1 and e > 0, f"pi_l ramification not integral: {e}"
+        out[c] = coeff * int(e)
+    return CuspDivisor(A * l, out)

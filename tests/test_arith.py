@@ -1,8 +1,10 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from eiscong.arith import (DomainError, divisors, euler_phi, factor, is_p_good,
+from eiscong.arith import (DomainError, crt, divisors, euler_phi, factor, is_p_good,
                            is_prime, primes_up_to, sturm_bound, valuation)
 
 
@@ -87,3 +89,11 @@ def test_sturm_bound():
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(-500, 500), st.integers(-500, 500))
+def test_crt_matches_brute_force(m, n, a, b):
+    assume(gcd(m, n) == 1)
+    want = next(x for x in range(m * n) if (x - a) % m == 0 and (x - b) % n == 0)
+    assert crt(a, m, b, n) == want

@@ -1,6 +1,8 @@
 import json
+import time
 
 from eiscong.cli import main
+from eiscong.eisenstein import PRECISION_CAP
 
 
 def run_cli(capsys, *argv):
@@ -89,6 +91,18 @@ def test_qexp_prec_zero_is_refused(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: the precision must be at least 1 (got 0)\n"
+
+
+def test_qexp_prec_above_cap_is_refused(capsys):
+    """A precision above the cap is refused before e_phi allocates anything:
+    10**7 would need about 5 GB, the refusal returns at once."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "qexp", "--level", "121", "--char", "11.2.1",
+                             "--prec", "10000000")
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err == f"error: precision cap exceeded: 10000000 > {PRECISION_CAP}\n"
 
 
 def test_fetch_offline_no_cache(capsys, tmp_path):

@@ -138,6 +138,22 @@ def test_pullback_degree_equals_index():
         assert d2 == deg * index, (A, l, "pi_l")
 
 
+def test_pullbacks_match_oracle():
+    """Both pullbacks equal the former matrix-based ones on every cusp of
+    X0(Al), for A <= 150 and l <= 13, on a divisor whose coefficient differs
+    from cusp to cusp."""
+    K1 = CyclotomicField(1)
+    for A in range(1, 151):
+        D = CuspDivisor(A, {c: K1.from_rational(i + 1)
+                            for i, c in enumerate(enumerate_cusps(A))})
+        for l in (2, 3, 5, 7, 11, 13):
+            got, want = pullback_pi_paren(D, l), cusps_oracle.pullback_pi_paren(D, l)
+            assert len(got.support) == len(enumerate_cusps(A * l)), (A, l)
+            assert _same_divisor(got, want), (A, l, "pi_(l)")
+            assert _same_divisor(pullback_pi_l(D, l), cusps_oracle.pullback_pi_l(D, l)), \
+                (A, l, "pi_l")
+
+
 def test_D_divisor_basics():
     phi = quadratic_character(11)
     D = D_divisor(121, 11, phi)

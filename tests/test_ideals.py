@@ -6,8 +6,9 @@ from eiscong.characters import (character_with_value, enumerate_characters,
                                 quadratic_character)
 from eiscong.cusps import beta_tilde
 from eiscong.eisenstein import EisensteinParams
-from eiscong.ideals import (_isqrt, candidate_characteristics, cuspidal_order,
-                            descriptor, eisenstein_character, s1_set, s2_set)
+from eiscong.ideals import (_isqrt, _render_bivariate, candidate_characteristics,
+                            cuspidal_order, descriptor, eisenstein_character, s1_set,
+                            s2_set)
 from eiscong.lattices import numerator_index
 from eiscong.scanner import eisenstein_basis
 
@@ -108,6 +109,12 @@ def test_descriptor_displays():
     d = descriptor(EisensteinParams(quadratic_character(3), 234, 13, 2), 7)
     assert d.render() == DISPLAY_234
     assert d.residue_field() == "F_7"
+
+
+def test_perfect_square_display():
+    """X^2 + (a + b r)^2 shows r, not 1*r, for b = +-1, as every other term does."""
+    for b, shown in ((1, "2 + r"), (-1, "2 - r"), (2, "2 + 2*r"), (-2, "2 - 2*r")):
+        assert _render_bivariate(((4, 4 * b, b * b), (0, 0, 0)), 2) == f" + ({shown})^2"
 
 
 def test_descriptor_conjugates_and_errors():
