@@ -14,11 +14,14 @@ Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
 Approach*, ch. 8).  The boundary divisor of E_{phi,M,L} is computed by
 running the refinement/scaling/promotion recursion through these pullbacks
 starting from beta_phi * D_{Gamma0(f^2),f}(phi); the closed-form path
-recomputes it from the multi-sum with the alpha/beta/gamma coefficient
-recurrences, and verify_boundary compares the two exactly.  The primes of
-that multi-sum (l | T1, q | T2, t | N/(f^2 M L)) are distinct and prime to
-its f-part, so every term has its own divisor d and D_{Gamma0(N),M,L}(phi)
-is a disjoint union of scaled D-divisors, built as one support dict.
+recomputes it from the multi-sum of Lemma `induction2`, and verify_boundary
+compares the two exactly.  The multi-sum runs over the primes p of N prime
+to f (l | T1, q | T2 and the promotion-only t | N/(f^2 M L)), and its
+alpha/beta/gamma coefficient tables are one recurrence: a slash step
+(pi_p^*) up to nu_p(ML), then a promotion step (pi_(p)^*) up to nu_p(N),
+run from three start vectors.  These primes are distinct and prime to the
+f-part, so every term has its own divisor d and D_{Gamma0(N),M,L}(phi) is
+a disjoint union of scaled D-divisors, built as one support dict.
 
 Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
 core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so it is
@@ -36,7 +39,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from typing import NamedTuple
 
-from .arith import DomainError, divisors, euler_phi, is_prime, prime_divisors, valuation
+from .arith import DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, valuation
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
 from .cyclotomic import CycElement, CyclotomicField
 from .eisenstein import EisensteinParams
@@ -331,19 +334,17 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
     D = D_divisor(f * f, f, phi).scale(beta_constant(EisensteinParams(phi, f * f, 1, 1)))
-    for l in prime_divisors(params.T1) if params.T1 > 1 else ():
-        # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^*
-        D = pullback_pi_paren(D, l) - pullback_pi_l(D, l).scale(phi.value(l) * Fraction(1, l))
-    for q in prime_divisors(params.T2) if params.T2 > 1 else ():
-        # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^*
-        D = pullback_pi_paren(D, q) - pullback_pi_l(D, q).scale(phi.inverse().value(q))
-    scale = M * L // (params.T1 * params.T2)
-    for p in prime_divisors(scale) if scale > 1 else ():
-        for _ in range(valuation(scale, p)):
+    # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1,
+    # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2
+    steps = [(l, phi.value(l) * Fraction(1, l)) for l in prime_divisors(params.T1)]
+    steps += [(q, phi.inverse().value(q)) for q in prime_divisors(params.T2)]
+    for p, c in steps:
+        D = pullback_pi_paren(D, p) - pullback_pi_l(D, p).scale(c)
+    for p, e in factor(M * L // (params.T1 * params.T2)):
+        for _ in range(e):
             D = pullback_pi_l(D, p)
-    promote = N // (f * f * M * L)
-    for p in prime_divisors(promote) if promote > 1 else ():
-        for _ in range(valuation(promote, p)):
+    for p, e in factor(N // (f * f * M * L)):
+        for _ in range(e):
             D = pullback_pi_paren(D, p)
     assert D.level == N
     return D
@@ -352,70 +353,46 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
 # -- closed-form path: Lemma `induction2` coefficient recurrences ---------------
 
 
-def _alpha_table(params: EisensteinParams, l: int) -> dict[int, CycElement]:
-    """alpha_{l^{nu_l(N)}, i} for i = 0..nu_l(M)-1 (primes l | T1)."""
-    phi = params.phi
-    K = CyclotomicField(phi.order)
-    nu_M = valuation(params.M, l)
-    nu_N = valuation(params.N, l)
-    vec = {0: K.one()}
-    n = 1
-    while n < nu_M:  # slashing pi_l^*
-        new = {0: phi.value(l) * vec[0]}
-        for j in range(1, n + 1):
-            src = vec[j - 1]
-            new[j] = src if j <= (n + 1) // 2 else src * l
-        vec, n = new, n + 1
-    while n < nu_N:  # promotion pi_(l)^*
-        new = {}
-        for i, v in vec.items():
-            new[i] = v * l if i <= n // 2 else v
-        vec, n = new, n + 1
-    return vec
+def _slash(vec: dict[int, CycElement], n: int, p: int, phi_p: CycElement):
+    """One slash pi_p^* at exponent n: a new bottom entry phi(p) vec[0], and
+    every entry moves up one, times p above (n + 1) // 2."""
+    new = {0: phi_p * vec[0]}
+    for j in range(1, len(vec) + 1):
+        src = vec[j - 1]
+        new[j] = src if j <= (n + 1) // 2 else src * p
+    return new
 
 
-def _beta_table(params: EisensteinParams, q: int) -> dict[int, CycElement]:
-    """beta_{q^{nu_q(N)}, j} for j = 0..nu_q(N) (primes q | T2); the (q-1)
-    factor for q in S_phi lives in the beta constant, not here."""
+def _promote(vec: dict[int, CycElement], n: int, p: int, top: CycElement | None):
+    """One promotion pi_(p)^* at exponent n: entries up to n // 2 times p,
+    and a new top entry top * vec[n] unless top is None."""
+    new = {i: v * p if i <= n // 2 else v for i, v in vec.items()}
+    if top is not None:
+        new[n + 1] = top * vec[n]
+    return new
+
+
+def _table(params: EisensteinParams, p: int) -> dict[int, CycElement]:
+    """The coefficients at a prime p of N prime to f, by exponent of p in d:
+    alpha_{p^{nu_p(N)}, i} for p | T1, beta_{p^{nu_p(N)}, j} for p | T2 (the
+    (p-1) factor for p in S_phi lives in the beta constant, not here), and
+    gamma_{p^{nu_p(N)}, k} for the promotion-only p | N/(f^2 M L).  Each is
+    slashed up to nu_p(ML) and promoted up to nu_p(N) from its start vector."""
     phi = params.phi
     K = CyclotomicField(phi.order)
-    nu_L = valuation(params.L, q)
-    nu_N = valuation(params.N, q)
-    if q in params.S_phi:
-        vec = {0: K.one(), 1: -phi.value(q)}
+    phi_p = phi.value(p)
+    top = phi_p  # the beta and gamma promotions grow a top entry, alpha's do not
+    if params.T1 % p == 0:
+        vec, n, top = {0: K.one()}, 1, None
+    elif p in params.S_phi:
+        vec, n = {0: K.one(), 1: -phi_p}, 1
+    elif params.T2 % p == 0:
+        vec, n = {0: K.from_rational(p - 1), 1: phi_p - phi.inverse().value(p) * p}, 1
     else:
-        vec = {0: K.from_rational(q - 1), 1: phi.value(q) - phi.inverse().value(q) * q}
-    n = 1
-    while n < nu_L:  # slashing pi_q^*
-        new = {0: phi.value(q) * vec[0]}
-        for j in range(1, n + 2):
-            src = vec[j - 1]
-            new[j] = src if j <= (n + 1) // 2 else src * q
-        vec, n = new, n + 1
-    while n < nu_N:  # promotion pi_(q)^*
-        new = {}
-        for i in range(n + 1):
-            v = vec[i]
-            new[i] = v * q if i <= n // 2 else v
-        new[n + 1] = phi.value(q) * vec[n]
-        vec, n = new, n + 1
-    return vec
-
-
-def _gamma_table(params: EisensteinParams, t: int) -> dict[int, CycElement]:
-    """gamma_{t^{nu_t(N)}, k} for the promotion-only primes t | N/(f^2 M L)."""
-    phi = params.phi
-    K = CyclotomicField(phi.order)
-    nu_N = valuation(params.N, t)
-    vec = {0: K.one()}
-    n = 0
-    while n < nu_N:
-        new = {}
-        for i in range(n + 1):
-            v = vec[i]
-            new[i] = v * t if i <= n // 2 else v
-        new[n + 1] = phi.value(t) * vec[n]
-        vec, n = new, n + 1
+        vec, n = {0: K.one()}, 0
+    nu_ML, nu_N = valuation(params.M * params.L, p), valuation(params.N, p)
+    for k in range(n, nu_N):
+        vec = _slash(vec, k, p, phi_p) if k < nu_ML else _promote(vec, k, p, top)
     return vec
 
 
@@ -426,15 +403,7 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
     phi = params.phi
     N, f = params.N, params.f
     d_base = f * prod(p ** valuation(params.M, p) for p in prime_divisors(f))
-    tables = []
-    for l in prime_divisors(params.T1) if params.T1 > 1 else ():
-        tables.append((l, _alpha_table(params, l)))
-    for q in prime_divisors(params.T2) if params.T2 > 1 else ():
-        tables.append((q, _beta_table(params, q)))
-    rest = N // (f * f * params.M * params.L)
-    for t in prime_divisors(rest) if rest > 1 else ():
-        if gcd(t, f * params.M * params.L) == 1:
-            tables.append((t, _gamma_table(params, t)))
+    tables = [(p, _table(params, p)) for p in prime_divisors(N) if f % p]
     one = CyclotomicField(phi.order).one()
     support = {}  # the terms' divisors d differ, so their supports are disjoint
     for term in product(*([(p ** e, v) for e, v in table.items()] for p, table in tables)):

@@ -226,29 +226,28 @@ class CycElement:
 
     # -- ring/field operations ----------------------------------------------
 
-    def __add__(self, other):
+    def _add(self, other, sign: int = 1):
+        """self + sign * other, sign = 1 or -1, without building sign * other."""
         if isinstance(other, CycElement):
             a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
             den = lcm(a.den, b.den)
-            sa, sb = den // a.den, den // b.den
+            sa, sb = den // a.den, sign * (den // b.den)
             return _canonical(a.field, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
         q = _rational(other)
         if q is None:
             return NotImplemented
         n, d = q
         num = [c * d for c in self.num]
-        num[0] += n * self.den
+        num[0] += sign * n * self.den
         return _canonical(self.field, num, self.den * d)
 
-    __radd__ = __add__
+    __add__ = __radd__ = _add
 
     def __neg__(self):
         return _element(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (CycElement, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other

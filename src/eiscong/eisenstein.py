@@ -50,20 +50,6 @@ class QExpansion:
             raise DomainError(f"coefficient a_{n} outside valid precision {self.precision}")
         return self.coeffs[n - 1]
 
-    def scale(self, c) -> "QExpansion":
-        return QExpansion(self.level, self.precision, tuple(a * c for a in self.coeffs), self.a0 * c)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        B = min(self.precision, other.precision)
-        if self.level != other.level:
-            raise DomainError("level mismatch in q-expansion arithmetic")
-        return QExpansion(
-            self.level,
-            B,
-            tuple(self.coeffs[i] - other.coeffs[i] for i in range(B)),
-            self.a0 - other.a0,
-        )
-
     def is_scalar_multiple_of(self, other: "QExpansion", B: int):
         """The scalar c with self = c * other up to q^B, or None."""
         if B > min(self.precision, other.precision):
@@ -143,37 +129,30 @@ def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
     return QExpansion(f * f, B, coeffs, K.zero())
 
 
-def _refine(g: QExpansion, l: int, phi: DirichletCharacter, multiplier: CycElement) -> QExpansion:
-    """a_n <- a_n - multiplier * a_{n/l}; level gains a factor l."""
-    coeffs = []
-    for n in range(1, g.precision + 1):
-        a = g.coeffs[n - 1]
-        if n % l == 0:
-            a = a - multiplier * g.coeffs[n // l - 1]
-        coeffs.append(a)
-    return QExpansion(g.level * l, g.precision, tuple(coeffs), g.a0)
+def _refine(g: QExpansion, l: int, phi: DirichletCharacter, multiplier: CycElement,
+            name: str) -> QExpansion:
+    """a_n <- a_n - multiplier * a_{n/l}, the identity on coefficients when
+    l | f; the level gains a factor l.  `name` heads the error for a level
+    that l already divides."""
+    if not is_prime(l):
+        raise DomainError("refinement requires a prime")
+    coeffs = g.coeffs
+    if phi.modulus % l:
+        if g.level % l == 0:
+            raise DomainError(f"{name}={l} already dividing the level")
+        coeffs = tuple(a - multiplier * coeffs[n // l - 1] if n % l == 0 else a
+                       for n, a in enumerate(coeffs, 1))
+    return QExpansion(g.level * l, g.precision, coeffs, g.a0)
 
 
 def refine_critical(g: QExpansion, l: int, phi: DirichletCharacter) -> QExpansion:
     """[l]^+: g(z) - phi(l) g(lz); identity on coefficients when l | f."""
-    if not is_prime(l):
-        raise DomainError("refinement requires a prime")
-    if phi.modulus % l == 0:
-        return QExpansion(g.level * l, g.precision, g.coeffs, g.a0)
-    if g.level % l == 0:
-        raise DomainError(f"critical refinement at l={l} already dividing the level")
-    return _refine(g, l, phi, phi.value(l))
+    return _refine(g, l, phi, phi.value(l), "critical refinement at l")
 
 
 def refine_ordinary(g: QExpansion, q: int, phi: DirichletCharacter) -> QExpansion:
     """[q]^-: g(z) - q phi^{-1}(q) g(qz); identity on coefficients when q | f."""
-    if not is_prime(q):
-        raise DomainError("refinement requires a prime")
-    if phi.modulus % q == 0:
-        return QExpansion(g.level * q, g.precision, g.coeffs, g.a0)
-    if g.level % q == 0:
-        raise DomainError(f"ordinary refinement at q={q} already dividing the level")
-    return _refine(g, q, phi, phi.inverse().value(q) * q)
+    return _refine(g, q, phi, phi.inverse().value(q) * q, "ordinary refinement at q")
 
 
 def slash_scale(g: QExpansion, d: int) -> QExpansion:
@@ -259,12 +238,12 @@ class EisensteinParams:
 
     @property
     def T2(self) -> int:
-        return prod(prime_divisors(self.L)) if self.L > 1 else 1
+        return prod(prime_divisors(self.L))
 
     @property
     def S_phi(self) -> tuple[int, ...]:
         out = []
-        for q in prime_divisors(self.T2) if self.T2 > 1 else ():
+        for q in prime_divisors(self.T2):
             e = self.phi.value_exponent(q)
             if e is not None and (2 * e) % self.phi.order == 0:
                 out.append(q)
@@ -272,7 +251,7 @@ class EisensteinParams:
 
     @property
     def T2_phi(self) -> int:
-        return prod(self.S_phi) if self.S_phi else 1
+        return prod(self.S_phi)
 
     @property
     def xi(self) -> DirichletCharacter:
@@ -291,9 +270,9 @@ def build_E(params: EisensteinParams, B: int) -> QExpansion:
     """E_{phi,M,L} at level N: refinements, then scaling by ML/(T1 T2)."""
     phi = params.phi
     g = e_phi(phi, B)
-    for l in prime_divisors(params.T1) if params.T1 > 1 else ():
+    for l in prime_divisors(params.T1):
         g = refine_critical(g, l, phi)
-    for q in prime_divisors(params.T2) if params.T2 > 1 else ():
+    for q in prime_divisors(params.T2):
         g = refine_ordinary(g, q, phi)
     scale = params.M * params.L // (params.T1 * params.T2)
     g = slash_scale(g, scale)
@@ -328,9 +307,9 @@ def _lambda_common(params: EisensteinParams, chi: DirichletCharacter) -> CycElem
     phi_inv = phi.inverse()
     T1, T2 = params.T1, params.T2
     out = chi.value(params.f * params.M * params.L // (T1 * T2))
-    for l in prime_divisors(T1) if T1 > 1 else ():
+    for l in prime_divisors(T1):
         out = out * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
-    for q in prime_divisors(T2) if T2 > 1 else ():
+    for q in prime_divisors(T2):
         out = out * (1 - chi.value(q) * phi_inv.value(q))
     return out * bernoulli_B1(chi.inverse() * phi_inv) * bernoulli_B1(chi * phi_inv)
 

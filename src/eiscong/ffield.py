@@ -226,21 +226,6 @@ def _reduce_monic(int_poly, Fq):
     return _monic(_trim([Fq.from_int(int(c)) for c in int_poly]), Fq)
 
 
-def _irreducible_modq(h, q):
-    """h monic over F_q irreducible iff x^{q^r} = x mod h and the subfield
-    conditions gcd(x^{q^{r/s}} - x, h) = 1 hold for primes s | r."""
-    Fq = FiniteField(q, 1, (0, 1))
-    h = [(c,) for c in h]
-    r = len(h) - 1
-    x = [(0,), (1,)]
-    if _ppowmod(x, q ** r, h, Fq) != x:
-        return False
-    return all(
-        len(_pgcd(_psub(_ppowmod(x, q ** (r // s), h, Fq), x, Fq), h, Fq)) == 1
-        for s in prime_divisors(r)
-    )
-
-
 @lru_cache(maxsize=None)
 def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree r over F_q."""
@@ -258,7 +243,7 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
         h = coeffs + [1]
         if h[0] == 0:
             continue
-        if _irreducible_modq(h, q):
+        if factor_degrees_mod_q(h, q) == [r]:  # irreducible
             return tuple(h)
     raise ArithmeticError("no irreducible polynomial found")
 

@@ -260,7 +260,7 @@ def descriptor(params: EisensteinParams, l: int, eps: DirichletCharacter | None 
     Nprime = N // (p * p)
     M = gcd(params.M, Nprime)
     u_gens = [f"U_{p}"]
-    for s in sorted(prime_divisors(Nprime)) if Nprime > 1 else ():
+    for s in sorted(prime_divisors(Nprime)):
         eb = eps_bar(s)
         assert eb is not None and eb[1:] == (0,) * (d - 1), "eps(s) must be ±1 at s | N'"
         e0 = eb[0]

@@ -248,8 +248,8 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def newforms_for_level(level: int, cache_dir=None, offline: bool = True) -> list[NewformRecord]:
-    """Bundled data when available, else the fetch cache."""
+def newforms_for_level(level: int, cache_dir=None) -> list[NewformRecord]:
+    """Bundled data when available, else the fetch cache (never the network)."""
     if level in BUNDLED_LEVELS:
         return bundled_newforms(level)
-    return fetch_newforms(level, cache_dir=cache_dir, offline=offline)
+    return fetch_newforms(level, cache_dir=cache_dir, offline=True)

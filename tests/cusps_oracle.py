@@ -4,10 +4,13 @@ eiscong.cusps replaced, kept as a test oracle.
 `beta_constant` computes the Gauss-sum factor tau(phi^-1) tau(xi^-1)^-1
 B2(xi^-1) anew on every call, where the library computes it once per phi;
 `D_NML` adds up the multi-sum recursively, one divisor copy per term, and
-scales every D-divisor, also when its coefficient is 1.  The code is
-verbatim; the coefficient tables, `D_divisor` and `CuspDivisor` are the
-library's.  `gamma0_equivalent`, the classical criterion for two cusps to
-be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
+scales every D-divisor, also when its coefficient is 1.  Its alpha, beta
+and gamma tables are the former `_alpha_table`, `_beta_table` and
+`_gamma_table`, which write the slash and promotion recurrences out once
+per table, where the library runs one `_slash` and one `_promote` step from
+three start vectors.  The code is verbatim; `D_divisor` and `CuspDivisor`
+are the library's.  `gamma0_equivalent`, the classical criterion for two
+cusps to be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
 `cusp_from_fraction`, which the Manin-symbol boundary map now uses too.
 
 `pullback_pi_paren` and `pullback_pi_l` (with `_forget` and
@@ -26,8 +29,7 @@ from math import gcd, prod
 from eiscong.arith import (DomainError, euler_phi, is_prime, prime_divisors, valuation,
                           xgcd)
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
-from eiscong.cusps import (Cusp, CuspDivisor, D_divisor, _alpha_table, _beta_table,
-                           _gamma_table, cusp_from_fraction, enumerate_cusps)
+from eiscong.cusps import Cusp, CuspDivisor, D_divisor, cusp_from_fraction, enumerate_cusps
 from eiscong.cyclotomic import CycElement, CyclotomicField
 from eiscong.eisenstein import EisensteinParams
 
@@ -51,6 +53,73 @@ def beta_constant(params: EisensteinParams) -> CycElement:
     for p in sorted(set(prime_divisors(f)) | set(prime_divisors(params.T1))):
         acc = acc * (1 - xi.value(p).embed(m) * Fraction(1, p * p))
     return acc
+
+
+def _alpha_table(params: EisensteinParams, l: int) -> dict[int, CycElement]:
+    """alpha_{l^{nu_l(N)}, i} for i = 0..nu_l(M)-1 (primes l | T1)."""
+    phi = params.phi
+    K = CyclotomicField(phi.order)
+    nu_M = valuation(params.M, l)
+    nu_N = valuation(params.N, l)
+    vec = {0: K.one()}
+    n = 1
+    while n < nu_M:  # slashing pi_l^*
+        new = {0: phi.value(l) * vec[0]}
+        for j in range(1, n + 1):
+            src = vec[j - 1]
+            new[j] = src if j <= (n + 1) // 2 else src * l
+        vec, n = new, n + 1
+    while n < nu_N:  # promotion pi_(l)^*
+        new = {}
+        for i, v in vec.items():
+            new[i] = v * l if i <= n // 2 else v
+        vec, n = new, n + 1
+    return vec
+
+
+def _beta_table(params: EisensteinParams, q: int) -> dict[int, CycElement]:
+    """beta_{q^{nu_q(N)}, j} for j = 0..nu_q(N) (primes q | T2); the (q-1)
+    factor for q in S_phi lives in the beta constant, not here."""
+    phi = params.phi
+    K = CyclotomicField(phi.order)
+    nu_L = valuation(params.L, q)
+    nu_N = valuation(params.N, q)
+    if q in params.S_phi:
+        vec = {0: K.one(), 1: -phi.value(q)}
+    else:
+        vec = {0: K.from_rational(q - 1), 1: phi.value(q) - phi.inverse().value(q) * q}
+    n = 1
+    while n < nu_L:  # slashing pi_q^*
+        new = {0: phi.value(q) * vec[0]}
+        for j in range(1, n + 2):
+            src = vec[j - 1]
+            new[j] = src if j <= (n + 1) // 2 else src * q
+        vec, n = new, n + 1
+    while n < nu_N:  # promotion pi_(q)^*
+        new = {}
+        for i in range(n + 1):
+            v = vec[i]
+            new[i] = v * q if i <= n // 2 else v
+        new[n + 1] = phi.value(q) * vec[n]
+        vec, n = new, n + 1
+    return vec
+
+
+def _gamma_table(params: EisensteinParams, t: int) -> dict[int, CycElement]:
+    """gamma_{t^{nu_t(N)}, k} for the promotion-only primes t | N/(f^2 M L)."""
+    phi = params.phi
+    K = CyclotomicField(phi.order)
+    nu_N = valuation(params.N, t)
+    vec = {0: K.one()}
+    n = 0
+    while n < nu_N:
+        new = {}
+        for i in range(n + 1):
+            v = vec[i]
+            new[i] = v * t if i <= n // 2 else v
+        new[n + 1] = phi.value(t) * vec[n]
+        vec, n = new, n + 1
+    return vec
 
 
 def D_NML(params: EisensteinParams) -> CuspDivisor:

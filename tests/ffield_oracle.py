@@ -12,7 +12,10 @@ Cantor-Zassenhaus.  `reduce_vector` is the former per-coefficient Horner
 reduction of the scanner, and `scan_pairs` its former loop over embedding
 pairs.  The code is verbatim apart from `F` being an `OracleField`, so every
 product in it goes through the old `mul`, and from `OracleField.create`
-taking the modulus from this module's search.
+taking the modulus from this module's search.  Its Rabin test
+`_irreducible_modq` calls every linear polynomial reducible; the search
+never asks it at r = 1, and the library now tests irreducibility as
+`factor_degrees_mod_q(h, q) == [r]`.
 """
 
 from __future__ import annotations

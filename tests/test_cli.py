@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import eiscong
 from eiscong.cli import main
 from eiscong.eisenstein import PRECISION_CAP
 
@@ -110,6 +115,34 @@ def test_fetch_offline_no_cache(capsys, tmp_path):
         capsys, "fetch", "--level", "11", "--offline", "--cache-dir", str(tmp_path)
     )
     assert code == 1 and "cache" in err
+
+
+def test_fetch_offline_warm_cache(capsys, tmp_path):
+    data = [{"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
+             "an": [[1], [-2], [-1], [2], [1], [2]]}]
+    (tmp_path / "newforms_11.json").write_text(json.dumps(data))
+    argv = ("fetch", "--level", "11", "--offline", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == "fetched 1 newform records for level 11:\n  11.2.a.a (degree 1, 6 coefficients)\n"
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"level": 11, "records": [
+        {"label": "11.2.a.a", "degree": 1, "coefficients": 6}]}
+
+
+def test_cli_import_stays_light():
+    """`import eiscong.cli` in a fresh interpreter loads neither the
+    Manin-symbol code nor requests (the README promises both)."""
+    src = str(Path(eiscong.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = ("import sys, eiscong.cli; "
+             "print(sorted(m for m in ('eiscong.modsym', 'requests') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_scan_reports_unusable_newform(capsys, monkeypatch):

@@ -17,7 +17,7 @@ from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
                            DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
                            cusp_from_fraction, enumerate_cusps,
-                           pullback_pi_l, pullback_pi_paren,
+                           _table, pullback_pi_l, pullback_pi_paren,
                            verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams
@@ -363,29 +363,69 @@ def test_verify_boundary_general_parameters():
     for phi, N, M, L in cases:
         P = EisensteinParams(phi, N, M, L)
         assert verify_boundary(P), P.label()
+    for P in _promotion_params():
+        assert verify_boundary(P), P.label()
+
+
+def _promotion_params():
+    """Parameter sets with nu_l(N) > nu_l(M) at some l | T1 or nu_q(N) > nu_q(L)
+    at some q | T2, so the alpha and beta tables run promotion steps."""
+    phi3, phi5 = quadratic_character(3), character_with_value(5, 2, 4, 1)  # phi5 of order 4
+    return [EisensteinParams(*case) for case in [
+        (phi3, 36, 2, 1),      # alpha promotion at 2
+        (phi3, 36, 1, 2),      # beta promotion at 2 in S_phi
+        (phi3, 144, 1, 4),     # beta slash, then two promotions at 2
+        (phi3, 3528, 2, 7),    # alpha promotions at 2, beta promotion at 7 in S_phi
+        (phi5, 100, 2, 1),     # alpha promotion at 2, phi(2) = zeta_4
+        (phi5, 100, 1, 2),     # beta promotion at 2 outside S_phi
+        (phi5, 1800, 4, 3),    # alpha slash and promotion at 2, beta promotion at 3
+        (phi5, 2700, 3, 4),    # two alpha promotions at 3
+    ]]
+
+
+def _reprs(coeffs):
+    """The coefficient representations (field, num, den) of a dict of CycElements."""
+    return {k: (v.field, v.num, v.den) for k, v in coeffs.items()}
 
 
 def _same_divisor(a, b):
     """Equal divisors with equal coefficient representations at every cusp."""
-    return a.level == b.level and {c: (v.field, v.num, v.den) for c, v in a.support.items()} == {
-        c: (v.field, v.num, v.den) for c, v in b.support.items()}
+    return a.level == b.level and _reprs(a.support) == _reprs(b.support)
+
+
+def _oracle_table(P, p):
+    if P.T1 % p == 0:
+        return cusps_oracle._alpha_table(P, p)
+    if P.T2 % p == 0:
+        return cusps_oracle._beta_table(P, p)
+    return cusps_oracle._gamma_table(P, p)
 
 
 def _check_beta_against_oracle(P):
     beta = beta_constant(P)
     want = cusps_oracle.beta_constant(P)
     assert (beta.field, beta.num, beta.den) == (want.field, want.num, want.den), P.label()
+    for p in prime_divisors(P.N):
+        if P.f % p:
+            assert _reprs(_table(P, p)) == _reprs(_oracle_table(P, p)), (P.label(), p)
     assert _same_divisor(D_NML(P), cusps_oracle.D_NML(P)), P.label()
     assert _same_divisor(closed_form_boundary(P), cusps_oracle.closed_form_boundary(P)), P.label()
     assert verify_boundary(P).ok
 
 
 def test_beta_matches_oracle_on_eigenbases():
-    """beta, D_NML and the closed form agree with the former code on the 19
-    eigenbasis series at 121, 234 and 725."""
+    """beta, the alpha/beta/gamma tables, D_NML and the closed form agree
+    with the former code on the 19 eigenbasis series at 121, 234 and 725."""
     basis = [P for N, p in ((121, 11), (234, 3), (725, 5)) for P in eisenstein_basis(N, p)]
     assert len(basis) == 19
     for P in basis:
+        _check_beta_against_oracle(P)
+
+
+def test_beta_matches_oracle_with_promotions():
+    """The alpha/beta/gamma tables, D_NML and the closed form agree with the
+    former code where the alpha and beta tables run promotion steps."""
+    for P in _promotion_params():
         _check_beta_against_oracle(P)
 
 

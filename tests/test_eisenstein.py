@@ -87,13 +87,26 @@ def test_refinement_coefficient_rules():
     assert ord13.coefficient(13).rational_value() == 1  # 14 - 13*1
     ord2 = refine_ordinary(crit13, 2, phi)
     assert ord2.coefficient(2).rational_value() == -1  # -3 - 2*(-1)*1
-    # refinement at l | f is the identity on coefficients
-    same = refine_critical(E, 3, phi)
-    assert same.coeffs == E.coeffs and same.level == E.level * 3
+    # refinement at l | f is the identity on coefficients, although l | level
+    for refine in (refine_critical, refine_ordinary):
+        same = refine(E, 3, phi)
+        assert same.coeffs == E.coeffs and same.level == E.level * 3
     # refinements at distinct primes commute
     a = refine_ordinary(refine_critical(E, 13, phi), 2, phi)
     b = refine_critical(refine_ordinary(E, 2, phi), 13, phi)
     assert a.coeffs == b.coeffs
+
+
+def test_refinement_guards():
+    phi = quadratic_character(3)
+    E = refine_ordinary(e_phi(phi, 26), 13, phi)
+    for refine in (refine_critical, refine_ordinary):
+        with pytest.raises(DomainError, match="^refinement requires a prime$"):
+            refine(E, 4, phi)
+    with pytest.raises(DomainError, match="^critical refinement at l=13 already dividing the level$"):
+        refine_critical(E, 13, phi)
+    with pytest.raises(DomainError, match="^ordinary refinement at q=13 already dividing the level$"):
+        refine_ordinary(E, 13, phi)
 
 
 def test_slash_scale():

@@ -8,9 +8,8 @@ import roots_oracle
 from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
-from eiscong.ffield import (FiniteField, _irreducible_modq, conway_style_modulus,
-                            cyclotomic_roots, factor_degrees_mod_q,
-                            finite_field_roots, roots_in_field)
+from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
+                            factor_degrees_mod_q, finite_field_roots, roots_in_field)
 
 
 def test_root_examples():
@@ -128,8 +127,13 @@ def _monic_modq(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_monic_modq())
 def test_irreducibility_matches_oracle(case):
+    """`factor_degrees_mod_q(h, q) == [r]`, the test `conway_style_modulus`
+    uses, against the former Rabin test, which wrongly calls every linear
+    polynomial reducible: at r = 1 the answer is True."""
     h, q = case
-    assert _irreducible_modq(h, q) == ffield_oracle._irreducible_modq(h, q)
+    r = len(h) - 1
+    want = r == 1 or ffield_oracle._irreducible_modq(h, q)
+    assert (factor_degrees_mod_q(h, q) == [r]) == want
 
 
 @st.composite
