@@ -13,21 +13,29 @@ triangular with diagonal (g, l/g), g = gcd(l, b) (Diamond-Shurman, *A First
 Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
 Approach*, ch. 8).  The boundary divisor of E_{phi,M,L} is computed by
 running the refinement/scaling/promotion recursion through these pullbacks
-starting from beta_phi * D_{Gamma0(f^2),f}(phi); the closed-form path
-recomputes it from the multi-sum of Lemma `induction2`, and verify_boundary
-compares the two exactly.  The multi-sum runs over the primes p of N prime
-to f (l | T1, q | T2 and the promotion-only t | N/(f^2 M L)), and its
-alpha/beta/gamma coefficient tables are one recurrence: a slash step
-(pi_p^*) up to nu_p(ML), then a promotion step (pi_(p)^*) up to nu_p(N),
-run from three start vectors.  These primes are distinct and prime to the
-f-part, so every term has its own divisor d and D_{Gamma0(N),M,L}(phi) is
-a disjoint union of scaled D-divisors, built as one support dict.
+starting from D_{Gamma0(f^2),f}(phi) and multiplying the result by
+beta_{Gamma0(f^2),phi,1,1}; the closed-form path recomputes it from the
+multi-sum of Lemma `induction2`, and verify_boundary compares the two
+exactly.  The multi-sum runs over the primes p of N prime to f (l | T1,
+q | T2 and the promotion-only t | N/(f^2 M L)), and its alpha/beta/gamma
+coefficient tables are one recurrence: a slash step (pi_p^*) up to
+nu_p(ML), then a promotion step (pi_(p)^*) up to nu_p(N), run from three
+start vectors.  These primes are distinct and prime to the f-part, so every
+term has its own divisor d and D_{Gamma0(N),M,L}(phi) is a disjoint union
+of scaled D-divisors, built as one support dict.
 
 Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
 core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so it is
-computed once per phi and shared by every beta of that phi.  A `Cusp` is
-the tuple (level, d, x): it hashes and sorts as that tuple, which keeps the
-divisors' dict lookups cheap.
+computed once per phi and shared by every beta of that phi.  The recursion
+scales by beta last: every pullback and refinement step is linear over
+Q(zeta_m) and beta is nonzero, so the steps run on the coefficients phi(x)
+of D_{Gamma0(f^2),f}(phi) in Q(zeta_k), k = order(phi), and only the
+finished divisor moves into Q(zeta_lcm(f,k)), by one product per cusp with
+beta_{Gamma0(f^2),phi,1,1}, which is also computed once per phi.  The
+support of D_{Gamma0(N),d}(phi), checked by `_assert_well_defined`, is
+computed once per (N, d, phi), and every `D_divisor` call returns a fresh
+divisor built from it.  A `Cusp` is the tuple (level, d, x): it hashes and
+sorts as that tuple, which keeps the divisors' dict lookups cheap.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
 from math import gcd, lcm, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .arith import DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, valuation
@@ -136,16 +145,24 @@ class CuspDivisor:
             return self.support[cusp]
         return CyclotomicField(1).zero()
 
-    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
+    def _combine(self, other: "CuspDivisor", sign: int) -> "CuspDivisor":
+        """self + sign * other, sign = 1 or -1, coefficient by coefficient;
+        the constructor drops the coefficients that cancel."""
         if self.level != other.level:
             raise DomainError("divisor level mismatch")
         out = dict(self.support)
         for c, v in other.support.items():
-            out[c] = out[c] + v if c in out else v
+            if c in out:
+                out[c] = out[c] + v if sign == 1 else out[c] - v
+            else:
+                out[c] = v if sign == 1 else -v
         return CuspDivisor(self.level, out)
 
+    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
+        return self._combine(other, 1)
+
     def __sub__(self, other: "CuspDivisor") -> "CuspDivisor":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
 
     def scale(self, c) -> "CuspDivisor":
         return CuspDivisor(self.level, {k: v * c for k, v in self.support.items()})
@@ -197,8 +214,15 @@ def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
 
     Defined when conductor(phi) | gcd(d, N/d); the coefficient at the class
     (d, x) is phi(x), which `_assert_well_defined` re-derives from
-    representative pairs.
+    representative pairs.  The checked support is computed once per
+    (N, d, phi), and every call returns a fresh divisor with its own copy.
     """
+    return CuspDivisor(N, _D_support(N, d, phi))
+
+
+@cache
+def _D_support(N: int, d: int, phi: DirichletCharacter):
+    """The support of D_{Gamma0(N),d}(phi), checked once and read-only."""
     if N % d:
         raise DomainError(f"{d} does not divide {N}")
     t = gcd(d, N // d)
@@ -215,7 +239,7 @@ def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
         assert e is not None
         support[Cusp(N, d, x)] = K.zeta(e)
     _assert_well_defined(N, d, phi, support)
-    return CuspDivisor(N, support)
+    return MappingProxyType(support)
 
 
 def D_divisor_pair(N: int, d: int, eps1: DirichletCharacter,
@@ -328,12 +352,22 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
     return beta_constant(params) * (params.f * params.T1)
 
 
+@cache
+def _beta_start(phi: DirichletCharacter) -> CycElement:
+    """beta_{Gamma0(f^2),phi,1,1}, the scale of the recursion's start
+    D_{Gamma0(f^2),f}(phi), computed once per phi."""
+    f = phi.modulus
+    return beta_constant(EisensteinParams(phi, f * f, 1, 1))
+
+
 def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
     """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion of the
-    refinement/scaling/promotion construction (proof order)."""
+    refinement/scaling/promotion construction (proof order), run on
+    D_{Gamma0(f^2),f}(phi) in Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1}
+    at the end."""
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
-    D = D_divisor(f * f, f, phi).scale(beta_constant(EisensteinParams(phi, f * f, 1, 1)))
+    D = D_divisor(f * f, f, phi)
     # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1,
     # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2
     steps = [(l, phi.value(l) * Fraction(1, l)) for l in prime_divisors(params.T1)]
@@ -347,7 +381,7 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
         for _ in range(e):
             D = pullback_pi_paren(D, p)
     assert D.level == N
-    return D
+    return D.scale(_beta_start(phi))
 
 
 # -- closed-form path: Lemma `induction2` coefficient recurrences ---------------

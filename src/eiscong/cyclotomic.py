@@ -4,22 +4,24 @@ An element is num/den: `num` holds integer coefficients on the power basis
 1, zeta, ..., zeta^(d-1) (d = euler_phi(m)) and `den` > 0 is one common
 denominator, kept canonical with gcd(den, content(num)) = 1 (the design of
 FLINT's fmpq_poly).  Equal elements of one field therefore have equal
-(num, den) and equal hashes.  All arithmetic stays in Z: a product is reduced
-by folding exponents with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
-(so Q(zeta_2n) costs what Q(zeta_n) costs for odd n), and then subtracting
-integer multiples of the monic Phi_m from the top down.  Rational scalars
+(num, den) and equal hashes.  All arithmetic stays in Z.  Rational scalars
 scale num and den and are never promoted to elements.  The inverse is the
-product of the nontrivial Galois conjugates divided by the norm.  Each field
-holds the m powers zeta^0, ..., zeta^(m-1) as a table built once, in O(m d),
-when the field is made; `zeta(j)` returns entry j mod m, so a character value
-is a lookup.  The table is constant data of the field, like its modulus, and
-takes no part in equality, hashing or repr.  zeta^j is a unit vector when j
-(after the sign fold) is below the degree, and `polys.mul` by it costs O(d),
-since it loops over the sparser factor.  Beside it the field keeps each
-power's nonzero entries, so `power_sum(counts)`, the element
-sum_j counts[j] zeta^j that Gauss sums, Bernoulli numbers and q-expansion
-coefficients are made of, costs one addition per nonzero entry and no
-reduction.
+product of the nontrivial Galois conjugates divided by the norm.
+
+Each field holds the m powers zeta^0, ..., zeta^(m-1) as a table built once,
+in O(m d), when the field is made; `zeta(j)` returns entry j mod m, so a
+character value is a lookup.  The table is constant data of the field, like
+its modulus, and takes no part in equality, hashing or repr.  Beside it the
+field keeps each power's nonzero entries, and every reduction mod Phi_m is
+read off them: an integer vector v on 1, x, x^2, ... reduces to v[:d] plus
+v[j] zeta^(j mod m) for each j >= d, one addition per nonzero entry of each
+power and no division.  zeta^j is a unit vector up to sign when j mod m is
+below d, or lies in [m/2, m/2 + d) for even m (where zeta^(m/2) = -1), so
+most of a product's top half costs one addition per coefficient, and
+`polys.mul` by such a power costs O(d), since it loops over the sparser
+factor.  `power_sum(counts)`, the element sum_j counts[j] zeta^j that Gauss
+sums, Bernoulli numbers and q-expansion coefficients are made of, is the
+reduction of the counts.
 
 Every element is built by `_element`, which sets the three slots directly
 (the class stays frozen: assigning to a field raises) and trusts its caller
@@ -82,8 +84,9 @@ class _CycField:
         m, d = self.m, self.degree
         h = m if m % 2 else m // 2  # zeta^h = -1 when m is even
         powers = [_element(self, tuple(int(i == j) for i in range(d))) for j in range(min(d, h))]
-        for _ in range(d, h):  # zeta^j = zeta * zeta^(j-1): one step of the reduction
-            powers.append(_element(self, tuple(self.reduce([0, *powers[-1].num]))))
+        for _ in range(d, h):  # zeta^j = zeta * zeta^(j-1), less its top entry times Phi_m
+            *low, top = 0, *powers[-1].num
+            powers.append(_element(self, tuple(c - top * p for c, p in zip(low, self.modulus))))
         if h < m:
             powers += [-z for z in powers]
         object.__setattr__(self, "powers", tuple(powers))
@@ -94,21 +97,19 @@ class _CycField:
         return f"Q(zeta_{self.m})"
 
     def reduce(self, v: list[int]) -> list[int]:
-        """Integer coefficients on 1..x^(len-1) mod Phi_m, as `degree` entries."""
-        m, d = self.m, self.degree
-        # fold with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
-        h, s = (m, 1) if m % 2 else (m // 2, -1)
-        if len(v) > h:
-            w = v[:h]
-            for k in range(h, len(v), h):
-                sign = s ** (k // h)
-                for i, c in enumerate(v[k:k + h]):
-                    if c:
-                        w[i] += sign * c
-            v = w
-        if len(v) > d:
-            return polys.divmod_monic(v, self.modulus)[1]
-        return v + [0] * (d - len(v))
+        """Integer coefficients on 1..x^(len-1) mod Phi_m, as `degree` entries:
+        v[:degree] plus v[j] zeta^(j mod m), read off the table, for the rest."""
+        d = self.degree
+        if len(v) <= d:
+            return v + [0] * (d - len(v))
+        out = v[:d]
+        m, terms = self.m, self.terms
+        for j in range(d, len(v)):
+            c = v[j]
+            if c:
+                for i, x in terms[j % m]:
+                    out[i] += c * x
+        return out
 
     def element(self, coeffs) -> "CycElement":
         cs = list(coeffs)
@@ -120,15 +121,10 @@ class _CycField:
         return _canonical(self, self.reduce(cs), den)
 
     def power_sum(self, counts) -> "CycElement":
-        """sum_j counts[j] * zeta^j for integers counts[j], j < m, read off the
-        table of powers.  The sum lies in Z[zeta_m], so den = 1 and the result
-        is canonical as built."""
-        num = [0] * self.degree
-        for c, t in zip(counts, self.terms):
-            if c:
-                for i, x in t:
-                    num[i] += c * x
-        return _element(self, tuple(num))
+        """sum_j counts[j] * zeta^j for integers counts[j], the reduction of the
+        counts.  The sum lies in Z[zeta_m], so den = 1 and the result is
+        canonical as built."""
+        return _element(self, tuple(self.reduce(list(counts))))
 
     def zero(self) -> "CycElement":
         return self.element([])
@@ -250,7 +246,14 @@ class CycElement:
         return self._add(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        """other - self for a rational other, over one common denominator."""
+        q = _rational(other)
+        if q is None:
+            return NotImplemented
+        n, d = q
+        num = [-c * d for c in self.num]
+        num[0] += n * self.den
+        return _canonical(self.field, num, self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, CycElement):

@@ -13,6 +13,12 @@ are the library's.  `gamma0_equivalent`, the classical criterion for two
 cusps to be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
 `cusp_from_fraction`, which the Manin-symbol boundary map now uses too.
 
+`boundary_divisor` is the former recursion, verbatim: it scales
+D_{Gamma0(f^2),f}(phi) by beta_{Gamma0(f^2),phi,1,1} first and pulls the
+scaled divisor back in Q(zeta_lcm(f,k)), where the library pulls back the
+unscaled divisor in Q(zeta_k) and scales once at the end.  Its names
+resolve to this module's `beta_constant` and pullbacks.
+
 `pullback_pi_paren` and `pullback_pi_l` (with `_forget` and
 `_stabilizing_matrix`) are the former pullbacks, verbatim with their
 asserts: pi_l's ramification index comes from the scaling matrix
@@ -26,8 +32,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, prod
 
-from eiscong.arith import (DomainError, euler_phi, is_prime, prime_divisors, valuation,
-                          xgcd)
+from eiscong.arith import (DomainError, euler_phi, factor, is_prime, prime_divisors,
+                          valuation, xgcd)
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
 from eiscong.cusps import Cusp, CuspDivisor, D_divisor, cusp_from_fraction, enumerate_cusps
 from eiscong.cyclotomic import CycElement, CyclotomicField
@@ -240,3 +246,25 @@ def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
         assert e.denominator == 1 and e > 0, f"pi_l ramification not integral: {e}"
         out[c] = coeff * int(e)
     return CuspDivisor(A * l, out)
+
+
+def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
+    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion of the
+    refinement/scaling/promotion construction (proof order)."""
+    phi = params.phi
+    f, N, M, L = params.f, params.N, params.M, params.L
+    D = D_divisor(f * f, f, phi).scale(beta_constant(EisensteinParams(phi, f * f, 1, 1)))
+    # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1,
+    # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2
+    steps = [(l, phi.value(l) * Fraction(1, l)) for l in prime_divisors(params.T1)]
+    steps += [(q, phi.inverse().value(q)) for q in prime_divisors(params.T2)]
+    for p, c in steps:
+        D = pullback_pi_paren(D, p) - pullback_pi_l(D, p).scale(c)
+    for p, e in factor(M * L // (params.T1 * params.T2)):
+        for _ in range(e):
+            D = pullback_pi_l(D, p)
+    for p, e in factor(N // (f * f * M * L)):
+        for _ in range(e):
+            D = pullback_pi_paren(D, p)
+    assert D.level == N
+    return D

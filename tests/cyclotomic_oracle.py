@@ -5,6 +5,12 @@ The code below is the library's former `polys` module and its former
 `CycElement` / `CyclotomicField`, verbatim except that `polys.f` calls read
 `f`.  Every coefficient is a Fraction and reduction mod Phi_m is division
 over Q; it is slow and independent of the integer kernel.
+
+`reduce_by_division` is the integer kernel's former `_CycField.reduce`,
+verbatim but for its first argument, a field of `eiscong.cyclotomic`: it
+folds exponents with zeta^m = 1, or with zeta^(m/2) = -1 when m is even,
+and then divides by the monic Phi_m, where the kernel now reads every
+power at or above the degree off the field's table of zeta powers.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+from eiscong import polys
 from eiscong.arith import DomainError, divisors, euler_phi
 
 DEGREE_CAP = 200
@@ -375,3 +382,21 @@ class CycElement:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
+
+
+def reduce_by_division(K, v: list[int]) -> list[int]:
+    """Integer coefficients on 1..x^(len-1) mod Phi_m, as `degree` entries."""
+    m, d = K.m, K.degree
+    # fold with zeta^m = 1, or with zeta^(m/2) = -1 when m is even
+    h, s = (m, 1) if m % 2 else (m // 2, -1)
+    if len(v) > h:
+        w = v[:h]
+        for k in range(h, len(v), h):
+            sign = s ** (k // h)
+            for i, c in enumerate(v[k:k + h]):
+                if c:
+                    w[i] += sign * c
+        v = w
+    if len(v) > d:
+        return polys.divmod_monic(v, K.modulus)[1]
+    return v + [0] * (d - len(v))

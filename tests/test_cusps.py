@@ -416,9 +416,7 @@ def _check_beta_against_oracle(P):
 def test_beta_matches_oracle_on_eigenbases():
     """beta, the alpha/beta/gamma tables, D_NML and the closed form agree
     with the former code on the 19 eigenbasis series at 121, 234 and 725."""
-    basis = [P for N, p in ((121, 11), (234, 3), (725, 5)) for P in eisenstein_basis(N, p)]
-    assert len(basis) == 19
-    for P in basis:
+    for P in _eigenbasis():
         _check_beta_against_oracle(P)
 
 
@@ -434,6 +432,81 @@ def test_beta_matches_oracle_with_promotions():
 def test_beta_matches_oracle_on_random_pgood_params(rng):
     for P in random_pgood_params(rng, 2):
         _check_beta_against_oracle(P)
+
+
+def _eigenbasis():
+    basis = [P for N, p in ((121, 11), (234, 3), (725, 5)) for P in eisenstein_basis(N, p)]
+    assert len(basis) == 19
+    return basis
+
+
+def test_boundary_divisor_matches_oracle():
+    """The recursion run in Q(zeta_k) and scaled by beta at the end gives the
+    divisor, field, num and den at every cusp, of the former recursion that
+    scales first, on the 19 eigenbasis series, 40 random p-good sets and the
+    sets whose tables run promotions."""
+    params = _eigenbasis() + random_pgood_params(random.Random(15), 40) + _promotion_params()
+    for P in params:
+        got, want = boundary_divisor(P), cusps_oracle.boundary_divisor(P)
+        assert got.support and _same_divisor(got, want), P.label()
+
+
+def test_divisor_difference_by_coefficient():
+    """a - b subtracts coefficient by coefficient: it equals a + (-1) b in
+    every coefficient's representation and drops the cusps that cancel."""
+    phi = character_with_value(11, 2, 10, 1)
+    a = boundary_divisor(EisensteinParams(phi, 121, 1, 1))
+    b = D_divisor(121, 11, phi)
+    up, scaled = pullback_pi_paren(b, 11), pullback_pi_l(b, 11)
+    assert set(up.support) != set(scaled.support)
+    for x, y in ((a, b), (b, a), (a, a.scale(2)), (b, CuspDivisor(121)), (up, scaled),
+                 (scaled, up)):
+        assert _same_divisor(x - y, x + y.scale(-1))
+    assert not (a - a).support
+    c = next(iter(b.support))
+    half = CuspDivisor(121, {c: b.support[c]})
+    assert set((b - half).support) == set(b.support) - {c}
+
+
+def test_D_divisor_checked_once_per_argument_triple(monkeypatch):
+    """Over two verify_boundary passes on the eigenbases, _assert_well_defined
+    runs once for each distinct (N, d, phi) that D_divisor is asked for."""
+    from eiscong import cusps
+
+    real_check, real_D = cusps._assert_well_defined, cusps.D_divisor
+    checked, asked = [], set()
+
+    def check(N, d, phi, support):
+        checked.append((N, d, phi))
+        real_check(N, d, phi, support)
+
+    def counting_D(N, d, phi):
+        asked.add((N, d, phi))
+        return real_D(N, d, phi)
+
+    monkeypatch.setattr(cusps, "_assert_well_defined", check)
+    monkeypatch.setattr(cusps, "D_divisor", counting_D)
+    cusps._D_support.cache_clear()
+    for _ in range(2):
+        for P in _eigenbasis():
+            assert cusps.verify_boundary(P)
+    assert len(asked) > 19
+    assert len(checked) == len(set(checked)) == len(asked)
+
+
+def test_D_divisor_returns_a_fresh_copy():
+    """Changing the support of a returned divisor leaves the next D_divisor
+    result unchanged."""
+    phi = quadratic_character(11)
+    first = D_divisor(121, 11, phi)
+    want = _reprs(first.support)
+    c = next(iter(first.support))
+    first.support[c] = first.support[c] * 3
+    del first.support[next(c2 for c2 in first.support if c2 != c)]
+    first.support[Cusp(121, 1, 1)] = CyclotomicField(2).one()
+    again = D_divisor(121, 11, phi)
+    assert _reprs(again.support) == want
+    assert again.support is not first.support
 
 
 @pytest.mark.parametrize("N,count,digest", [

@@ -265,11 +265,46 @@ def test_power_sum_matches_element(m, data):
     assert (got.num, got.den, hash(got)) == (want.num, want.den, hash(want))
 
 
+_REDUCE_FIELDS = _ORACLE_FIELDS + (169, 272)
+
+
+@st.composite
+def _long_vector(draw):
+    """A field from _REDUCE_FIELDS and an integer vector of length up to
+    2m + 3, so that every power of zeta, past two periods, is reduced."""
+    m = draw(st.sampled_from(_REDUCE_FIELDS))
+    n = draw(st.integers(0, 2 * m + 3))
+    return m, draw(st.lists(st.one_of(st.just(0), st.integers(-40, 40)), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_long_vector())
+def test_reduce_matches_fold_and_divide(mv):
+    """Reduction read off the zeta table equals the former fold with
+    zeta^m = 1 (or zeta^(m/2) = -1) and division by Phi_m, and leaves its
+    input unchanged."""
+    m, v = mv
+    K = CyclotomicField(m)
+    w = list(v)
+    assert K.reduce(w) == cyclotomic_oracle.reduce_by_division(K, list(v))
+    assert w == v
+
+
+@pytest.mark.parametrize("m", _REDUCE_FIELDS)
+def test_reduce_every_length(m):
+    """The same comparison at every length 0..2m + 3, one seeded vector each."""
+    rng = random.Random(m)
+    K = CyclotomicField(m)
+    for n in range(2 * m + 4):
+        v = [rng.randint(-40, 40) for _ in range(n)]
+        assert K.reduce(list(v)) == cyclotomic_oracle.reduce_by_division(K, v), (m, n)
+
+
 def test_elements_stay_frozen():
     K = CyclotomicField(12)
     a = K.element([1, Fraction(1, 3)])
     for x in (a, K.zeta(5), -a, a + a, a * K.zeta(7), a * 3, K.power_sum([0, 2, 0, 1]),
-              a.embed(24), K.zero()):
+              a.embed(24), K.zero(), 1 - a, Fraction(2, 3) - a, 3 - 3 * a):
         for name, value in (("num", (0,)), ("den", 2), ("field", K)):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(x, name, value)
