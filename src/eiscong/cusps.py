@@ -14,25 +14,32 @@ Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
 Approach*, ch. 8).  The boundary divisor of E_{phi,M,L} is computed by
 running the refinement/scaling/promotion recursion through these pullbacks
 starting from D_{Gamma0(f^2),f}(phi) and multiplying the result by
-beta_{Gamma0(f^2),phi,1,1}; the closed-form path recomputes it from the
-multi-sum of Lemma `induction2`, and verify_boundary compares the two
-exactly.  The multi-sum runs over the primes p of N prime to f (l | T1,
-q | T2 and the promotion-only t | N/(f^2 M L)), and its alpha/beta/gamma
-coefficient tables are one recurrence: a slash step (pi_p^*) up to
-nu_p(ML), then a promotion step (pi_(p)^*) up to nu_p(N), run from three
-start vectors.  These primes are distinct and prime to the f-part, so every
+beta_{Gamma0(f^2),phi,1,1}; the closed-form path recomputes it as
+beta_{Gamma0(N),phi,M,L} times the multi-sum D_{Gamma0(N),M,L}(phi) of Lemma
+`induction2`, and verify_boundary decides whether the two are equal.  The
+multi-sum runs over the primes p of N prime to f (l | T1, q | T2 and the
+promotion-only t | N/(f^2 M L)), and its alpha/beta/gamma coefficient
+tables are one recurrence: a slash step (pi_p^*) up to nu_p(ML), then a
+promotion step (pi_(p)^*) up to nu_p(N), run from three start vectors.
+These primes are distinct and prime to the f-part, so every
 term has its own divisor d and D_{Gamma0(N),M,L}(phi) is a disjoint union
 of scaled D-divisors, built as one support dict.
 
-Every beta_{Gamma0(N),phi,M,L} is a rational times Euler factors times the
-core tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1), which phi alone fixes, so it is
-computed once per phi and shared by every beta of that phi.  The recursion
-scales by beta last: every pullback and refinement step is linear over
-Q(zeta_m) and beta is nonzero, so the steps run on the coefficients phi(x)
-of D_{Gamma0(f^2),f}(phi) in Q(zeta_k), k = order(phi), and only the
-finished divisor moves into Q(zeta_lcm(f,k)), by one product per cusp with
-beta_{Gamma0(f^2),phi,1,1}, which is also computed once per phi.  The
-support of D_{Gamma0(N),d}(phi), checked by `_assert_well_defined`, is
+Every beta_{Gamma0(N),phi,M,L} is the core tau(phi^-1) tau(xi^-1)^-1
+B2(xi^-1) in Q(zeta_lcm(f,k)), k = order(phi), which phi alone fixes and
+which is computed once per phi, times a factor rho: a rational times the
+Euler factors (1 - xi(p)/p^2), an element of Q(zeta_order(xi)), a subfield
+of Q(zeta_k).  So `beta_constant` is one product in the large field.  The
+recursion scales by beta last: every pullback and refinement step is linear
+over Q(zeta_m) and beta is nonzero, so the steps run on the coefficients
+phi(x) of D_{Gamma0(f^2),f}(phi) in Q(zeta_k), and only the finished
+divisor moves into Q(zeta_lcm(f,k)), by one product per cusp with
+beta_{Gamma0(f^2),phi,1,1}, which is also computed once per phi.  Both sides
+of the theorem carry the same core, a nonzero factor, so verify_boundary
+leaves it out: it compares the recursion times rho of (phi, f^2, 1, 1) with
+D_{Gamma0(N),M,L}(phi) times rho of (phi, N, M, L), every coefficient in
+Q(zeta_k), and gets the verdict and mismatch cusp of the scaled comparison.
+The support of D_{Gamma0(N),d}(phi), checked by `_assert_well_defined`, is
 computed once per (N, d, phi), and every `D_divisor` call returns a fresh
 divisor built from it.  A `Cusp` is the tuple (level, d, x): it hashes and
 sorts as that tuple, which keeps the divisors' dict lookups cheap.
@@ -73,9 +80,6 @@ class Cusp(NamedTuple):
 
     def ram_index(self) -> int:
         return self.level // (self.d * self.t)
-
-    def field_torsion(self) -> int:
-        return self.t
 
     def canonical_rep(self) -> tuple[int, int]:
         """Coprime (a, b) with gcd(b, N) = d and a*(b/d) = x mod t."""
@@ -184,26 +188,6 @@ class CuspDivisor:
             if self.coefficient(c) != other.coefficient(c):
                 return c
         return None
-
-    def items_sorted(self):
-        return sorted(self.support.items(), key=lambda kv: (kv[0].d, kv[0].x))
-
-    def pretty_lines(self) -> list[str]:
-        out = []
-        for c, v in self.items_sorted():
-            a, b = c.canonical_rep()
-            out.append(f"[{a};{b}]@{self.level} : {v}")
-        return out
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for c, v in self.items_sorted():
-            a, b = c.canonical_rep()
-            out.append(
-                {"a": a, "b": b, "d": c.d, "class": c.x, "level": self.level,
-                 "coefficient": str(v)}
-            )
-        return out
 
     def __repr__(self):
         return f"CuspDivisor({self.level}, {len(self.support)} cusps)"
@@ -330,21 +314,29 @@ def _beta_core(phi: DirichletCharacter) -> CycElement:
             * bernoulli_B2(xi.inverse()).embed(m))
 
 
-def beta_constant(params: EisensteinParams) -> CycElement:
-    """beta_{Gamma0(N),phi,M,L}, exact in Q(zeta_lcm(f,k))."""
-    core = _beta_core(params.phi)
+def _beta_rho(params: EisensteinParams) -> CycElement:
+    """beta_{Gamma0(N),phi,M,L} / _beta_core(phi) in Q(zeta_k), k = order(phi):
+    f^3 T1 euler_phi(T2_phi) prod_{p|f} p^(nu_p(M) + delta_p) / (4 cond(xi))
+    times the Euler factors (1 - xi(p)/p^2) for p | f T1, all in
+    Q(zeta_order(xi)), a subfield of Q(zeta_k)."""
     f, N, M = params.f, params.N, params.M
-    xi = params.xi
-    m = core.field.m
-    front = Fraction(f ** 3 * params.T1 * euler_phi(params.T2_phi), 4 * xi.conductor())
+    xi = params.xi  # primitive, so its conductor is its modulus
+    front = Fraction(f ** 3 * params.T1 * euler_phi(params.T2_phi), 4 * xi.modulus)
     for p in prime_divisors(f):
         n_p = valuation(N, p) - 2 * valuation(f, p)
         delta_p = 1 if (valuation(M, p) == 0 and n_p >= 1) else 0
         front *= p ** (valuation(M, p) + delta_p)
-    acc = core * front
+    acc = CyclotomicField(xi.order).from_rational(front)
     for p in sorted(set(prime_divisors(f)) | set(prime_divisors(params.T1))):
-        acc = acc * (1 - xi.value(p).embed(m) * Fraction(1, p * p))
-    return acc
+        acc = acc * (1 - xi.value(p) * Fraction(1, p * p))
+    return acc.embed(params.phi.order)
+
+
+def beta_constant(params: EisensteinParams) -> CycElement:
+    """beta_{Gamma0(N),phi,M,L} = _beta_core(phi) * _beta_rho(params), exact
+    in Q(zeta_lcm(f,k))."""
+    core = _beta_core(params.phi)
+    return core * _beta_rho(params).embed(core.field.m)
 
 
 def beta_tilde(params: EisensteinParams) -> CycElement:
@@ -352,19 +344,30 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
     return beta_constant(params) * (params.f * params.T1)
 
 
+def _start(phi: DirichletCharacter) -> EisensteinParams:
+    """(phi, f^2, 1, 1), whose boundary divisor beta * D_{Gamma0(f^2),f}(phi)
+    starts the recursion."""
+    f = phi.modulus
+    return EisensteinParams(phi, f * f, 1, 1)
+
+
+@cache
+def _start_rho(phi: DirichletCharacter) -> CycElement:
+    """_beta_rho of (phi, f^2, 1, 1), computed once per phi."""
+    return _beta_rho(_start(phi))
+
+
 @cache
 def _beta_start(phi: DirichletCharacter) -> CycElement:
     """beta_{Gamma0(f^2),phi,1,1}, the scale of the recursion's start
     D_{Gamma0(f^2),f}(phi), computed once per phi."""
-    f = phi.modulus
-    return beta_constant(EisensteinParams(phi, f * f, 1, 1))
+    return beta_constant(_start(phi))
 
 
-def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
-    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion of the
-    refinement/scaling/promotion construction (proof order), run on
-    D_{Gamma0(f^2),f}(phi) in Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1}
-    at the end."""
+def _recursion(params: EisensteinParams) -> CuspDivisor:
+    """delta_{Gamma0(N)}(E_{phi,M,L}) / beta_{Gamma0(f^2),phi,1,1}: the pullback
+    recursion of the refinement/scaling/promotion construction (proof order)
+    run on D_{Gamma0(f^2),f}(phi), with every coefficient in Q(zeta_k)."""
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
     D = D_divisor(f * f, f, phi)
@@ -381,7 +384,13 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
         for _ in range(e):
             D = pullback_pi_paren(D, p)
     assert D.level == N
-    return D.scale(_beta_start(phi))
+    return D
+
+
+def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
+    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion, run in
+    Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1} at the end."""
+    return _recursion(params).scale(_beta_start(params.phi))
 
 
 # -- closed-form path: Lemma `induction2` coefficient recurrences ---------------
@@ -465,9 +474,13 @@ class BoundaryReport:
 
 
 def verify_boundary(params: EisensteinParams) -> BoundaryReport:
-    """Recursion path vs closed-form path; the theorem asserts equality."""
-    lhs = boundary_divisor(params)
-    rhs = closed_form_boundary(params)
+    """Recursion path vs closed-form path; the theorem asserts equality.
+
+    Both paths' betas are _beta_core(phi), a nonzero common factor, times
+    their _beta_rho, so the two divisors are compared without it, in
+    Q(zeta_k), with the verdict and mismatch cusp of the scaled comparison."""
+    lhs = _recursion(params).scale(_start_rho(params.phi))
+    rhs = D_NML(params).scale(_beta_rho(params))
     if lhs == rhs:
         return BoundaryReport(True, params.N, None)
     return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))

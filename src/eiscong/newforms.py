@@ -12,7 +12,8 @@ converts exactly to the power basis of the field_poly root.
 A `NewformRecord` stores a_n as (num, den), integer power-basis numerators
 over one denominator with gcd(den, content(num)) = 1, as `CycElement` does.
 A basis matrix is scaled once by the lcm of its denominators, so parsing and
-its checks stay in Z; `coefficient(n)` gives the Fraction view.
+its checks stay in Z; `coefficient(n)` gives the Fraction view.  Each
+bundled fixture is read and parsed once per process.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from math import gcd, lcm
 from pathlib import Path
@@ -164,7 +166,13 @@ def load_newforms(source) -> list[NewformRecord]:
 
 
 def bundled_newforms(level: int) -> list[NewformRecord]:
-    """The fixtures shipped with the package (levels 121, 234, 725)."""
+    """The fixtures shipped with the package (levels 121, 234, 725), parsed
+    once per level; every call returns a new list of the shared frozen records."""
+    return list(_bundled_records(level))
+
+
+@cache
+def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
     name = f"newforms_{level}.json"
     try:
         text = resources.files("eiscong.data").joinpath(name).read_text()
@@ -173,7 +181,7 @@ def bundled_newforms(level: int) -> list[NewformRecord]:
             f"no bundled newform data for level {level}; "
             f"run `eiscong fetch --level {level}` with network access"
         )
-    return parse_newforms(json.loads(text), where=name)
+    return tuple(parse_newforms(json.loads(text), where=name))
 
 
 def _cache_dir(cache_dir=None) -> Path:

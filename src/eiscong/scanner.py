@@ -109,7 +109,8 @@ def _shared(memo: dict, key, fn, *args):
 def _orbit_minima(F: FiniteField, pairs):
     """The pairs that are the smallest of their orbit under x -> x^q on both
     roots, in the order of `pairs`."""
-    frob = {x: F.pow(x, F.q) for pair in pairs for x in pair}
+    roots = {x for pair in pairs for x in pair}  # each root once, however many pairs hold it
+    frob = {x: F.pow(x, F.q) for x in roots}
     out = []
     for pair in pairs:
         z, g = frob[pair[0]], frob[pair[1]]
@@ -232,9 +233,6 @@ class FullScanResult:
     reports: tuple[CongruenceReport, ...]
     hits: tuple[ScanHit, ...]
     skipped: tuple[str, ...]
-
-    def hit_labels(self):
-        return sorted({(h.params.label(), h.report.newform, h.report.prime) for h in self.hits})
 
 
 def eisenstein_basis(N: int, p: int) -> list[EisensteinParams]:

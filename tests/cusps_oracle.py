@@ -19,6 +19,11 @@ scaled divisor back in Q(zeta_lcm(f,k)), where the library pulls back the
 unscaled divisor in Q(zeta_k) and scales once at the end.  Its names
 resolve to this module's `beta_constant` and pullbacks.
 
+`verify_boundary` is the former check, verbatim: it compares the two scaled
+divisors, boundary_divisor and closed_form_boundary, in Q(zeta_lcm(f,k)),
+where the library compares them without their common Gauss-sum core in
+Q(zeta_k).  Its names resolve to this module's two paths.
+
 `pullback_pi_paren` and `pullback_pi_l` (with `_forget` and
 `_stabilizing_matrix`) are the former pullbacks, verbatim with their
 asserts: pi_l's ramification index comes from the scaling matrix
@@ -35,7 +40,8 @@ from math import gcd, prod
 from eiscong.arith import (DomainError, euler_phi, factor, is_prime, prime_divisors,
                           valuation, xgcd)
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
-from eiscong.cusps import Cusp, CuspDivisor, D_divisor, cusp_from_fraction, enumerate_cusps
+from eiscong.cusps import (BoundaryReport, Cusp, CuspDivisor, D_divisor, cusp_from_fraction,
+                           enumerate_cusps)
 from eiscong.cyclotomic import CycElement, CyclotomicField
 from eiscong.eisenstein import EisensteinParams
 
@@ -268,3 +274,12 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
             D = pullback_pi_paren(D, p)
     assert D.level == N
     return D
+
+
+def verify_boundary(params: EisensteinParams) -> BoundaryReport:
+    """Recursion path vs closed-form path; the theorem asserts equality."""
+    lhs = boundary_divisor(params)
+    rhs = closed_form_boundary(params)
+    if lhs == rhs:
+        return BoundaryReport(True, params.N, None)
+    return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))

@@ -119,3 +119,8 @@ def integer_coefficient(vec):
     vec = [Fraction(c) for c in vec]
     den = lcm(*(c.denominator for c in vec))
     return tuple(c.numerator * (den // c.denominator) for c in vec), den
+
+
+def hit_labels(res):
+    """The sorted (series label, newform label, l) triples of a FullScanResult's hits."""
+    return sorted({(h.params.label(), h.report.newform, h.report.prime) for h in res.hits})

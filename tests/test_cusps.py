@@ -90,9 +90,9 @@ def test_ram_index_and_width():
     assert cusp_from_fraction(725, 1, 5).ram_index() == 29
     assert cusp_from_fraction(121, 1, 121).ram_index() == 1   # infinity
     assert cusp_from_fraction(11, 0, 1).ram_index() == 11      # the cusp 0
-    assert cusp_from_fraction(121, 1, 11).field_torsion() == 11
-    assert cusp_from_fraction(242, 1, 11).field_torsion() == 11
-    assert cusp_from_fraction(121, 1, 121).field_torsion() == 1
+    assert cusp_from_fraction(121, 1, 11).t == 11
+    assert cusp_from_fraction(242, 1, 11).t == 11
+    assert cusp_from_fraction(121, 1, 121).t == 1
 
 
 def test_ram_ratio_two_implementations():
@@ -307,7 +307,7 @@ def test_divisor_support_rationality_pgood():
         D = boundary_divisor(P)
         p = P.f
         for c in D.support:
-            assert p % c.field_torsion() == 0, (P.label(), c)
+            assert p % c.t == 0, (P.label(), c)
 
 
 def test_twelve_beta_tilde_integral():
@@ -318,13 +318,6 @@ def test_twelve_beta_tilde_integral():
     for P in random_valid_params(rng, 100):
         bt = beta_tilde(P) * 12
         assert bt.is_integral(), (P.label(), str(bt))
-
-
-def test_printer():
-    phi = quadratic_character(11)
-    D = D_divisor(121, 11, phi)
-    lines = D.pretty_lines()
-    assert len(lines) == 10 and lines[0].startswith("[1;11]@121 : ")
 
 
 def test_D_divisor_pair():
@@ -440,15 +433,82 @@ def _eigenbasis():
     return basis
 
 
+def _nonreal_xi_params():
+    """Sets with a prime l | T1 where xi(l) is not real, so the Euler factor
+    (1 - xi(l)/l^2) of beta is not fixed by complex conjugation."""
+    phi7, phi11 = character_with_value(7, 3, 6, 1), character_with_value(11, 2, 10, 1)
+    return [EisensteinParams(*case) for case in [
+        (phi7, 98, 2, 1),      # xi of order 3, xi(2) = zeta_3^2
+        (phi7, 588, 4, 3),     # alpha slash at 2, beta table at 3
+        (phi11, 363, 3, 1),    # xi of order 5, xi(3) = zeta_5^3
+        (phi11, 1089, 3, 1),   # alpha promotion at 3
+    ]]
+
+
+def _oracle_sets():
+    """The 19 eigenbasis series, 40 seeded random p-good sets, the sets whose
+    tables run promotions and the sets with a non-real xi(l), l | T1."""
+    return (_eigenbasis() + random_pgood_params(random.Random(15), 40) + _promotion_params()
+            + _nonreal_xi_params())
+
+
 def test_boundary_divisor_matches_oracle():
     """The recursion run in Q(zeta_k) and scaled by beta at the end gives the
     divisor, field, num and den at every cusp, of the former recursion that
-    scales first, on the 19 eigenbasis series, 40 random p-good sets and the
-    sets whose tables run promotions."""
-    params = _eigenbasis() + random_pgood_params(random.Random(15), 40) + _promotion_params()
-    for P in params:
+    scales first, on the oracle sets."""
+    for P in _oracle_sets():
         got, want = boundary_divisor(P), cusps_oracle.boundary_divisor(P)
         assert got.support and _same_divisor(got, want), P.label()
+
+
+def test_verify_boundary_matches_oracle():
+    """The check in Q(zeta_k) gives the former scaled comparison's ok and
+    mismatch cusp, and beta is its Gauss-sum core times _beta_rho, field,
+    num and den, on the oracle sets."""
+    from eiscong import cusps
+
+    for P in _oracle_sets():
+        got, want = verify_boundary(P), cusps_oracle.verify_boundary(P)
+        assert (got.ok, got.mismatch_cusp) == (want.ok, want.mismatch_cusp), P.label()
+        core = cusps._beta_core(P.phi)
+        beta, oracle = core * cusps._beta_rho(P).embed(core.field.m), cusps_oracle.beta_constant(P)
+        assert (beta.field, beta.num, beta.den) == (oracle.field, oracle.num, oracle.den), P.label()
+
+
+def test_verify_boundary_mutation_matches_oracle(monkeypatch):
+    """With one coefficient of D_NML tripled, the check and the former
+    scaled comparison both fail, at that cusp, on every eigenbasis series."""
+    from eiscong import cusps
+
+    real_D_NML = cusps.D_NML
+    mutated = {}
+
+    def tripled(P):
+        D = real_D_NML(P)
+        c = max(D.support, key=lambda k: (k.d, k.x))
+        mutated[P] = c
+        return CuspDivisor(D.level, {**D.support, c: D.support[c] * 3})
+
+    monkeypatch.setattr(cusps, "D_NML", tripled)
+    monkeypatch.setattr(cusps_oracle, "D_NML", tripled)
+    for P in _eigenbasis():
+        got = cusps.verify_boundary(P)
+        want = cusps_oracle.verify_boundary(P)
+        assert not got.ok and not want.ok, P.label()
+        assert got.mismatch_cusp == want.mismatch_cusp == mutated[P], P.label()
+
+
+def test_verify_boundary_stays_off_the_gauss_sum_core(monkeypatch):
+    """verify_boundary needs no factor of beta that lives in Q(zeta_lcm(f,k))."""
+    from eiscong import cusps
+
+    def refuse(phi):
+        raise AssertionError("verify_boundary computed the Gauss-sum core")
+
+    monkeypatch.setattr(cusps, "_beta_core", refuse)
+    cusps._beta_start.cache_clear()
+    for P in _eigenbasis():
+        assert cusps.verify_boundary(P)
 
 
 def test_divisor_difference_by_coefficient():

@@ -9,7 +9,7 @@ import pytest
 from eiscong import ffield, newforms, scanner
 from eiscong.arith import DomainError
 from eiscong.characters import quadratic_character
-from eiscong.cusps import D_divisor, boundary_divisor
+from eiscong.cusps import boundary_divisor
 from eiscong.eisenstein import EisensteinParams
 from eiscong.newforms import NetworkUnavailable
 from eiscong.scanner import full_scan
@@ -24,17 +24,6 @@ def test_full_scan_missing_data_is_actionable(tmp_path, monkeypatch):
 def test_full_scan_bound_exceeding_fixture(monkeypatch):
     with pytest.raises(DomainError, match="coefficients"):
         full_scan(121, 11, bound=1000)
-
-
-def test_divisor_json_export():
-    phi = quadratic_character(11)
-    D = D_divisor(121, 11, phi)
-    payload = D.to_json()
-    assert len(payload) == 10
-    assert payload[0]["b"] == 11 and payload[0]["level"] == 121
-    assert {"a", "b", "d", "class", "level", "coefficient"} <= set(payload[0])
-    # sorted by (d, class)
-    assert [p["class"] for p in payload] == sorted(p["class"] for p in payload)
 
 
 def test_boundary_coefficient_at_one_over_p():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import newforms_oracle
 from eiscong import polys
+from eiscong.arith import DomainError
 from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
                               bundled_newforms, fetch_newforms, load_newforms,
                               parse_newforms)
@@ -48,6 +49,31 @@ def test_bundled_paper_coefficients():
     assert l725.coefficient(6) == (
         Fraction(-1, 2), Fraction(0), Fraction(4), Fraction(0), Fraction(-1, 2), Fraction(0),
     )
+
+
+def test_bundled_fixtures_parsed_once(monkeypatch):
+    """Each bundled level is parsed once per process, and every call returns
+    a new list, so a caller that changes one list cannot change the next;
+    a missing fixture raises on every call."""
+    from eiscong import newforms
+
+    parsed = []
+
+    def counting(data, where="newforms"):
+        parsed.append(where)
+        return parse_newforms(data, where)
+
+    monkeypatch.setattr(newforms, "parse_newforms", counting)
+    newforms._bundled_records.cache_clear()
+    for level in BUNDLED_LEVELS:
+        first, second = bundled_newforms(level), bundled_newforms(level)
+        assert first == second and first is not second
+        first.append(first[0])
+        assert bundled_newforms(level) == second
+    assert parsed == [f"newforms_{level}.json" for level in BUNDLED_LEVELS]
+    for _ in range(2):
+        with pytest.raises(DomainError, match="no bundled newform data for level 99"):
+            bundled_newforms(99)
 
 
 def test_load_empty_and_errors(tmp_path):

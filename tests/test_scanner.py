@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
-from helpers import integer_coefficient
+from helpers import hit_labels, integer_coefficient
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import character_with_value, quadratic_character
@@ -95,7 +95,7 @@ def test_full_scan_121():
     res = full_scan(121, 11)
     assert res.candidate_primes == (5,)
     assert res.bound == 22
-    hits = res.hit_labels()
+    hits = hit_labels(res)
     assert all(nf == "121.2.a.d" and q == 5 for _, nf, q in hits)
     orders = sorted({h.params.phi.order for h in res.hits})
     assert orders == [2, 10]  # quadratic plus the four order-10 conjugates
@@ -312,7 +312,7 @@ def test_full_scan_skips_unusable_newform_prime():
     extra = [s for s in res.skipped if s not in base.skipped]
     assert len(extra) == 1 and extra[0].startswith("121.2.a.z at l=5:")
     assert res.reports == base.reports
-    assert res.hit_labels() == base.hit_labels()
+    assert hit_labels(res) == hit_labels(base)
 
 
 def _brute_orbit_minima(F, pairs):
