@@ -93,16 +93,11 @@ class DirichletCharacter:
         """Canonicalize: reduce k to the exact order."""
         if f == 1:
             return DirichletCharacter(1, 1, (0,))
-        g = k
-        for e in table.values():
-            g = gcd(g, e)
-        if g == 0:
-            g = k
-        k2 = k // g if g else 1
+        g = gcd(k, *table.values())
         exps = [None] * f
         for a, e in table.items():
-            exps[a] = (e // g) % k2 if k2 > 1 else 0
-        return DirichletCharacter(f, max(k2, 1), tuple(exps))
+            exps[a] = e // g % (k // g)
+        return DirichletCharacter(f, k // g, tuple(exps))
 
     @staticmethod
     def trivial(f: int = 1) -> "DirichletCharacter":
@@ -135,9 +130,6 @@ class DirichletCharacter:
 
     def is_even(self) -> bool:
         return self.value_exponent(-1) == 0
-
-    def is_odd(self) -> bool:
-        return not self.is_even()
 
     # -- group operations ------------------------------------------------------
 
@@ -373,8 +365,3 @@ def chi_in_XS(chi: DirichletCharacter, N: int) -> bool:
     if chi.primitive_part().order <= 2:
         return False
     return gcd(m, N) == 1
-
-
-def xs_parity(chi: DirichletCharacter) -> str:
-    """'+' for even characters of X_S, '-' for odd."""
-    return "+" if chi.is_even() else "-"

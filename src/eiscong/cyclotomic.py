@@ -33,7 +33,10 @@ object skips `promote`; only mixed fields embed into the compositum.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
-arithmetic.  Degrees are capped at 200; nothing at desk scale needs more.
+arithmetic.  Degrees are capped at DEGREE_CAP = 200, a bound set for an
+earlier inverse and not from a measured cost.  It refuses Q(zeta_253) and
+Q(zeta_506), both of degree 220, and so every phi of order 11 or 22 at the
+23-good level 529.
 """
 
 from __future__ import annotations

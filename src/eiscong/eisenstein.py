@@ -50,30 +50,12 @@ class QExpansion:
             raise DomainError(f"coefficient a_{n} outside valid precision {self.precision}")
         return self.coeffs[n - 1]
 
-    def is_scalar_multiple_of(self, other: "QExpansion", B: int):
-        """The scalar c with self = c * other up to q^B, or None."""
-        if B > min(self.precision, other.precision):
-            raise DomainError("comparison bound exceeds available precision")
-        c = None
-        for i in range(B):
-            if other.coeffs[i].is_zero():
-                if not self.coeffs[i].is_zero():
-                    return None
-                continue
-            ratio = self.coeffs[i] / other.coeffs[i]
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-        return c
-
     # -- display ------------------------------------------------------------
 
-    def pretty(self, B: int | None = None) -> str:
+    def pretty(self) -> str:
         """Paper-style one-line form: q - 3q^2 + 4q^3 + ..."""
-        B = self.precision if B is None else min(B, self.precision)
         parts = []
-        for n in range(1, B + 1):
+        for n in range(1, self.precision + 1):
             a = self.coeffs[n - 1]
             if a.is_zero():
                 continue
@@ -96,10 +78,9 @@ class QExpansion:
             out += f" {sign} {term}"
         return out
 
-    def machine_lines(self, B: int | None = None) -> list[str]:
+    def machine_lines(self) -> list[str]:
         """Machine-readable form: one `n: <polynomial in z_k>` per line."""
-        B = self.precision if B is None else min(B, self.precision)
-        return [f"{n}: {self.coeffs[n - 1]}" for n in range(1, B + 1)]
+        return [f"{n}: {self.coeffs[n - 1]}" for n in range(1, self.precision + 1)]
 
 
 def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:

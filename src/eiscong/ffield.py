@@ -28,11 +28,13 @@ computed once over F_q.
 
 Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
 Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
-order k': z^j with gcd(j, k') = 1 for one such z, and z = g^((|F|-1)/k') for
-the first g in the fixed element order that gives exact order k'.  When k'
-does not divide q - 1 the search starts at element q (the class of x), since
-every g in F_q^* gives a z in F_q^*, of order dividing q - 1.  The sorted
-set of roots does not depend on which z is found.
+order k', which lie in F_{q^d} for d the order of q mod k' (the residue field
+of Q(zeta_k) at a prime above q; `cyclotomic_residue` gives k' and d).  They
+are z^j with gcd(j, k') = 1 for one such z, and z = g^((|F|-1)/k') for the
+first g in the fixed element order that gives exact order k'.  When d > 1
+the search starts at element q (the class of x), since every g in F_q^*
+gives a z in F_q^*, of order dividing q - 1.  The sorted set of roots does
+not depend on which z is found.
 
 Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
@@ -147,15 +149,6 @@ class FiniteField:
             vec.append(c)
         return tuple(vec)
 
-    def multiplicative_order(self, a) -> int:
-        if not any(a):
-            raise DomainError("0 has no multiplicative order")
-        order = self.size - 1
-        for p in prime_divisors(order):
-            while order % p == 0 and self.pow(a, order // p) == self.one():
-                order //= p
-        return order
-
 
 # ------------------------------------------------- polynomials over a field F
 
@@ -267,18 +260,27 @@ def roots_in_field(int_poly, F: FiniteField):
     return sorted(roots)
 
 
+def cyclotomic_residue(k: int, q: int) -> tuple[int, int]:
+    """(k', d): k' the prime-to-q part of k and d the order of q mod k', so
+    that the roots of Phi_k mod q have exact order k' and lie in F_{q^d}."""
+    while k % q == 0:
+        k //= q
+    d = 1
+    while pow(q, d, k) != 1 % k:
+        d += 1
+    return k, d
+
+
 def cyclotomic_roots(k: int, F: FiniteField):
     """The roots of Phi_k in F, sorted, without a search (see the module notes)."""
-    kp = k
-    while kp % F.q == 0:
-        kp //= F.q
-    n = F.size - 1
-    if n % kp:
+    kp, d = cyclotomic_residue(k, F.q)
+    if F.r % d:
         return []
+    n = F.size - 1
     one = F.one()
     primes = prime_divisors(kp)
-    # g in F_q^* (elements 1..q-1) gives z in F_q^*, of exact order k' only if k' | q - 1
-    for i in range(1 if (F.q - 1) % kp == 0 else F.q, F.size):
+    # g in F_q^* (elements 1..q-1) gives z in F_q^*, of exact order k' only if d = 1
+    for i in range(1 if d == 1 else F.q, F.size):
         z = F.pow(F.element(i), n // kp)
         if all(F.pow(z, kp // s) != one for s in primes):
             break
@@ -499,15 +501,15 @@ def _zassenhaus(f):
         if len(_pgcd(fl, derivative, Fl)) != 1:
             continue
         tried += 1
-        count = sum((len(fe) - 1) // e for e, fe in _distinct_degree(fl, Fl))
+        split = _distinct_degree(fl, Fl)
+        count = sum((len(fe) - 1) // e for e, fe in split)
         if best is None or count < best[0]:
-            best = (count, ell, fl)
+            best = (count, ell, Fl, split)
         if count == 1:
             return [f]
-    _, ell, fl = best
-    Fl = FiniteField(ell, 1, (0, 1))
+    _, ell, Fl, split = best
     rng = random.Random(0x5EED)
-    factors = [u for e, fe in _distinct_degree(fl, Fl) for u in _equal_degree(fe, e, Fl, rng)]
+    factors = [u for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]
     bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
     top = ell
     while top <= 2 * bound:

@@ -21,7 +21,7 @@ from .arith import DomainError, is_p_good, is_prime, prime_divisors, valuation
 from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
 from .eisenstein import EisensteinParams
-from .ffield import FiniteField, cyclotomic_roots
+from .ffield import FiniteField, cyclotomic_residue, cyclotomic_roots
 from .lattices import numerator_index
 
 
@@ -94,11 +94,8 @@ def eisenstein_character(phi: DirichletCharacter, l: int) -> DirichletCharacter:
     """The canonical lift eps of the reduction of phi mod a prime above l:
     the power of phi of order = prime-to-l part of order(phi) with the same
     reduction (zeta_{l^v}-part maps to 1)."""
-    k = phi.order
-    lv = 1
-    while k % l == 0:
-        k //= l
-        lv *= l
+    k, _ = cyclotomic_residue(phi.order, l)
+    lv = phi.order // k
     if lv == 1:
         return phi
     if k == 1:
@@ -225,11 +222,11 @@ class IdealDescriptor:
         }
 
 
-def descriptor(params: EisensteinParams, l: int, eps: DirichletCharacter | None = None) -> IdealDescriptor:
+def descriptor(params: EisensteinParams, l: int) -> IdealDescriptor:
     """The ideal descriptor for residual characteristic l (coprime to 6p).
 
-    eps defaults to the canonical reduction of phi mod the first prime above l
-    (the root of Phi_k in F_{l^d} that is smallest in the fixed element order).
+    eps is the canonical reduction of phi mod the first prime above l (the
+    root of Phi_k in F_{l^d} that is smallest in the fixed element order).
     """
     p = params.f
     N = params.N
@@ -237,17 +234,12 @@ def descriptor(params: EisensteinParams, l: int, eps: DirichletCharacter | None 
         raise DomainError(f"descriptor requires l coprime to 6p (l={l}, p={p})")
     if not is_p_good(N, p):
         raise DomainError(f"descriptor requires a p-good level (N={N}, p={p})")
-    if eps is None:
-        eps = eisenstein_character(params.phi, l)
+    eps = eisenstein_character(params.phi, l)
     if eps.is_trivial():
         raise DomainError("eps is trivial: rational Eisenstein ideals are out of scope")
     k = eps.order
-    if k % l == 0:
-        raise DomainError("eps must have order coprime to l")
     # residue field and the chosen prime above l: smallest root of Phi_k
-    d = 1
-    while pow(l, d, k) != 1 % k:
-        d += 1
+    _, d = cyclotomic_residue(k, l)
     F = FiniteField.create(l, d)
     zroots = cyclotomic_roots(k, F)
     assert zroots, "Phi_k must have roots in F_{l^d}"

@@ -105,26 +105,12 @@ class IntegralIdeal:
         """|Z[zeta_m] / L| = product of the HNF diagonal."""
         return math.prod(self.basis[i][i] for i in range(len(self.basis)))
 
-    def __eq__(self, other):
-        return isinstance(other, IntegralIdeal) and (
-            self.field.m == other.field.m and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.field.m, self.basis))
-
 
 def _mult_rows(e: CycElement) -> list[list[int]]:
-    """Coordinates of e * zeta^i for i < degree, e integral: each row is the
-    previous one shifted up by one, less its top entry times the monic Phi_m."""
-    phi = e.field.modulus
-    row = list(e.num)
-    rows = [row]
-    for _ in range(1, e.field.degree):
-        c = row[-1]
-        row = [x - c * p for x, p in zip([0] + row[:-1], phi)]
-        rows.append(row)
-    return rows
+    """Coordinates of e * zeta^i for i < degree, e integral: e's numerator
+    shifted up by i places, reduced mod Phi_m through the field's zeta table."""
+    K = e.field
+    return [K.reduce([0] * i + list(e.num)) for i in range(K.degree)]
 
 
 def ideal_from_element(e: CycElement) -> IntegralIdeal:

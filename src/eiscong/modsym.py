@@ -324,7 +324,7 @@ def _charpoly_modp(A, p):
     return charpolys[n]
 
 
-def charpoly(A, den: int = 1):
+def charpoly(A, den: int):
     """The characteristic polynomial of A / den (A an integer matrix), which
     must be integral: ascending coefficients, lifted by CRT one 61-bit prime
     at a time until the lift is stable for three primes."""

@@ -38,8 +38,8 @@ from operator import mul
 from .arith import DomainError, divisors, is_p_good, is_prime, sturm_bound
 from .characters import enumerate_characters
 from .eisenstein import EisensteinParams, QExpansion, build_E
-from .ffield import (FiniteField, cyclotomic_roots, factor_degrees_mod_q,
-                     roots_in_field)
+from .ffield import (FiniteField, cyclotomic_residue, cyclotomic_roots,
+                     factor_degrees_mod_q, roots_in_field)
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
 from .newforms import NewformRecord, newforms_for_level
@@ -83,12 +83,7 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
         raise DomainError(f"{q} is not prime")
     if memo is None:
         memo = {}
-    kp = k
-    while kp % q == 0:
-        kp //= q
-    d_phi = 1
-    while pow(q, d_phi, kp) != 1 % kp:
-        d_phi += 1
+    kp, d_phi = cyclotomic_residue(k, q)
     poly = tuple(field_poly)
     degrees = _shared(memo, ("factor degrees", poly, q), factor_degrees_mod_q, list(poly), q)
     r = min(lcm(d_phi, e) for e in degrees)
@@ -286,8 +281,7 @@ def full_scan(
     for params in eisenstein_basis(N, p):
         E = build_E(params, bound)
         for l in ls:
-            eps = eisenstein_character(params.phi, l)
-            if eps.is_trivial():
+            if eisenstein_character(params.phi, l).is_trivial():
                 skipped.append(
                     f"{params.label()} at l={l}: reduced character is trivial (rational case)"
                 )
@@ -303,7 +297,7 @@ def full_scan(
                     continue
                 reports.append(rep)
                 if rep.matched:
-                    raw_hits.append((rep, params, descriptor(params, l, eps)))
+                    raw_hits.append((rep, params, descriptor(params, l)))
     # mark the largest certifying M within each (l, ideal, newform) group
     hits = []
     for rep, params, desc in raw_hits:

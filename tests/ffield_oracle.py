@@ -15,7 +15,8 @@ product in it goes through the old `mul`, and from `OracleField.create`
 taking the modulus from this module's search.  Its Rabin test
 `_irreducible_modq` calls every linear polynomial reducible; the search
 never asks it at r = 1, and the library now tests irreducibility as
-`factor_degrees_mod_q(h, q) == [r]`.
+`factor_degrees_mod_q(h, q) == [r]`.  `multiplicative_order` is the former
+`FiniteField.multiplicative_order`, which only tests called.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from eiscong.arith import DomainError, is_prime
+from eiscong.arith import DomainError, is_prime, prime_divisors
 from eiscong.ffield import ENUMERATION_CAP, FiniteField
 from eiscong.scanner import CongruenceReport, UnsupportedPrimeError
 
@@ -402,3 +403,14 @@ def scan_pairs(E, params, record, q, B, r, F, pairs) -> CongruenceReport:
     return CongruenceReport(
         params.label(), record.label, q, r, pairs[0], B, False, first_mismatch
     )
+
+
+def multiplicative_order(F: FiniteField, a) -> int:
+    """The order of the nonzero a in the multiplicative group of F."""
+    if not any(a):
+        raise DomainError("0 has no multiplicative order")
+    order = F.size - 1
+    for p in prime_divisors(order):
+        while order % p == 0 and F.pow(a, order // p) == F.one():
+            order //= p
+    return order

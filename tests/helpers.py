@@ -124,3 +124,20 @@ def integer_coefficient(vec):
 def hit_labels(res):
     """The sorted (series label, newform label, l) triples of a FullScanResult's hits."""
     return sorted({(h.params.label(), h.report.newform, h.report.prime) for h in res.hits})
+
+
+def scalar_multiple(f, g, B):
+    """The scalar c with the q-expansion f = c * g up to q^B, or None."""
+    assert B <= min(f.precision, g.precision), "comparison bound exceeds available precision"
+    c = None
+    for i in range(B):
+        if g.coeffs[i].is_zero():
+            if not f.coeffs[i].is_zero():
+                return None
+            continue
+        ratio = f.coeffs[i] / g.coeffs[i]
+        if c is None:
+            c = ratio
+        elif c != ratio:
+            return None
+    return c

@@ -8,7 +8,8 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import check_gauss_identity, random_pgood_params, random_valid_params
+from helpers import (check_gauss_identity, random_pgood_params, random_valid_params,
+                     scalar_multiple)
 
 from eiscong.arith import divisors, euler_phi, primes_up_to, sturm_bound
 from eiscong.characters import (bernoulli_B1, character_with_value,
@@ -220,7 +221,7 @@ def test_criterion_6_property_suites():
         for r in primes_up_to(13):
             if N % r == 0:
                 continue
-            lam = hecke_Tl(E, r).is_scalar_multiple_of(E, B // r)
+            lam = scalar_multiple(hecke_Tl(E, r), E, B // r)
             assert lam is not None and lam == tl_eigenvalue(phi, r).embed(lam.field.m)
     # boundary divisors have degree 0 (paper sets + randoms)
     rng = random.Random(727)

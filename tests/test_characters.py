@@ -136,7 +136,7 @@ def test_bernoulli_B2():
     # parity: B2 vanishes on odd characters, conductor <= 60
     for f in range(3, 61):
         for chi in enumerate_characters(f):
-            if chi.is_primitive() and chi.is_odd():
+            if chi.is_primitive() and not chi.is_even():
                 assert bernoulli_B2(chi).is_zero()
 
 
@@ -158,12 +158,3 @@ def test_labels_roundtrip():
     assert character_from_label("11.2.1") == quadratic_character(11)
     with pytest.raises(DomainError):
         character_from_label("11.3.1")
-
-
-def test_xs_parity():
-    from eiscong.characters import xs_parity
-
-    cubic7 = next(c for c in enumerate_characters(7) if c.order == 3)
-    assert xs_parity(cubic7) == "+"
-    sextic7 = next(c for c in enumerate_characters(7) if c.order == 6)
-    assert xs_parity(sextic7) == "-"

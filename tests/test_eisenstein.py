@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenstein_oracle
+from helpers import scalar_multiple
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import (DirichletCharacter, character_with_value,
                                 enumerate_characters, quadratic_character)
@@ -140,7 +141,7 @@ def test_hecke_eigenform_property():
             if N % r == 0:
                 continue
             TE = hecke_Tl(E, r)
-            lam = TE.is_scalar_multiple_of(E, B // r)
+            lam = scalar_multiple(TE, E, B // r)
             assert lam is not None and lam == tl_eigenvalue(phi, r).embed(lam.field.m), (N, r)
 
 
@@ -150,7 +151,7 @@ def test_u_eigenvalues():
         P = EisensteinParams(phi2, 725, M, L)
         E = build_E(P, 60)
         UE = hecke_Uq(E, q)
-        lam = UE.is_scalar_multiple_of(E, 2)
+        lam = scalar_multiple(UE, E, 2)
         assert lam == uq_eigenvalue(P, q).embed(lam.field.m)
     phi = quadratic_character(11)
     E = build_E(EisensteinParams(phi, 121, 1, 1), 22)
@@ -159,8 +160,8 @@ def test_u_eigenvalues():
     phi3 = quadratic_character(3)
     P = EisensteinParams(phi3, 234, 13, 2)
     E = build_E(P, 60)
-    assert hecke_Uq(E, 2).is_scalar_multiple_of(E, 20) == phi3.value(2)
-    lam13 = hecke_Uq(E, 13).is_scalar_multiple_of(E, 4)
+    assert scalar_multiple(hecke_Uq(E, 2), E, 20) == phi3.value(2)
+    lam13 = scalar_multiple(hecke_Uq(E, 13), E, 4)
     assert lam13 == uq_eigenvalue(P, 13).embed(lam13.field.m)
 
 
@@ -263,7 +264,7 @@ def test_hecke_eigenform_property_randomized():
         for r in (2, 3, 5, 7):
             if P.N % r == 0:
                 continue
-            lam = hecke_Tl(E, r).is_scalar_multiple_of(E, B // r)
+            lam = scalar_multiple(hecke_Tl(E, r), E, B // r)
             assert lam is not None and lam == tl_eigenvalue(P.phi, r).embed(lam.field.m)
 
 

@@ -17,7 +17,7 @@ def test_root_examples():
     roots = finite_field_roots(cyclotomic_polynomial(11), 5, 5)
     assert len(roots) == 10
     F = FiniteField.create(5, 5)
-    assert all(F.multiplicative_order(x) == 11 for x in roots)
+    assert all(ffield_oracle.multiplicative_order(F, x) == 11 for x in roots)
     assert finite_field_roots([-2, 0, 1], 7, 1) == [(3,), (4,)]
     # ramified reduction: zeta_10 -> -1 above 5
     assert finite_field_roots(cyclotomic_polynomial(10), 5, 1) == [(4,)]
@@ -261,7 +261,7 @@ def test_cyclotomic_roots_above_enumeration_cap():
     roots = cyclotomic_roots(4, F)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(4), F)
     assert roots == roots_in_field(cyclotomic_polynomial(4), F)
-    assert [F.multiplicative_order(z) for z in roots] == [4, 4]
+    assert [ffield_oracle.multiplicative_order(F, z) for z in roots] == [4, 4]
 
 
 def test_characteristic_two_splitting_terminates():

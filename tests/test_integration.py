@@ -1,11 +1,17 @@
 """Cross-module checks that don't belong to any single unit module."""
 
+import ast
+import importlib
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from importlib import resources
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import eiscong
 from eiscong import ffield, newforms, scanner
 from eiscong.arith import DomainError
 from eiscong.characters import quadratic_character
@@ -122,3 +128,69 @@ def test_traced_call_chains(monkeypatch, tmp_path):
     seen.clear()
     newforms.fetch_newforms(121, cache_dir=tmp_path, offline=True)
     assert seen == [("fetch_newforms",), ("fetch_newforms", "parse_newforms")]
+
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def test_benchmark_names_exist(monkeypatch):
+    """The benchmark in bench/ is changed apart from the library, so a name it
+    reads that the library drops breaks only its traced run.  Check every
+    function `run.install` wraps, every eiscong name bench/ imports or reads
+    off an imported module, and the attributes its workloads read off library
+    objects."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+
+    class Recorder:
+        def __init__(self):
+            self.wrapped = []
+
+        def install(self, module, attr, name, sizes=None):
+            self.wrapped.append((module, attr))
+
+    recorder = Recorder()
+    run.install(recorder)
+    assert recorder.wrapped
+    for module, attr in recorder.wrapped:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> eiscong module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "eiscong":
+                base = importlib.import_module(node.module)
+                for alias in node.names:
+                    value = getattr(base, alias.name, None)
+                    assert value is not None, f"{path.name}: {node.module}.{alias.name}"
+                    if isinstance(value, ModuleType):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                assert hasattr(modules[node.value.id], node.attr), \
+                    f"{path.name}: {node.value.id}.{node.attr}"
+
+    from eiscong.cusps import BoundaryReport
+    from eiscong.cyclotomic import _CycField
+    from eiscong.scanner import ScanHit
+    read = {
+        eiscong.QExpansion: ("machine_lines", "coefficient", "precision"),
+        eiscong.FiniteField: ("size",),
+        eiscong.IntegralIdeal: ("index",),
+        eiscong.CycElement: ("is_integral", "norm_to_Q", "coeffs", "field"),
+        _CycField: ("zeta", "degree", "m", "one"),
+        eiscong.EisensteinParams: ("phi", "N", "M", "L", "field", "label"),
+        eiscong.DirichletCharacter: ("label", "is_trivial"),
+        eiscong.IdealDescriptor: ("render", "to_json", "residue_field"),
+        eiscong.CongruenceReport: ("eisenstein", "newform", "prime", "embedding", "to_json"),
+        eiscong.FullScanResult: ("level", "p", "bound", "candidate_primes", "hits", "reports",
+                                 "skipped"),
+        ScanHit: ("report", "params", "descriptor", "largest_M"),
+        BoundaryReport: ("ok",),
+    }
+    for cls, names in read.items():
+        have = {f.name for f in fields(cls)} if is_dataclass(cls) else set()
+        for name in names:
+            assert name in have or hasattr(cls, name), f"{cls.__name__}.{name}"

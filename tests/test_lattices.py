@@ -11,8 +11,8 @@ from lattice_oracle import (block_lattice_intersect, full_ring, is_ideal,
                             is_subset_of, numerator_ideal)
 
 from eiscong.arith import DomainError
-from eiscong.cyclotomic import CyclotomicField
-from eiscong.lattices import hnf, ideal_from_element, numerator_index
+from eiscong.cyclotomic import CyclotomicField, _CycField
+from eiscong.lattices import IntegralIdeal, hnf, ideal_from_element, numerator_index
 
 
 def _tau11():
@@ -127,6 +127,13 @@ def test_ideal_examples():
     K11, tau = _tau11()
     e = K11.one() - K11.zeta()
     assert ideal_from_element(e).index() == 11
+    # equal ideals compare and hash equal, also over a second copy of the
+    # field; one basis over two fields of one degree gives unequal ideals
+    I, J = ideal_from_element(e), ideal_from_element(e * K11.zeta())
+    assert I == J and hash(I) == hash(J)
+    copy = IntegralIdeal(_CycField(11, K11.degree, K11.modulus), I.basis)
+    assert copy == I and hash(copy) == hash(I)
+    assert full_ring(K3) != full_ring(CyclotomicField(4))
     with pytest.raises(DomainError):
         ideal_from_element(K3.from_rational(Fraction(1, 2)))
     with pytest.raises(DomainError):
