@@ -11,7 +11,9 @@ image y = [la; b] and index gcd(l, b)^2 w(c) / (l w(y)), since the scaling
 matrix diag(l, 1) conjugated by the stabilisers of c and y is upper
 triangular with diagonal (g, l/g), g = gcd(l, b) (Diamond-Shurman, *A First
 Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
-Approach*, ch. 8).  The boundary divisor of E_{phi,M,L} is computed by
+Approach*, ch. 8).  This cusp map (c, y, index) depends only on (A, l) and
+the covering, so it is built once per process, and a pullback is one lookup
+and one product per cusp.  The boundary divisor of E_{phi,M,L} is computed by
 running the refinement/scaling/promotion recursion through these pullbacks
 starting from D_{Gamma0(f^2),f}(phi) and multiplying the result by
 beta_{Gamma0(f^2),phi,1,1}; the closed-form path recomputes it as
@@ -271,23 +273,31 @@ def _assert_well_defined(N, d, phi, support):
 
 def _pullback(D: CuspDivisor, l: int, scaled: bool) -> CuspDivisor:
     """pi^* D over the cusps c = [a; b] of X0(Al): pi_l when `scaled`, else pi_(l)."""
+    out = {}
+    for c, y, e in _cusp_map(D.level, l, scaled):
+        coeff = D.support.get(y)
+        if coeff is not None:
+            out[c] = coeff * e
+    return CuspDivisor(D.level * l, out)
+
+
+@cache
+def _cusp_map(A: int, l: int, scaled: bool):
+    """(c, y, e) for every cusp c = [a; b] of X0(Al): its image y in X0(A)
+    under pi_l when `scaled`, else pi_(l), and the ramification index e."""
     if not is_prime(l):
         raise DomainError("pullback requires a prime")
-    A = D.level
-    out = {}
+    out = []
     for c in enumerate_cusps(A * l):
         a, b = c.canonical_rep()
         y = cusp_from_fraction(A, l * a if scaled else a, b)
-        coeff = D.support.get(y)
-        if coeff is None:
-            continue
         num, den = c.ram_index(), y.ram_index()
         if scaled:  # the conjugated scaling matrix has diagonal (g, l/g), g = gcd(l, b)
             num, den = gcd(l, b) ** 2 * num, l * den
         e, r = divmod(num, den)
         assert r == 0 and e > 0, f"ramification index not a positive integer at {c!r}"
-        out[c] = coeff * e
-    return CuspDivisor(A * l, out)
+        out.append((c, y, e))
+    return tuple(out)
 
 
 def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:

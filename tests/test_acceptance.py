@@ -15,7 +15,7 @@ from eiscong.arith import divisors, euler_phi, primes_up_to, sturm_bound
 from eiscong.characters import (bernoulli_B1, character_with_value,
                                 enumerate_characters, gauss_sum,
                                 quadratic_character)
-from eiscong.cusps import (CuspDivisor, D_divisor, beta_tilde,
+from eiscong.cusps import (CuspDivisor, beta_tilde,
                            boundary_divisor, cusp_count, enumerate_cusps,
                            pullback_pi_l, pullback_pi_paren, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField

@@ -10,7 +10,7 @@ from eiscong.characters import (DirichletCharacter, bernoulli_B1,
                                 character_with_value, chi_in_XS,
                                 enumerate_characters, gauss_sum,
                                 gauss_sum_inverse, quadratic_character)
-from eiscong.cyclotomic import DEGREE_CAP, CyclotomicField, cyclotomic_polynomial
+from eiscong.cyclotomic import DEGREE_CAP, CyclotomicField
 
 
 def test_enumeration():

@@ -1,16 +1,15 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cusps_oracle
-from helpers import random_pgood_params
+from helpers import clear_process_caches, random_pgood_params
 
-from eiscong.arith import (divisors, euler_phi, is_squarefree, prime_divisors,
-                           primes_up_to, valuation)
+from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
 from eiscong.characters import (character_with_value, enumerate_characters,
                                 gauss_sum, quadratic_character)
 from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
@@ -152,6 +151,15 @@ def test_pullbacks_match_oracle():
             assert _same_divisor(got, want), (A, l, "pi_(l)")
             assert _same_divisor(pullback_pi_l(D, l), cusps_oracle.pullback_pi_l(D, l)), \
                 (A, l, "pi_l")
+
+
+def test_pullback_refuses_a_composite_on_every_call():
+    """The cusp map of a covering is kept per process, but a failed build is
+    not: a non-prime l is refused on each call."""
+    D = D_divisor(121, 11, quadratic_character(11))
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            pullback_pi_l(D, 4)
 
 
 def test_D_divisor_basics():
@@ -459,6 +467,17 @@ def test_boundary_divisor_matches_oracle():
     for P in _oracle_sets():
         got, want = boundary_divisor(P), cusps_oracle.boundary_divisor(P)
         assert got.support and _same_divisor(got, want), P.label()
+
+
+def test_boundary_divisor_matches_oracle_cold_and_warm():
+    """The cusp maps are kept per process: built afresh, and then read back,
+    they give the former recursion's divisor on every cusp."""
+    sets = _eigenbasis() + _promotion_params() + _nonreal_xi_params()
+    clear_process_caches()
+    for _ in ("cold", "warm"):
+        for P in sets:
+            got, want = boundary_divisor(P), cusps_oracle.boundary_divisor(P)
+            assert got.support and _same_divisor(got, want), P.label()
 
 
 def test_verify_boundary_matches_oracle():

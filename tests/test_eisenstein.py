@@ -1,7 +1,6 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import random
 import sys
 from dataclasses import fields, is_dataclass
 from importlib import resources
@@ -10,6 +11,8 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+
+from helpers import clear_process_caches
 
 import eiscong
 from eiscong import ffield, newforms, scanner
@@ -109,10 +112,12 @@ def test_traced_call_chains(monkeypatch, tmp_path):
     every layer of a scan and both parses of a cache round trip.  The
     benchmark's tracer reads the embedding key as the three positional
     arguments (k, field_poly, q) of reduction_embeddings, and the field as
-    the second positional argument of roots_in_field."""
+    the second positional argument of roots_in_field.  The root searches are
+    kept per process, so the chain is read from a cold cache."""
     seen, positional = _record_call_stacks(monkeypatch, [
         (scanner, "full_scan"), (scanner, "scan"), (scanner, "reduction_embeddings"),
         (ffield, "roots_in_field"), (newforms, "fetch_newforms"), (newforms, "parse_newforms")])
+    clear_process_caches()
     scanner.full_scan(121, 11)
     assert ("full_scan", "scan", "reduction_embeddings", "roots_in_field") in seen
     keys = positional["reduction_embeddings"]
@@ -131,6 +136,35 @@ def test_traced_call_chains(monkeypatch, tmp_path):
 
 
 BENCH = Path(__file__).parents[1] / "bench"
+
+
+def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path):
+    """Every count the benchmark's traced run reports is per pass, so it must
+    not depend on how many passes fit.  Trace the small scan-levels workload
+    for one pass and for three, each from cold process caches as a fresh
+    process would start: every count-unit metric reads the same.  A cache
+    above a traced call would divide its count by the number of passes."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    run = importlib.import_module("run")
+    workloads = importlib.import_module("workloads")
+    counts = []
+    for passes in (1, 3):
+        clear_process_caches()
+        wl = workloads.ScanLevels(True, workloads.load_goldens())
+        wl.setup()
+        wl.prepare(random.Random(1))
+        wl.cache_dir, wl.min_passes = tmp_path, passes
+        tracer = run.Tracer()
+        run.install(tracer)
+        try:
+            samples, done = run.run_passes(wl, random.Random(1), 0, tracer)
+        finally:
+            tracer.uninstall()
+        assert done == passes and [s.error for s in samples if s.error] == []
+        metrics = run.span_metrics(tracer, done)
+        counts.append({k: v for k, v in metrics.items() if run.PER_LAYER.get(k) == "count"})
+    assert "scanner.reduction_embeddings_calls" in counts[0]
+    assert counts[0] == counts[1]
 
 
 def test_benchmark_names_exist(monkeypatch):
