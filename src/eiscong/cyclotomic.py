@@ -20,8 +20,8 @@ below d, or lies in [m/2, m/2 + d) for even m (where zeta^(m/2) = -1), so
 most of a product's top half costs one addition per coefficient, and
 `polys.mul` by such a power costs O(d), since it loops over the sparser
 factor.  `power_sum(counts)`, the element sum_j counts[j] zeta^j that Gauss
-sums, Bernoulli numbers and q-expansion coefficients are made of, is the
-reduction of the counts.
+sums and Bernoulli numbers are made of, is the reduction of the counts;
+q-expansion coefficients add the same table entries as they are sieved.
 
 Every element is built by `_element`, which sets the three slots directly
 (the class stays frozen: assigning to a field raises) and trusts its caller

@@ -18,18 +18,14 @@ them as stored.  num/den reduces at a root through the root's power table
 (root^0, ..., root^(d-1)): one integer dot product mod q per coordinate of F,
 times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
 
-What only small keys fix is kept for the life of the process, each value a
-tuple: per (phi order, field_poly, q) the reduction embeddings and their
-orbit minima, and beneath them the factor degrees of a field polynomial per
-q, its roots per F and the roots of Phi_k per (k', F).  These recur across
-scans, levels and repeated scans of one level.  What one scan call fixes is
-kept per call, in the `embeddings` dict that `full_scan` passes to every
-`scan`: each key's reduction_embeddings result, so that `scan` asks
-`reduction_embeddings` once per key per dict, and, per series and per
-newform record, the power tables and reduced coefficients, keyed on the
-object's identity and dropped with the dict.  A (newform, l) pair whose
-coefficients have l in a denominator is skipped by `full_scan` with the
-reason; the rest of the scan runs.
+A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
+inputs fix across scans: per (phi order, field_poly, q) the reduction
+embeddings and their orbit minima; the factor degrees of a field polynomial
+once per q, its roots once per F and the roots of Phi_k once per (k', F);
+and, per series and per newform record, the power tables and reduced
+coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
+pair whose coefficients have l in a denominator is skipped by `full_scan`
+with the reason; the rest of the scan runs.
 """
 
 from __future__ import annotations
@@ -77,41 +73,32 @@ class CongruenceReport:
         }
 
 
-def reduction_embeddings(k, field_poly, q: int):
+def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     """(r, F, pairs): minimal r with roots of Phi_k and of field_poly in
-    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order, as a
-    tuple kept for the life of the process."""
+    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order.
+
+    `memo` (a scan memo, see `scan`) shares the factor degrees of field_poly
+    mod q, its roots in F and the roots of Phi_k in F between calls."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
-    return _embeddings(k, tuple(field_poly), q)[:3]
-
-
-@cache
-def _embeddings(k: int, poly: tuple, q: int):
-    """reduction_embeddings(k, poly, q) and the orbit minima of its pairs."""
+    if memo is None:
+        memo = {}
     kp, d_phi = cyclotomic_residue(k, q)
-    r = min(lcm(d_phi, e) for e in _factor_degrees(poly, q))
+    poly = tuple(field_poly)
+    degrees = _shared(memo, ("factor degrees", poly, q), factor_degrees_mod_q, list(poly), q)
+    r = min(lcm(d_phi, e) for e in degrees)
     F = FiniteField.create(q, r)
-    zroots, groots = _phi_roots(kp, F), _field_roots(poly, F)
+    zroots = _shared(memo, ("Phi roots", kp, F), cyclotomic_roots, k, F)
+    groots = _shared(memo, ("roots", poly, F), roots_in_field, list(poly), F)
     assert zroots and groots
-    pairs = tuple((z, g) for z in zroots for g in groots)
-    return r, F, pairs, tuple(_orbit_minima(F, pairs))
+    return r, F, [(z, g) for z in zroots for g in groots]
 
 
-@cache
-def _factor_degrees(poly: tuple, q: int):
-    return tuple(factor_degrees_mod_q(list(poly), q))
-
-
-@cache
-def _field_roots(poly: tuple, F: FiniteField):
-    return tuple(roots_in_field(list(poly), F))
-
-
-@cache
-def _phi_roots(kp: int, F: FiniteField):
-    """The roots of Phi_k in F, which only k', the prime-to-q part of k, fixes."""
-    return tuple(cyclotomic_roots(kp, F))
+def _shared(memo: dict, key, fn, *args):
+    """fn(*args), computed once per key of `memo`."""
+    if key not in memo:
+        memo[key] = fn(*args)
+    return memo[key]
 
 
 def _orbit_minima(F: FiniteField, pairs):
@@ -145,22 +132,21 @@ def _reduce_vector(num, den, table, q: int):
     return tuple(sum(map(mul, num, col)) * inv % q for col in table)
 
 
-def _reducer(embeddings: dict, owner, F: FiniteField, coefficient):
+def _reducer(memo: dict, owner, F: FiniteField, coefficient):
     """(root, n) -> owner's a_n, given as coefficient(n) = (num, den), reduced
     at root in F through one power table per root, each computed once per
-    `embeddings` dict.  The entry is keyed on owner's identity (newform labels
-    may repeat) and holds owner, so that identity is not reused while the
-    dict lives."""
+    memo.  The entry is keyed on owner's identity (newform labels may repeat)
+    and holds owner, so that identity is not reused while the memo lives."""
     key = ("reduced", id(owner), F)
-    if key not in embeddings:
+    if key not in memo:
         table = cache(lambda root, d: _power_table(root, F, d))
 
         @cache
         def reduced(root, n):
             num, den = coefficient(n)
             return _reduce_vector(num, den, table(root, len(num)), F.q)
-        embeddings[key] = owner, reduced
-    return embeddings[key][1]
+        memo[key] = owner, reduced
+    return memo[key][1]
 
 
 def scan(
@@ -174,11 +160,11 @@ def scan(
 ) -> CongruenceReport:
     """Coefficientwise congruence check of E against one newform at q.
 
-    `embeddings` is kept per call: it maps (phi order, field_poly, q) to the
-    reduction_embeddings result and holds the root power tables and reduced
-    coefficients of E and of the record.  A caller that scans many pairs
-    passes one dict, so that each of these is computed once.  The roots and
-    orbit minima behind a key are kept for the life of the process."""
+    `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
+    reduction_embeddings result, and also holds what those results share,
+    the orbit minima of each key's pairs, the root power tables and the
+    reduced coefficients of E and of the record.  A caller that scans many
+    pairs passes one dict, so that each of these is computed once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
@@ -194,9 +180,9 @@ def scan(
     if embeddings is None:
         embeddings = {}
     if key not in embeddings:
-        embeddings[key] = reduction_embeddings(*key)
+        embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
-    minima = _embeddings(*key)[3]
+    minima = _shared(embeddings, ("orbit minima", key), _orbit_minima, F, pairs)
 
     def eisenstein_coefficient(n):
         c = E.coefficient(n)
@@ -289,8 +275,8 @@ def full_scan(
     ls = tuple(sorted(l for l in cand.union if gcd(l, 6 * p) == 1))
     reports: list[CongruenceReport] = []
     skipped: list[str] = []
-    raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor, tuple]] = []
-    embeddings: dict = {}  # per call: key -> embeddings, reduced coefficients
+    raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor]] = []
+    embeddings: dict = {}  # the scan memo: one root search per field polynomial and F
     unusable: set[tuple[str, int]] = set()  # (newform, l) with l in a denominator
     for params in eisenstein_basis(N, p):
         E = build_E(params, bound)

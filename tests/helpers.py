@@ -4,7 +4,7 @@ suite (single source of truth for the heavier sweeps)."""
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from eiscong import cusps, polys, scanner
+from eiscong import polys
 from eiscong.arith import divisors, euler_phi, prime_divisors, primes_up_to
 from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
@@ -140,11 +140,3 @@ def scalar_multiple(f, g, B):
         elif c != ratio:
             return None
     return c
-
-
-def clear_process_caches():
-    """Empty what eiscong keeps for the life of the process about root
-    searches and cusp maps, as in a fresh process."""
-    for fn in (scanner._embeddings, scanner._factor_degrees, scanner._field_roots,
-               scanner._phi_roots, cusps._cusp_map):
-        fn.cache_clear()

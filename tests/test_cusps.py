@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cusps_oracle
-from helpers import clear_process_caches, random_pgood_params
+from helpers import random_pgood_params
 
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
 from eiscong.characters import (character_with_value, enumerate_characters,
@@ -16,7 +16,7 @@ from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
                            DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
                            cusp_from_fraction, enumerate_cusps,
-                           _table, pullback_pi_l, pullback_pi_paren,
+                           _cusp_map, _table, pullback_pi_l, pullback_pi_paren,
                            verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams
@@ -473,7 +473,7 @@ def test_boundary_divisor_matches_oracle_cold_and_warm():
     """The cusp maps are kept per process: built afresh, and then read back,
     they give the former recursion's divisor on every cusp."""
     sets = _eigenbasis() + _promotion_params() + _nonreal_xi_params()
-    clear_process_caches()
+    _cusp_map.cache_clear()
     for _ in ("cold", "warm"):
         for P in sets:
             got, want = boundary_divisor(P), cusps_oracle.boundary_divisor(P)

@@ -12,10 +12,8 @@ from types import ModuleType
 
 import pytest
 
-from helpers import clear_process_caches
-
 import eiscong
-from eiscong import ffield, newforms, scanner
+from eiscong import cusps, ffield, newforms, scanner
 from eiscong.arith import DomainError
 from eiscong.characters import quadratic_character
 from eiscong.cusps import boundary_divisor
@@ -112,12 +110,10 @@ def test_traced_call_chains(monkeypatch, tmp_path):
     every layer of a scan and both parses of a cache round trip.  The
     benchmark's tracer reads the embedding key as the three positional
     arguments (k, field_poly, q) of reduction_embeddings, and the field as
-    the second positional argument of roots_in_field.  The root searches are
-    kept per process, so the chain is read from a cold cache."""
+    the second positional argument of roots_in_field."""
     seen, positional = _record_call_stacks(monkeypatch, [
         (scanner, "full_scan"), (scanner, "scan"), (scanner, "reduction_embeddings"),
         (ffield, "roots_in_field"), (newforms, "fetch_newforms"), (newforms, "parse_newforms")])
-    clear_process_caches()
     scanner.full_scan(121, 11)
     assert ("full_scan", "scan", "reduction_embeddings", "roots_in_field") in seen
     keys = positional["reduction_embeddings"]
@@ -138,19 +134,22 @@ def test_traced_call_chains(monkeypatch, tmp_path):
 BENCH = Path(__file__).parents[1] / "bench"
 
 
-def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path):
+@pytest.mark.parametrize("small", [True, False], ids=["small", "full"])
+def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path, small):
     """Every count the benchmark's traced run reports is per pass, so it must
-    not depend on how many passes fit.  Trace the small scan-levels workload
-    for one pass and for three, each from cold process caches as a fresh
-    process would start: every count-unit metric reads the same.  A cache
-    above a traced call would divide its count by the number of passes."""
+    not depend on how many passes fit.  Trace the scan-levels workload, at
+    the --small size and at full size, for one pass and for three, each with
+    the process's cusp maps emptied as a fresh process starts: every
+    count-unit metric reads the same.  A cache above a traced call would
+    divide its count by the number of passes.  Only the full size searches
+    roots in a field above ENUMERATION_CAP, so only it has split calls."""
     monkeypatch.syspath_prepend(str(BENCH))
     run = importlib.import_module("run")
     workloads = importlib.import_module("workloads")
     counts = []
     for passes in (1, 3):
-        clear_process_caches()
-        wl = workloads.ScanLevels(True, workloads.load_goldens())
+        cusps._cusp_map.cache_clear()
+        wl = workloads.ScanLevels(small, workloads.load_goldens())
         wl.setup()
         wl.prepare(random.Random(1))
         wl.cache_dir, wl.min_passes = tmp_path, passes
@@ -164,6 +163,7 @@ def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path):
         metrics = run.span_metrics(tracer, done)
         counts.append({k: v for k, v in metrics.items() if run.PER_LAYER.get(k) == "count"})
     assert "scanner.reduction_embeddings_calls" in counts[0]
+    assert (counts[0]["ffield.split_calls"] > 0) == (not small)
     assert counts[0] == counts[1]
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
-from helpers import clear_process_caches, hit_labels, integer_coefficient
+from helpers import hit_labels, integer_coefficient
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import character_with_value, quadratic_character
@@ -237,17 +237,16 @@ def _scan_payload(res) -> str:
 def test_full_scan_one_root_search_per_key(monkeypatch):
     """full_scan computes reduction_embeddings once per distinct (phi order,
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
-    Within them, from a cold process cache, it factors each field polynomial
-    once per l (11 calls), finds its roots once per F (18) and the roots of
-    Phi_k once per (k', F) (5)."""
+    Within them it factors each field polynomial once per l (11 calls), finds
+    its roots once per F (18) and the roots of Phi_k once per (k', F) (5)."""
     from eiscong import scanner
 
     keys = []
     original = scanner.reduction_embeddings
 
-    def counting(k, field_poly, q):
+    def counting(k, field_poly, q, **kwargs):
         keys.append((k, tuple(field_poly), q))
-        return original(k, field_poly, q)
+        return original(k, field_poly, q, **kwargs)
 
     calls = {}
     for name in ("roots_in_field", "factor_degrees_mod_q", "cyclotomic_roots"):
@@ -256,54 +255,12 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(scanner, name, counted)
     monkeypatch.setattr(scanner, "reduction_embeddings", counting)
-    clear_process_caches()
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
     assert calls == {"roots_in_field": 18, "factor_degrees_mod_q": 11, "cyclotomic_roots": 5}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
-
-
-def test_second_full_scan_searches_no_roots(monkeypatch):
-    """A second full_scan(725, 5) in one process factors no field polynomial,
-    searches no roots and computes no orbit minima: all of them are kept for
-    the process.  Its result equals the cold-cache run's."""
-    from eiscong import scanner
-
-    clear_process_caches()
-    cold = full_scan(725, 5)
-    calls = []
-    for name in ("roots_in_field", "factor_degrees_mod_q", "cyclotomic_roots", "_orbit_minima"):
-        def counted(*args, _fn=getattr(scanner, name), _name=name):
-            calls.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(scanner, name, counted)
-    warm = full_scan(725, 5)
-    assert calls == []
-    assert warm == cold and _scan_payload(warm) == _scan_payload(cold)
-
-
-def test_kept_embeddings_cannot_be_changed():
-    """What reduction_embeddings keeps for the process is tuples all the way
-    down, keyed on a copy of the field polynomial: changing the caller's list
-    or trying to change the result leaves the next answer as a cold run's."""
-    from eiscong import scanner
-
-    clear_process_caches()
-    poly = [-1, 0, 41, 0, -13, 0, 1]
-    _, F, pairs = first = reduction_embeddings(4, poly, 7)
-    assert type(pairs) is tuple and all(type(x) is tuple for pair in pairs for x in (pair, *pair))
-    with pytest.raises(TypeError):
-        pairs[0] = pairs[1]
-    field_poly = tuple(poly)
-    poly[2] = 0
-    assert reduction_embeddings(4, [-1, 0, 41, 0, -13, 0, 1], 7) == first
-    kept = (*scanner._embeddings(4, field_poly, 7)[2:], scanner._factor_degrees(field_poly, 7),
-            scanner._field_roots(field_poly, F), scanner._phi_roots(4, F))
-    assert all(type(v) is tuple for v in kept)
-    clear_process_caches()
-    assert reduction_embeddings(4, [-1, 0, 41, 0, -13, 0, 1], 7) == first
 
 
 def _golden_scan_hash(level):
@@ -333,7 +290,6 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
         return rep
 
     monkeypatch.setattr(scanner, "scan", checking)
-    clear_process_caches()
     full_scan(725, 5)
     assert len(calls) == 72 and sum(rep.matched for rep in calls) == 6
 
@@ -369,8 +325,8 @@ def _brute_orbit_minima(F, pairs):
 
 def test_scan_tries_orbit_minima(monkeypatch):
     """full_scan(725, 5) tries 42 of the 85 (zeta-root, poly-root) pairs of
-    its 22 embedding keys, the smallest of each Frobenius orbit, once per key
-    from a cold process cache; every certified embedding is one of them."""
+    its 22 embedding keys, the smallest of each Frobenius orbit, once per key;
+    every certified embedding is one of them."""
     from eiscong import scanner
 
     tried = []
@@ -383,7 +339,6 @@ def test_scan_tries_orbit_minima(monkeypatch):
         return out
 
     monkeypatch.setattr(scanner, "_orbit_minima", recording)
-    clear_process_caches()
     res = full_scan(725, 5)
     assert len(tried) == 22
     assert tuple(map(sum, zip(*tried))) == (42, 85)
