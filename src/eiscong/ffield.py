@@ -4,8 +4,11 @@ The field is realized as F_q[x]/(h) with h the lexicographically smallest
 monic irreducible of degree r (a fixed, bundled, Conway-style choice, so
 element representations are reproducible).  A product is a schoolbook
 product into 2r - 1 integers, folded down by the monic h, with one `% q` at
-the end.  An inverse is a^(|F| - 2) by Fermat's little theorem, and
-pow(a, -1, q) when r = 1.
+the end.  Frobenius a -> a^q is F_q-linear, so each field carries its r x r
+matrix on the power basis (the columns are x^(iq) mod h), built with the
+field; a^(q^i) costs i matrix-vector products.  An inverse is taken by the
+norm, a^-1 = N(a)^-1 prod_{0<i<r} a^(q^i) with N(a) = a prod_{0<i<r} a^(q^i)
+in F_q (Itoh-Tsujii), and is pow(a, -1, q) when r = 1.
 
 Polynomials over a field F are lists of F-elements, ascending, with no zero
 leading coefficient.  One set of functions serves every such F: F_q itself
@@ -13,18 +16,20 @@ is the r = 1 case FiniteField(q, 1, (0, 1)), whose elements are 1-tuples.
 Division is by monic divisors only.  Inputs are made monic once, on entry,
 and the gcd makes each remainder monic before dividing by it.
 
-Roots of an integer polynomial f start from g = gcd(f mod q, y^|F| - y),
-computed over F_q: the product of (y - x) over the distinct roots x of f in
-F.  g is factored over F_q by distinct-degree and equal-degree
-(Cantor-Zassenhaus) splitting, with gcd(g, a^((q^e-1)/2) - 1) for a random
-a, or the trace sum_{i<e} a^(2^i) in characteristic 2 (Cohen, GTM 138, 3.4;
-von zur Gathen-Gerhard, ch. 14).  The roots of a factor u of degree e are
-one Frobenius orbit x, x^q, ..., x^(q^(e-1)) in F_{q^e}.  One is found by
-splitting u over F with y + c (c y in characteristic 2), c the trace to
-F_{q^e} of a random element (a c in F_q cannot separate conjugates): the
-norm prod_i (y^(q^i) + c^(q^i)), or the trace sum_i c^(2^i) y^(2^i), has its
-values at the roots in F_q, so the e = 1 split applies, with y^(q^i) mod u
-computed once over F_q.
+An integer polynomial f is factored mod q once (`factor_mod_q`): into its
+distinct monic irreducible factors over F_q, by distinct-degree splitting
+and then equal-degree (Cantor-Zassenhaus) splitting, with gcd(g,
+a^((q^e-1)/2) - 1) for a random a, or the trace sum_{i<e} a^(2^i) in
+characteristic 2 (Cohen, GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).  The
+roots of f in F_{q^r} are read off the factors whose degree e divides r: the
+roots of a factor u of degree e are one Frobenius orbit x, x^q, ...,
+x^(q^(e-1)).  One is found by splitting u over F with y + c (c y in
+characteristic 2), c the trace to F_{q^e} of a random element (a c in F_q
+cannot separate conjugates): the norm prod_i (y^(q^i) + c^(q^i)), or the
+trace sum_i c^(2^i) y^(2^i), has its values at the roots in F_q, so the e = 1
+split applies, with y^(q^i) mod u computed once over F_q.  A caller that
+needs the roots of one f in several fields passes the factorization to each
+`roots_in_field`.
 
 Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
 Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
@@ -40,20 +45,22 @@ Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
 gcd a heuristic one that division confirms.  It is split mod the prime l,
 among the first five that keep it squarefree, with the fewest factors, by
-the distinct- and equal-degree splitting above.  A tree of quadratic Hensel
-steps lifts the factors mod l^k past twice Mignotte's bound on the
-coefficients of a factor, and the smallest subsets whose product divides f
-exactly give the irreducible factors.  Their multiplicities come from
-repeated division.
+the distinct- and equal-degree splitting above; a prime's distinct-degree
+split stops as soon as its count of factors cannot beat the best so far.
+A tree of quadratic Hensel steps lifts the factors mod l^k past twice
+Mignotte's bound on the coefficients of a factor, and the smallest subsets
+whose product divides f exactly give the irreducible factors.  Their
+multiplicities come from repeated division.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
+from operator import mul
 
 from . import polys
 from .arith import DomainError, is_prime, prime_divisors
@@ -68,6 +75,18 @@ class FiniteField:
     q: int
     r: int
     modulus: tuple[int, ...]
+    # rows of the matrix of a -> a^q on the power basis; None when r = 1
+    frobenius: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        matrix = None
+        if self.r > 1:
+            xq = self.pow(self.element(self.q), self.q)  # element q is x
+            columns = [self.one()]
+            for _ in range(self.r - 1):
+                columns.append(self.mul(columns[-1], xq))
+            matrix = tuple(zip(*columns))
+        object.__setattr__(self, "frobenius", matrix)
 
     @staticmethod
     def create(q: int, r: int) -> "FiniteField":
@@ -129,12 +148,26 @@ class FiniteField:
             e >>= 1
         return result
 
+    def frob(self, a):
+        """a^q, as the F_q-linear map on the power basis."""
+        if self.frobenius is None:
+            return a
+        q = self.q
+        return tuple(sum(map(mul, a, row)) % q for row in self.frobenius)
+
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of 0 in finite field")
+        q = self.q
         if self.r == 1:
-            return (pow(a[0], -1, self.q),)
-        return self.pow(a, self.size - 2)
+            return (pow(a[0], -1, q),)
+        # a^-1 = N(a)^-1 prod_{0<i<r} a^(q^i), with N(a) = a prod_{0<i<r} a^(q^i) in F_q
+        conjugate = rest = self.frob(a)
+        for _ in range(self.r - 2):
+            conjugate = self.frob(conjugate)
+            rest = self.mul(rest, conjugate)
+        c = pow(self.mul(a, rest)[0], -1, q)
+        return tuple(x * c % q for x in rest)
 
     def elements(self):
         if self.size > ENUMERATION_CAP:
@@ -241,21 +274,39 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
     raise ArithmeticError("no irreducible polynomial found")
 
 
-def roots_in_field(int_poly, F: FiniteField):
-    """All roots in F of an integer polynomial (each distinct root once), sorted."""
-    Fq = FiniteField(F.q, 1, (0, 1))
+def factor_mod_q(int_poly, q: int) -> list[tuple[int, tuple[int, ...]]]:
+    """[(e, u)]: the distinct monic irreducible factors u of f mod q (ascending
+    int coefficients), each with its degree e, sorted."""
+    Fq = FiniteField(q, 1, (0, 1))
     fp = _reduce_monic(int_poly, Fq)
-    if not fp:
-        raise DomainError("polynomial vanishes identically mod q")
-    y = [Fq.zero(), Fq.one()]
-    g = _pgcd(fp, _psub(_ppowmod(y, F.size, fp, Fq), y, Fq), Fq)
+    if len(fp) <= 1:
+        raise DomainError("polynomial is constant mod q")
+    return _factor(fp, Fq)
+
+
+def _factor(fp, Fq):
+    """factor_mod_q of fp, monic over F_q; [] when fp is constant."""
+    rng = random.Random(0x5EED)
+    return sorted((e, tuple(c[0] for c in u)) for e, fe in _distinct_degree(fp, Fq)
+                  for u in _equal_degree(fe, e, Fq, rng))
+
+
+def roots_in_field(int_poly, F: FiniteField, *, factors=None):
+    """All roots in F of an integer polynomial (each distinct root once),
+    sorted.  `factors`, when given, is factor_mod_q(int_poly, F.q)."""
+    if factors is None:
+        Fq = FiniteField(F.q, 1, (0, 1))
+        fp = _reduce_monic(int_poly, Fq)
+        if not fp:
+            raise DomainError("polynomial vanishes identically mod q")
+        factors = _factor(fp, Fq)
     rng = random.Random(0x5EED)
     roots = []
-    for e, ge in _distinct_degree(g, Fq, F.r):
-        for u in _equal_degree(ge, e, Fq, rng):
+    for e, u in factors:
+        if F.r % e == 0:
             orbit = [_one_root(u, e, F, rng)]
             while len(orbit) < e:
-                orbit.append(F.pow(orbit[-1], F.q))
+                orbit.append(F.frob(orbit[-1]))
             roots += orbit
     return sorted(roots)
 
@@ -322,8 +373,10 @@ def _equal_degree(g, e, Fq, rng):
 
 
 def _one_root(u, e, F, rng):
-    """One root in F of u, irreducible of degree e over F_q (see the module notes)."""
+    """One root in F of u, irreducible of degree e over F_q and given by its
+    int coefficients (see the module notes)."""
     Fq = FiniteField(F.q, 1, (0, 1))
+    u = [(c,) for c in u]
     frob = [[Fq.zero(), Fq.one()]]  # y^(q^i) mod u, i < e
     for _ in range(e - 1):
         frob.append(_ppowmod(frob[-1], F.q, u, Fq))
@@ -332,11 +385,12 @@ def _one_root(u, e, F, rng):
         # c = Tr_{F/F_{q^e}}(z): a c in F_q cannot separate conjugate roots
         z = c = tuple(rng.randrange(F.q) for _ in range(F.r))
         for _ in range(F.r // e - 1):
-            z = F.pow(z, F.q ** e)
+            for _ in range(e):
+                z = F.frob(z)
             c = F.add(c, z)
         a = [] if F.q == 2 else [F.one()]  # the trace of c y, or the norm of y + c
         for i, y_i in enumerate(frob):
-            c = F.pow(c, F.q) if i else c
+            c = F.frob(c) if i else c
             if F.q == 2:
                 a = _psub(a, [F.mul(c, x) for x in y_i], F)
             else:
@@ -348,26 +402,26 @@ def _one_root(u, e, F, rng):
     return F.neg(u[0])
 
 
-def _distinct_degree(f, Fq, top=None):
-    """[(e, f_e)], f_e the product of the distinct irreducible factors of
-    degree e of the monic f over F_q: gcd(y^{q^e} - y, f) once every copy of
-    the factors of lower degree is divided out, so f need not be squarefree.
-    A given `top` promises that every factor's degree divides it."""
+def _distinct_degree(f, Fq):
+    """Yields (e, f_e) by ascending e, f_e the product of the distinct
+    irreducible factors of degree e of the monic f over F_q: gcd(y^{q^e} - y,
+    f) once every copy of the factors of lower degree is divided out, so f
+    need not be squarefree.  Each pair costs only what its degree needs, so a
+    caller may stop early."""
     power = y = [Fq.zero(), Fq.one()]
-    out, e = [], 0
+    e = 0
     while len(f) > 1:
         e += 1
-        if 2 * e > len(f) - 1 or e == top:  # f is irreducible, or of degree-top factors
-            out.append((top if e == top else len(f) - 1, f))
-            break
+        if 2 * e > len(f) - 1:  # f is irreducible
+            yield len(f) - 1, f
+            return
         power = _ppowmod(power, Fq.q, f, Fq)
         d = _pgcd(_psub(power, y, Fq), f, Fq)
         if len(d) > 1:
-            out.append((e, d))
+            yield e, d
             while len(d) > 1:
                 f = _pdivmod(f, d, Fq)[0]
                 d = _pgcd(f, d, Fq)
-    return out
 
 
 def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
@@ -501,12 +555,18 @@ def _zassenhaus(f):
         if len(_pgcd(fl, derivative, Fl)) != 1:
             continue
         tried += 1
-        split = _distinct_degree(fl, Fl)
-        count = sum((len(fe) - 1) // e for e, fe in split)
-        if best is None or count < best[0]:
-            best = (count, ell, Fl, split)
-        if count == 1:
-            return [f]
+        split, count, degree = [], 0, 0
+        for e, fe in _distinct_degree(fl, Fl):
+            split.append((e, fe))
+            count += (len(fe) - 1) // e
+            degree += len(fe) - 1
+            if best is not None and count + (degree < n) >= best[0]:
+                break  # fl is squarefree, so a remainder adds a factor of its own
+        else:
+            if best is None or count < best[0]:
+                best = (count, ell, Fl, split)
+            if count == 1:
+                return [f]
     _, ell, Fl, split = best
     rng = random.Random(0x5EED)
     factors = [u for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]

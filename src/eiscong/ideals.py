@@ -276,7 +276,7 @@ def descriptor(params: EisensteinParams, l: int) -> IdealDescriptor:
         x = eb
         while x not in orbit:
             orbit.add(x)
-            x = F.pow(x, l)
+            x = F.frob(x)
         groups.setdefault(tuple(sorted(orbit)), []).append(r)
 
     tr_groups = []

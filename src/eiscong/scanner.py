@@ -20,12 +20,13 @@ times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
 inputs fix across scans: per (phi order, field_poly, q) the reduction
-embeddings and their orbit minima; the factor degrees of a field polynomial
-once per q, its roots once per F and the roots of Phi_k once per (k', F);
-and, per series and per newform record, the power tables and reduced
-coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
-pair whose coefficients have l in a denominator is skipped by `full_scan`
-with the reason; the rest of the scan runs.
+embeddings and their orbit minima; the factorization of a field polynomial
+once per (field_poly, q), which picks r and from which its roots in every F
+of characteristic q are read, those roots once per F, and the roots of Phi_k
+once per (k', F); and, per series and per newform record, the power tables
+and reduced coefficients.  It holds no state between `full_scan` calls.  A
+(newform, l) pair whose coefficients have l in a denominator is skipped by
+`full_scan` with the reason; the rest of the scan runs.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from operator import mul
 from .arith import DomainError, divisors, is_p_good, is_prime, sturm_bound
 from .characters import enumerate_characters
 from .eisenstein import EisensteinParams, QExpansion, build_E
-from .ffield import (FiniteField, cyclotomic_residue, cyclotomic_roots,
-                     factor_degrees_mod_q, roots_in_field)
+from .ffield import (FiniteField, cyclotomic_residue, cyclotomic_roots, factor_mod_q,
+                     roots_in_field)
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
 from .newforms import NewformRecord, newforms_for_level
@@ -77,27 +78,28 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     """(r, F, pairs): minimal r with roots of Phi_k and of field_poly in
     F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order.
 
-    `memo` (a scan memo, see `scan`) shares the factor degrees of field_poly
-    mod q, its roots in F and the roots of Phi_k in F between calls."""
+    `memo` (a scan memo, see `scan`) shares between calls the factorization
+    of field_poly mod q, from which r and its roots in F are read, those roots
+    per F, and the roots of Phi_k per F."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if memo is None:
         memo = {}
     kp, d_phi = cyclotomic_residue(k, q)
     poly = tuple(field_poly)
-    degrees = _shared(memo, ("factor degrees", poly, q), factor_degrees_mod_q, list(poly), q)
-    r = min(lcm(d_phi, e) for e in degrees)
+    factors = _shared(memo, ("factors", poly, q), factor_mod_q, list(poly), q)
+    r = min(lcm(d_phi, e) for e, _ in factors)
     F = FiniteField.create(q, r)
     zroots = _shared(memo, ("Phi roots", kp, F), cyclotomic_roots, k, F)
-    groots = _shared(memo, ("roots", poly, F), roots_in_field, list(poly), F)
+    groots = _shared(memo, ("roots", poly, F), roots_in_field, list(poly), F, factors=factors)
     assert zroots and groots
     return r, F, [(z, g) for z in zroots for g in groots]
 
 
-def _shared(memo: dict, key, fn, *args):
-    """fn(*args), computed once per key of `memo`."""
+def _shared(memo: dict, key, fn, *args, **kwargs):
+    """fn(*args, **kwargs), computed once per key of `memo`."""
     if key not in memo:
-        memo[key] = fn(*args)
+        memo[key] = fn(*args, **kwargs)
     return memo[key]
 
 
@@ -105,7 +107,7 @@ def _orbit_minima(F: FiniteField, pairs):
     """The pairs that are the smallest of their orbit under x -> x^q on both
     roots, in the order of `pairs`."""
     roots = {x for pair in pairs for x in pair}  # each root once, however many pairs hold it
-    frob = {x: F.pow(x, F.q) for x in roots}
+    frob = {x: F.frob(x) for x in roots}
     out = []
     for pair in pairs:
         z, g = frob[pair[0]], frob[pair[1]]
@@ -161,8 +163,9 @@ def scan(
     """Coefficientwise congruence check of E against one newform at q.
 
     `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
-    reduction_embeddings result, and also holds what those results share,
-    the orbit minima of each key's pairs, the root power tables and the
+    reduction_embeddings result, and also holds what those results share
+    (the factorization of field_poly per (field_poly, q) and the roots per
+    F), the orbit minima of each key's pairs, the root power tables and the
     reduced coefficients of E and of the record.  A caller that scans many
     pairs passes one dict, so that each of these is computed once."""
     if E.level != record.level:

@@ -17,6 +17,14 @@ taking the modulus from this module's search.  Its Rabin test
 never asks it at r = 1, and the library now tests irreducibility as
 `factor_degrees_mod_q(h, q) == [r]`.  `multiplicative_order` is the former
 `FiniteField.multiplicative_order`, which only tests called.
+
+`roots_by_gcd`, `_one_root` and `_distinct_degree` are the root search that
+`roots_in_field` replaced, verbatim apart from the name of the first: it
+takes g = gcd(f, y^|F| - y) over F_q, splits g by distinct and equal degree
+(the `top` of `_distinct_degree` promises that every factor's degree divides
+r) and finds each factor's root orbit with full powers in F.  `FermatField`
+is `FiniteField` with its former inverse a^(|F| - 2); passed to
+`roots_by_gcd`, it takes every inverse the former way.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ import random
 from functools import lru_cache
 
 from eiscong.arith import DomainError, is_prime, prime_divisors
-from eiscong.ffield import ENUMERATION_CAP, FiniteField
+from eiscong.ffield import (ENUMERATION_CAP, FiniteField, _equal_degree, _pdivmod, _pgcd,
+                            _pmul, _ppowmod, _probe, _psub, _reduce_monic)
 from eiscong.scanner import CongruenceReport, UnsupportedPrimeError
 
 
@@ -414,3 +423,82 @@ def multiplicative_order(F: FiniteField, a) -> int:
         while order % p == 0 and F.pow(a, order // p) == F.one():
             order //= p
     return order
+
+
+class FermatField(FiniteField):
+    """FiniteField whose inverse is a^(|F| - 2)."""
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("inverse of 0 in finite field")
+        if self.r == 1:
+            return (pow(a[0], -1, self.q),)
+        return self.pow(a, self.size - 2)
+
+
+def roots_by_gcd(int_poly, F: FiniteField):
+    """All roots in F of an integer polynomial (each distinct root once), sorted."""
+    Fq = FiniteField(F.q, 1, (0, 1))
+    fp = _reduce_monic(int_poly, Fq)
+    if not fp:
+        raise DomainError("polynomial vanishes identically mod q")
+    y = [Fq.zero(), Fq.one()]
+    g = _pgcd(fp, _psub(_ppowmod(y, F.size, fp, Fq), y, Fq), Fq)
+    rng = random.Random(0x5EED)
+    roots = []
+    for e, ge in _distinct_degree(g, Fq, F.r):
+        for u in _equal_degree(ge, e, Fq, rng):
+            orbit = [_one_root(u, e, F, rng)]
+            while len(orbit) < e:
+                orbit.append(F.pow(orbit[-1], F.q))
+            roots += orbit
+    return sorted(roots)
+
+
+def _one_root(u, e, F, rng):
+    """One root in F of u, irreducible of degree e over F_q (see the module notes)."""
+    Fq = FiniteField(F.q, 1, (0, 1))
+    frob = [[Fq.zero(), Fq.one()]]  # y^(q^i) mod u, i < e
+    for _ in range(e - 1):
+        frob.append(_ppowmod(frob[-1], F.q, u, Fq))
+    u, *frob = ([F.from_int(c[0]) for c in p] for p in (u, *frob))
+    while len(u) > 2:
+        # c = Tr_{F/F_{q^e}}(z): a c in F_q cannot separate conjugate roots
+        z = c = tuple(rng.randrange(F.q) for _ in range(F.r))
+        for _ in range(F.r // e - 1):
+            z = F.pow(z, F.q ** e)
+            c = F.add(c, z)
+        a = [] if F.q == 2 else [F.one()]  # the trace of c y, or the norm of y + c
+        for i, y_i in enumerate(frob):
+            c = F.pow(c, F.q) if i else c
+            if F.q == 2:
+                a = _psub(a, [F.mul(c, x) for x in y_i], F)
+            else:
+                a = _pdivmod(_pmul(a, _psub(y_i, [F.neg(c)], F), F), u, F)[1]
+        d = _pgcd(u, _probe(a, u, 1, F), F)
+        if 1 < len(d) < len(u):
+            u = min(d, _pdivmod(u, d, F)[0], key=len)
+            frob = [_pdivmod(y_i, u, F)[1] for y_i in frob]
+    return F.neg(u[0])
+
+
+def _distinct_degree(f, Fq, top=None):
+    """[(e, f_e)], f_e the product of the distinct irreducible factors of
+    degree e of the monic f over F_q: gcd(y^{q^e} - y, f) once every copy of
+    the factors of lower degree is divided out, so f need not be squarefree.
+    A given `top` promises that every factor's degree divides it."""
+    power = y = [Fq.zero(), Fq.one()]
+    out, e = [], 0
+    while len(f) > 1:
+        e += 1
+        if 2 * e > len(f) - 1 or e == top:  # f is irreducible, or of degree-top factors
+            out.append((top if e == top else len(f) - 1, f))
+            break
+        power = _ppowmod(power, Fq.q, f, Fq)
+        d = _pgcd(_psub(power, y, Fq), f, Fq)
+        if len(d) > 1:
+            out.append((e, d))
+            while len(d) > 1:
+                f = _pdivmod(f, d, Fq)[0]
+                d = _pgcd(f, d, Fq)
+    return out

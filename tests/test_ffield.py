@@ -9,7 +9,8 @@ from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
-                            factor_degrees_mod_q, finite_field_roots, roots_in_field)
+                            factor_degrees_mod_q, factor_mod_q, finite_field_roots,
+                            roots_in_field)
 
 
 def test_root_examples():
@@ -273,6 +274,88 @@ def test_characteristic_two_splitting_terminates():
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(7), F) and len(roots) == 6
 
 
+# ------------------------------- one factorization mod q, Frobenius as a map
+
+_PRIMES_TO_13 = _PRIMES + (13,)
+
+
+@st.composite
+def _field_and_element(draw):
+    q = draw(st.sampled_from(_PRIMES_TO_13))
+    r = draw(st.integers(1, 6))
+    return FiniteField.create(q, r), draw(st.tuples(*[st.integers(0, q - 1)] * r))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_field_and_element())
+def test_frobenius_and_norm_inverse_match_powers(case):
+    """frob is a -> a^q, and the inverse by the norm is the former a^(|F| - 2)."""
+    F, a = case
+    assert F.frob(a) == F.pow(a, F.q)
+    fermat = ffield_oracle.FermatField(F.q, F.r, F.modulus)
+    if not any(a):
+        for field in (F, fermat):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(a)
+        return
+    assert F.inv(a) == fermat.inv(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_PRIMES_TO_13).flatmap(
+    lambda q: st.tuples(st.builds(FiniteField.create, st.just(q), st.integers(1, 6)),
+                        _int_poly(q))))
+def test_roots_from_one_factorization_match_gcd_oracle(case):
+    """Roots read off factor_mod_q, passed in or not, against the former
+    gcd(f, y^|F| - y) search with the former inverse; the polynomials are
+    non-monic mod q and often have repeated factors (q | discriminant)."""
+    F, poly = case
+    want = ffield_oracle.roots_by_gcd(poly, ffield_oracle.FermatField(F.q, F.r, F.modulus))
+    assert roots_in_field(poly, F) == want
+    assert roots_in_field(poly, F, factors=factor_mod_q(poly, F.q)) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(_PRIMES_TO_13).flatmap(lambda q: st.tuples(st.just(q), _int_poly(q))))
+def test_factor_mod_q_gives_the_distinct_irreducible_factors(case):
+    """Each factor is monic and irreducible (Rabin's test in the oracle, which
+    is right above degree 1), and their product P is the distinct part of f
+    mod q: P divides f, and f divides P^deg f."""
+    q, poly = case
+    factors = factor_mod_q(poly, q)
+    assert factors == sorted(set(factors))
+    product = [1]
+    for e, u in factors:
+        assert len(u) == e + 1 and u[-1] == 1
+        assert e == 1 or ffield_oracle._irreducible_modq(list(u), q)
+        product = ffield_oracle._polmul(product, list(u), q)
+    f = [c % q for c in poly]
+    while not f[-1]:
+        f.pop()
+    assert ffield_oracle._polmod(f, product, q) == []
+    assert ffield_oracle._polpowmod(product, len(f) - 1, f, q) == []
+    assert [e for e, _ in factors] == factor_degrees_mod_q(poly, q)
+
+
+def test_constant_and_vanishing_polynomials_keep_their_results():
+    """A nonzero constant mod q has no roots and no factorization; a
+    polynomial that vanishes mod q has neither roots nor factors."""
+    for q, r in ((2, 1), (2, 3), (7, 3), (13, 2)):
+        F = FiniteField.create(q, r)
+        fermat = ffield_oracle.FermatField(q, r, F.modulus)
+        for poly in ([1], [q + 3], [5, q, 2 * q]):
+            assert roots_in_field(poly, F) == ffield_oracle.roots_by_gcd(poly, fermat) == []
+            for factor in (factor_mod_q, factor_degrees_mod_q):
+                with pytest.raises(DomainError, match="constant"):
+                    factor(poly, q)
+        for poly in ([], [0], [q], [q, 0, 3 * q]):
+            for roots in (roots_in_field, ffield_oracle.roots_by_gcd):
+                with pytest.raises(DomainError, match="vanishes"):
+                    roots(poly, F)
+            with pytest.raises(DomainError, match="constant"):
+                factor_mod_q(poly, q)
+
+
 # ---------------------------------------------------------- factoring over Z
 
 
@@ -314,6 +397,42 @@ def test_factor_over_z_recovers_products(parts):
     got = ffield.factor_over_z(f)
     assert {tuple(g): m for g, m in got} == expected
     assert [g for g, _ in got] == sorted((list(g) for g in expected), key=_descending_key)
+
+
+def _fewest_factors_prime(f):
+    """The prime the full count picks: the first, among the first five that
+    keep f squarefree, with the fewest factors; None when one proves f
+    irreducible."""
+    best, ell, tried = None, 2, 0
+    while tried < 5:
+        ell += 1
+        degrees = factor_degrees_mod_q(f, ell) if is_prime(ell) else []
+        if sum(degrees) != len(f) - 1:  # not prime, or f not squarefree mod ell
+            continue
+        tried += 1
+        if len(degrees) == 1:
+            return None
+        if best is None or len(degrees) < best[0]:
+            best = (len(degrees), ell)
+    return best[1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_IRREDUCIBLES.map(tuple), min_size=1, max_size=4, unique=True))
+def test_zassenhaus_early_stop_keeps_the_prime(parts):
+    """Stopping a prime's distinct-degree count once it cannot beat the best
+    so far picks the prime that counting every factor picks."""
+    f = [1]
+    for g in parts:
+        f = polys.mul(f, list(g))
+    chosen = []  # the prime of every lift, the first one's included
+    lift_all = ffield._lift_all
+    ffield._lift_all = lambda f, factors, ell, top: chosen.append(ell) or lift_all(f, factors, ell, top)
+    try:
+        ffield._zassenhaus(f)
+    finally:
+        ffield._lift_all = lift_all
+    assert chosen[:1] == [ell for ell in [_fewest_factors_prime(f)] if ell is not None]
 
 
 def test_factor_over_z_edges():

@@ -237,8 +237,9 @@ def _scan_payload(res) -> str:
 def test_full_scan_one_root_search_per_key(monkeypatch):
     """full_scan computes reduction_embeddings once per distinct (phi order,
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
-    Within them it factors each field polynomial once per l (11 calls), finds
-    its roots once per F (18) and the roots of Phi_k once per (k', F) (5)."""
+    Within them it factors each field polynomial once per l (11 calls), reads
+    its roots off that factorization once per F (18) and finds the roots of
+    Phi_k once per (k', F) (5)."""
     from eiscong import scanner
 
     keys = []
@@ -249,16 +250,16 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
         return original(k, field_poly, q, **kwargs)
 
     calls = {}
-    for name in ("roots_in_field", "factor_degrees_mod_q", "cyclotomic_roots"):
-        def counted(*args, _fn=getattr(scanner, name), _name=name):
+    for name in ("roots_in_field", "factor_mod_q", "cyclotomic_roots"):
+        def counted(*args, _fn=getattr(scanner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args)
+            return _fn(*args, **kwargs)
         monkeypatch.setattr(scanner, name, counted)
     monkeypatch.setattr(scanner, "reduction_embeddings", counting)
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
-    assert calls == {"roots_in_field": 18, "factor_degrees_mod_q": 11, "cyclotomic_roots": 5}
+    assert calls == {"roots_in_field": 18, "factor_mod_q": 11, "cyclotomic_roots": 5}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
 
