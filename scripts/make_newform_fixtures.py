@@ -11,7 +11,7 @@ from trace vectors, the JSON records, and the checks against the
 coefficients the paper displays (`check_paper_data`) and against known
 small levels (`selfcheck`).  Dense linear algebra over Q on the d <= 6
 dimensional coefficient vectors scales each row to integers and eliminates
-with the library's fraction-free `eiscong.modsym._echelon`.  The results are
+with the library's fraction-free `eiscong.lattices.echelon`.  The results are
 frozen as JSON under src/eiscong/data/.
 
 Run:  python scripts/make_newform_fixtures.py [--selfcheck]
@@ -31,22 +31,22 @@ DATA_DIR = HERE.parent / "src" / "eiscong" / "data"
 
 from eiscong import polys  # noqa: E402
 from eiscong.arith import prime_divisors  # noqa: E402
-from eiscong.lattices import hnf  # noqa: E402
-from eiscong.modsym import _echelon, newform_orbits  # noqa: E402
+from eiscong.lattices import echelon, hnf  # noqa: E402
+from eiscong.modsym import newform_orbits  # noqa: E402
 
 
 # ------------------------------------------------------------- dense Q linalg
 
 
 def echelon_q(rows):
-    """`_echelon` on rational rows, each scaled to integers first: (R, pivot
+    """`echelon` on rational rows, each scaled to integers first: (R, pivot
     columns), with R[i] / R[i][pivots[i]] the reduced row echelon form."""
     ints = []
     for row in rows:
         row = [Fraction(x) for x in row]
         m = lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (m // x.denominator) for x in row])
-    return _echelon(ints)
+    return echelon(ints)
 
 
 def solve(A, B):

@@ -258,18 +258,6 @@ def enumerate_characters(f: int) -> list[DirichletCharacter]:
     return out
 
 
-def character_with_value(f: int, n: int, order: int, exponent: int = 1) -> DirichletCharacter:
-    """The unique character mod f of the given order with chi(n) = zeta_order^exponent."""
-    hits = [
-        chi
-        for chi in enumerate_characters(f)
-        if chi.order == order and chi.value_exponent(n) == exponent % order
-    ]
-    if len(hits) != 1:
-        raise DomainError(f"{len(hits)} characters mod {f} of order {order} with that value")
-    return hits[0]
-
-
 def quadratic_character(p: int) -> DirichletCharacter:
     """The Legendre character mod an odd prime p."""
     if not is_prime(p) or p == 2:

@@ -228,24 +228,6 @@ def _D_support(N: int, d: int, phi: DirichletCharacter):
     return MappingProxyType(support)
 
 
-def D_divisor_pair(N: int, d: int, eps1: DirichletCharacter,
-                   eps2: DirichletCharacter) -> CuspDivisor:
-    """The torus-character divisor sum eps1(b) eps2^{-1}(a) [a; db].
-
-    The eigenspace vanishes unless eps1 = eps2^{-1} (then the sum is
-    D_{Gamma0(N),d}(eps1)); this general accessor returns the zero divisor in
-    the vanishing case and still enforces the conductor condition.
-    """
-    if not (eps1 * eps2).is_trivial():
-        t = gcd(d, N // d)
-        if t % eps1.conductor() or t % eps2.conductor():
-            raise DivisorUndefinedError(
-                f"D_(N={N},d={d}) needs both conductors dividing gcd(d, N/d) = {t}"
-            )
-        return CuspDivisor(N)
-    return D_divisor(N, d, eps1)
-
-
 def _assert_well_defined(N, d, phi, support):
     """phi(a*b) must agree across representative pairs [a; d*b] of each class."""
     t = gcd(d, N // d)

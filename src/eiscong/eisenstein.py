@@ -1,5 +1,5 @@
 """Non-rational Eisenstein series on Gamma0(N): q-expansions, refinements,
-Hecke action, and the closed-form twisted L-values Lambda / Lambda_pm.
+and the closed-form twisted L-values Lambda / Lambda_pm.
 
 The base series attached to a primitive nontrivial character phi of conductor
 f has coefficients b_n = sum_{bc=n} phi(c) phi^{-1}(b) b and level f^2.  The
@@ -152,33 +152,6 @@ def slash_scale(g: QExpansion, d: int) -> QExpansion:
     for n in range(1, g.precision + 1):
         coeffs[d * n - 1] = g.coeffs[n - 1] * d
     return QExpansion(g.level * d, B, tuple(coeffs), g.a0 * d)
-
-
-def hecke_Tl(g: QExpansion, l: int) -> QExpansion:
-    """Weight-2 T_l for l not dividing the level: a_n <- a_{ln} + l a_{n/l}."""
-    if not is_prime(l):
-        raise DomainError("hecke_Tl requires a prime")
-    if g.level % l == 0:
-        raise DomainError(f"l={l} divides the level; use hecke_Uq")
-    B = g.precision // l
-    coeffs = []
-    for n in range(1, B + 1):
-        a = g.coeffs[l * n - 1]
-        if n % l == 0:
-            a = a + l * g.coeffs[n // l - 1]
-        coeffs.append(a)
-    return QExpansion(g.level, B, tuple(coeffs), g.a0 * (l + 1))
-
-
-def hecke_Uq(g: QExpansion, q: int) -> QExpansion:
-    """U_q for q dividing the level: a_n <- a_{qn}."""
-    if not is_prime(q):
-        raise DomainError("hecke_Uq requires a prime")
-    if g.level % q:
-        raise DomainError(f"q={q} does not divide the level; use hecke_Tl")
-    B = g.precision // q
-    coeffs = [g.coeffs[q * n - 1] for n in range(1, B + 1)]
-    return QExpansion(g.level, B, tuple(coeffs), g.a0 * q)
 
 
 # --------------------------------------------------------------- parameters

@@ -344,11 +344,6 @@ def cyclotomic_roots(k: int, F: FiniteField):
     return sorted(roots)
 
 
-def finite_field_roots(int_poly, q: int, r: int):
-    """Spec surface: all roots of the integer polynomial in F_{q^r}."""
-    return roots_in_field(int_poly, FiniteField.create(q, r))
-
-
 def _probe(a, g, e, F):
     """a^((q^e-1)/2) - 1 mod g, or sum_{i<e} a^(2^i) mod g when q = 2."""
     if F.q == 2:

@@ -1,4 +1,5 @@
-"""Full-rank ideal lattices in Z[zeta_m] as Hermite-normal-form bases.
+"""Full-rank ideal lattices in Z[zeta_m] as Hermite-normal-form bases, and
+the library's one fraction-free elimination over Z.
 
 An ideal is stored as a degree x degree integer matrix in canonical row HNF
 (upper triangular, positive diagonal, entries above each pivot reduced mod
@@ -19,9 +20,14 @@ without leaving L.  Each column's pivot p = gcd(D, column entries) is an HNF
 diagonal entry, and the rows left, zero in that column, together with D*Z^n
 span the part of L that is zero in the columns done so far; so a D given by
 the caller serves every column.  By default D is |det| of n independent input
-rows (Bareiss elimination), a multiple of det L; the rows left then span a
-lattice of determinant det L / p, so D // p serves for the next column and no
-entry grows past the first D.
+rows, a multiple of det L; the rows left then span a lattice of determinant
+det L / p, so D // p serves for the next column and no entry grows past the
+first D.
+
+`echelon` is Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp.
+22, 1968); `modsym` and `hnf` both eliminate through it.  Each pivot is, up to
+sign, the minor of the input on the pivot rows and columns so far, so with n
+pivots the last one is +-det of n independent input rows: `hnf`'s default D.
 """
 
 from __future__ import annotations
@@ -33,36 +39,44 @@ from .arith import DomainError, xgcd
 from .cyclotomic import CycElement, _CycField
 
 
-def _det_multiple(rows: list[list[int]], n: int) -> int:
-    """|det| of n independent rows, by fraction-free (Bareiss) elimination."""
-    M = [list(r) for r in rows]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, len(M)) if M[i][k]), None)
-        if p is None:
-            raise DomainError("rows do not span a full-rank lattice")
-        M[k], M[p] = M[p], M[k]
-        pk = M[k]
-        # only columns > k are read again; the exact division is Bareiss's
-        for r in M[k + 1:]:
-            a = r[k]
-            for j in range(k + 1, n):
-                r[j] = (pk[k] * r[j] - a * pk[j]) // prev
-        prev = pk[k]
-    return abs(prev)
+def echelon(rows):
+    """Fraction-free Gauss-Jordan elimination over Z (Bareiss): (R, pivots)
+    with R / p the reduced row echelon form of the rows, p the last pivot,
+    which every pivot entry of R equals."""
+    rows = [list(r) for r in rows]
+    pivots, prev = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        p = top[c]
+        rows = [r if i == k else [(p * x - r[c] * y) // prev for x, y in zip(r, top)]
+                for i, r in enumerate(rows)]
+        prev = p
+        pivots.append(c)
+        if k + 1 == len(rows):
+            break
+    return rows[:len(pivots)], pivots
 
 
 def hnf(rows: list[list[int]], modulus: int | None = None) -> list[list[int]]:
     """Canonical row HNF of the full-rank lattice spanned by integer rows.
 
     With `modulus` D > 0 the lattice is that of the rows and D*Z^n, and D is
-    the modulus of every column.  Without it, raises DomainError when the rows
-    do not span a full-rank lattice.
+    the modulus of every column.  Without it, D is |last pivot| of `echelon`,
+    and DomainError is raised when the rows do not span a full-rank lattice.
     """
     if not rows:
         return []
     n = len(rows[0])
-    D = modulus or _det_multiple(rows, n)
+    if not modulus:
+        R, piv = echelon(rows)
+        if len(piv) < n:
+            raise DomainError("rows do not span a full-rank lattice")
+    D = modulus or abs(R[-1][piv[-1]])
     work = [list(r) for r in rows]
     basis: list[list[int]] = []
     for i in range(n):
@@ -111,16 +125,6 @@ def _mult_rows(e: CycElement) -> list[list[int]]:
     shifted up by i places, reduced mod Phi_m through the field's zeta table."""
     K = e.field
     return [K.reduce([0] * i + list(e.num)) for i in range(K.degree)]
-
-
-def ideal_from_element(e: CycElement) -> IntegralIdeal:
-    """HNF lattice of the principal ideal (e), for integral nonzero e."""
-    if e.is_zero():
-        raise DomainError("ideal_from_element requires a nonzero element")
-    if not e.is_integral():
-        raise DomainError("ideal_from_element requires integral coefficients")
-    basis = hnf(_mult_rows(e))
-    return IntegralIdeal(e.field, tuple(tuple(r) for r in basis))
 
 
 def numerator_index(e: CycElement) -> int:

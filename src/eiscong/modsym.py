@@ -7,9 +7,9 @@ Modular Elliptic Curves*, ch. 2).  The relations are eliminated over Z, so
 every symbol is an integer vector over the free generators, all over one
 denominator D, and T_n, from Merel's matrices of determinant n, is an
 integer matrix over D.  The cuspidal subspace is the kernel of the boundary
-map, with an integer basis that is a multiple of the identity on the free
-columns of that kernel, so a cuspidal vector's coordinates are its entries
-there.
+map, eliminated by `lattices.echelon`, with an integer basis that is a
+multiple of the identity on the free columns of that kernel, so a cuspidal
+vector's coordinates are its entries there.
 
 `newform_orbits` factors over Z (`ffield.factor_over_z`) the characteristic
 polynomial chi of a generic combination T of six Hecke operators on the
@@ -40,6 +40,7 @@ from . import polys
 from .arith import crt, divisors, is_prime, prime_divisors, primes_up_to, xgcd
 from .cusps import cusp_count, cusp_from_fraction
 from .ffield import factor_over_z
+from .lattices import echelon
 
 
 def genus_gamma0(N: int) -> int:
@@ -255,29 +256,6 @@ class PlusQuotient:
 # ---------------------------------------------------- integer linear algebra
 
 
-def _echelon(rows):
-    """Fraction-free Gauss-Jordan elimination over Z (Bareiss): (R, pivots)
-    with R / p the reduced row echelon form of the rows, p the last pivot,
-    which every pivot entry of R equals."""
-    rows = [list(r) for r in rows]
-    pivots, prev = [], 1
-    for c in range(len(rows[0]) if rows else 0):
-        k = len(pivots)
-        piv = next((i for i in range(k, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top = rows[k]
-        p = top[c]
-        rows = [r if i == k else [(p * x - r[c] * y) // prev for x, y in zip(r, top)]
-                for i, r in enumerate(rows)]
-        prev = p
-        pivots.append(c)
-        if k + 1 == len(rows):
-            break
-    return rows[:len(pivots)], pivots
-
-
 def _vec_mat(v, A):
     """The row vector v times the matrix A."""
     out = [0] * len(A[0])
@@ -365,7 +343,7 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
     p <= prime_bound, sorted by degree and then by the descending
     coefficients of theta_poly."""
     sp = PlusQuotient(N)
-    delta, dpiv = _echelon(sp.boundary_matrix())
+    delta, dpiv = echelon(sp.boundary_matrix())
     cols = [c for c in range(sp.dim) if c not in dpiv]  # the kernel's free columns
     genus = len(cols)
     assert genus == genus_gamma0(N), f"cuspidal dim {genus} != genus {genus_gamma0(N)}"
@@ -445,7 +423,7 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
         system = [[P[i + k][j] * den ** (2 * d - i - k) for i in range(d)]
                   + [sum(a * b for a, b in zip(P[k], y)) * den ** (2 * d - k - 1) for y in rhs]
                   for k in range(d)]
-        R, piv = _echelon(system)
+        R, piv = echelon(system)
         assert piv == list(range(d)), "dual vectors psi_i are dependent"
         ap = {p: tuple(Fraction(R[i][d + t], R[i][i]) for i in range(d))
               for t, p in enumerate(plist)}

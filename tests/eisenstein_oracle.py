@@ -9,7 +9,7 @@ powers.  The code is verbatim.
 
 from __future__ import annotations
 
-from eiscong.arith import DomainError
+from eiscong.arith import DomainError, is_prime
 from eiscong.characters import DirichletCharacter
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import QExpansion
@@ -38,3 +38,30 @@ def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
                 acc[b * c][(ec - eb) % k] += b
     coeffs = tuple(K.element(a) for a in acc[1:])
     return QExpansion(f * f, B, coeffs, K.zero())
+
+
+def hecke_Tl(g: QExpansion, l: int) -> QExpansion:
+    """Weight-2 T_l for l not dividing the level: a_n <- a_{ln} + l a_{n/l}."""
+    if not is_prime(l):
+        raise DomainError("hecke_Tl requires a prime")
+    if g.level % l == 0:
+        raise DomainError(f"l={l} divides the level; use hecke_Uq")
+    B = g.precision // l
+    coeffs = []
+    for n in range(1, B + 1):
+        a = g.coeffs[l * n - 1]
+        if n % l == 0:
+            a = a + l * g.coeffs[n // l - 1]
+        coeffs.append(a)
+    return QExpansion(g.level, B, tuple(coeffs), g.a0 * (l + 1))
+
+
+def hecke_Uq(g: QExpansion, q: int) -> QExpansion:
+    """U_q for q dividing the level: a_n <- a_{qn}."""
+    if not is_prime(q):
+        raise DomainError("hecke_Uq requires a prime")
+    if g.level % q:
+        raise DomainError(f"q={q} does not divide the level; use hecke_Tl")
+    B = g.precision // q
+    coeffs = [g.coeffs[q * n - 1] for n in range(1, B + 1)]
+    return QExpansion(g.level, B, tuple(coeffs), g.a0 * q)

@@ -3,7 +3,7 @@ kept as a test oracle.
 
 `rref` is the script's former reduced row echelon form over Q by
 Gauss-Jordan elimination in Fractions; the script now scales each row to
-integers and eliminates with the fraction-free `eiscong.modsym._echelon`.
+integers and eliminates with the fraction-free `eiscong.lattices.echelon`.
 The code is verbatim.
 """
 

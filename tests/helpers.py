@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from eiscong import polys
-from eiscong.arith import divisors, euler_phi, prime_divisors, primes_up_to
+from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, primes_up_to
 from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.eisenstein import EisensteinParams
@@ -66,6 +66,18 @@ def check_gauss_identity(chi):
     want_conj = [[Fraction(0)] * dk for _ in range(dx)]
     want_conj[0][0] = Fraction(f)
     assert taus["conj"] == want_conj, f"|tau|^2 identity fails for {chi.label()}"
+
+
+def character_with_value(f, n, order, exponent=1):
+    """The unique character mod f of the given order with chi(n) = zeta_order^exponent."""
+    hits = [
+        chi
+        for chi in enumerate_characters(f)
+        if chi.order == order and chi.value_exponent(n) == exponent % order
+    ]
+    if len(hits) != 1:
+        raise DomainError(f"{len(hits)} characters mod {f} of order {order} with that value")
+    return hits[0]
 
 
 def random_pgood_params(rng, count, nprime_max=30):

@@ -13,6 +13,9 @@ one HNF of (d*e) + (d).  The code it replaced builds Num(e) itself:
 `block_lattice_intersect` from one HNF of [[A, A], [B, 0]] (both on the
 library's modular `hnf`).  `solve_membership`, `contains`, `is_subset_of` and
 `is_ideal` are the membership tests that went with it.
+
+`ideal_from_element`, the HNF of a principal ideal (e), left the library
+because only tests called it; it is verbatim but for the `lattices.` prefixes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from eiscong import lattices
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import CycElement, _CycField
-from eiscong.lattices import IntegralIdeal, ideal_from_element
+from eiscong.lattices import IntegralIdeal
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -126,6 +129,16 @@ def block_lattice_intersect(I: IntegralIdeal, J: IntegralIdeal) -> IntegralIdeal
     stacked = [list(a) * 2 for a in I.basis] + [list(b) + [0] * d for b in J.basis]
     basis = lattices.hnf(stacked)[d:]
     return IntegralIdeal(I.field, tuple(tuple(r[d:]) for r in basis))
+
+
+def ideal_from_element(e: CycElement) -> IntegralIdeal:
+    """HNF lattice of the principal ideal (e), for integral nonzero e."""
+    if e.is_zero():
+        raise DomainError("ideal_from_element requires a nonzero element")
+    if not e.is_integral():
+        raise DomainError("ideal_from_element requires integral coefficients")
+    basis = lattices.hnf(lattices._mult_rows(e))
+    return IntegralIdeal(e.field, tuple(tuple(r) for r in basis))
 
 
 def numerator_ideal(e: CycElement) -> IntegralIdeal:

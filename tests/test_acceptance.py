@@ -8,21 +8,20 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from helpers import (check_gauss_identity, random_pgood_params, random_valid_params,
-                     scalar_multiple)
+from eisenstein_oracle import hecke_Tl
+from helpers import (character_with_value, check_gauss_identity, random_pgood_params,
+                     random_valid_params, scalar_multiple)
+from lattice_oracle import ideal_from_element
 
 from eiscong.arith import divisors, euler_phi, primes_up_to, sturm_bound
-from eiscong.characters import (bernoulli_B1, character_with_value,
-                                enumerate_characters, gauss_sum,
+from eiscong.characters import (bernoulli_B1, enumerate_characters, gauss_sum,
                                 quadratic_character)
 from eiscong.cusps import (CuspDivisor, beta_tilde,
                            boundary_divisor, cusp_count, enumerate_cusps,
                            pullback_pi_l, pullback_pi_paren, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import (EisensteinParams, build_E, e_phi, hecke_Tl,
-                                tl_eigenvalue)
+from eiscong.eisenstein import EisensteinParams, build_E, e_phi, tl_eigenvalue
 from eiscong.ideals import candidate_characteristics, cuspidal_order, descriptor
-from eiscong.lattices import ideal_from_element
 from eiscong.scanner import full_scan
 
 

@@ -3,11 +3,11 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+from helpers import character_with_value
 
 from eiscong.arith import DomainError, euler_phi
 from eiscong.characters import (DirichletCharacter, bernoulli_B1,
-                                bernoulli_B2, character_from_label,
-                                character_with_value, chi_in_XS,
+                                bernoulli_B2, character_from_label, chi_in_XS,
                                 enumerate_characters, gauss_sum,
                                 gauss_sum_inverse, quadratic_character)
 from eiscong.cyclotomic import DEGREE_CAP, CyclotomicField

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cusps_oracle
-from helpers import random_pgood_params
+from helpers import character_with_value, random_pgood_params
 
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
-from eiscong.characters import (character_with_value, enumerate_characters,
-                                gauss_sum, quadratic_character)
+from eiscong.characters import enumerate_characters, gauss_sum, quadratic_character
 from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
                            DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
@@ -326,18 +325,6 @@ def test_twelve_beta_tilde_integral():
     for P in random_valid_params(rng, 100):
         bt = beta_tilde(P) * 12
         assert bt.is_integral(), (P.label(), str(bt))
-
-
-def test_D_divisor_pair():
-    from eiscong.cusps import D_divisor_pair
-
-    phi = quadratic_character(11)
-    assert D_divisor_pair(121, 11, phi, phi.inverse()) == D_divisor(121, 11, phi)
-    phi10 = character_with_value(11, 2, 10, 1)
-    # non-inverse pair: the eigenspace vanishes
-    assert not D_divisor_pair(121, 11, phi, phi10).support
-    with pytest.raises(DivisorUndefinedError):
-        D_divisor_pair(22, 11, phi, phi.inverse())
 
 
 def test_verify_boundary_general_parameters():

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenstein_oracle
-from helpers import scalar_multiple
+from eisenstein_oracle import hecke_Tl, hecke_Uq
+from helpers import character_with_value, scalar_multiple
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
-from eiscong.characters import (DirichletCharacter, character_with_value,
-                                enumerate_characters, quadratic_character)
+from eiscong.characters import (DirichletCharacter, enumerate_characters,
+                                quadratic_character)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import (EisensteinParams, build_E, e_phi, hecke_Tl,
-                                hecke_Uq, lambda_pm, lambda_twisted,
-                                refine_critical, refine_ordinary, slash_scale,
-                                tl_eigenvalue, uq_eigenvalue)
+from eiscong.eisenstein import (EisensteinParams, build_E, e_phi, lambda_pm,
+                                lambda_twisted, refine_critical, refine_ordinary,
+                                slash_scale, tl_eigenvalue, uq_eigenvalue)
 from eiscong.scanner import eisenstein_basis
 
 

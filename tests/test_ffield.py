@@ -9,27 +9,26 @@ from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
-                            factor_degrees_mod_q, factor_mod_q, finite_field_roots,
-                            roots_in_field)
+                            factor_degrees_mod_q, factor_mod_q, roots_in_field)
 
 
 def test_root_examples():
-    assert finite_field_roots(cyclotomic_polynomial(11), 5, 1) == []
-    roots = finite_field_roots(cyclotomic_polynomial(11), 5, 5)
+    assert roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 1)) == []
+    roots = roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5))
     assert len(roots) == 10
     F = FiniteField.create(5, 5)
     assert all(ffield_oracle.multiplicative_order(F, x) == 11 for x in roots)
-    assert finite_field_roots([-2, 0, 1], 7, 1) == [(3,), (4,)]
+    assert roots_in_field([-2, 0, 1], FiniteField.create(7, 1)) == [(3,), (4,)]
     # ramified reduction: zeta_10 -> -1 above 5
-    assert finite_field_roots(cyclotomic_polynomial(10), 5, 1) == [(4,)]
+    assert roots_in_field(cyclotomic_polynomial(10), FiniteField.create(5, 1)) == [(4,)]
 
 
 def test_splitting_matches_enumeration():
-    r1 = finite_field_roots(cyclotomic_polynomial(11), 5, 5)
+    r1 = roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5))
     r2 = ffield_oracle.roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5),
                                       force_splitting=True)
     assert r1 == r2
-    r3 = finite_field_roots([-1, 0, 41, 0, -13, 0, 1], 7, 2)
+    r3 = roots_in_field([-1, 0, 41, 0, -13, 0, 1], FiniteField.create(7, 2))
     r4 = ffield_oracle.roots_in_field([-1, 0, 41, 0, -13, 0, 1], FiniteField.create(7, 2),
                                       force_splitting=True)
     assert r3 == r4 and len(r3) == 4
@@ -268,8 +267,8 @@ def test_cyclotomic_roots_above_enumeration_cap():
 def test_characteristic_two_splitting_terminates():
     """In characteristic 2 the probe (y + c)^((|F|-1)/2) - 1 of odd
     characteristic is constant, so the split must use the trace map."""
-    assert finite_field_roots([0, 1, 1], 2, 1) == [(0,), (1,)]
-    roots = finite_field_roots(cyclotomic_polynomial(7), 2, 3)
+    assert roots_in_field([0, 1, 1], FiniteField.create(2, 1)) == [(0,), (1,)]
+    roots = roots_in_field(cyclotomic_polynomial(7), FiniteField.create(2, 3))
     F = FiniteField.create(2, 3)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(7), F) and len(roots) == 6
 

@@ -1,9 +1,9 @@
 import pytest
+from helpers import character_with_value
 from lattice_oracle import numerator_ideal
 
 from eiscong.arith import DomainError
-from eiscong.characters import (character_with_value, enumerate_characters,
-                                quadratic_character)
+from eiscong.characters import enumerate_characters, quadratic_character
 from eiscong.cusps import beta_tilde
 from eiscong.eisenstein import EisensteinParams
 from eiscong.ideals import (_isqrt, _render_bivariate, candidate_characteristics,

@@ -167,6 +167,42 @@ def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path, small):
     assert counts[0] == counts[1]
 
 
+# The paper's twisted L-values: exported for library users, with no CLI surface yet.
+UNCALLED_EXPORTS = {"lambda_pm", "lambda_twisted"}
+
+
+def test_every_export_has_a_caller():
+    """Every name `eiscong/__init__.py` imports is referenced in another
+    library module, in bench/ or scripts/, or imported by the README's python
+    block; a function that only tests call belongs under tests/.  Names are
+    read off the AST, so a name in a string or comment is no caller."""
+    root = BENCH.parent
+    src = root / "src" / "eiscong"
+    exported = {alias.asname or alias.name
+                for node in ast.parse((src / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def referenced(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.ImportFrom):
+                yield from (alias.name for alias in node.names)
+
+    paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted(BENCH.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
+    called = {name for p in paths for name in referenced(ast.parse(p.read_text()))}
+    readme = (root / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    called |= {alias.name for node in ast.parse(block).body
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uncalled = exported - called
+    assert not uncalled - UNCALLED_EXPORTS, f"only tests call {sorted(uncalled)}"
+    assert not UNCALLED_EXPORTS - uncalled, "an exception now has a caller"
+
+
 def test_benchmark_names_exist(monkeypatch):
     """The benchmark in bench/ is changed apart from the library, so a name it
     reads that the library drops breaks only its traced run.  Check every

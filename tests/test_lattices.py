@@ -6,13 +6,14 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import fixtures_oracle
 import lattice_oracle
-from lattice_oracle import (block_lattice_intersect, full_ring, is_ideal,
-                            is_subset_of, numerator_ideal)
+from lattice_oracle import (block_lattice_intersect, full_ring, ideal_from_element,
+                            is_ideal, is_subset_of, numerator_ideal)
 
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import CyclotomicField, _CycField
-from eiscong.lattices import IntegralIdeal, hnf, ideal_from_element, numerator_index
+from eiscong.lattices import IntegralIdeal, echelon, hnf, numerator_index
 
 
 def _tau11():
@@ -57,6 +58,29 @@ def _det(rows):
             f = r[k] / M[k][k]
             r[:] = [x - f * y for x, y in zip(r, M[k])]
     return int(det)
+
+
+def test_echelon_matches_rref_oracle():
+    """R / pivot from the fraction-free elimination is the reduced row echelon
+    form over Q, on full-rank and rank-deficient integer matrices; on square
+    full-rank ones the last pivot is +-det, which `hnf` takes as its modulus."""
+    rng = random.Random(61)
+    deficient = square = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+        for i in range(rng.randint(0, rows - 1)):  # rows that depend on two others
+            k, a, b = rng.randrange(rows), rng.randint(-3, 3), rng.randint(-3, 3)
+            A[k] = [a * x + b * y for x, y in zip(A[i], A[i - 1])]
+        R, piv = echelon(A)
+        want, want_piv = fixtures_oracle.rref(A)
+        assert piv == want_piv
+        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(R, piv)] == want
+        deficient += len(piv) < min(rows, cols)
+        if rows == cols == len(piv):
+            assert abs(R[-1][piv[-1]]) == abs(_det(A))
+            square += 1
+    assert deficient > 30 and square > 10
 
 
 @st.composite

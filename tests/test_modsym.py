@@ -3,15 +3,12 @@
 The newform orbits themselves are checked through the fixture script's
 byte-for-byte regeneration of the bundled data (tests/test_newforms.py)."""
 
-import random
-from fractions import Fraction
 from math import prod
 
 import pytest
 
-import fixtures_oracle
 from eiscong.arith import prime_divisors
-from eiscong.modsym import P1, PlusQuotient, _echelon, genus_gamma0, new_dimension
+from eiscong.modsym import P1, PlusQuotient, genus_gamma0, new_dimension
 
 
 def _mat_mul(A, B):
@@ -68,22 +65,3 @@ def test_orbits_do_not_depend_on_the_denominator(monkeypatch):
     monkeypatch.setattr(modsym.PlusQuotient, "boundary_matrix",
                         lambda self: [[2 * x for x in row] for row in boundary(self)])
     assert modsym.newform_orbits(171, 40) == want
-
-
-def test_echelon_matches_rref_oracle():
-    """R / pivot from the fraction-free elimination is the reduced row echelon
-    form over Q, on full-rank and rank-deficient integer matrices."""
-    rng = random.Random(61)
-    deficient = 0
-    for _ in range(300):
-        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
-        A = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        for i in range(rng.randint(0, rows - 1)):  # rows that depend on two others
-            k, a, b = rng.randrange(rows), rng.randint(-3, 3), rng.randint(-3, 3)
-            A[k] = [a * x + b * y for x, y in zip(A[i], A[i - 1])]
-        R, piv = _echelon(A)
-        want, want_piv = fixtures_oracle.rref(A)
-        assert piv == want_piv
-        assert [[Fraction(x, row[c]) for x in row] for row, c in zip(R, piv)] == want
-        deficient += len(piv) < min(rows, cols)
-    assert deficient > 30

@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
-from helpers import hit_labels, integer_coefficient
+from helpers import character_with_value, hit_labels, integer_coefficient
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
-from eiscong.characters import character_with_value, quadratic_character
+from eiscong.characters import quadratic_character
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
