@@ -9,9 +9,9 @@ scale are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 10 ** 6
@@ -20,6 +20,110 @@ _SIZE_LIMIT = 2 ** 64
 
 class DomainError(ValueError):
     """Raised when an argument is outside an operation's stated domain."""
+
+
+class FrozenRecordError(AttributeError):
+    """Raised on assigning to or deleting an attribute of a `record` instance."""
+
+
+_setattr = object.__setattr__
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenRecordError(f"cannot delete field {name!r}")
+
+
+def record(cls):
+    """Make `cls` a frozen value class over its annotated fields.
+
+    It stands in for the standard library's generator of frozen classes,
+    which cost every CLI process ~15 ms: importing it loads the introspection
+    and disassembly modules, and each class it makes compiles and runs
+    generated source.  The fields are the class annotations in order, less
+    the names in `cls._computed`, which `__post_init__` sets with
+    `object.__setattr__`.  Unless `cls` defines its own, `record` installs
+    `__init__` (fields in order, class-level defaults, then `__post_init__`
+    if there is one), `__eq__` (instances of one class only) and `__hash__`,
+    both over the tuple of field values, the repr `Name(field=value, ...)`,
+    and `__setattr__`/`__delattr__` that raise `FrozenRecordError`.
+    `__init__` sets each field with `object.__setattr__`, which keeps
+    CPython's fast attribute reads.  `cls._fields` names the fields.  A class
+    with `__slots__` names its fields there, takes no defaults, and gets
+    `__getstate__`/`__setstate__` over the fields, so that copy and pickle
+    work."""
+    computed = cls.__dict__.get("_computed", ())
+    names = tuple(name for name in cls.__annotations__ if name not in computed)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    if len(names) > 1:
+        key = attrgetter(*names)
+    else:
+        def key(self):
+            return tuple(getattr(self, name) for name in names)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def bind(args, kwargs):
+        """The field values of cls(*args, **kwargs), in field order."""
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments "
+                            f"but {len(args)} were given")
+        values = list(args)
+        for name in names[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            else:
+                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
+        if kwargs:
+            name = next(iter(kwargs))
+            why = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__qualname__}() got {why} argument {name!r}")
+        return values
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            args = bind(args, kwargs)
+        i = 0
+        for value in args:  # indexing names is faster here than zip(names, args)
+            _setattr(self, names[i], value)
+            i += 1
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        values = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({values})"
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__repr__": __repr__,
+               "__setattr__": _frozen_setattr, "__delattr__": _frozen_delattr}
+    if "__slots__" in cls.__dict__:  # copy and pickle would set slots through __setattr__
+        def __getstate__(self):
+            return key(self)
+
+        def __setstate__(self, state):
+            for name, value in zip(names, state):
+                _setattr(self, name, value)
+
+        methods.update(__getstate__=__getstate__, __setstate__=__setstate__)
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    if cls.__dict__.get("__hash__") is None:  # a class defining only __eq__ has __hash__ None
+        cls.__hash__ = __hash__
+    cls._fields = names
+    return cls
 
 
 def is_prime(n: int) -> bool:
@@ -66,7 +170,7 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"pollard rho failed on {n}")
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """Certified prime factorization: value == prod(p**e), primes increasing."""
 

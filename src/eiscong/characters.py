@@ -8,12 +8,11 @@ numbers B1, B2 are exact CycElements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .arith import DomainError, crt, divisors, euler_phi, factor, is_prime
+from .arith import DomainError, crt, divisors, euler_phi, factor, is_prime, record
 from .cyclotomic import CycElement, CyclotomicField
 
 CHARACTER_MODULUS_CAP = 10 ** 4
@@ -77,7 +76,7 @@ def unit_group(f: int):
     return tuple(gens), tuple(orders), dlog
 
 
-@dataclass(frozen=True)
+@record
 class DirichletCharacter:
     """Character mod `modulus` of exact order `order`; exponents[a] in Z/order
     for units a (indexed 0..modulus-1), None at non-units."""

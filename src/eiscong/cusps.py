@@ -49,7 +49,6 @@ sorts as that tuple, which keeps the divisors' dict lookups cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import product
@@ -57,7 +56,8 @@ from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .arith import DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, valuation
+from .arith import (DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, record,
+                    valuation)
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
 from .cyclotomic import CycElement, CyclotomicField
 from .eisenstein import EisensteinParams
@@ -455,7 +455,7 @@ def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     return D_NML(params).scale(beta_constant(params))
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryReport:
     ok: bool
     level: int

@@ -23,13 +23,15 @@ factor.  `power_sum(counts)`, the element sum_j counts[j] zeta^j that Gauss
 sums and Bernoulli numbers are made of, is the reduction of the counts;
 q-expansion coefficients add the same table entries as they are sieved.
 
-Every element is built by `_element`, which sets the three slots directly
-(the class stays frozen: assigning to a field raises) and trusts its caller
-for canonical num/den.  `_canonical` divides out gcd(den, content(num)) and is
-skipped for den = 1, where that gcd is 1 whatever num is: an element of
-Z[zeta_m], such as a power sum or a product of integral elements, is
-canonical as it is computed.  Arithmetic between elements of one field
-object skips `promote`; only mixed fields embed into the compositum.
+CycElement is a `record` with `__slots__`.  Every element is built by
+`_element`, which sets the three slots through their descriptors rather than
+through the record's `__init__` (the class stays frozen: assigning to a field
+raises) and trusts its caller for canonical num/den.  `_canonical` divides
+out gcd(den, content(num)) and is skipped for den = 1, where that gcd is 1
+whatever num is: an element of Z[zeta_m], such as a power sum or a product
+of integral elements, is canonical as it is computed.  Arithmetic between
+elements of one field object skips `promote`; only mixed fields embed into
+the compositum.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
@@ -41,13 +43,12 @@ Q(zeta_506), both of degree 220, and so every phi of order 11 or 22 at the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from . import polys
-from .arith import DomainError, divisors, euler_phi
+from .arith import DomainError, divisors, euler_phi, record
 
 DEGREE_CAP = 200
 
@@ -75,13 +76,14 @@ def CyclotomicField(m: int) -> "_CycField":
     return _CycField(m, deg, cyclotomic_polynomial(m))
 
 
-@dataclass(frozen=True)
+@record
 class _CycField:
     m: int
     degree: int
     modulus: tuple[int, ...]  # Phi_m, ascending, monic
-    powers: tuple = field(init=False, compare=False, repr=False)  # zeta^0..zeta^(m-1)
-    terms: tuple = field(init=False, compare=False, repr=False)  # nonzero (i, c) of each power's num
+    powers: tuple  # zeta^0..zeta^(m-1)
+    terms: tuple  # nonzero (i, c) of each power's num
+    _computed = ("powers", "terms")  # set by __post_init__; outside ==, hash and repr
 
     def __post_init__(self):
         m, d = self.m, self.degree
@@ -168,13 +170,14 @@ def _rational(q) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CycElement:
     """Element num/den of Q(zeta_m); num on 1, zeta, ..., zeta^(deg-1)."""
 
+    __slots__ = ("field", "num", "den")
     field: _CycField
     num: tuple[int, ...]
-    den: int = 1
+    den: int
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -380,9 +383,10 @@ _field_slot, _num_slot, _den_slot = (CycElement.__dict__[f].__set__ for f in ("f
 
 
 def _element(field: _CycField, num: tuple[int, ...], den: int = 1) -> CycElement:
-    """CycElement(field, num, den) for a canonical num/den, with the slots set
-    directly instead of through the frozen dataclass's object.__setattr__;
-    assigning to a field of the result still raises."""
+    """CycElement(field, num, den) for a canonical num/den, with the three
+    slots set through their descriptors, skipping the argument binding and
+    per-field object.__setattr__ of the record's __init__; assigning to a
+    field of the result still raises."""
     e = object.__new__(CycElement)
     _field_slot(e, field)
     _num_slot(e, num)

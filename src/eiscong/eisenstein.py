@@ -17,11 +17,10 @@ reduction mod Phi_k and no canonicalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .arith import DomainError, is_prime, prime_divisors, valuation
+from .arith import DomainError, is_prime, prime_divisors, record, valuation
 from .characters import (DirichletCharacter, bernoulli_B1, chi_in_XS, gauss_sum,
                          gauss_sum_inverse)
 from .cyclotomic import CycElement, CyclotomicField, _element
@@ -32,7 +31,7 @@ from .cyclotomic import CycElement, CyclotomicField, _element
 PRECISION_CAP = 10 ** 5
 
 
-@dataclass(frozen=True)
+@record
 class QExpansion:
     """Truncated expansion sum a_n q^n, coefficients exact CycElements.
 
@@ -157,7 +156,7 @@ def slash_scale(g: QExpansion, d: int) -> QExpansion:
 # --------------------------------------------------------------- parameters
 
 
-@dataclass(frozen=True)
+@record
 class EisensteinParams:
     """(phi, N, M, L) with f^2 M L | N and (fM, L) = 1, plus derived data."""
 

@@ -56,19 +56,18 @@ multiplicities come from repeated division.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 from operator import mul
 
 from . import polys
-from .arith import DomainError, is_prime, prime_divisors
+from .arith import DomainError, is_prime, prime_divisors, record
 
 ENUMERATION_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
+@record
 class FiniteField:
     """F_{q^r} as F_q[x]/(h); elements are int tuples of length r."""
 
@@ -76,7 +75,8 @@ class FiniteField:
     r: int
     modulus: tuple[int, ...]
     # rows of the matrix of a -> a^q on the power basis; None when r = 1
-    frobenius: tuple | None = field(init=False, repr=False, compare=False)
+    frobenius: tuple | None
+    _computed = ("frobenius",)  # set by __post_init__; outside ==, hash and repr
 
     def __post_init__(self):
         matrix = None

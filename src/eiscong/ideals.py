@@ -14,10 +14,9 @@ examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arith import DomainError, is_p_good, is_prime, prime_divisors, valuation
+from .arith import DomainError, is_p_good, is_prime, prime_divisors, record, valuation
 from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
 from .eisenstein import EisensteinParams
@@ -55,7 +54,7 @@ def s2_set(N: int, p: int) -> frozenset[int]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
+@record
 class CandidateReport:
     level: int
     p: int
@@ -109,7 +108,7 @@ def _balanced(x: int, l: int) -> int:
     return x - l if x > l // 2 else x
 
 
-@dataclass(frozen=True)
+@record
 class TrClassGroup:
     """T_r generators for the residue classes sharing one symbolic relation.
 
@@ -176,7 +175,7 @@ def _isqrt(n: int):
     return r if r * r == n else None
 
 
-@dataclass(frozen=True)
+@record
 class IdealDescriptor:
     """Explicit generator list of the Eisenstein maximal ideal (l, I_{eps,M}(N))."""
 

@@ -33,9 +33,8 @@ pivots the last one is +-det of n independent input rows: `hnf`'s default D.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .arith import DomainError, xgcd
+from .arith import DomainError, record, xgcd
 from .cyclotomic import CycElement, _CycField
 
 
@@ -104,7 +103,7 @@ def hnf(rows: list[list[int]], modulus: int | None = None) -> list[list[int]]:
     return basis
 
 
-@dataclass(frozen=True)
+@record
 class IntegralIdeal:
     """Full-rank sublattice of Z[zeta_m], rows = canonical HNF basis."""
 

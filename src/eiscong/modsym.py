@@ -31,13 +31,12 @@ built for the six primes of T alone, and those check the symbols' answer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
 from . import polys
-from .arith import crt, divisors, is_prime, prime_divisors, primes_up_to, xgcd
+from .arith import crt, divisors, is_prime, prime_divisors, primes_up_to, record, xgcd
 from .cusps import cusp_count, cusp_from_fraction
 from .ffield import factor_over_z
 from .lattices import echelon
@@ -327,7 +326,7 @@ def charpoly(A, den: int):
 # -------------------------------------------------------------- newforms
 
 
-@dataclass(frozen=True)
+@record
 class NewformOrbit:
     """A Galois orbit of newforms: theta_poly (ascending, monic, integer) is
     the minimal polynomial of the eigenvalue theta of the generic operator,

@@ -21,14 +21,13 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from importlib import resources
 from math import gcd, lcm
 from pathlib import Path
 
-from .arith import DomainError
+from .arith import DomainError, record
 from . import polys
 
 DEFAULT_ENDPOINT = "https://www.lmfdb.org/api/mf_newforms"
@@ -44,7 +43,7 @@ class NetworkUnavailable(RuntimeError):
     """The remote endpoint could not be reached."""
 
 
-@dataclass(frozen=True)
+@record
 class NewformRecord:
     """A weight-2 newform orbit: defining polynomial and exact coefficients."""
 

@@ -31,12 +31,11 @@ and reduced coefficients.  It holds no state between `full_scan` calls.  A
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import gcd, lcm
 from operator import mul
 
-from .arith import DomainError, divisors, is_p_good, is_prime, sturm_bound
+from .arith import DomainError, divisors, is_p_good, is_prime, record, sturm_bound
 from .characters import enumerate_characters
 from .eisenstein import EisensteinParams, QExpansion, build_E
 from .ffield import (FiniteField, cyclotomic_residue, cyclotomic_roots, factor_mod_q,
@@ -50,7 +49,7 @@ class UnsupportedPrimeError(DomainError):
     """Reduction mod q is ill-defined (q divides a coefficient denominator)."""
 
 
-@dataclass(frozen=True)
+@record
 class CongruenceReport:
     eisenstein: str
     newform: str
@@ -214,7 +213,7 @@ def scan(
     )
 
 
-@dataclass(frozen=True)
+@record
 class ScanHit:
     report: CongruenceReport
     params: EisensteinParams
@@ -222,7 +221,7 @@ class ScanHit:
     largest_M: bool
 
 
-@dataclass(frozen=True)
+@record
 class FullScanResult:
     level: int
     p: int

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -133,16 +134,24 @@ def test_fetch_offline_warm_cache(capsys, tmp_path):
 
 def test_cli_import_stays_light():
     """`import eiscong.cli` in a fresh interpreter loads neither the
-    Manin-symbol code nor requests (the README promises both)."""
-    src = str(Path(eiscong.__file__).parents[1])
+    Manin-symbol code nor requests (the README promises both), nor
+    `dataclasses` or `inspect`, whose import and class generation cost each
+    process ~15 ms; and no source file in the package holds the words
+    `exec`, `eval` or `inspect`, or the string `dataclass`."""
+    package = Path(eiscong.__file__).parent
+    src = str(package.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    probe = ("import sys, eiscong.cli; "
-             "print(sorted(m for m in ('eiscong.modsym', 'requests') if m in sys.modules))")
+    heavy = ("eiscong.modsym", "requests", "dataclasses", "inspect")
+    probe = f"import sys, eiscong.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text()
+        assert "dataclass" not in text, path.name
+        assert not set(re.findall(r"\w+", text)) & {"exec", "eval", "inspect"}, path.name
 
 
 def test_scan_reports_unusable_newform(capsys, monkeypatch):

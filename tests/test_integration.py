@@ -5,7 +5,6 @@ import importlib
 import json
 import random
 import sys
-from dataclasses import fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 from types import ModuleType
@@ -261,6 +260,6 @@ def test_benchmark_names_exist(monkeypatch):
         BoundaryReport: ("ok",),
     }
     for cls, names in read.items():
-        have = {f.name for f in fields(cls)} if is_dataclass(cls) else set()
+        have = set(cls._fields)
         for name in names:
             assert name in have or hasattr(cls, name), f"{cls.__name__}.{name}"
