@@ -2,8 +2,10 @@
 
 Everything here is a pure function on ints; results are exact.  Factorization
 is trial division up to 10**6 followed by Pollard rho, with primality decided
-by deterministic Miller-Rabin (valid below 2**64).  Inputs at cryptographic
-scale are rejected.
+by deterministic Miller-Rabin (valid below 2**64).  The 2**64 limit applies
+to the cofactor that trial division leaves, not to n, so n of any size
+factors when its part free of primes below 10**6 is below 2**64 (norms such
+as 2^26 3^8 17^6 73^2 in `ideals.s2_set`); a larger cofactor is rejected.
 """
 
 from __future__ import annotations
@@ -188,8 +190,6 @@ class Factorization:
 def factor(n: int) -> Factorization:
     if n < 1:
         raise DomainError(f"factor requires n >= 1 (got {n})")
-    if n >= _SIZE_LIMIT:
-        raise DomainError(f"factorization not supported for n >= 2**64 (got {n})")
     m = n
     found: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -202,6 +202,10 @@ def factor(n: int) -> Factorization:
             found[p] = found.get(p, 0) + 1
             m //= p
         p += 2
+    if m >= _SIZE_LIMIT:
+        raise DomainError(
+            f"factorization not supported: {n} leaves a cofactor >= 2**64 after trial division"
+        )
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

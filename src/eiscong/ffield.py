@@ -2,13 +2,16 @@
 
 The field is realized as F_q[x]/(h) with h the lexicographically smallest
 monic irreducible of degree r (a fixed, bundled, Conway-style choice, so
-element representations are reproducible).  A product is a schoolbook
-product into 2r - 1 integers, folded down by the monic h, with one `% q` at
-the end.  Frobenius a -> a^q is F_q-linear, so each field carries its r x r
-matrix on the power basis (the columns are x^(iq) mod h), built with the
-field; a^(q^i) costs i matrix-vector products.  An inverse is taken by the
-norm, a^-1 = N(a)^-1 prod_{0<i<r} a^(q^i) with N(a) = a prod_{0<i<r} a^(q^i)
-in F_q (Itoh-Tsujii), and is pow(a, -1, q) when r = 1.
+element representations are reproducible).  A candidate h is irreducible
+exactly when the first factor that the distinct-degree split below yields
+has degree r, so the search reads no further than that first factor.  A
+product is a schoolbook product into 2r - 1 integers, folded down by the
+monic h, with one `% q` at the end.  Frobenius a -> a^q is F_q-linear, so
+each field carries its r x r matrix on the power basis (the columns are
+x^(iq) mod h), built with the field; a^(q^i) costs i matrix-vector
+products.  An inverse is taken by the norm, a^-1 = N(a)^-1 prod_{0<i<r}
+a^(q^i) with N(a) = a prod_{0<i<r} a^(q^i) in F_q (Itoh-Tsujii), and is
+pow(a, -1, q) when r = 1.
 
 Polynomials over a field F are lists of F-elements, ascending, with no zero
 leading coefficient.  One set of functions serves every such F: F_q itself
@@ -45,8 +48,8 @@ Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
 gcd a heuristic one that division confirms.  It is split mod the prime l,
 among the first five that keep it squarefree, with the fewest factors, by
-the distinct- and equal-degree splitting above; a prime's distinct-degree
-split stops as soon as its count of factors cannot beat the best so far.
+the distinct- and equal-degree splitting above; each prime's distinct-degree
+split is counted in full, and only the chosen one is split by equal degree.
 A tree of quadratic Hensel steps lifts the factors mod l^k past twice
 Mignotte's bound on the coefficients of a factor, and the smallest subsets
 whose product divides f exactly give the irreducible factors.  Their
@@ -259,6 +262,7 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
         raise DomainError(f"{q} is not prime")
     if r == 1:
         return (0, 1)
+    Fq = FiniteField(q, 1, (0, 1))
     # iterate constant-first tuples in lexicographic order
     for total in range(q ** r):
         coeffs = []
@@ -269,7 +273,7 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
         h = coeffs + [1]
         if h[0] == 0:
             continue
-        if factor_degrees_mod_q(h, q) == [r]:  # irreducible
+        if next(_distinct_degree(_reduce_monic(h, Fq), Fq))[0] == r:  # irreducible
             return tuple(h)
     raise ArithmeticError("no irreducible polynomial found")
 
@@ -419,15 +423,6 @@ def _distinct_degree(f, Fq):
                 d = _pgcd(f, d, Fq)
 
 
-def factor_degrees_mod_q(int_poly, q: int) -> list[int]:
-    """Degrees of the distinct irreducible factors of f mod q, ascending."""
-    Fq = FiniteField(q, 1, (0, 1))
-    fp = _reduce_monic(int_poly, Fq)
-    if len(fp) <= 1:
-        raise DomainError("polynomial is constant mod q")
-    return [e for e, fe in _distinct_degree(fp, Fq) for _ in range((len(fe) - 1) // e)]
-
-
 # ------------------------------------------------------ factoring over Z
 
 
@@ -550,18 +545,12 @@ def _zassenhaus(f):
         if len(_pgcd(fl, derivative, Fl)) != 1:
             continue
         tried += 1
-        split, count, degree = [], 0, 0
-        for e, fe in _distinct_degree(fl, Fl):
-            split.append((e, fe))
-            count += (len(fe) - 1) // e
-            degree += len(fe) - 1
-            if best is not None and count + (degree < n) >= best[0]:
-                break  # fl is squarefree, so a remainder adds a factor of its own
-        else:
-            if best is None or count < best[0]:
-                best = (count, ell, Fl, split)
-            if count == 1:
-                return [f]
+        split = list(_distinct_degree(fl, Fl))
+        count = sum((len(fe) - 1) // e for e, fe in split)
+        if count == 1:
+            return [f]
+        if best is None or count < best[0]:
+            best = (count, ell, Fl, split)
     _, ell, Fl, split = best
     rng = random.Random(0x5EED)
     factors = [u for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]

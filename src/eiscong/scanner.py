@@ -6,11 +6,10 @@ reduction zeta -> 1 on the q-part), the newform side through a root of its
 defining polynomial.  r is minimal so that both acquire roots.  A match
 certifies a_n congruences for all n up to the bound (Sturm by default).
 
-Whether a (zeta-root, poly-root) pair matches does not change when x -> x^q
-is applied to both roots, since Frobenius fixes the reduced integers.  The
-pairs are sorted, so the first matching pair is the smallest of its orbit,
-and the first pair of all is the smallest of its own; `scan` therefore tries
-only the orbit minima, in order, and reports what trying every pair would.
+`scan` tries every (zeta-root, poly-root) pair, in sorted order, and
+certifies the first that matches.  Whether a pair matches does not change
+when x -> x^q is applied to both roots, since Frobenius fixes the reduced
+integers, so the certified pair is the smallest of its Frobenius orbit.
 
 Both sides store a coefficient as integer power-basis numerators over one
 denominator (`CycElement.num`/`den`, `NewformRecord.an`), and `scan` reads
@@ -20,11 +19,11 @@ times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
 inputs fix across scans: per (phi order, field_poly, q) the reduction
-embeddings and their orbit minima; the factorization of a field polynomial
-once per (field_poly, q), which picks r and from which its roots in every F
-of characteristic q are read, those roots once per F, and the roots of Phi_k
-once per (k', F); and, per series and per newform record, the power tables
-and reduced coefficients.  It holds no state between `full_scan` calls.  A
+embeddings; the factorization of a field polynomial once per (field_poly,
+q), which picks r and from which its roots in every F of characteristic q
+are read, those roots once per F, and the roots of Phi_k once per (k', F);
+and, per series and per newform record, the power tables and reduced
+coefficients.  It holds no state between `full_scan` calls.  A
 (newform, l) pair whose coefficients have l in a denominator is skipped by
 `full_scan` with the reason; the rest of the scan runs.
 """
@@ -75,7 +74,8 @@ class CongruenceReport:
 
 def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     """(r, F, pairs): minimal r with roots of Phi_k and of field_poly in
-    F_{q^r}, and all (zeta-root, poly-root) pairs in a fixed order.
+    F_{q^r}, and all (zeta-root, poly-root) pairs, sorted; `scan` certifies
+    the first pair that matches, the least of its Frobenius orbit.
 
     `memo` (a scan memo, see `scan`) shares between calls the factorization
     of field_poly mod q, from which r and its roots in F are read, those roots
@@ -100,21 +100,6 @@ def _shared(memo: dict, key, fn, *args, **kwargs):
     if key not in memo:
         memo[key] = fn(*args, **kwargs)
     return memo[key]
-
-
-def _orbit_minima(F: FiniteField, pairs):
-    """The pairs that are the smallest of their orbit under x -> x^q on both
-    roots, in the order of `pairs`."""
-    roots = {x for pair in pairs for x in pair}  # each root once, however many pairs hold it
-    frob = {x: F.frob(x) for x in roots}
-    out = []
-    for pair in pairs:
-        z, g = frob[pair[0]], frob[pair[1]]
-        while (z, g) > pair:
-            z, g = frob[z], frob[g]
-        if (z, g) == pair:
-            out.append(pair)
-    return out
 
 
 def _power_table(root, F: FiniteField, d: int):
@@ -161,12 +146,16 @@ def scan(
 ) -> CongruenceReport:
     """Coefficientwise congruence check of E against one newform at q.
 
+    The report certifies the first embedding pair, in sorted order, at which
+    every a_n up to B matches; when none does, it names the first pair and
+    the first n at which that pair fails.
+
     `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
     reduction_embeddings result, and also holds what those results share
     (the factorization of field_poly per (field_poly, q) and the roots per
-    F), the orbit minima of each key's pairs, the root power tables and the
-    reduced coefficients of E and of the record.  A caller that scans many
-    pairs passes one dict, so that each of these is computed once."""
+    F), the root power tables and the reduced coefficients of E and of the
+    record.  A caller that scans many pairs passes one dict, so that each of
+    these is computed once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
@@ -184,7 +173,6 @@ def scan(
     if key not in embeddings:
         embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
-    minima = _shared(embeddings, ("orbit minima", key), _orbit_minima, F, pairs)
 
     def eisenstein_coefficient(n):
         c = E.coefficient(n)
@@ -193,10 +181,8 @@ def scan(
     lhs = _reducer(embeddings, E, F, eisenstein_coefficient)
     rhs = _reducer(embeddings, record, F, lambda n: record.an[n - 1])
 
-    # a pair matches iff its Frobenius images do, so the first matching pair
-    # is the smallest of its orbit, and pairs[0] is one of the minima
     first_mismatch = None
-    for zr, gr in minima:
+    for zr, gr in pairs:
         ok = True
         for n in range(1, B + 1):
             if lhs(zr, n) != rhs(gr, n):

@@ -14,9 +14,10 @@ pairs.  The code is verbatim apart from `F` being an `OracleField`, so every
 product in it goes through the old `mul`, and from `OracleField.create`
 taking the modulus from this module's search.  Its Rabin test
 `_irreducible_modq` calls every linear polynomial reducible; the search
-never asks it at r = 1, and the library now tests irreducibility as
-`factor_degrees_mod_q(h, q) == [r]`.  `multiplicative_order` is the former
-`FiniteField.multiplicative_order`, which only tests called.
+never asks it at r = 1, and the library now tests irreducibility by the
+degree of the first factor of the distinct-degree split.
+`multiplicative_order` is the former `FiniteField.multiplicative_order`,
+which only tests called.
 
 `roots_by_gcd`, `_one_root` and `_distinct_degree` are the root search that
 `roots_in_field` replaced, verbatim apart from the name of the first: it

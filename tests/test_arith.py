@@ -17,6 +17,19 @@ def test_factor_examples():
         factor(0)
 
 
+def test_factor_above_2_64_with_a_small_cofactor():
+    """The 2**64 limit is on the cofactor left after trial division to
+    10**6, where Miller-Rabin stops being proven, not on n."""
+    assert factor(2 ** 70 * 3).factors == ((2, 70), (3, 1))
+    norm = 2 ** 26 * 3 ** 8 * 17 ** 6 * 73 ** 2  # a B2 norm of ideals.s2_set at level 289
+    assert norm >= 2 ** 64 and factor(norm).factors == ((2, 26), (3, 8), (17, 6), (73, 2))
+    mersenne = 2 ** 61 - 1
+    assert factor(2 ** 10 * mersenne).factors == ((2, 10), (mersenne, 1))
+    for rough in (2 ** 64 + 13, 7 * (2 ** 64 + 13), mersenne * mersenne):
+        with pytest.raises(DomainError, match="cofactor >= 2\\*\\*64"):
+            factor(rough)
+
+
 def test_factor_dense_and_samples():
     for n in range(1, 100_000, 7):
         fac = factor(n)

@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import eiscong
 from eiscong.cli import main
 from eiscong.eisenstein import PRECISION_CAP
@@ -28,6 +30,20 @@ def test_classify_golden(capsys):
     code, out, _ = run_cli(capsys, "classify", "--level", "725", "--p", "5")
     assert code == 0
     assert "{2, 3, 5, 7}" in out
+
+
+@pytest.mark.parametrize("level, p, s1, s2", [
+    (289, 17, [2, 3], [2, 3, 17, 73]),
+    (529, 23, [2, 3, 11], [2, 3, 11, 23, 37181]),
+], ids=["289", "529"])
+def test_classify_factors_norms_above_2_64(capsys, level, p, s1, s2):
+    """At p = 17 and 23 the norms behind S2 exceed 2**64 (2^26 3^8 17^6 73^2
+    at 289); their cofactor after trial division does not, so they factor."""
+    code, out, err = run_cli(capsys, "classify", "--level", str(level), "--p", str(p), "--json")
+    assert code == 0 and not err
+    payload = json.loads(out)
+    assert (payload["S1"], payload["S2"]) == (s1, s2)
+    assert payload["candidates"] == sorted(set(s1) | set(s2) | {2, 3, p})
 
 
 def test_basis(capsys):

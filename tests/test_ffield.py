@@ -9,7 +9,12 @@ from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.ffield import (FiniteField, conway_style_modulus, cyclotomic_roots,
-                            factor_degrees_mod_q, factor_mod_q, roots_in_field)
+                            factor_mod_q, roots_in_field)
+
+
+def _degrees(int_poly, q):
+    """The degrees of the distinct irreducible factors of f mod q, ascending."""
+    return [e for e, _ in factor_mod_q(int_poly, q)]
 
 
 def test_root_examples():
@@ -58,22 +63,22 @@ def test_modulus_deterministic_and_irreducible():
 
 
 def test_factor_degrees():
-    assert factor_degrees_mod_q([-1, 0, 41, 0, -13, 0, 1], 7) == [1, 1, 2]
-    assert factor_degrees_mod_q(list(cyclotomic_polynomial(11)), 5) == [5, 5]
-    assert factor_degrees_mod_q([-2, 0, 1], 7) == [1, 1]
-    assert factor_degrees_mod_q([0, 1], 5) == [1]
+    assert _degrees([-1, 0, 41, 0, -13, 0, 1], 7) == [1, 1, 2]
+    assert _degrees(list(cyclotomic_polynomial(11)), 5) == [5, 5]
+    assert _degrees([-2, 0, 1], 7) == [1, 1]
+    assert _degrees([0, 1], 5) == [1]
     with pytest.raises(DomainError):
-        factor_degrees_mod_q([5, 10], 5)
+        _degrees([5, 10], 5)
 
 
 def test_factor_degrees_multiplicity_divisible_by_q():
     """A factor whose multiplicity q divides is counted once, also when
     f' = 0 mod q."""
-    assert factor_degrees_mod_q([-1, 0, 0, 1], 3) == [1]  # (y - 1)^3
-    assert factor_degrees_mod_q([1, 0, 1], 2) == [1]  # (y + 1)^2
-    assert factor_degrees_mod_q(polys.mul([-1, 0, 0, 1], [1, 0, 1]), 3) == [1, 2]
-    assert factor_degrees_mod_q(polys.mul([1, 0, 1], [1, 1, 1]), 2) == [1, 2]
-    assert factor_degrees_mod_q(polys.mul([1, 0, 1], [1, 0, 1]), 2) == [1]  # (y + 1)^4
+    assert _degrees([-1, 0, 0, 1], 3) == [1]  # (y - 1)^3
+    assert _degrees([1, 0, 1], 2) == [1]  # (y + 1)^2
+    assert _degrees(polys.mul([-1, 0, 0, 1], [1, 0, 1]), 3) == [1, 2]
+    assert _degrees(polys.mul([1, 0, 1], [1, 1, 1]), 2) == [1, 2]
+    assert _degrees(polys.mul([1, 0, 1], [1, 0, 1]), 2) == [1]  # (y + 1)^4
 
 
 # ---------------------------------------------------------------- oracle suites
@@ -127,13 +132,16 @@ def _monic_modq(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_monic_modq())
 def test_irreducibility_matches_oracle(case):
-    """`factor_degrees_mod_q(h, q) == [r]`, the test `conway_style_modulus`
-    uses, against the former Rabin test, which wrongly calls every linear
+    """The test `conway_style_modulus` uses, that the first factor the
+    distinct-degree split yields has degree r, and the factor degrees being
+    [r], against the former Rabin test, which wrongly calls every linear
     polynomial reducible: at r = 1 the answer is True."""
     h, q = case
     r = len(h) - 1
     want = r == 1 or ffield_oracle._irreducible_modq(h, q)
-    assert (factor_degrees_mod_q(h, q) == [r]) == want
+    Fq = FiniteField(q, 1, (0, 1))
+    assert (next(ffield._distinct_degree(ffield._reduce_monic(h, Fq), Fq))[0] == r) == want
+    assert (_degrees(h, q) == [r]) == want
 
 
 @st.composite
@@ -158,7 +166,7 @@ def _int_poly(draw, q):
     lambda q: st.tuples(st.just(q), _int_poly(q))))
 def test_factor_degrees_matches_oracle(case):
     q, poly = case
-    degrees = factor_degrees_mod_q(poly, q)
+    degrees = _degrees(poly, q)
     if len(ffield._reduce_monic(poly, FiniteField(q, 1, (0, 1)))) <= q:
         # degree < q: no multiplicity is divisible by q, so the oracle's
         # f / gcd(f, f') is the product of the distinct factors
@@ -333,7 +341,6 @@ def test_factor_mod_q_gives_the_distinct_irreducible_factors(case):
         f.pop()
     assert ffield_oracle._polmod(f, product, q) == []
     assert ffield_oracle._polpowmod(product, len(f) - 1, f, q) == []
-    assert [e for e, _ in factors] == factor_degrees_mod_q(poly, q)
 
 
 def test_constant_and_vanishing_polynomials_keep_their_results():
@@ -344,9 +351,8 @@ def test_constant_and_vanishing_polynomials_keep_their_results():
         fermat = ffield_oracle.FermatField(q, r, F.modulus)
         for poly in ([1], [q + 3], [5, q, 2 * q]):
             assert roots_in_field(poly, F) == ffield_oracle.roots_by_gcd(poly, fermat) == []
-            for factor in (factor_mod_q, factor_degrees_mod_q):
-                with pytest.raises(DomainError, match="constant"):
-                    factor(poly, q)
+            with pytest.raises(DomainError, match="constant"):
+                factor_mod_q(poly, q)
         for poly in ([], [0], [q], [q, 0, 3 * q]):
             for roots in (roots_in_field, ffield_oracle.roots_by_gcd):
                 with pytest.raises(DomainError, match="vanishes"):
@@ -360,7 +366,7 @@ def test_constant_and_vanishing_polynomials_keep_their_results():
 
 def _irreducible_mod_some_prime(f):
     """A monic f that stays irreducible mod some small prime is irreducible over Z."""
-    return any(factor_degrees_mod_q(f, q) == [len(f) - 1] for q in (2, 3, 5, 7, 11, 13))
+    return any(_degrees(f, q) == [len(f) - 1] for q in (2, 3, 5, 7, 11, 13))
 
 
 def _bundled_field_polys():
@@ -405,7 +411,7 @@ def _fewest_factors_prime(f):
     best, ell, tried = None, 2, 0
     while tried < 5:
         ell += 1
-        degrees = factor_degrees_mod_q(f, ell) if is_prime(ell) else []
+        degrees = _degrees(f, ell) if is_prime(ell) else []
         if sum(degrees) != len(f) - 1:  # not prime, or f not squarefree mod ell
             continue
         tried += 1
@@ -418,9 +424,10 @@ def _fewest_factors_prime(f):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(_IRREDUCIBLES.map(tuple), min_size=1, max_size=4, unique=True))
-def test_zassenhaus_early_stop_keeps_the_prime(parts):
-    """Stopping a prime's distinct-degree count once it cannot beat the best
-    so far picks the prime that counting every factor picks."""
+def test_zassenhaus_lifts_from_the_fewest_factors_prime(parts):
+    """_zassenhaus lifts from the first prime, among the first five that keep
+    f squarefree, with the fewest factors mod that prime, and lifts nothing
+    when one of them proves f irreducible."""
     f = [1]
     for g in parts:
         f = polys.mul(f, list(g))

@@ -166,20 +166,25 @@ def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path, small):
     assert counts[0] == counts[1]
 
 
-# The paper's twisted L-values: exported for library users, with no CLI surface yet.
-UNCALLED_EXPORTS = {"lambda_pm", "lambda_twisted"}
+# The paper's twisted L-values: exported for library users, with no CLI surface
+# yet.  tl_eigenvalue: the T_l eigenvalue of a series, kept for the
+# eigenform-property check that ROADMAP item 3 plans.
+UNCALLED_EXPORTS = {"lambda_pm", "lambda_twisted", "tl_eigenvalue"}
 
 
 def test_every_export_has_a_caller():
-    """Every name `eiscong/__init__.py` imports is referenced in another
-    library module, in bench/ or scripts/, or imported by the README's python
-    block; a function that only tests call belongs under tests/.  Names are
-    read off the AST, so a name in a string or comment is no caller."""
+    """Every name `eiscong/__init__.py` imports, and every public module-level
+    function of `src/eiscong`, is referenced in a library module, in bench/ or
+    scripts/, or imported by the README's python block; a function that only
+    tests call belongs under tests/.  Names are read off the AST, so a name in
+    a string or comment, or a function's own definition, is no caller."""
     root = BENCH.parent
     src = root / "src" / "eiscong"
     exported = {alias.asname or alias.name
                 for node in ast.parse((src / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported |= {node.name for p in src.glob("*.py") for node in ast.parse(p.read_text()).body
+                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
     def referenced(tree):
         for node in ast.walk(tree):

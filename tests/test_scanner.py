@@ -276,8 +276,9 @@ def test_full_scan_golden(N, p):
 
 
 def test_scan_matches_per_coefficient_oracle(monkeypatch):
-    """Every scan of full_scan(725, 5) gives the report of the former
-    per-coefficient Horner reduction over the same embedding pairs."""
+    """Every scan of full_scan at 121, 234 and 725 gives the report of the
+    former per-coefficient Horner reduction over every embedding pair in
+    order."""
     from eiscong import scanner
 
     calls = []
@@ -291,8 +292,10 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
         return rep
 
     monkeypatch.setattr(scanner, "scan", checking)
-    full_scan(725, 5)
-    assert len(calls) == 72 and sum(rep.matched for rep in calls) == 6
+    for N, p, scans, matched in ((121, 11, 20, 5), (234, 3, 20, 1), (725, 5, 72, 6)):
+        calls.clear()
+        full_scan(N, p)
+        assert len(calls) == scans and sum(rep.matched for rep in calls) == matched
 
 
 def test_full_scan_skips_unusable_newform_prime():
@@ -324,26 +327,13 @@ def _brute_orbit_minima(F, pairs):
     return [pair for pair in pairs if pair == min(orbit(pair))]
 
 
-def test_scan_tries_orbit_minima(monkeypatch):
-    """full_scan(725, 5) tries 42 of the 85 (zeta-root, poly-root) pairs of
-    its 22 embedding keys, the smallest of each Frobenius orbit, once per key;
-    every certified embedding is one of them."""
-    from eiscong import scanner
-
-    tried = []
-    original = scanner._orbit_minima
-
-    def recording(F, pairs):
-        out = original(F, pairs)
-        assert out == _brute_orbit_minima(F, pairs) and out[0] == pairs[0]
-        tried.append((len(out), len(pairs)))
-        return out
-
-    monkeypatch.setattr(scanner, "_orbit_minima", recording)
-    res = full_scan(725, 5)
-    assert len(tried) == 22
-    assert tuple(map(sum, zip(*tried))) == (42, 85)
-    F = {h.report.residue_degree: FiniteField.create(7, h.report.residue_degree) for h in res.hits}
-    for h in res.hits:
-        zr, gr = h.report.embedding
-        assert _brute_orbit_minima(F[h.report.residue_degree], [(zr, gr)]) == [(zr, gr)]
+def test_certified_embeddings_are_orbit_minima():
+    """A pair matches exactly when its Frobenius images do, so the first
+    matching pair in sorted order, the one a hit certifies, is the smallest
+    of its orbit."""
+    for N, p in ((121, 11), (234, 3), (725, 5)):
+        res = full_scan(N, p)
+        assert res.hits
+        for h in res.hits:
+            F = FiniteField.create(h.report.prime, h.report.residue_degree)
+            assert _brute_orbit_minima(F, [h.report.embedding]) == [h.report.embedding]
