@@ -34,16 +34,6 @@ split applies, with y^(q^i) mod u computed once over F_q.  A caller that
 needs the roots of one f in several fields passes the factorization to each
 `roots_in_field`.
 
-Roots of Phi_k need no search.  With k = q^a k' and q not dividing k',
-Phi_k = Phi_k'^phi(q^a) mod q, so the roots are the elements of exact
-order k', which lie in F_{q^d} for d the order of q mod k' (the residue field
-of Q(zeta_k) at a prime above q; `cyclotomic_residue` gives k' and d).  They
-are z^j with gcd(j, k') = 1 for one such z, and z = g^((|F|-1)/k') for the
-first g in the fixed element order that gives exact order k'.  When d > 1
-the search starts at element q (the class of x), since every g in F_q^*
-gives a z in F_q^*, of order dividing q - 1.  The sorted set of roots does
-not depend on which z is found.
-
 Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
 gcd a heuristic one that division confirms.  It is split mod the prime l,
@@ -65,7 +55,7 @@ from math import gcd, isqrt
 from operator import mul
 
 from . import polys
-from .arith import DomainError, is_prime, prime_divisors, record
+from .arith import DomainError, is_prime, record
 
 ENUMERATION_CAP = 1 << 16
 
@@ -324,28 +314,6 @@ def cyclotomic_residue(k: int, q: int) -> tuple[int, int]:
     while pow(q, d, k) != 1 % k:
         d += 1
     return k, d
-
-
-def cyclotomic_roots(k: int, F: FiniteField):
-    """The roots of Phi_k in F, sorted, without a search (see the module notes)."""
-    kp, d = cyclotomic_residue(k, F.q)
-    if F.r % d:
-        return []
-    n = F.size - 1
-    one = F.one()
-    primes = prime_divisors(kp)
-    # g in F_q^* (elements 1..q-1) gives z in F_q^*, of exact order k' only if d = 1
-    for i in range(1 if d == 1 else F.q, F.size):
-        z = F.pow(F.element(i), n // kp)
-        if all(F.pow(z, kp // s) != one for s in primes):
-            break
-    roots = []
-    power = one
-    for j in range(1, kp + 1):
-        power = F.mul(power, z)
-        if gcd(j, kp) == 1:
-            roots.append(power)
-    return sorted(roots)
 
 
 def _probe(a, g, e, F):

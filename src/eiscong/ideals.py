@@ -9,18 +9,21 @@ non-rational Eisenstein ideals at a p-good level N lie in
 {2,3,p} u S1(N) u S2(N).  A descriptor spells out the ideal
 (l, U_p, U_s - s eps^{-1}(s), U_q - eps(q), T_r-relations grouped by the value
 eps(r) + r eps^{-1}(r) in F_l[eps]), in the display format of the worked
-examples.
+examples.  It is read at the prime above l that the scan certified, given as
+the field F and the root of Phi_k in F to which zeta_k reduces; where l
+splits in Q(zeta_k'), another prime would give another ideal.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
 
-from .arith import DomainError, is_p_good, is_prime, prime_divisors, record, valuation
+from .arith import DomainError, is_p_good, prime_divisors, record, valuation
 from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
+from .cyclotomic import cyclotomic_polynomial
 from .eisenstein import EisensteinParams
-from .ffield import FiniteField, cyclotomic_residue, cyclotomic_roots
+from .ffield import FiniteField, cyclotomic_residue
 from .lattices import numerator_index
 
 
@@ -221,39 +224,40 @@ class IdealDescriptor:
         }
 
 
-def descriptor(params: EisensteinParams, l: int) -> IdealDescriptor:
-    """The ideal descriptor for residual characteristic l (coprime to 6p).
-
-    eps is the canonical reduction of phi mod the first prime above l (the
-    root of Phi_k in F_{l^d} that is smallest in the fixed element order).
+def descriptor(params: EisensteinParams, F: FiniteField, zeta_root) -> IdealDescriptor:
+    """The ideal descriptor at the prime above l = F.q (coprime to 6p) at
+    which zeta_k reduces to `zeta_root`, a root in F of Phi_k for k the order
+    of phi: the prime that `scan` certified.  eps-bar(r) is zeta_root^e for
+    phi(r) = zeta_k^e, since eps is the power of phi with the same reduction.
     """
     p = params.f
     N = params.N
-    if not is_prime(l) or gcd(l, 6 * p) != 1:
+    l = F.q
+    if gcd(l, 6 * p) != 1:
         raise DomainError(f"descriptor requires l coprime to 6p (l={l}, p={p})")
     if not is_p_good(N, p):
         raise DomainError(f"descriptor requires a p-good level (N={N}, p={p})")
     eps = eisenstein_character(params.phi, l)
     if eps.is_trivial():
         raise DomainError("eps is trivial: rational Eisenstein ideals are out of scope")
-    k = eps.order
-    # residue field and the chosen prime above l: smallest root of Phi_k
-    _, d = cyclotomic_residue(k, l)
-    F = FiniteField.create(l, d)
-    zroots = cyclotomic_roots(k, F)
-    assert zroots, "Phi_k must have roots in F_{l^d}"
-    zbar = zroots[0]
+    phi = params.phi
+    value = F.zero()
+    for c in reversed(cyclotomic_polynomial(phi.order)):
+        value = F.add(F.mul(value, zeta_root), F.from_int(c))
+    if any(value):
+        raise DomainError(f"{zeta_root} is not a root of Phi_{phi.order} in F_{F.size}")
+    _, d = cyclotomic_residue(eps.order, l)
 
     def eps_bar(r):
-        e = eps.value_exponent(r)
-        return None if e is None else F.pow(zbar, e)
+        e = phi.value_exponent(r)
+        return None if e is None else F.pow(zeta_root, e)
 
     Nprime = N // (p * p)
     M = gcd(params.M, Nprime)
     u_gens = [f"U_{p}"]
     for s in sorted(prime_divisors(Nprime)):
         eb = eps_bar(s)
-        assert eb is not None and eb[1:] == (0,) * (d - 1), "eps(s) must be ±1 at s | N'"
+        assert eb is not None and not any(eb[1:]), "eps(s) must be ±1 at s | N'"
         e0 = eb[0]
         if M % s == 0:
             val = s * pow(e0, -1, l) % l  # s * eps^{-1}(s)
@@ -296,7 +300,7 @@ def descriptor(params: EisensteinParams, l: int) -> IdealDescriptor:
             poly = {k2: v for k2, v in new.items() if any(v)}
         rows = [[0] * (deg + 1) for _ in range(deg + 1)]
         for (i, j), v in poly.items():
-            assert v[1:] == (0,) * (d - 1), "relation coefficients must be in F_l"
+            assert not any(v[1:]), "relation coefficients must be in F_l"
             rows[i][j] = _balanced(v[0], l)
         assert rows[deg][0] == 1 and all(c == 0 for c in rows[deg][1:])
         tr_groups.append(

@@ -19,13 +19,17 @@ times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
 inputs fix across scans: per (phi order, field_poly, q) the reduction
-embeddings; the factorization of a field polynomial once per (field_poly,
-q), which picks r and from which its roots in every F of characteristic q
-are read, those roots once per F, and the roots of Phi_k once per (k', F);
+embeddings; the factorization of each polynomial, Phi_k or a field
+polynomial, once per (polynomial, q), which picks r and from which its
+roots in every F of characteristic q are read, and those roots once per F;
 and, per series and per newform record, the power tables and reduced
 coefficients.  It holds no state between `full_scan` calls.  A
 (newform, l) pair whose coefficients have l in a denominator is skipped by
 `full_scan` with the reason; the rest of the scan runs.
+
+The certified pair is the one choice of a prime above l: `full_scan` hands
+its field and zeta-root to `descriptor`, so the printed ideal is the one at
+which the congruence was proved.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from operator import mul
 
 from .arith import DomainError, divisors, is_p_good, is_prime, record, sturm_bound
 from .characters import enumerate_characters
+from .cyclotomic import cyclotomic_polynomial
 from .eisenstein import EisensteinParams, QExpansion, build_E
-from .ffield import (FiniteField, cyclotomic_residue, cyclotomic_roots, factor_mod_q,
-                     roots_in_field)
+from .ffield import FiniteField, factor_mod_q, roots_in_field
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
 from .newforms import NewformRecord, newforms_for_level
@@ -78,19 +82,19 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     the first pair that matches, the least of its Frobenius orbit.
 
     `memo` (a scan memo, see `scan`) shares between calls the factorization
-    of field_poly mod q, from which r and its roots in F are read, those roots
-    per F, and the roots of Phi_k per F."""
+    mod q of Phi_k and of field_poly, from which r and their roots in F are
+    read, and those roots per F."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if memo is None:
         memo = {}
-    kp, d_phi = cyclotomic_residue(k, q)
-    poly = tuple(field_poly)
-    factors = _shared(memo, ("factors", poly, q), factor_mod_q, list(poly), q)
-    r = min(lcm(d_phi, e) for e, _ in factors)
+    zeta_poly, poly = cyclotomic_polynomial(k), tuple(field_poly)
+    zeta_factors, factors = (_shared(memo, ("factors", f, q), factor_mod_q, list(f), q)
+                             for f in (zeta_poly, poly))
+    r = min(lcm(d, e) for d, _ in zeta_factors for e, _ in factors)
     F = FiniteField.create(q, r)
-    zroots = _shared(memo, ("Phi roots", kp, F), cyclotomic_roots, k, F)
-    groots = _shared(memo, ("roots", poly, F), roots_in_field, list(poly), F, factors=factors)
+    zroots, groots = (_shared(memo, ("roots", f, F), roots_in_field, list(f), F, factors=fs)
+                      for f, fs in ((zeta_poly, zeta_factors), (poly, factors)))
     assert zroots and groots
     return r, F, [(z, g) for z in zroots for g in groots]
 
@@ -152,7 +156,7 @@ def scan(
 
     `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
     reduction_embeddings result, and also holds what those results share
-    (the factorization of field_poly per (field_poly, q) and the roots per
+    (the factorization of Phi_k and of field_poly per q and their roots per
     F), the root power tables and the reduced coefficients of E and of the
     record.  A caller that scans many pairs passes one dict, so that each of
     these is computed once."""
@@ -285,7 +289,8 @@ def full_scan(
                     continue
                 reports.append(rep)
                 if rep.matched:
-                    desc = descriptor(params, l)
+                    F = embeddings[params.phi.order, rec.field_poly, l][1]
+                    desc = descriptor(params, F, rep.embedding[0])
                     raw_hits.append((rep, params, desc, (rep.prime, rep.newform, desc.render())))
     # mark the largest certifying M within each (l, ideal, newform) group
     group_max: dict = {}

@@ -23,7 +23,9 @@ which only tests called.
 `roots_in_field` replaced, verbatim apart from the name of the first: it
 takes g = gcd(f, y^|F| - y) over F_q, splits g by distinct and equal degree
 (the `top` of `_distinct_degree` promises that every factor's degree divides
-r) and finds each factor's root orbit with full powers in F.  `FermatField`
+r) and finds each factor's root orbit with full powers in F.  Its splitting
+steps `_probe` and `_equal_degree` are copied verbatim from the library, so
+that a change there cannot reach the oracle.  `FermatField`
 is `FiniteField` with its former inverse a^(|F| - 2); passed to
 `roots_by_gcd`, it takes every inverse the former way.
 """
@@ -34,8 +36,8 @@ import random
 from functools import lru_cache
 
 from eiscong.arith import DomainError, is_prime, prime_divisors
-from eiscong.ffield import (ENUMERATION_CAP, FiniteField, _equal_degree, _pdivmod, _pgcd,
-                            _pmul, _ppowmod, _probe, _psub, _reduce_monic)
+from eiscong.ffield import (ENUMERATION_CAP, FiniteField, _pdivmod, _pgcd, _pmul, _ppowmod,
+                            _psub, _reduce_monic, _trim)
 from eiscong.scanner import CongruenceReport, UnsupportedPrimeError
 
 
@@ -454,6 +456,29 @@ def roots_by_gcd(int_poly, F: FiniteField):
                 orbit.append(F.pow(orbit[-1], F.q))
             roots += orbit
     return sorted(roots)
+
+
+def _probe(a, g, e, F):
+    """a^((q^e-1)/2) - 1 mod g, or sum_{i<e} a^(2^i) mod g when q = 2."""
+    if F.q == 2:
+        power = h = _pdivmod(a, g, F)[1]
+        for _ in range(e - 1):
+            power = _pdivmod(_pmul(power, power, F), g, F)[1]
+            h = _psub(h, power, F)  # h + power in characteristic 2
+        return h
+    return _psub(_ppowmod(a, (F.q ** e - 1) // 2, g, F), [F.one()], F)
+
+
+def _equal_degree(g, e, Fq, rng):
+    """The irreducible factors over F_q of g, a product of distinct ones of degree e."""
+    if len(g) - 1 == e:
+        return [g]
+    while True:
+        a = _trim([Fq.from_int(rng.randrange(Fq.q)) for _ in range(len(g) - 1)])
+        d = _pgcd(g, _probe(a, g, e, Fq), Fq)
+        if 1 < len(d) < len(g):
+            return (_equal_degree(d, e, Fq, rng)
+                    + _equal_degree(_pdivmod(g, d, Fq)[0], e, Fq, rng))
 
 
 def _one_root(u, e, F, rng):

@@ -1,14 +1,19 @@
 """Shared property-check routines used by module tests and the acceptance
 suite (single source of truth for the heavier sweeps)."""
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
+from pathlib import Path
 
 from eiscong import polys
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, primes_up_to
 from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.eisenstein import EisensteinParams
+from eiscong.ideals import descriptor
+from eiscong.scanner import reduction_embeddings
 
 
 def tensor_gauss_product(chi):
@@ -66,6 +71,13 @@ def check_gauss_identity(chi):
     want_conj = [[Fraction(0)] * dk for _ in range(dx)]
     want_conj[0][0] = Fraction(f)
     assert taus["conj"] == want_conj, f"|tau|^2 identity fails for {chi.label()}"
+
+
+def descriptor_at(params, l):
+    """`descriptor` at the prime above l where zeta_k goes to the smallest
+    root of Phi_k (k the order of phi) in its residue field F_{l^d}."""
+    _, F, pairs = reduction_embeddings(params.phi.order, (0, 1), l)
+    return descriptor(params, F, pairs[0][0])
 
 
 def character_with_value(f, n, order, exponent=1):
@@ -152,3 +164,15 @@ def scalar_multiple(f, g, B):
         elif c != ratio:
             return None
     return c
+
+
+def fixture_script(monkeypatch):
+    """The fixture generator, loaded as a module."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "make_newform_fixtures", root / "scripts" / "make_newform_fixtures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script

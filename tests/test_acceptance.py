@@ -9,8 +9,8 @@ from fractions import Fraction
 from math import gcd
 
 from eisenstein_oracle import hecke_Tl
-from helpers import (character_with_value, check_gauss_identity, random_pgood_params,
-                     random_valid_params, scalar_multiple)
+from helpers import (character_with_value, check_gauss_identity, descriptor_at,
+                     random_pgood_params, random_valid_params, scalar_multiple)
 from lattice_oracle import ideal_from_element
 
 from eiscong.arith import divisors, euler_phi, primes_up_to, sturm_bound
@@ -21,7 +21,7 @@ from eiscong.cusps import (CuspDivisor, beta_tilde,
                            pullback_pi_l, pullback_pi_paren, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams, build_E, e_phi, tl_eigenvalue
-from eiscong.ideals import candidate_characteristics, cuspidal_order, descriptor
+from eiscong.ideals import candidate_characteristics, cuspidal_order
 from eiscong.scanner import full_scan
 
 
@@ -281,14 +281,14 @@ DISPLAY_GOLDENS = {
 def test_criterion_7_classification_goldens():
     t0 = time.time()
     assert sorted(candidate_characteristics(725, 5).union) == [2, 3, 5, 7]
-    d = descriptor(EisensteinParams(quadratic_character(11), 121, 1, 1), 5)
+    d = descriptor_at(EisensteinParams(quadratic_character(11), 121, 1, 1), 5)
     assert d.render() == DISPLAY_GOLDENS[("121", 5)]
-    d = descriptor(EisensteinParams(quadratic_character(5), 725, 1, 29), 7)
+    d = descriptor_at(EisensteinParams(quadratic_character(5), 725, 1, 29), 7)
     assert d.render() == DISPLAY_GOLDENS[("725.F7", 7)]
     assert d.residue_field() == "F_7"
-    d = descriptor(EisensteinParams(character_with_value(5, 2, 4, 1), 725, 1, 29), 7)
+    d = descriptor_at(EisensteinParams(character_with_value(5, 2, 4, 1), 725, 1, 29), 7)
     assert d.render() == DISPLAY_GOLDENS[("725.F49", 7)]
     assert d.residue_field() == "F_49"
-    d = descriptor(EisensteinParams(quadratic_character(3), 234, 13, 2), 7)
+    d = descriptor_at(EisensteinParams(quadratic_character(3), 234, 13, 2), 7)
     assert d.render() == DISPLAY_GOLDENS[("234", 7)]
     _report(7, t0, 5, "classification and descriptor displays byte-exact")

@@ -1,11 +1,12 @@
 import pytest
-from helpers import character_with_value
+from helpers import character_with_value, descriptor_at
 from lattice_oracle import numerator_ideal
 
 from eiscong.arith import DomainError
 from eiscong.characters import enumerate_characters, quadratic_character
 from eiscong.cusps import beta_tilde
 from eiscong.eisenstein import EisensteinParams
+from eiscong.ffield import FiniteField
 from eiscong.ideals import (_isqrt, _render_bivariate, candidate_characteristics,
                             cuspidal_order, descriptor, eisenstein_character, s1_set,
                             s2_set)
@@ -96,17 +97,17 @@ DISPLAY_234 = (
 
 
 def test_descriptor_displays():
-    d = descriptor(EisensteinParams(quadratic_character(11), 121, 1, 1), 5)
+    d = descriptor_at(EisensteinParams(quadratic_character(11), 121, 1, 1), 5)
     assert d.render() == DISPLAY_121
     assert d.residue_field() == "F_5"
-    d = descriptor(EisensteinParams(quadratic_character(5), 725, 1, 29), 7)
+    d = descriptor_at(EisensteinParams(quadratic_character(5), 725, 1, 29), 7)
     assert d.render() == DISPLAY_725_F7
     assert d.residue_field() == "F_7"
     phi4 = character_with_value(5, 2, 4, 1)
-    d = descriptor(EisensteinParams(phi4, 725, 1, 29), 7)
+    d = descriptor_at(EisensteinParams(phi4, 725, 1, 29), 7)
     assert d.render() == DISPLAY_725_F49
     assert d.residue_field() == "F_49"
-    d = descriptor(EisensteinParams(quadratic_character(3), 234, 13, 2), 7)
+    d = descriptor_at(EisensteinParams(quadratic_character(3), 234, 13, 2), 7)
     assert d.render() == DISPLAY_234
     assert d.residue_field() == "F_7"
 
@@ -120,24 +121,34 @@ def test_perfect_square_display():
 def test_descriptor_conjugates_and_errors():
     # order-10 character at l = 5 reduces to the quadratic: same display
     phi10 = character_with_value(11, 2, 10, 1)
-    d = descriptor(EisensteinParams(phi10, 121, 1, 1), 5)
+    d = descriptor_at(EisensteinParams(phi10, 121, 1, 1), 5)
     assert d.render() == DISPLAY_121
     with pytest.raises(DomainError):
-        descriptor(EisensteinParams(quadratic_character(11), 121, 1, 1), 3)  # l | 6p
+        descriptor_at(EisensteinParams(quadratic_character(11), 121, 1, 1), 3)  # l | 6p
     with pytest.raises(DomainError):
-        descriptor(EisensteinParams(quadratic_character(11), 121, 1, 1), 11)
+        descriptor_at(EisensteinParams(quadratic_character(11), 121, 1, 1), 11)
     phi5 = next(c for c in enumerate_characters(11) if c.order == 5)
     with pytest.raises(DomainError):
-        descriptor(EisensteinParams(phi5, 121, 1, 1), 5)  # trivial reduction
+        descriptor_at(EisensteinParams(phi5, 121, 1, 1), 5)  # trivial reduction
+
+
+def test_descriptor_needs_a_root_of_phi_k():
+    """zeta_root must be a root in F of Phi_k, k the order of phi: for an
+    order-4 phi in F_49, neither 1 nor -1, a root of Phi_2, will do."""
+    params = EisensteinParams(character_with_value(5, 2, 4, 1), 725, 1, 29)
+    F = FiniteField.create(7, 2)
+    for not_a_root in (F.one(), F.from_int(-1)):
+        with pytest.raises(DomainError):
+            descriptor(params, F, not_a_root)
 
 
 def test_descriptor_json_stability():
     import json
 
-    d = descriptor(EisensteinParams(quadratic_character(5), 725, 29, 1), 7)
+    d = descriptor_at(EisensteinParams(quadratic_character(5), 725, 29, 1), 7)
     j1 = json.dumps(d.to_json(), sort_keys=True)
     j2 = json.dumps(
-        descriptor(EisensteinParams(quadratic_character(5), 725, 29, 1), 7).to_json(),
+        descriptor_at(EisensteinParams(quadratic_character(5), 725, 29, 1), 7).to_json(),
         sort_keys=True,
     )
     assert j1 == j2
@@ -152,7 +163,7 @@ def test_descriptor_higher_degree_groups():
     """Order-5 character at l = 7: residue field F_7^4, quartic T_r relations
     render in expanded form without error."""
     phi5 = next(c for c in enumerate_characters(11) if c.order == 5)
-    d = descriptor(EisensteinParams(phi5, 121, 1, 1), 7)
+    d = descriptor_at(EisensteinParams(phi5, 121, 1, 1), 7)
     assert d.residue_field() == "F_2401"
     assert any(g.degree == 4 for g in d.tr_groups)
     text = d.render()

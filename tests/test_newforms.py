@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import newforms_oracle
+from helpers import fixture_script
 from eiscong import polys
 from eiscong.arith import DomainError
 from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
@@ -273,29 +274,13 @@ def test_cache_write_failure_keeps_old_file(tmp_path, monkeypatch):
     assert len(fetch_newforms(11, cache_dir=tmp_path, offline=True)[0].an) == 6
 
 
-def _fixture_script(monkeypatch):
-    """The fixture generator, loaded as a module."""
-    import importlib.util
-    import sys
-    from pathlib import Path
-
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
-
-    root = Path(__file__).resolve().parents[1]
-    spec = importlib.util.spec_from_file_location(
-        "make_newform_fixtures", root / "scripts" / "make_newform_fixtures.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_fixture_script_regenerates_121(monkeypatch):
     """The fixture generator rebuilds the bundled level-121 file byte for
     byte, and level 171, whose 4-dimensional orbit 171.2.a.e takes the HNF
     basis fallback, to pinned bytes that parse."""
     import hashlib
 
-    script = _fixture_script(monkeypatch)
+    script = fixture_script(monkeypatch)
     bundled = (script.DATA_DIR / "newforms_121.json").read_text()
     assert json.dumps(script.build_level(121, 32), indent=1) == bundled
 
@@ -313,14 +298,14 @@ def test_fixture_script_regenerates_bundled(monkeypatch, N, bound):
     """The bundled levels 234 (five rational newforms, found on the second
     choice of generic operator) and 725 (orbits of degree up to 6, 725.2.a.l
     on its published basis) regenerate byte for byte."""
-    script = _fixture_script(monkeypatch)
+    script = fixture_script(monkeypatch)
     bundled = (script.DATA_DIR / f"newforms_{N}.json").read_text()
     assert json.dumps(script.build_level(N, bound), indent=1) == bundled
 
 
 def test_fixture_script_selfcheck(monkeypatch):
     """`--selfcheck`: the known newforms at levels 11, 23, 29 and 37."""
-    _fixture_script(monkeypatch).selfcheck()
+    fixture_script(monkeypatch).selfcheck()
 
 
 def test_fixture_script_needs_no_sympy():

@@ -6,14 +6,14 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
-from helpers import character_with_value, hit_labels, integer_coefficient
+from helpers import character_with_value, fixture_script, hit_labels, integer_coefficient
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import quadratic_character
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
-from eiscong.newforms import NewformRecord, bundled_newforms
+from eiscong.newforms import NewformRecord, bundled_newforms, parse_newforms
 from eiscong.scanner import (UnsupportedPrimeError, _power_table, _reduce_vector,
                              eisenstein_basis, full_scan, reduction_embeddings, scan)
 
@@ -237,9 +237,9 @@ def _scan_payload(res) -> str:
 def test_full_scan_one_root_search_per_key(monkeypatch):
     """full_scan computes reduction_embeddings once per distinct (phi order,
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
-    Within them it factors each field polynomial once per l (11 calls), reads
-    its roots off that factorization once per F (18) and finds the roots of
-    Phi_k once per (k', F) (5)."""
+    Within them it factors each polynomial, a field polynomial or Phi_k, once
+    per l (13 calls) and reads its roots off that factorization once per F
+    (23)."""
     from eiscong import scanner
 
     keys = []
@@ -250,7 +250,7 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
         return original(k, field_poly, q, **kwargs)
 
     calls = {}
-    for name in ("roots_in_field", "factor_mod_q", "cyclotomic_roots"):
+    for name in ("roots_in_field", "factor_mod_q"):
         def counted(*args, _fn=getattr(scanner, name), _name=name, **kwargs):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args, **kwargs)
@@ -259,9 +259,42 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
-    assert calls == {"roots_in_field": 18, "factor_mod_q": 11, "cyclotomic_roots": 5}
+    assert calls == {"roots_in_field": 23, "factor_mod_q": 13}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
+
+
+@pytest.mark.parametrize("N, p, hit_count", [(169, 13, 5), (289, 17, 8), (361, 19, 13)])
+def test_descriptor_relations_hold_at_the_certified_prime(monkeypatch, N, p, hit_count):
+    """With newforms built by the fixture generator, the T_r relation that a
+    hit prints for the class of r mod p vanishes at the certified newform's
+    a_r, reduced at the certified root, for every prime r up to the bound
+    with r not dividing N l.  l splits in Q(zeta_k') at each of these levels;
+    a descriptor that picked its own prime above l broke this for 2, 6 and
+    10 of the hits.  The four order-12 hits at 169 print one ideal."""
+    bound = sturm_bound(N)
+    records = parse_newforms(fixture_script(monkeypatch).build_level(N, bound))
+    by_label = {rec.label: rec for rec in records}
+    res = full_scan(N, p, records=records)
+    assert len(res.hits) == hit_count
+    for hit in res.hits:
+        rep, rec = hit.report, by_label[hit.report.newform]
+        l = rep.prime
+        F = FiniteField.create(l, rep.residue_degree)
+        for r in primes_up_to(bound):
+            if N * l % r == 0:
+                continue
+            num, den = rec.an[r - 1]
+            x = _reduce_vector(num, den, _power_table(rep.embedding[1], F, len(num)), l)
+            group = next(g for g in hit.descriptor.tr_groups if r % p in g.classes)
+            value = F.pow(x, group.degree)
+            for i, row in enumerate(group.poly):
+                c = sum(cj * r ** j for j, cj in enumerate(row))
+                value = F.add(value, F.mul(F.from_int(c), F.pow(x, i)))
+            assert not any(value), (rep.eisenstein, rep.newform, l, r)
+    if N == 169:
+        order_12 = [h.descriptor.render() for h in res.hits if h.params.phi.order == 12]
+        assert len(order_12) == 4 and len(set(order_12)) == 1
 
 
 def _golden_scan_hash(level):
