@@ -13,9 +13,8 @@ from .cusps import (Cusp, CuspDivisor, D_divisor, D_NML, beta_constant,
                     cusp_from_fraction, enumerate_cusps, pullback_pi_l,
                     pullback_pi_paren, verify_boundary)
 from .cyclotomic import CycElement, CyclotomicField, cyclotomic_polynomial
-from .eisenstein import (EisensteinParams, QExpansion, build_E, e_phi,
-                         lambda_pm, lambda_twisted, refine_critical,
-                         refine_ordinary, slash_scale)
+from .eisenstein import (EisensteinParams, QExpansion, build_E, lambda_pm,
+                         lambda_twisted)
 from .ffield import FiniteField
 from .ideals import (CandidateReport, IdealDescriptor,
                      candidate_characteristics, cuspidal_order, descriptor,

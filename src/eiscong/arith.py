@@ -186,8 +186,10 @@ class Factorization:
         return iter(self.factors)
 
 
-@lru_cache(maxsize=None)
-def factor(n: int) -> Factorization:
+def trial_division(n: int) -> tuple[dict[int, int], int]:
+    """{p: e} for the primes p < 10**6 with p^e || n that trial division finds,
+    and the cofactor it leaves: 1, a prime, or a number free of primes below
+    10**6.  The search stops once p^2 exceeds the cofactor."""
     if n < 1:
         raise DomainError(f"factor requires n >= 1 (got {n})")
     m = n
@@ -202,6 +204,12 @@ def factor(n: int) -> Factorization:
             found[p] = found.get(p, 0) + 1
             m //= p
         p += 2
+    return found, m
+
+
+@lru_cache(maxsize=None)
+def factor(n: int) -> Factorization:
+    found, m = trial_division(n)
     if m >= _SIZE_LIMIT:
         raise DomainError(
             f"factorization not supported: {n} leaves a cofactor >= 2**64 after trial division"

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .arith import DomainError, factor, prime_divisors, primes_up_to, sturm_bound
+from .arith import DomainError, factor, prime_divisors, sturm_bound, trial_division
 from .characters import character_from_label, gauss_sum_inverse
 from .cusps import beta_tilde
 from .cyclotomic import CycElement
@@ -100,22 +100,16 @@ def cmd_beta(args) -> None:
 
 
 def _display_factorization(n: int) -> str:
-    """Small-prime factorization for display; huge rough cofactors are kept whole."""
-    parts = []
-    for p in primes_up_to(10 ** 4):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            parts.append(f"{p}^{e}" if e > 1 else str(p))
-        if n == 1:
-            break
-    if n > 1:
-        if n < 2 ** 64:
-            parts.extend(f"{p}^{e}" if e > 1 else str(p) for p, e in factor(n))
-        else:
-            parts.append(str(n))
+    """The prime factorization of n for display; when `factor` refuses a rough
+    cofactor >= 2**64, the primes trial division finds and that cofactor whole."""
+    try:
+        pairs, rest = factor(n).factors, 1
+    except DomainError:
+        found, rest = trial_division(n)
+        pairs = sorted(found.items())
+    parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in pairs]
+    if rest > 1:
+        parts.append(str(rest))
     return " * ".join(parts) if parts else "1"
 
 

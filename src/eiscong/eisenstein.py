@@ -8,11 +8,15 @@ to g(z) - l phi^{-1}(l) g(lz); both are the identity for l | f.  Scaling by
 gamma_d multiplies the argument by d and the expansion by d.  All coefficients
 live in Q(zeta_k), k = order(phi); nothing is ever evaluated numerically.
 
-`e_phi` sieves straight into power-basis numerators: each pair bc = n adds
-b zeta_k^j, j the exponent of phi(c) phi^{-1}(b), to b_n as the nonzero
-entries of zeta^j in the field's table of zeta powers.  The sum is an
-algebraic integer, so its denominator is 1 and the element needs no
-reduction mod Phi_k and no canonicalization.
+`build_E` computes E_{phi,M,L} on integer power-basis numerator rows, one
+per coefficient.  Scaling by d = ML/(T1 T2) keeps only the rows n <= B/d,
+each multiplied by d.  The sieve adds d b zeta_k^j, j the exponent of
+phi(c) phi^{-1}(b), to row bc for each pair of units b, c.  Each refinement
+subtracts u zeta_k^j times row n/l from row n, with n descending.  Every
+multiple of zeta_k^j is read off the nonzero entries of the field's table of
+zeta powers.  The rows stay in Z[zeta_k], so each coefficient is made once,
+at the end, with denominator 1, no reduction mod Phi_k and no
+canonicalization.
 """
 
 from __future__ import annotations
@@ -20,14 +24,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .arith import DomainError, is_prime, prime_divisors, record, valuation
+from .arith import DomainError, prime_divisors, record, valuation
 from .characters import (DirichletCharacter, bernoulli_B1, chi_in_XS, gauss_sum,
                          gauss_sum_inverse)
 from .cyclotomic import CycElement, CyclotomicField, _element
 
-# e_phi holds B + 1 numerator rows and B elements at once: B = 10**5 takes
-# about 0.8 s and 35 MB more peak RSS for a character of order 10 (Python 3.11,
-# one core), growing linearly, so larger precisions are refused up front.
+# build_E holds B/d + 1 numerator rows and B elements at once: B = 10**5 takes
+# about 0.3 s and 38 MB more peak RSS for a character of order 10 at d = 1
+# (Python 3.11, one core), growing linearly, so larger precisions are refused
+# before anything is allocated.
 PRECISION_CAP = 10 ** 5
 
 
@@ -80,77 +85,6 @@ class QExpansion:
     def machine_lines(self) -> list[str]:
         """Machine-readable form: one `n: <polynomial in z_k>` per line."""
         return [f"{n}: {self.coeffs[n - 1]}" for n in range(1, self.precision + 1)]
-
-
-def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
-    """The level-f^2 Eisenstein series with b_n = sum_{bc=n} phi(c) phi^{-1}(b) b."""
-    if phi.is_trivial():
-        raise DomainError("e_phi requires a nontrivial character (rational series are out of scope)")
-    if not phi.is_primitive():
-        raise DomainError("e_phi requires a primitive character")
-    if B < 1:
-        raise DomainError(f"the precision must be at least 1 (got {B})")
-    if B > PRECISION_CAP:
-        raise DomainError(f"precision cap exceeded: {B} > {PRECISION_CAP}")
-    f, k = phi.modulus, phi.order
-    K = CyclotomicField(k)
-    terms = K.terms
-    exps = [phi.value_exponent(n) for n in range(B + 1)]
-    acc = [[0] * K.degree for _ in range(B + 1)]
-    # sieve: each b with phi(b) != 0 adds b zeta^j to every multiple n = b*c <= B
-    for b in range(1, B + 1):
-        eb = exps[b]
-        if eb is None:
-            continue
-        for c in range(1, B // b + 1):
-            ec = exps[c]
-            if ec is not None:
-                row = acc[b * c]
-                for i, x in terms[(ec - eb) % k]:
-                    row[i] += b * x
-    coeffs = tuple(_element(K, tuple(row)) for row in acc[1:])  # in Z[zeta_k]: canonical
-    return QExpansion(f * f, B, coeffs, K.zero())
-
-
-def _refine(g: QExpansion, l: int, phi: DirichletCharacter, multiplier: CycElement,
-            name: str) -> QExpansion:
-    """a_n <- a_n - multiplier * a_{n/l}, the identity on coefficients when
-    l | f; the level gains a factor l.  `name` heads the error for a level
-    that l already divides."""
-    if not is_prime(l):
-        raise DomainError("refinement requires a prime")
-    coeffs = g.coeffs
-    if phi.modulus % l:
-        if g.level % l == 0:
-            raise DomainError(f"{name}={l} already dividing the level")
-        coeffs = tuple(a - multiplier * coeffs[n // l - 1] if n % l == 0 else a
-                       for n, a in enumerate(coeffs, 1))
-    return QExpansion(g.level * l, g.precision, coeffs, g.a0)
-
-
-def refine_critical(g: QExpansion, l: int, phi: DirichletCharacter) -> QExpansion:
-    """[l]^+: g(z) - phi(l) g(lz); identity on coefficients when l | f."""
-    return _refine(g, l, phi, phi.value(l), "critical refinement at l")
-
-
-def refine_ordinary(g: QExpansion, q: int, phi: DirichletCharacter) -> QExpansion:
-    """[q]^-: g(z) - q phi^{-1}(q) g(qz); identity on coefficients when q | f."""
-    return _refine(g, q, phi, phi.inverse().value(q) * q, "ordinary refinement at q")
-
-
-def slash_scale(g: QExpansion, d: int) -> QExpansion:
-    """g|_{gamma_d}: new a_{dn} = d * a_n, other coefficients 0."""
-    if d < 1:
-        raise DomainError("slash_scale requires d >= 1")
-    if d == 1:
-        return g
-    field = g.coeffs[0].field if g.coeffs else g.a0.field
-    zero = field.zero()
-    B = g.precision * d
-    coeffs = [zero] * B
-    for n in range(1, g.precision + 1):
-        coeffs[d * n - 1] = g.coeffs[n - 1] * d
-    return QExpansion(g.level * d, B, tuple(coeffs), g.a0 * d)
 
 
 # --------------------------------------------------------------- parameters
@@ -223,17 +157,51 @@ class EisensteinParams:
 
 
 def build_E(params: EisensteinParams, B: int) -> QExpansion:
-    """E_{phi,M,L} at level N: refinements, then scaling by ML/(T1 T2)."""
-    phi = params.phi
-    g = e_phi(phi, B)
-    for l in prime_divisors(params.T1):
-        g = refine_critical(g, l, phi)
-    for q in prime_divisors(params.T2):
-        g = refine_ordinary(g, q, phi)
-    scale = params.M * params.L // (params.T1 * params.T2)
-    g = slash_scale(g, scale)
-    assert params.N % g.level == 0
-    return QExpansion(params.N, B, g.coeffs[:B], g.a0)
+    """E_{phi,M,L} at level N to precision B: the level-f^2 series b_n, the
+    refinements [l]^+ at l | T1 and [q]^- at q | T2, then the scaling by
+    d = ML/(T1 T2), all on integer numerator rows."""
+    if B < 1:
+        raise DomainError(f"the precision must be at least 1 (got {B})")
+    if B > PRECISION_CAP:
+        raise DomainError(f"precision cap exceeded: {B} > {PRECISION_CAP}")
+    phi, T1, T2 = params.phi, params.T1, params.T2
+    d = params.M * params.L // (T1 * T2)
+    level = params.f ** 2 * T1 * T2 * d  # f^2, times l per refinement, times d
+    assert params.N % level == 0
+    k = phi.order
+    K = CyclotomicField(k)
+    terms = K.terms
+    top = B // d  # a_{nd} = d b_n: only b_1..b_top reach the precision
+    exps = [phi.value_exponent(n) for n in range(top + 1)]
+    units = [c for c in range(1, top + 1) if exps[c] is not None]
+    rows = [[0] * K.degree for _ in range(top + 1)]
+    # sieve: each unit b adds d b zeta^j, zeta^j = phi(c) phi^{-1}(b), to every
+    # n = b*c <= top with c a unit
+    for b in units:
+        db, eb = d * b, exps[b]
+        for c in units:
+            if (n := b * c) > top:
+                break
+            row = rows[n]
+            for i, x in terms[(exps[c] - eb) % k]:
+                row[i] += db * x
+    # refinements a_n -= u zeta^j a_{n/l}, n descending so that a_{n/l} is
+    # still unrefined: u zeta^j = phi(l) for [l]^+, q phi^{-1}(q) for [q]^-
+    steps = [(l, 1, phi.value_exponent(l)) for l in prime_divisors(T1)]
+    steps += [(q, q, -phi.value_exponent(q)) for q in prime_divisors(T2)]
+    for l, u, j in steps:
+        for n in range(top - top % l, 0, -l):
+            row = rows[n]
+            for i, x in enumerate(rows[n // l]):
+                if x:
+                    ux = u * x
+                    for t, y in terms[(i + j) % k]:
+                        row[t] -= ux * y
+    zero = K.zero()
+    coeffs = [zero] * B
+    for n in range(1, top + 1):
+        coeffs[n * d - 1] = _element(K, tuple(rows[n]))  # in Z[zeta_k]: canonical
+    return QExpansion(params.N, B, tuple(coeffs), zero)
 
 
 def tl_eigenvalue(phi: DirichletCharacter, r: int) -> CycElement:

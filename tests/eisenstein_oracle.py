@@ -1,21 +1,118 @@
-"""The q-expansion sieve that eiscong.eisenstein.e_phi replaced, kept as a
+"""The q-expansion code that eiscong.eisenstein.build_E replaced, kept as a
 test oracle.
 
-`e_phi` sends each coefficient's vector of counts of zeta_k exponents through
+`build_E` now runs the sieve, the refinements and the scaling on integer
+numerator rows and makes one element per coefficient at the end.  Before, it
+was composed from the functions below, which are verbatim:
+- `e_phi`, the sieve into power-basis numerators read off the field's table
+  of zeta powers, with the nontrivial, primitive, B >= 1 and precision-cap
+  checks;
+- `_refine` and its two cases `refine_critical` ([l]^+) and
+  `refine_ordinary` ([q]^-), which rebuild every coefficient as a
+  CycElement product and difference, with the prime and level guards;
+- `slash_scale`, which builds d*B coefficients of g|gamma_d;
+- `build_E`, which composes them and keeps the first B coefficients.
+
+`e_phi_counts` is the sieve `e_phi` replaced in turn: it sends each
+coefficient's vector of counts of zeta_k exponents through
 `CyclotomicField.element`, which validates, folds and reduces it mod Phi_k and
-canonicalizes it.  The library now reads the same sum off the field's table of
-powers.  The code is verbatim.
+canonicalizes it.  `hecke_Tl` and `hecke_Uq` act on the expansions.
 """
 
 from __future__ import annotations
 
-from eiscong.arith import DomainError, is_prime
+from eiscong.arith import DomainError, is_prime, prime_divisors
 from eiscong.characters import DirichletCharacter
-from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import QExpansion
+from eiscong.cyclotomic import CycElement, CyclotomicField, _element
+from eiscong.eisenstein import PRECISION_CAP, EisensteinParams, QExpansion
 
 
 def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:
+    """The level-f^2 Eisenstein series with b_n = sum_{bc=n} phi(c) phi^{-1}(b) b."""
+    if phi.is_trivial():
+        raise DomainError("e_phi requires a nontrivial character (rational series are out of scope)")
+    if not phi.is_primitive():
+        raise DomainError("e_phi requires a primitive character")
+    if B < 1:
+        raise DomainError(f"the precision must be at least 1 (got {B})")
+    if B > PRECISION_CAP:
+        raise DomainError(f"precision cap exceeded: {B} > {PRECISION_CAP}")
+    f, k = phi.modulus, phi.order
+    K = CyclotomicField(k)
+    terms = K.terms
+    exps = [phi.value_exponent(n) for n in range(B + 1)]
+    acc = [[0] * K.degree for _ in range(B + 1)]
+    # sieve: each b with phi(b) != 0 adds b zeta^j to every multiple n = b*c <= B
+    for b in range(1, B + 1):
+        eb = exps[b]
+        if eb is None:
+            continue
+        for c in range(1, B // b + 1):
+            ec = exps[c]
+            if ec is not None:
+                row = acc[b * c]
+                for i, x in terms[(ec - eb) % k]:
+                    row[i] += b * x
+    coeffs = tuple(_element(K, tuple(row)) for row in acc[1:])  # in Z[zeta_k]: canonical
+    return QExpansion(f * f, B, coeffs, K.zero())
+
+
+def _refine(g: QExpansion, l: int, phi: DirichletCharacter, multiplier: CycElement,
+            name: str) -> QExpansion:
+    """a_n <- a_n - multiplier * a_{n/l}, the identity on coefficients when
+    l | f; the level gains a factor l.  `name` heads the error for a level
+    that l already divides."""
+    if not is_prime(l):
+        raise DomainError("refinement requires a prime")
+    coeffs = g.coeffs
+    if phi.modulus % l:
+        if g.level % l == 0:
+            raise DomainError(f"{name}={l} already dividing the level")
+        coeffs = tuple(a - multiplier * coeffs[n // l - 1] if n % l == 0 else a
+                       for n, a in enumerate(coeffs, 1))
+    return QExpansion(g.level * l, g.precision, coeffs, g.a0)
+
+
+def refine_critical(g: QExpansion, l: int, phi: DirichletCharacter) -> QExpansion:
+    """[l]^+: g(z) - phi(l) g(lz); identity on coefficients when l | f."""
+    return _refine(g, l, phi, phi.value(l), "critical refinement at l")
+
+
+def refine_ordinary(g: QExpansion, q: int, phi: DirichletCharacter) -> QExpansion:
+    """[q]^-: g(z) - q phi^{-1}(q) g(qz); identity on coefficients when q | f."""
+    return _refine(g, q, phi, phi.inverse().value(q) * q, "ordinary refinement at q")
+
+
+def slash_scale(g: QExpansion, d: int) -> QExpansion:
+    """g|_{gamma_d}: new a_{dn} = d * a_n, other coefficients 0."""
+    if d < 1:
+        raise DomainError("slash_scale requires d >= 1")
+    if d == 1:
+        return g
+    field = g.coeffs[0].field if g.coeffs else g.a0.field
+    zero = field.zero()
+    B = g.precision * d
+    coeffs = [zero] * B
+    for n in range(1, g.precision + 1):
+        coeffs[d * n - 1] = g.coeffs[n - 1] * d
+    return QExpansion(g.level * d, B, tuple(coeffs), g.a0 * d)
+
+
+def build_E(params: EisensteinParams, B: int) -> QExpansion:
+    """E_{phi,M,L} at level N: refinements, then scaling by ML/(T1 T2)."""
+    phi = params.phi
+    g = e_phi(phi, B)
+    for l in prime_divisors(params.T1):
+        g = refine_critical(g, l, phi)
+    for q in prime_divisors(params.T2):
+        g = refine_ordinary(g, q, phi)
+    scale = params.M * params.L // (params.T1 * params.T2)
+    g = slash_scale(g, scale)
+    assert params.N % g.level == 0
+    return QExpansion(params.N, B, g.coeffs[:B], g.a0)
+
+
+def e_phi_counts(phi: DirichletCharacter, B: int) -> QExpansion:
     """The level-f^2 Eisenstein series with b_n = sum_{bc=n} phi(c) phi^{-1}(b) b."""
     if phi.is_trivial():
         raise DomainError("e_phi requires a nontrivial character (rational series are out of scope)")

@@ -20,7 +20,7 @@ from eiscong.cusps import (CuspDivisor, beta_tilde,
                            boundary_divisor, cusp_count, enumerate_cusps,
                            pullback_pi_l, pullback_pi_paren, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import EisensteinParams, build_E, e_phi, tl_eigenvalue
+from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ideals import candidate_characteristics, cuspidal_order
 from eiscong.scanner import full_scan
 
@@ -83,13 +83,14 @@ def test_criterion_1_beta_tilde_goldens():
 
 
 def test_criterion_2_qexpansion_goldens():
+    """The displayed expansions: e_phi is build_E at (phi, f^2, 1, 1)."""
     t0 = time.time()
-    E = e_phi(quadratic_character(11), 12)
+    E = build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), 12)
     assert [E.coefficient(n).rational_value() for n in range(1, 13)] == [
         1, -3, 4, 7, 6, -12, -8, -15, 13, -18, 0, 28,
     ]
     phi10 = character_with_value(11, 2, 10, 1)
-    E10 = e_phi(phi10, 6)
+    E10 = build_E(EisensteinParams(phi10, 121, 1, 1), 6)
     K = CyclotomicField(10)
     z10, z5 = K.zeta(1), K.zeta(2)
     assert E10.coefficient(1) == K.one()
@@ -109,7 +110,7 @@ def test_criterion_2_qexpansion_goldens():
         E = build_E(EisensteinParams(phi3, 234, M, L), 15)
         got = [E.coefficient(n).rational_value() for n in range(1, 16)]
         assert got == want, (M, L)
-    E725 = e_phi(quadratic_character(5), 15)
+    E725 = build_E(EisensteinParams(quadratic_character(5), 25, 1, 1), 15)
     assert [E725.coefficient(n).rational_value() for n in range(1, 16)] == [
         1, -3, -4, 7, 0, 12, -8, -15, 13, 0, 12, -28, -14, 24, 0,
     ]

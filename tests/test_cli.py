@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import eiscong
-from eiscong.cli import main
+from eiscong.arith import is_prime
+from eiscong.cli import _display_factorization, main
 from eiscong.eisenstein import PRECISION_CAP
 
 
@@ -70,6 +71,19 @@ def test_order(capsys):
     assert str(605 ** 10 * 11 ** 5) in out
 
 
+def test_order_display_factors_above_2_64():
+    """The order's "= ..." line is `factor`'s: 10007^5 > 2**64 is a prime
+    power, not a whole cofactor.  Only a cofactor that `factor` refuses, free
+    of primes below 10**6 and >= 2**64, stays whole."""
+    assert _display_factorization(10007 ** 5) == "10007^5"
+    assert _display_factorization(605 ** 10 * 11 ** 5) == "5^10 * 11^25"
+    assert _display_factorization(1) == "1"
+    P = next(n for n in range(2 ** 33 + 1, 2 ** 34, 2) if is_prime(n))
+    Q = next(n for n in range(P + 2, 2 ** 34, 2) if is_prime(n))
+    assert P * Q >= 2 ** 64
+    assert _display_factorization(24 * 10007 * P * Q) == f"2^3 * 3 * 10007 * {P * Q}"
+
+
 def test_scan_table_234(capsys):
     code, out, _ = run_cli(capsys, "scan", "--level", "234", "--p", "3", "--offline")
     assert code == 0
@@ -116,8 +130,8 @@ def test_qexp_prec_zero_is_refused(capsys):
 
 
 def test_qexp_prec_above_cap_is_refused(capsys):
-    """A precision above the cap is refused before e_phi allocates anything:
-    10**7 would need about 5 GB, the refusal returns at once."""
+    """A precision above the cap is refused before build_E allocates anything:
+    10**7 would need about 4 GB, the refusal returns at once."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "qexp", "--level", "121", "--char", "11.2.1",
                              "--prec", "10000000")

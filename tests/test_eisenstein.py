@@ -1,26 +1,32 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenstein_oracle
-from eisenstein_oracle import hecke_Tl, hecke_Uq
+from eisenstein_oracle import (hecke_Tl, hecke_Uq, refine_critical, refine_ordinary,
+                               slash_scale)
 from helpers import character_with_value, scalar_multiple
-from eiscong.arith import DomainError, primes_up_to, sturm_bound
+from eiscong.arith import DomainError, prime_divisors, primes_up_to, sturm_bound
 from eiscong.characters import (DirichletCharacter, enumerate_characters,
                                 quadratic_character)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import (EisensteinParams, build_E, e_phi, lambda_pm,
-                                lambda_twisted, refine_critical, refine_ordinary,
-                                slash_scale, tl_eigenvalue, uq_eigenvalue)
+from eiscong.eisenstein import (EisensteinParams, build_E, lambda_pm, lambda_twisted,
+                                tl_eigenvalue, uq_eigenvalue)
 from eiscong.scanner import eisenstein_basis
 
 
 def rational_coeffs(E, B):
     return [E.coefficient(n).rational_value() for n in range(1, B + 1)]
+
+
+def e_phi(phi, B):
+    """The level-f^2 series e_phi: build_E with no refinement and d = 1."""
+    return build_E(EisensteinParams(phi, phi.modulus ** 2, 1, 1), B)
 
 
 def test_e_phi_121_quadratic():
@@ -58,10 +64,12 @@ def test_e_phi_preconditions():
     with pytest.raises(DomainError):
         e_phi(quadratic_character(3).extend(12), 5)
     for B in (0, -3):  # no coefficient to compute
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=rf"^the precision must be at least 1 \(got {B}\)$"):
             e_phi(quadratic_character(3), B)
         with pytest.raises(DomainError):
             build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), B)
+        with pytest.raises(DomainError):
+            eisenstein_oracle.e_phi(quadratic_character(3), B)
 
 
 def test_refinements_234():
@@ -79,8 +87,10 @@ def test_refinements_234():
 
 
 def test_refinement_coefficient_rules():
+    """The rules on the oracle's refinement steps, and the same coefficients
+    from build_E with the matching M and L."""
     phi = quadratic_character(3)
-    E = e_phi(phi, 26)
+    E = eisenstein_oracle.e_phi(phi, 26)
     crit13 = refine_critical(E, 13, phi)
     assert crit13.coefficient(13).rational_value() == 13  # 14 - phi(13)*1
     ord13 = refine_ordinary(E, 13, phi)
@@ -95,11 +105,14 @@ def test_refinement_coefficient_rules():
     a = refine_ordinary(refine_critical(E, 13, phi), 2, phi)
     b = refine_critical(refine_ordinary(E, 2, phi), 13, phi)
     assert a.coeffs == b.coeffs
+    for (M, L), n, want in [((13, 1), 13, 13), ((1, 13), 13, 1), ((13, 2), 2, -1)]:
+        built = build_E(EisensteinParams(phi, 9 * M * L, M, L), 26)
+        assert built.coefficient(n).rational_value() == want, (M, L)
 
 
 def test_refinement_guards():
     phi = quadratic_character(3)
-    E = refine_ordinary(e_phi(phi, 26), 13, phi)
+    E = refine_ordinary(eisenstein_oracle.e_phi(phi, 26), 13, phi)
     for refine in (refine_critical, refine_ordinary):
         with pytest.raises(DomainError, match="^refinement requires a prime$"):
             refine(E, 4, phi)
@@ -110,8 +123,9 @@ def test_refinement_guards():
 
 
 def test_slash_scale():
+    """The oracle's slash step, and build_E's scaling at d = ML/(T1 T2) = 11."""
     phi = quadratic_character(11)
-    E = e_phi(phi, 10)
+    E = eisenstein_oracle.e_phi(phi, 10)
     assert slash_scale(E, 1) is E
     S = slash_scale(E, 2)
     assert S.level == 242 and S.precision == 20
@@ -120,6 +134,13 @@ def test_slash_scale():
     S6 = slash_scale(slash_scale(E, 2), 3)
     S6b = slash_scale(E, 6)
     assert S6.coeffs == S6b.coeffs and S6.level == S6b.level
+    P = EisensteinParams(phi, 11 ** 3, 11, 1)
+    assert P.T1 == 1
+    S11 = build_E(P, 40)
+    assert S11.level == 11 ** 3 and S11.precision == 40
+    for n in range(1, 41):
+        want = E.coefficient(n // 11) * 11 if n % 11 == 0 else E.a0
+        assert S11.coefficient(n) == want, n
 
 
 def test_hecke_eigenform_property():
@@ -267,7 +288,17 @@ def test_hecke_eigenform_property_randomized():
             assert lam is not None and lam == tl_eigenvalue(P.phi, r).embed(lam.field.m)
 
 
-# -- e_phi against the former sieve, and the benchmark's pinned expansions ------
+# -- build_E against the former code, and the benchmark's pinned expansions ----
+
+
+def assert_same_expansion(E, O):
+    """Equal level and precision, and every coefficient and a0 the same field
+    object, num, den and hash."""
+    assert (E.level, E.precision, len(E.coeffs)) == (O.level, O.precision, len(O.coeffs))
+    for a, b in zip(E.coeffs + (E.a0,), O.coeffs + (O.a0,)):
+        assert a.field is b.field
+        assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+
 
 _ORACLE_CHARACTERS = [phi for f in range(3, 41) for phi in enumerate_characters(f)
                       if phi.is_primitive() and 2 <= phi.order <= 12]
@@ -276,13 +307,45 @@ _ORACLE_CHARACTERS = [phi for f in range(3, 41) for phi in enumerate_characters(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_ORACLE_CHARACTERS), st.integers(1, 100))
 def test_e_phi_matches_oracle(phi, B):
-    """Every coefficient read off the table of zeta powers is the element the
-    former per-coefficient `K.element` built: same num, den and hash."""
-    E, O = e_phi(phi, B), eisenstein_oracle.e_phi(phi, B)
-    assert (E.level, E.precision, len(E.coeffs)) == (O.level, O.precision, len(O.coeffs))
-    for a, b in zip(E.coeffs + (E.a0,), O.coeffs + (O.a0,)):
-        assert a.field is b.field
-        assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+    """Every coefficient of build_E at (phi, f^2, 1, 1), read off the table of
+    zeta powers, is the element the former per-coefficient `K.element` built:
+    same num, den and hash."""
+    assert_same_expansion(e_phi(phi, B), eisenstein_oracle.e_phi_counts(phi, B))
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+@st.composite
+def _valid_params(draw):
+    """(phi, N, M, L) with f^2 M L | N and (fM, L) = 1; d = ML/(T1 T2) is 1 or
+    comes from one source: a prime of f in M (nu_p(M) = 1 = n_p keeps the side
+    condition), l^2 in M or q^2 in L.  N may carry one more prime prime to f."""
+    phi = draw(st.sampled_from(_ORACLE_CHARACTERS))
+    f = phi.modulus
+    free = [l for l in _SMALL_PRIMES if f % l]
+    T1 = draw(st.lists(st.sampled_from(free), max_size=2, unique=True))
+    T2 = draw(st.lists(st.sampled_from([q for q in free if q not in T1]), max_size=2,
+                       unique=True))
+    M, L = prod(T1), prod(T2)
+    source = draw(st.sampled_from(("none", "f", "l^2", "q^2")))
+    if source == "f":
+        M *= draw(st.sampled_from(prime_divisors(f)))
+    elif source == "l^2" and T1:
+        M *= draw(st.sampled_from(T1))
+    elif source == "q^2" and T2:
+        L *= draw(st.sampled_from(T2))
+    extra = draw(st.sampled_from([1] + free[:3]))
+    return EisensteinParams(phi, f * f * M * L * extra, M, L)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_valid_params(), st.integers(1, 100))
+def test_build_E_matches_oracle(P, B):
+    """build_E on integer rows against the former composition of e_phi, the
+    CycElement refinement steps and slash_scale: equal level, precision and
+    a0, and every coefficient the same field object, num, den and hash."""
+    assert_same_expansion(build_E(P, B), eisenstein_oracle.build_E(P, B))
 
 
 def test_build_E_matches_benchmark_goldens():

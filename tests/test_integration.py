@@ -5,6 +5,7 @@ import importlib
 import json
 import random
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from types import ModuleType
@@ -14,7 +15,7 @@ import pytest
 import eiscong
 from eiscong import cusps, ffield, newforms, scanner
 from eiscong.arith import DomainError
-from eiscong.characters import quadratic_character
+from eiscong.characters import gauss_sum_inverse, quadratic_character
 from eiscong.cusps import boundary_divisor
 from eiscong.eisenstein import EisensteinParams
 from eiscong.newforms import NetworkUnavailable
@@ -46,21 +47,38 @@ def test_boundary_coefficient_at_one_over_p():
 
 
 def test_readme_worked_example():
-    from eiscong import (EisensteinParams, beta_tilde, build_E, cuspidal_order,
-                         full_scan, gauss_sum, quadratic_character,
-                         verify_boundary)
+    """The README's worked example runs as printed, and each value its
+    comments give holds: both ends of the expansion, beta~ = 605 sqrt(-11)
+    with sqrt(-11) the Gauss sum of phi, the order 605^10 11^5, the boundary
+    check, the certified newform and prime, and the rendered descriptor."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    comment = {}  # code line -> its comment, a comment-only line joining the line above
+    for line in block.splitlines():
+        code, _, note = (part.strip() for part in line.partition("#"))
+        if code:
+            comment[code], last = note, code
+        else:
+            comment[last] += note
+    P, phi, res = ns["P"], ns["phi"], ns["res"]
 
-    phi = quadratic_character(11)
-    P = EisensteinParams(phi, 121, 1, 1)
-    assert build_E(P, 12).pretty().startswith("q - 3*q^2 + 4*q^3")
-    assert beta_tilde(P) == gauss_sum(phi) * 605
-    assert cuspidal_order(P) == 605 ** 10 * 11 ** 5
-    assert verify_boundary(P).ok
-    res = full_scan(121, 11)
-    assert res.hits[0].descriptor.render() == (
-        "<5, U_11, {T_r - 1 - r : r = 1, 3, 4, 5, 9} (mod 11), "
-        "{T_r + 1 + r : r = 2, 6, 7, 8, 10} (mod 11)>"
-    )
+    head, tail = comment["build_E(P, 12).pretty()"].strip("'").split("...")
+    pretty = ns["build_E"](P, 12).pretty()
+    assert pretty.startswith(head) and pretty.endswith(tail), pretty
+    assert comment["beta_tilde(P)"].startswith("605 * sqrt(-11), exactly, in Q(zeta_22)")
+    beta = ns["beta_tilde"](P)
+    assert beta.field.m == 22
+    root = beta * Fraction(1, 605)
+    assert root ** 2 == -11 and root * gauss_sum_inverse(phi) == 1
+    assert comment["cuspidal_order(P)"] == "605**10 * 11**5"
+    assert ns["cuspidal_order"](P) == 605 ** 10 * 11 ** 5
+    assert comment["verify_boundary(P).ok"].startswith("True")
+    assert ns["verify_boundary"](P).ok is True
+    assert "121.2.a.d (mod 5)" in comment["res = full_scan(121, 11)"]
+    assert (res.hits[0].report.newform, res.hits[0].report.prime) == ("121.2.a.d", 5)
+    assert comment["res.hits[0].descriptor.render()"] == repr(res.hits[0].descriptor.render())
 
 
 def _record_call_stacks(monkeypatch, targets):
