@@ -4,17 +4,14 @@ congruences with weight-2 newforms."""
 
 from .arith import (DomainError, Factorization, euler_phi, factor, is_p_good,
                     is_prime, sturm_bound, valuation)
-from .characters import (DirichletCharacter, bernoulli_B1, bernoulli_B2,
-                         character_from_label, chi_in_XS,
-                         enumerate_characters, gauss_sum, gauss_sum_inverse,
-                         quadratic_character)
+from .characters import (DirichletCharacter, bernoulli_B2,
+                         character_from_label, enumerate_characters,
+                         gauss_sum, gauss_sum_inverse, quadratic_character)
 from .cusps import (Cusp, CuspDivisor, D_divisor, D_NML, beta_constant,
                     beta_tilde, boundary_divisor, closed_form_boundary,
-                    cusp_from_fraction, enumerate_cusps, pullback_pi_l,
-                    pullback_pi_paren, verify_boundary)
+                    cusp_from_fraction, enumerate_cusps, verify_boundary)
 from .cyclotomic import CycElement, CyclotomicField, cyclotomic_polynomial
-from .eisenstein import (EisensteinParams, QExpansion, build_E, lambda_pm,
-                         lambda_twisted)
+from .eisenstein import EisensteinParams, QExpansion, build_E
 from .ffield import FiniteField
 from .ideals import (CandidateReport, IdealDescriptor,
                      candidate_characteristics, cuspidal_order, descriptor,

@@ -24,6 +24,15 @@ class DomainError(ValueError):
     """Raised when an argument is outside an operation's stated domain."""
 
 
+class RoughCofactorError(DomainError):
+    """Raised by `factor` when trial division leaves a cofactor >= 2**64:
+    `found` holds the primes it found, as {p: e}, and `cofactor` the rest."""
+
+    def __init__(self, message: str, found: dict[int, int], cofactor: int):
+        super().__init__(message)
+        self.found, self.cofactor = found, cofactor
+
+
 class FrozenRecordError(AttributeError):
     """Raised on assigning to or deleting an attribute of a `record` instance."""
 
@@ -211,9 +220,9 @@ def trial_division(n: int) -> tuple[dict[int, int], int]:
 def factor(n: int) -> Factorization:
     found, m = trial_division(n)
     if m >= _SIZE_LIMIT:
-        raise DomainError(
-            f"factorization not supported: {n} leaves a cofactor >= 2**64 after trial division"
-        )
+        raise RoughCofactorError(
+            f"factorization not supported: {n} leaves a cofactor >= 2**64 after trial division",
+            found, m)
     stack = [m] if m > 1 else []
     while stack:
         m = stack.pop()

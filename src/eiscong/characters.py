@@ -3,7 +3,7 @@
 A character mod f of order k is stored as an exponent table on (Z/fZ)^*:
 chi(a) = zeta_k^e(a), non-units map to 0.  The representation is canonical
 (k is the exact order).  Values, Gauss sums and the generalized Bernoulli
-numbers B1, B2 are exact CycElements.
+number B2 are exact CycElements.
 """
 
 from __future__ import annotations
@@ -308,21 +308,6 @@ def gauss_sum_inverse(chi: DirichletCharacter) -> CycElement:
     return gauss_sum(chi.inverse()) * Fraction(sign, chi.modulus)
 
 
-def bernoulli_B1(chi: DirichletCharacter) -> CycElement:
-    """B1(chi) = (1/f) sum_a chi(a) a, for nontrivial chi; 0 when chi is even."""
-    if chi.is_trivial():
-        raise DomainError("B1 of the trivial character is not used by any formula in scope")
-    f, k = chi.modulus, chi.order
-    K = CyclotomicField(k)
-    acc = [0] * k
-    for a in range(1, f):
-        e = chi.value_exponent(a)
-        if e is None:
-            continue
-        acc[e % k] += a
-    return K.power_sum(acc) * Fraction(1, f)
-
-
 def bernoulli_B2(chi: DirichletCharacter) -> CycElement:
     """B2(chi) = m sum_{a=0}^{m-1} chi(a)((a/m)^2 - a/m + 1/6), m = conductor.
 
@@ -341,14 +326,3 @@ def bernoulli_B2(chi: DirichletCharacter) -> CycElement:
             continue
         acc[e % k] += 6 * a * a - 6 * a * m + m * m
     return K.power_sum(acc) * Fraction(1, 6 * m)
-
-
-def chi_in_XS(chi: DirichletCharacter, N: int) -> bool:
-    """Membership in X_S for level N: prime conductor = 3 mod 4, not quadratic,
-    conductor coprime to N."""
-    m = chi.conductor()
-    if not is_prime(m) or m % 4 != 3:
-        return False
-    if chi.primitive_part().order <= 2:
-        return False
-    return gcd(m, N) == 1

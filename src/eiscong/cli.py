@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .arith import DomainError, factor, prime_divisors, sturm_bound, trial_division
+from .arith import DomainError, RoughCofactorError, factor, prime_divisors, sturm_bound
 from .characters import character_from_label, gauss_sum_inverse
 from .cusps import beta_tilde
 from .cyclotomic import CycElement
@@ -101,12 +101,12 @@ def cmd_beta(args) -> None:
 
 def _display_factorization(n: int) -> str:
     """The prime factorization of n for display; when `factor` refuses a rough
-    cofactor >= 2**64, the primes trial division finds and that cofactor whole."""
+    cofactor >= 2**64, the primes its trial division found and that cofactor
+    whole."""
     try:
         pairs, rest = factor(n).factors, 1
-    except DomainError:
-        found, rest = trial_division(n)
-        pairs = sorted(found.items())
+    except RoughCofactorError as exc:
+        pairs, rest = sorted(exc.found.items()), exc.cofactor
     parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in pairs]
     if rest > 1:
         parts.append(str(rest))

@@ -12,54 +12,58 @@ matrix diag(l, 1) conjugated by the stabilisers of c and y is upper
 triangular with diagonal (g, l/g), g = gcd(l, b) (Diamond-Shurman, *A First
 Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
 Approach*, ch. 8).  This cusp map (c, y, index) depends only on (A, l) and
-the covering, so it is built once per process, and a pullback is one lookup
-and one product per cusp.  The boundary divisor of E_{phi,M,L} is computed by
-running the refinement/scaling/promotion recursion through these pullbacks
-starting from D_{Gamma0(f^2),f}(phi) and multiplying the result by
-beta_{Gamma0(f^2),phi,1,1}; the closed-form path recomputes it as
-beta_{Gamma0(N),phi,M,L} times the multi-sum D_{Gamma0(N),M,L}(phi) of Lemma
-`induction2`, and verify_boundary decides whether the two are equal.  The
-multi-sum runs over the primes p of N prime to f (l | T1, q | T2 and the
-promotion-only t | N/(f^2 M L)), and its alpha/beta/gamma coefficient
-tables are one recurrence: a slash step (pi_p^*) up to nu_p(ML), then a
-promotion step (pi_(p)^*) up to nu_p(N), run from three start vectors.
-These primes are distinct and prime to the f-part, so every
-term has its own divisor d and D_{Gamma0(N),M,L}(phi) is a disjoint union
-of scaled D-divisors, built as one support dict.
+the covering, so it is built once per process.
+
+Both sides of the boundary theorem run on integer rows: a coefficient in
+Q(zeta_k), k = order(phi), is its numerator on the power basis, over one
+denominator for the whole divisor.  zeta_k^j times a row is a rotation read
+off the field's table of zeta powers, and a pullback multiplies each row by
+its ramification index.  The recursion starts from D_{Gamma0(f^2),f}(phi),
+the row zeta_k^e at each cusp (f^2, f, x), phi(x) = zeta_k^e.  The
+refinement [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* becomes l pi_(l)^* R minus
+the rotated pi_l^* R over one more factor l of the denominator, and
+[q]^- = pi_(q)^* - phi^-1(q) pi_q^* needs no new factor; the scaling by
+ML/(T1 T2) and the promotion to N are pullbacks.  `boundary_divisor`
+multiplies the result by beta_{Gamma0(f^2),phi,1,1} at the end.
+
+The closed form is beta_{Gamma0(N),phi,M,L} times D_{Gamma0(N),M,L}(phi) of
+Lemma `induction2`, a sum of c_d D_{Gamma0(N),d}(phi).  The multi-sum runs
+over the primes p of N prime to f (l | T1, q | T2 and the promotion-only
+t | N/(f^2 M L)); its alpha/beta/gamma tables are one recurrence on rows, a
+slash step (pi_p^*) up to nu_p(ML), then a promotion step (pi_(p)^*) up to
+nu_p(N), run from three start vectors.  These primes are distinct and prime
+to the f-part, so each term has its own d, and c_d is one row, a product of
+one table entry per prime; at the cusp (d, x) it is rotated by phi(x).
 
 Every beta_{Gamma0(N),phi,M,L} is the core tau(phi^-1) tau(xi^-1)^-1
-B2(xi^-1) in Q(zeta_lcm(f,k)), k = order(phi), which phi alone fixes and
-which is computed once per phi, times a factor rho: a rational times the
-Euler factors (1 - xi(p)/p^2), an element of Q(zeta_order(xi)), a subfield
-of Q(zeta_k).  So `beta_constant` is one product in the large field.  The
-recursion scales by beta last: every pullback and refinement step is linear
-over Q(zeta_m) and beta is nonzero, so the steps run on the coefficients
-phi(x) of D_{Gamma0(f^2),f}(phi) in Q(zeta_k), and only the finished
-divisor moves into Q(zeta_lcm(f,k)), by one product per cusp with
-beta_{Gamma0(f^2),phi,1,1}, which is also computed once per phi.  Both sides
-of the theorem carry the same core, a nonzero factor, so verify_boundary
-leaves it out: it compares the recursion times rho of (phi, f^2, 1, 1) with
-D_{Gamma0(N),M,L}(phi) times rho of (phi, N, M, L), every coefficient in
-Q(zeta_k), and gets the verdict and mismatch cusp of the scaled comparison.
-The support of D_{Gamma0(N),d}(phi), checked by `_assert_well_defined`, is
-computed once per (N, d, phi), and every `D_divisor` call returns a fresh
-divisor built from it.  A `Cusp` is the tuple (level, d, x): it hashes and
-sorts as that tuple, which keeps the divisors' dict lookups cheap.
+B2(xi^-1) in Q(zeta_lcm(f,k)), computed once per phi, times a factor rho
+in Q(zeta_k): a rational times the Euler factors (1 - xi(p)/p^2) at
+p | f T1, each applied to a row as p^2 row minus the row rotated by xi(p).
+rho is the recursion start's rho times sigma, the rational part over the
+start's times the Euler factors at l | T1.  So verify_boundary leaves out
+the core and the start's rho: it multiplies sigma into c_d once per
+divisor class d, rotates the product to each cusp of d, and compares it
+with the recursion's row cusp by cusp in (d, x) order, cross-multiplying
+the denominators; the first cusp that differs is the mismatch of the two
+scaled divisors.  The exponents of D_{Gamma0(N),d}(phi), checked by
+`_assert_well_defined`, are computed once per (N, d, phi), and every
+`D_divisor` call returns a fresh divisor built from them.  A `Cusp` is the
+tuple (level, d, x): it hashes and sorts as that tuple, which keeps the
+divisors' dict lookups cheap.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import product
 from math import gcd, lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
+from . import polys
 from .arith import (DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, record,
                     valuation)
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
-from .cyclotomic import CycElement, CyclotomicField
+from .cyclotomic import CycElement, CyclotomicField, _canonical, _element
 from .eisenstein import EisensteinParams
 
 
@@ -195,20 +199,37 @@ class CuspDivisor:
         return f"CuspDivisor({self.level}, {len(self.support)} cusps)"
 
 
+# -------------------------------------------------------------------- rows
+
+
+def _rotate(K, row, j: int) -> list[int]:
+    """zeta^j times an integer row of Q(zeta_m), read off the field's table
+    of zeta powers: one addition per nonzero entry of each power."""
+    out = [0] * K.degree
+    terms, m = K.terms, K.m
+    for i, x in enumerate(row):
+        if x:
+            for t, y in terms[(i + j) % m]:
+                out[t] += x * y
+    return out
+
+
 def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
     """D_{Gamma0(N),d}(phi) = sum phi(ab) [a; db] over cusps of divisor d.
 
     Defined when conductor(phi) | gcd(d, N/d); the coefficient at the class
     (d, x) is phi(x), which `_assert_well_defined` re-derives from
-    representative pairs.  The checked support is computed once per
+    representative pairs.  The checked exponents are computed once per
     (N, d, phi), and every call returns a fresh divisor with its own copy.
     """
-    return CuspDivisor(N, _D_support(N, d, phi))
+    K = CyclotomicField(phi.order)
+    return CuspDivisor(N, {c: K.zeta(e) for c, e in _D_exponents(N, d, phi).items()})
 
 
 @cache
-def _D_support(N: int, d: int, phi: DirichletCharacter):
-    """The support of D_{Gamma0(N),d}(phi), checked once and read-only."""
+def _D_exponents(N: int, d: int, phi: DirichletCharacter):
+    """{cusp (d, x): e} with phi(x) = zeta_k^e, the support of
+    D_{Gamma0(N),d}(phi), checked once and read-only."""
     if N % d:
         raise DomainError(f"{d} does not divide {N}")
     t = gcd(d, N // d)
@@ -218,17 +239,16 @@ def _D_support(N: int, d: int, phi: DirichletCharacter):
             f"D_(N={N},d={d}) needs conductor {f} | gcd(d, N/d) = {t}"
         )
     phi = phi.primitive_part()
-    K = CyclotomicField(phi.order)
-    support = {}
+    exps = {}
     for x in _classes(t):
         e = phi.value_exponent(x)
         assert e is not None
-        support[Cusp(N, d, x)] = K.zeta(e)
-    _assert_well_defined(N, d, phi, support)
-    return MappingProxyType(support)
+        exps[Cusp(N, d, x)] = e
+    _assert_well_defined(N, d, phi, exps)
+    return MappingProxyType(exps)
 
 
-def _assert_well_defined(N, d, phi, support):
+def _assert_well_defined(N, d, phi, exps):
     """phi(a*b) must agree across representative pairs [a; d*b] of each class."""
     t = gcd(d, N // d)
     samples = 0
@@ -239,12 +259,12 @@ def _assert_well_defined(N, d, phi, support):
             if gcd(d * b, N) != d or gcd(a, b * d) != 1:
                 continue
             cusp = cusp_from_fraction(N, a, d * b)
-            val = phi.value(a * b)
-            coeff = support.get(cusp)
-            if coeff is None:
-                assert val.is_zero() or t == 1, "unexpected zero class"
+            val = phi.value_exponent(a * b)
+            e = exps.get(cusp)
+            if e is None:
+                assert val is None or t == 1, "unexpected zero class"
             else:
-                assert coeff == val, f"D-divisor coefficient ill-defined at [{a};{d*b}]"
+                assert e == val, f"D-divisor coefficient ill-defined at [{a};{d*b}]"
             samples += 1
             if samples > 40:
                 return
@@ -253,14 +273,17 @@ def _assert_well_defined(N, d, phi, support):
 # --------------------------------------------------------------- pullbacks
 
 
-def _pullback(D: CuspDivisor, l: int, scaled: bool) -> CuspDivisor:
-    """pi^* D over the cusps c = [a; b] of X0(Al): pi_l when `scaled`, else pi_(l)."""
+def _pullback(rows: dict, A: int, l: int, scaled: bool) -> dict:
+    """pi^* over the cusps c = [a; b] of X0(Al), pi_l when `scaled`, else
+    pi_(l), of a divisor of X0(A) given as {cusp: row}: row(c) is row(y)
+    times the ramification index e, y the image of c, and is row(y) itself
+    when e = 1."""
     out = {}
-    for c, y, e in _cusp_map(D.level, l, scaled):
-        coeff = D.support.get(y)
-        if coeff is not None:
-            out[c] = coeff * e
-    return CuspDivisor(D.level * l, out)
+    for c, y, e in _cusp_map(A, l, scaled):
+        row = rows.get(y)
+        if row is not None:
+            out[c] = row if e == 1 else [e * x for x in row]
+    return out
 
 
 @cache
@@ -282,16 +305,6 @@ def _cusp_map(A: int, l: int, scaled: bool):
     return tuple(out)
 
 
-def pullback_pi_paren(D: CuspDivisor, l: int) -> CuspDivisor:
-    """pi_(l)^* for the forgetful covering X0(Al) -> X0(A)."""
-    return _pullback(D, l, scaled=False)
-
-
-def pullback_pi_l(D: CuspDivisor, l: int) -> CuspDivisor:
-    """pi_l^* for the covering X0(Al) -> X0(A) induced by z -> lz."""
-    return _pullback(D, l, scaled=True)
-
-
 # ----------------------------------------------------- beta and the boundary
 
 
@@ -306,22 +319,53 @@ def _beta_core(phi: DirichletCharacter) -> CycElement:
             * bernoulli_B2(xi.inverse()).embed(m))
 
 
-def _beta_rho(params: EisensteinParams) -> CycElement:
-    """beta_{Gamma0(N),phi,M,L} / _beta_core(phi) in Q(zeta_k), k = order(phi):
-    f^3 T1 euler_phi(T2_phi) prod_{p|f} p^(nu_p(M) + delta_p) / (4 cond(xi))
-    times the Euler factors (1 - xi(p)/p^2) for p | f T1, all in
-    Q(zeta_order(xi)), a subfield of Q(zeta_k)."""
-    f, N, M = params.f, params.N, params.M
-    xi = params.xi  # primitive, so its conductor is its modulus
-    front = Fraction(f ** 3 * params.T1 * euler_phi(params.T2_phi), 4 * xi.modulus)
+def _euler(K, row, factors) -> tuple[list[int], int]:
+    """row times the Euler factors (1 - xi(p)/p^2), as an integer row of
+    Q(zeta_k) and its denominator prod p^2, for (p, j) in `factors` with
+    xi(p) = zeta_k^j, or 0 when j is None: each factor is p^2 row minus the
+    row rotated by j."""
+    den = 1
+    for p, j in factors:
+        pp = p * p
+        if j is None:
+            row = [pp * x for x in row]
+        else:
+            row = [pp * x - y for x, y in zip(row, _rotate(K, row, j))]
+        den *= pp
+    return row, den
+
+
+def _sigma(params: EisensteinParams) -> tuple[list[int], int]:
+    """_beta_rho(params) / _beta_rho(phi, f^2, 1, 1), as an integer row of
+    Q(zeta_k) and its denominator: T1 euler_phi(T2_phi)
+    prod_{p|f} p^(nu_p(M) + delta_p) times the Euler factors at l | T1,
+    where xi(l) = phi(l)^2 as l is prime to f.  The start (phi, f^2, 1, 1)
+    has T1 = T2 = M = 1 and every delta_p = 0, so its rho is
+    f^3 / (4 cond(xi)) times the Euler factors at p | f."""
+    phi, f, N, M = params.phi, params.f, params.N, params.M
+    T1 = params.T1
+    scale = T1 * euler_phi(params.T2_phi)
     for p in prime_divisors(f):
         n_p = valuation(N, p) - 2 * valuation(f, p)
         delta_p = 1 if (valuation(M, p) == 0 and n_p >= 1) else 0
-        front *= p ** (valuation(M, p) + delta_p)
-    acc = CyclotomicField(xi.order).from_rational(front)
-    for p in sorted(set(prime_divisors(f)) | set(prime_divisors(params.T1))):
-        acc = acc * (1 - xi.value(p) * Fraction(1, p * p))
-    return acc.embed(params.phi.order)
+        scale *= p ** (valuation(M, p) + delta_p)
+    K = CyclotomicField(phi.order)
+    row = [scale] + [0] * (K.degree - 1)
+    return _euler(K, row, [(l, 2 * phi.value_exponent(l)) for l in prime_divisors(T1)])
+
+
+def _beta_rho(params: EisensteinParams) -> CycElement:
+    """beta_{Gamma0(N),phi,M,L} / _beta_core(phi) in Q(zeta_k), k = order(phi):
+    f^3 T1 euler_phi(T2_phi) prod_{p|f} p^(nu_p(M) + delta_p) / (4 cond(xi))
+    times the Euler factors (1 - xi(p)/p^2) for p | f T1: _sigma times the
+    start's f^3 / (4 cond(xi)) and Euler factors at p | f."""
+    f, xi = params.f, params.xi  # primitive, so its conductor is its modulus
+    K = CyclotomicField(params.phi.order)
+    step = K.m // xi.order  # xi(p) = zeta_order(xi)^e = zeta_k^(e step)
+    row, den = _sigma(params)
+    row, den_f = _euler(K, row, [(p, None if (e := xi.value_exponent(p)) is None else e * step)
+                                 for p in prime_divisors(f)])
+    return _canonical(K, [f ** 3 * x for x in row], den * den_f * 4 * xi.modulus)
 
 
 def beta_constant(params: EisensteinParams) -> CycElement:
@@ -336,123 +380,147 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
     return beta_constant(params) * (params.f * params.T1)
 
 
-def _start(phi: DirichletCharacter) -> EisensteinParams:
-    """(phi, f^2, 1, 1), whose boundary divisor beta * D_{Gamma0(f^2),f}(phi)
-    starts the recursion."""
-    f = phi.modulus
-    return EisensteinParams(phi, f * f, 1, 1)
-
-
-@cache
-def _start_rho(phi: DirichletCharacter) -> CycElement:
-    """_beta_rho of (phi, f^2, 1, 1), computed once per phi."""
-    return _beta_rho(_start(phi))
-
-
 @cache
 def _beta_start(phi: DirichletCharacter) -> CycElement:
     """beta_{Gamma0(f^2),phi,1,1}, the scale of the recursion's start
     D_{Gamma0(f^2),f}(phi), computed once per phi."""
-    return beta_constant(_start(phi))
+    f = phi.modulus
+    return beta_constant(EisensteinParams(phi, f * f, 1, 1))
 
 
-def _recursion(params: EisensteinParams) -> CuspDivisor:
-    """delta_{Gamma0(N)}(E_{phi,M,L}) / beta_{Gamma0(f^2),phi,1,1}: the pullback
-    recursion of the refinement/scaling/promotion construction (proof order)
-    run on D_{Gamma0(f^2),f}(phi), with every coefficient in Q(zeta_k)."""
-    phi = params.phi
+def _recursion(params: EisensteinParams) -> tuple[int, dict]:
+    """delta_{Gamma0(N)}(E_{phi,M,L}) / beta_{Gamma0(f^2),phi,1,1} as (den,
+    {cusp: integer row of Q(zeta_k)}), its nonzero coefficients: the
+    pullback recursion of the refinement/scaling/promotion construction
+    (proof order) run on D_{Gamma0(f^2),f}(phi)."""
+    phi, T1, T2 = params.phi, params.T1, params.T2
     f, N, M, L = params.f, params.N, params.M, params.L
-    D = D_divisor(f * f, f, phi)
-    # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1,
-    # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2
-    steps = [(l, phi.value(l) * Fraction(1, l)) for l in prime_divisors(params.T1)]
-    steps += [(q, phi.inverse().value(q)) for q in prime_divisors(params.T2)]
-    for p, c in steps:
-        D = pullback_pi_paren(D, p) - pullback_pi_l(D, p).scale(c)
-    for p, e in factor(M * L // (params.T1 * params.T2)):
+    K = CyclotomicField(phi.order)
+    A, den = f * f, 1
+    rows = {c: K.zeta(e).num for c, e in _D_exponents(A, f, phi).items()}
+    # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1, over one more factor l,
+    # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2: u pi_(p)^* R - zeta^j pi_p^* R
+    steps = [(l, l, phi.value_exponent(l)) for l in prime_divisors(T1)]
+    steps += [(q, 1, -phi.value_exponent(q)) for q in prime_divisors(T2)]
+    for p, u, j in steps:
+        turned = {y: _rotate(K, row, j) for y, row in rows.items()}
+        rows = {c: row if u == 1 else [u * x for x in row]
+                for c, row in _pullback(rows, A, p, False).items()}
+        for c, row in _pullback(turned, A, p, True).items():
+            base = rows.get(c)
+            rows[c] = [-x for x in row] if base is None else [a - b for a, b in zip(base, row)]
+        A, den = A * p, den * u
+    for p, e in factor(M * L // (T1 * T2)):
         for _ in range(e):
-            D = pullback_pi_l(D, p)
+            rows, A = _pullback(rows, A, p, True), A * p
     for p, e in factor(N // (f * f * M * L)):
         for _ in range(e):
-            D = pullback_pi_paren(D, p)
-    assert D.level == N
-    return D
+            rows, A = _pullback(rows, A, p, False), A * p
+    assert A == N
+    return den, {c: row for c, row in rows.items() if any(row)}
 
 
 def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
-    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion, run in
-    Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1} at the end."""
-    return _recursion(params).scale(_beta_start(params.phi))
+    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion, run on
+    integer rows of Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1} at
+    the end."""
+    den, rows = _recursion(params)
+    K, beta = CyclotomicField(params.phi.order), _beta_start(params.phi)
+    return CuspDivisor(params.N, {c: _canonical(K, row, den) * beta for c, row in rows.items()})
 
 
 # -- closed-form path: Lemma `induction2` coefficient recurrences ---------------
 
 
-def _slash(vec: dict[int, CycElement], n: int, p: int, phi_p: CycElement):
-    """One slash pi_p^* at exponent n: a new bottom entry phi(p) vec[0], and
-    every entry moves up one, times p above (n + 1) // 2."""
-    new = {0: phi_p * vec[0]}
-    for j in range(1, len(vec) + 1):
-        src = vec[j - 1]
-        new[j] = src if j <= (n + 1) // 2 else src * p
-    return new
+def _slash(K, vec: list, n: int, p: int, j: int) -> list:
+    """One slash pi_p^* at exponent n: a new bottom entry phi(p) vec[0],
+    phi(p) = zeta^j, and every entry moves up one, times p above (n + 1) // 2."""
+    return [_rotate(K, vec[0], j)] + [
+        v if i <= (n + 1) // 2 else [p * x for x in v] for i, v in enumerate(vec, 1)]
 
 
-def _promote(vec: dict[int, CycElement], n: int, p: int, top: CycElement | None):
+def _promote(K, vec: list, n: int, p: int, j: int | None) -> list:
     """One promotion pi_(p)^* at exponent n: entries up to n // 2 times p,
-    and a new top entry top * vec[n] unless top is None."""
-    new = {i: v * p if i <= n // 2 else v for i, v in vec.items()}
-    if top is not None:
-        new[n + 1] = top * vec[n]
+    and a new top entry zeta^j vec[n] unless j is None."""
+    new = [[p * x for x in v] if i <= n // 2 else v for i, v in enumerate(vec)]
+    if j is not None:
+        new.append(_rotate(K, vec[n], j))
     return new
 
 
-def _table(params: EisensteinParams, p: int) -> dict[int, CycElement]:
-    """The coefficients at a prime p of N prime to f, by exponent of p in d:
-    alpha_{p^{nu_p(N)}, i} for p | T1, beta_{p^{nu_p(N)}, j} for p | T2 (the
-    (p-1) factor for p in S_phi lives in the beta constant, not here), and
-    gamma_{p^{nu_p(N)}, k} for the promotion-only p | N/(f^2 M L).  Each is
-    slashed up to nu_p(ML) and promoted up to nu_p(N) from its start vector."""
+def _table(params: EisensteinParams, p: int) -> list:
+    """The coefficients at a prime p of N prime to f, as integer rows of
+    Q(zeta_k) indexed by the exponent of p in d: alpha_{p^{nu_p(N)}, i} for
+    p | T1, beta_{p^{nu_p(N)}, j} for p | T2 (the (p-1) factor for p in
+    S_phi lives in the beta constant, not here), and gamma_{p^{nu_p(N)}, k}
+    for the promotion-only p | N/(f^2 M L).  Each is slashed up to
+    nu_p(ML) and promoted up to nu_p(N) from its start vector."""
     phi = params.phi
     K = CyclotomicField(phi.order)
-    phi_p = phi.value(p)
-    top = phi_p  # the beta and gamma promotions grow a top entry, alpha's do not
+    j = phi.value_exponent(p)  # phi(p) = zeta^j
+    one, phi_p = K.zeta(0).num, K.zeta(j).num
+    top = j  # the beta and gamma promotions grow a top entry, alpha's do not
     if params.T1 % p == 0:
-        vec, n, top = {0: K.one()}, 1, None
+        vec, n, top = [one], 1, None
     elif p in params.S_phi:
-        vec, n = {0: K.one(), 1: -phi_p}, 1
+        vec, n = [one, [-x for x in phi_p]], 1
     elif params.T2 % p == 0:
-        vec, n = {0: K.from_rational(p - 1), 1: phi_p - phi.inverse().value(p) * p}, 1
+        vec, n = [[p - 1] + [0] * (K.degree - 1),
+                  [x - p * y for x, y in zip(phi_p, K.zeta(-j).num)]], 1
     else:
-        vec, n = {0: K.one()}, 0
+        vec, n = [one], 0
     nu_ML, nu_N = valuation(params.M * params.L, p), valuation(params.N, p)
     for k in range(n, nu_N):
-        vec = _slash(vec, k, p, phi_p) if k < nu_ML else _promote(vec, k, p, top)
+        vec = _slash(K, vec, k, p, j) if k < nu_ML else _promote(K, vec, k, p, top)
     return vec
 
 
+def _D_terms(params: EisensteinParams) -> list[tuple[int, list[int]]]:
+    """D_{Gamma0(N),M,L}(phi) = sum_d c_d D_{Gamma0(N),d}(phi) as the pairs
+    (d, c_d), c_d an integer row of Q(zeta_k): the multi-sum over divisor
+    exponents with the alpha/beta/gamma coefficients (proof ranges; the
+    divisor's f-part is f * prod_{p|f} p^{nu_p(M)}).  The primes are
+    distinct, so every term has its own d."""
+    K = CyclotomicField(params.phi.order)
+    f, one = params.f, K.zeta(0).num
+    terms = [(f * prod(p ** valuation(params.M, p) for p in prime_divisors(f)), one)]
+    for p in prime_divisors(params.N):
+        if f % p:
+            table = _table(params, p)
+            terms = [(d * p ** e, v if c is one else K.reduce(polys.mul(c, v)))
+                     for d, c in terms for e, v in enumerate(table)]
+    return terms
+
+
 def D_NML(params: EisensteinParams) -> CuspDivisor:
-    """D_{Gamma0(N),M,L}(phi): the multi-sum over divisor exponents with the
-    alpha/beta/gamma coefficients (proof ranges; the divisor's f-part is
-    f * prod_{p|f} p^{nu_p(M)})."""
-    phi = params.phi
-    N, f = params.N, params.f
-    d_base = f * prod(p ** valuation(params.M, p) for p in prime_divisors(f))
-    tables = [(p, _table(params, p)) for p in prime_divisors(N) if f % p]
-    one = CyclotomicField(phi.order).one()
-    support = {}  # the terms' divisors d differ, so their supports are disjoint
-    for term in product(*([(p ** e, v) for e, v in table.items()] for p, table in tables)):
-        d, coeff = d_base, one
-        for pe, v in term:
-            d, coeff = d * pe, coeff * v
-        D = D_divisor(N, d, phi)
+    """D_{Gamma0(N),M,L}(phi): the terms c_d D_{Gamma0(N),d}(phi), whose
+    divisors d differ, so their supports are disjoint."""
+    K = CyclotomicField(params.phi.order)
+    support = {}
+    for d, row in _D_terms(params):
+        D = D_divisor(params.N, d, params.phi)
+        coeff = _element(K, tuple(row))  # in Z[zeta_k]: canonical
         support.update((D if coeff == 1 else D.scale(coeff)).support)
-    return CuspDivisor(N, support)
+    return CuspDivisor(params.N, support)
 
 
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
     return D_NML(params).scale(beta_constant(params))
+
+
+def _closed_rows(params: EisensteinParams) -> tuple[int, dict]:
+    """D_{Gamma0(N),M,L}(phi) times _sigma(params) as (den, {cusp: integer
+    row of Q(zeta_k)}): c_d times sigma once per divisor d, then rotated by
+    phi(x) = zeta^e at each cusp (d, x)."""
+    K = CyclotomicField(params.phi.order)
+    srow, den = _sigma(params)
+    rows = {}
+    for d, c in _D_terms(params):
+        scaled = K.reduce(polys.mul(c, srow))
+        for cusp, e in _D_exponents(params.N, d, params.phi).items():
+            rows[cusp] = _rotate(K, scaled, e)
+    return den, rows
 
 
 @record
@@ -468,11 +536,19 @@ class BoundaryReport:
 def verify_boundary(params: EisensteinParams) -> BoundaryReport:
     """Recursion path vs closed-form path; the theorem asserts equality.
 
-    Both paths' betas are _beta_core(phi), a nonzero common factor, times
-    their _beta_rho, so the two divisors are compared without it, in
-    Q(zeta_k), with the verdict and mismatch cusp of the scaled comparison."""
-    lhs = _recursion(params).scale(_start_rho(params.phi))
-    rhs = D_NML(params).scale(_beta_rho(params))
-    if lhs == rhs:
-        return BoundaryReport(True, params.N, None)
-    return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))
+    The recursion path is beta_{Gamma0(f^2),phi,1,1} = _beta_core(phi) rho_0
+    times _recursion(params), the closed form is _beta_core(phi) rho times
+    D_{Gamma0(N),M,L}(phi), and rho = rho_0 sigma with rho_0 and the core
+    nonzero.  So the two agree at a cusp exactly when the recursion's row
+    there equals D_{Gamma0(N),M,L}(phi) times sigma, which is compared
+    cusp by cusp over the two denominators, in (d, x) order; the first cusp
+    that differs is the mismatch."""
+    den, lhs = _recursion(params)
+    sden, rhs = _closed_rows(params)
+    zero = [0] * CyclotomicField(params.phi.order).degree
+    for c in enumerate_cusps(params.N):
+        a, b = lhs.get(c), rhs.get(c)
+        if (a is not None or b is not None) and \
+                [x * sden for x in a or zero] != [y * den for y in b or zero]:
+            return BoundaryReport(False, params.N, c)
+    return BoundaryReport(True, params.N, None)

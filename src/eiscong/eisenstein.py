@@ -1,5 +1,5 @@
-"""Non-rational Eisenstein series on Gamma0(N): q-expansions, refinements,
-and the closed-form twisted L-values Lambda / Lambda_pm.
+"""Non-rational Eisenstein series on Gamma0(N): parameters, q-expansions,
+refinements and Hecke eigenvalues.
 
 The base series attached to a primitive nontrivial character phi of conductor
 f has coefficients b_n = sum_{bc=n} phi(c) phi^{-1}(b) b and level f^2.  The
@@ -21,12 +21,10 @@ canonicalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .arith import DomainError, prime_divisors, record, valuation
-from .characters import (DirichletCharacter, bernoulli_B1, chi_in_XS, gauss_sum,
-                         gauss_sum_inverse)
+from .characters import DirichletCharacter
 from .cyclotomic import CycElement, CyclotomicField, _element
 
 # build_E holds B/d + 1 numerator rows and B elements at once: B = 10**5 takes
@@ -219,45 +217,3 @@ def uq_eigenvalue(params: EisensteinParams, q: int) -> CycElement:
     if params.T2 % q == 0:
         return params.phi.value(q)
     raise DomainError(f"q={q} does not divide f*T1*T2 for {params.label()}")
-
-
-# ----------------------------------------------------------- twisted L-values
-
-
-def _lambda_common(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
-    """The factors Lambda and Lambda_pm share: chi(f M L / (T1 T2)), the Euler
-    factors at the primes of T1 and T2, and B1(chi^{-1} phi^{-1}) B1(chi phi^{-1})."""
-    phi = params.phi
-    phi_inv = phi.inverse()
-    T1, T2 = params.T1, params.T2
-    out = chi.value(params.f * params.M * params.L // (T1 * T2))
-    for l in prime_divisors(T1):
-        out = out * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
-    for q in prime_divisors(T2):
-        out = out * (1 - chi.value(q) * phi_inv.value(q))
-    return out * bernoulli_B1(chi.inverse() * phi_inv) * bernoulli_B1(chi * phi_inv)
-
-
-def lambda_twisted(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
-    """Lambda(E_{phi,M,L}, chi, 1) in closed form, chi primitive with
-    conductor coprime to N."""
-    if not chi.is_primitive() or chi.is_trivial():
-        raise DomainError("lambda_twisted requires a primitive nontrivial twist")
-    m_chi = chi.modulus
-    if gcd(m_chi, params.N) != 1:
-        raise DomainError(f"conductor {m_chi} must be coprime to N = {params.N}")
-    phi = params.phi
-    front = phi.value(m_chi) * gauss_sum_inverse(phi.inverse()) * Fraction(1, 2)
-    return front * _lambda_common(params, chi)
-
-
-def lambda_pm(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:
-    """Lambda_pm(E_{phi,M,L}, chi, 1) for chi in X_S^{-phi(-1)}."""
-    if not chi_in_XS(chi, params.N):
-        raise DomainError("chi is not in X_S for this level")
-    phi = params.phi
-    if chi.is_even() == phi.is_even():
-        raise DomainError("chi must lie in X_S^{-phi(-1)} (opposite parity to phi)")
-    front = phi.value(-chi.modulus) * gauss_sum(phi) * Fraction(1, params.f)
-    # each of the two B1 values carries a factor 1/2 here
-    return front * _lambda_common(params, chi) * Fraction(1, 4)

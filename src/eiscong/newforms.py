@@ -204,8 +204,9 @@ def fetch_newforms(
     Queries `endpoint?level=N&weight=2` expecting `{"data": [<record>, ...]}`
     in the schema above (the documented mapping for an LMFDB-compatible
     service).  Successful responses are cached under EISCONG_CACHE; when the
-    endpoint is unreachable a warm cache is served with a warning, and
-    offline mode never touches the network.
+    endpoint is unreachable, or the `requests` package is missing, a warm
+    cache is served with a warning, and offline mode never touches the
+    network.
     """
     cdir = _cache_dir(cache_dir)
     cache_file = cdir / f"newforms_{level}.json"
@@ -216,16 +217,15 @@ def fetch_newforms(
             f"offline and no cache at {cache_file}; "
             f"run `eiscong fetch --level {level}` online first"
         )
-    import requests  # slow to import, and only a network fetch needs it
-
+    try:
+        import requests  # slow to import, and only a network fetch needs it
+    except ImportError as exc:  # no HTTP client, so no endpoint can be reached
+        return _unreachable(cache_file, endpoint, exc)
     http = session if session is not None else requests
     try:
         resp = http.get(endpoint, params={"level": level, "weight": 2}, timeout=30)
     except requests.RequestException as exc:
-        if cache_file.exists():
-            warnings.warn(f"endpoint unreachable ({exc}); serving cached data")
-            return load_newforms(cache_file)
-        raise NetworkUnavailable(f"cannot reach {endpoint}: {exc}") from exc
+        return _unreachable(cache_file, endpoint, exc)
     if resp.status_code != 200:
         raise NetworkUnavailable(f"endpoint returned HTTP {resp.status_code}")
     try:
@@ -237,6 +237,15 @@ def fetch_newforms(
     records = parse_newforms(payload["data"], where=f"{endpoint}?level={level}")
     _write_atomic(cache_file, json.dumps(payload["data"]))
     return records
+
+
+def _unreachable(cache_file: Path, endpoint: str, exc: Exception) -> list[NewformRecord]:
+    """The warm cache, with a warning, when the endpoint cannot be reached;
+    without one, NetworkUnavailable."""
+    if cache_file.exists():
+        warnings.warn(f"endpoint unreachable ({exc}); serving cached data")
+        return load_newforms(cache_file)
+    raise NetworkUnavailable(f"cannot reach {endpoint}: {exc}") from exc
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from pathlib import Path
 
-from eiscong import polys
+from eiscong import cusps, polys
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, primes_up_to
 from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
@@ -92,11 +92,11 @@ def character_with_value(f, n, order, exponent=1):
     return hits[0]
 
 
-def random_pgood_params(rng, count, nprime_max=30):
-    """Random valid EisensteinParams at p-good levels, p in {3, 5}."""
+def random_pgood_params(rng, count, nprime_max=30, primes=(3, 5)):
+    """Random valid EisensteinParams at p-good levels, p in `primes`."""
     out = []
     while len(out) < count:
-        p = rng.choice((3, 5))
+        p = rng.choice(primes)
         eligible = [q for q in primes_up_to(nprime_max) if q != p and q % p in (1, p - 1)]
         Nprime = 1
         for q in eligible:
@@ -176,3 +176,20 @@ def fixture_script(monkeypatch):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
+
+
+def pullback_pi_paren(D, l):
+    """pi_(l)^* of a CuspDivisor for the forgetful covering X0(Al) -> X0(A),
+    through the library's row pullback on one-entry rows."""
+    return _pullback(D, l, False)
+
+
+def pullback_pi_l(D, l):
+    """pi_l^* of a CuspDivisor for the covering X0(Al) -> X0(A) induced by
+    z -> lz, through the library's row pullback on one-entry rows."""
+    return _pullback(D, l, True)
+
+
+def _pullback(D, l, scaled):
+    rows = cusps._pullback({c: [v] for c, v in D.support.items()}, D.level, l, scaled)
+    return cusps.CuspDivisor(D.level * l, {c: row[0] for c, row in rows.items()})

@@ -10,15 +10,15 @@ from math import gcd
 
 from eisenstein_oracle import hecke_Tl
 from helpers import (character_with_value, check_gauss_identity, descriptor_at,
-                     random_pgood_params, random_valid_params, scalar_multiple)
+                     pullback_pi_l, pullback_pi_paren, random_pgood_params,
+                     random_valid_params, scalar_multiple)
+from lambda_oracle import bernoulli_B1
 from lattice_oracle import ideal_from_element
 
 from eiscong.arith import divisors, euler_phi, primes_up_to, sturm_bound
-from eiscong.characters import (bernoulli_B1, enumerate_characters, gauss_sum,
-                                quadratic_character)
-from eiscong.cusps import (CuspDivisor, beta_tilde,
-                           boundary_divisor, cusp_count, enumerate_cusps,
-                           pullback_pi_l, pullback_pi_paren, verify_boundary)
+from eiscong.characters import enumerate_characters, gauss_sum, quadratic_character
+from eiscong.cusps import (CuspDivisor, beta_tilde, boundary_divisor, cusp_count,
+                           enumerate_cusps, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ideals import candidate_characteristics, cuspidal_order

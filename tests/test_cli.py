@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import eiscong
+from eiscong import arith, cli
 from eiscong.arith import is_prime
 from eiscong.cli import _display_factorization, main
 from eiscong.eisenstein import PRECISION_CAP
@@ -71,17 +72,29 @@ def test_order(capsys):
     assert str(605 ** 10 * 11 ** 5) in out
 
 
-def test_order_display_factors_above_2_64():
+def test_order_display_factors_above_2_64(monkeypatch):
     """The order's "= ..." line is `factor`'s: 10007^5 > 2**64 is a prime
     power, not a whole cofactor.  Only a cofactor that `factor` refuses, free
-    of primes below 10**6 and >= 2**64, stays whole."""
+    of primes below 10**6 and >= 2**64, stays whole, and the primes beside
+    it come from the one trial division that `factor` ran."""
     assert _display_factorization(10007 ** 5) == "10007^5"
     assert _display_factorization(605 ** 10 * 11 ** 5) == "5^10 * 11^25"
     assert _display_factorization(1) == "1"
     P = next(n for n in range(2 ** 33 + 1, 2 ** 34, 2) if is_prime(n))
     Q = next(n for n in range(P + 2, 2 ** 34, 2) if is_prime(n))
     assert P * Q >= 2 ** 64
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    real = arith.trial_division
+    monkeypatch.setattr(arith, "trial_division", counting)
+    # and under any name the display module could hold for it
+    monkeypatch.setattr(cli, "trial_division", counting, raising=False)
     assert _display_factorization(24 * 10007 * P * Q) == f"2^3 * 3 * 10007 * {P * Q}"
+    assert calls == [24 * 10007 * P * Q]
 
 
 def test_scan_table_234(capsys):
@@ -162,6 +175,18 @@ def test_fetch_offline_warm_cache(capsys, tmp_path):
         {"label": "11.2.a.a", "degree": 1, "coefficients": 6}]}
 
 
+def test_scan_without_requests_falls_back(capsys, tmp_path, monkeypatch):
+    """With no `requests` package and an empty cache, `scan` without
+    --offline falls back to the bundled newforms: exit 0 and the stdout of
+    `scan --offline`."""
+    argv = ("scan", "--level", "121", "--p", "11", "--cache-dir", str(tmp_path))
+    monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` fails
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == run_cli(capsys, *argv, "--offline")[1]
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_import_stays_light():
     """`import eiscong.cli` in a fresh interpreter loads neither the
     Manin-symbol code nor requests (the README promises both), nor
@@ -189,7 +214,6 @@ def test_scan_reports_unusable_newform(capsys, monkeypatch):
     rational-reduction count and the certified hits stay as they were."""
     from fractions import Fraction
 
-    from eiscong import cli
     from eiscong.newforms import NewformRecord, bundled_newforms
     from helpers import integer_coefficient
 

@@ -2,21 +2,23 @@ import hashlib
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cusps_oracle
-from helpers import character_with_value, random_pgood_params
+from helpers import (character_with_value, pullback_pi_l, pullback_pi_paren,
+                     random_pgood_params)
 
+from eiscong import cusps
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
 from eiscong.characters import enumerate_characters, gauss_sum, quadratic_character
 from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
                            DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
                            cusp_from_fraction, enumerate_cusps,
-                           _cusp_map, _table, pullback_pi_l, pullback_pi_paren,
-                           verify_boundary)
+                           _cusp_map, _table, verify_boundary)
 from eiscong.cyclotomic import CyclotomicField
 from eiscong.eisenstein import EisensteinParams
 from eiscong.scanner import eisenstein_basis
@@ -393,9 +395,18 @@ def _check_beta_against_oracle(P):
     beta = beta_constant(P)
     want = cusps_oracle.beta_constant(P)
     assert (beta.field, beta.num, beta.den) == (want.field, want.num, want.den), P.label()
+    K = CyclotomicField(P.phi.order)
     for p in prime_divisors(P.N):
         if P.f % p:
-            assert _reprs(_table(P, p)) == _reprs(_oracle_table(P, p)), (P.label(), p)
+            table = _oracle_table(P, p)
+            assert sorted(table) == list(range(len(table))), (P.label(), p)
+            assert all(v.field is K and v.den == 1 for v in table.values()), (P.label(), p)
+            rows = [list(row) for row in _table(P, p)]
+            assert rows == [list(table[e].num) for e in range(len(table))], (P.label(), p)
+    # rho = rho of the recursion's start (phi, f^2, 1, 1) times sigma
+    sigma, den = cusps._sigma(P)
+    start = EisensteinParams(P.phi, P.f ** 2, 1, 1)
+    assert cusps._beta_rho(P) == cusps._beta_rho(start) * K.element(sigma) / den, P.label()
     assert _same_divisor(D_NML(P), cusps_oracle.D_NML(P)), P.label()
     assert _same_divisor(closed_form_boundary(P), cusps_oracle.closed_form_boundary(P)), P.label()
     assert verify_boundary(P).ok
@@ -471,8 +482,6 @@ def test_verify_boundary_matches_oracle():
     """The check in Q(zeta_k) gives the former scaled comparison's ok and
     mismatch cusp, and beta is its Gauss-sum core times _beta_rho, field,
     num and den, on the oracle sets."""
-    from eiscong import cusps
-
     for P in _oracle_sets():
         got, want = verify_boundary(P), cusps_oracle.verify_boundary(P)
         assert (got.ok, got.mismatch_cusp) == (want.ok, want.mismatch_cusp), P.label()
@@ -483,31 +492,74 @@ def test_verify_boundary_matches_oracle():
 
 def test_verify_boundary_mutation_matches_oracle(monkeypatch):
     """With one coefficient of D_NML tripled, the check and the former
-    scaled comparison both fail, at that cusp, on every eigenbasis series."""
-    from eiscong import cusps
+    scaled comparison both fail, at that cusp, on every eigenbasis series.
+    The check reads D_NML as the rows of _closed_rows, so those are tripled
+    at the largest (d, x) cusp of their support, and the oracle's D_NML is
+    tripled at the largest cusp of its own."""
+    real_rows, real_D_NML = cusps._closed_rows, cusps_oracle.D_NML
+    mutated, oracle_mutated = {}, {}
 
-    real_D_NML = cusps.D_NML
-    mutated = {}
+    def tripled_rows(P):
+        den, rows = real_rows(P)
+        c = max(rows, key=lambda k: (k.d, k.x))
+        mutated[P] = c
+        return den, {**rows, c: [3 * x for x in rows[c]]}
 
     def tripled(P):
         D = real_D_NML(P)
         c = max(D.support, key=lambda k: (k.d, k.x))
-        mutated[P] = c
+        oracle_mutated[P] = c
         return CuspDivisor(D.level, {**D.support, c: D.support[c] * 3})
 
-    monkeypatch.setattr(cusps, "D_NML", tripled)
+    monkeypatch.setattr(cusps, "_closed_rows", tripled_rows)
     monkeypatch.setattr(cusps_oracle, "D_NML", tripled)
     for P in _eigenbasis():
         got = cusps.verify_boundary(P)
         want = cusps_oracle.verify_boundary(P)
         assert not got.ok and not want.ok, P.label()
+        assert mutated[P] == oracle_mutated[P], P.label()
         assert got.mismatch_cusp == want.mismatch_cusp == mutated[P], P.label()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.randoms(use_true_random=False),
+       st.sampled_from(("recursion", "closed form")), st.sampled_from((3, -1, 2, 1)),
+       st.integers(0, 11), st.integers(0, 200))
+def test_verify_boundary_mutation_matches_oracle_on_random_pgood_params(p, rng, side, r, j, i):
+    """On p-good sets with p in {3, 5, 7, 11, 13}, the coefficients at one
+    or two cusps of one side's support are multiplied by u = r zeta_k^j:
+    the rows of _recursion or _closed_rows in the library, and the oracle's
+    boundary_divisor or D_NML.  The two checks give the same verdict and
+    mismatch cusp, which is the first of those cusps in (d, x) order unless
+    u = 1."""
+    (P,) = random_pgood_params(rng, 1, nprime_max=60, primes=(p,))
+    K = CyclotomicField(P.phi.order)
+    u = K.zeta(j) * r
+    name = "_recursion" if side == "recursion" else "_closed_rows"
+    real_rows = getattr(cusps, name)
+    oracle_name = "boundary_divisor" if side == "recursion" else "D_NML"
+    real_oracle = getattr(cusps_oracle, oracle_name)
+    support = sorted(real_rows(P)[1])
+    assert support == sorted(real_oracle(P).support), P.label()
+    chosen = {support[i % len(support)], support[(7 * i + 3) % len(support)]}
+
+    def mutated_rows(P):
+        den, rows = real_rows(P)
+        return den, {**rows, **{c: list((K.element(list(rows[c])) * u).num) for c in chosen}}
+
+    def mutated_oracle(P):
+        D = real_oracle(P)
+        return CuspDivisor(D.level, {**D.support, **{c: D.support[c] * u for c in chosen}})
+
+    with mock.patch.object(cusps, name, mutated_rows), \
+            mock.patch.object(cusps_oracle, oracle_name, mutated_oracle):
+        got, want = cusps.verify_boundary(P), cusps_oracle.verify_boundary(P)
+    assert (got.ok, got.mismatch_cusp) == (want.ok, want.mismatch_cusp), (P.label(), chosen)
+    assert got.mismatch_cusp == (None if u == 1 else min(chosen)), (P.label(), chosen)
 
 
 def test_verify_boundary_stays_off_the_gauss_sum_core(monkeypatch):
     """verify_boundary needs no factor of beta that lives in Q(zeta_lcm(f,k))."""
-    from eiscong import cusps
-
     def refuse(phi):
         raise AssertionError("verify_boundary computed the Gauss-sum core")
 
@@ -536,23 +588,22 @@ def test_divisor_difference_by_coefficient():
 
 def test_D_divisor_checked_once_per_argument_triple(monkeypatch):
     """Over two verify_boundary passes on the eigenbases, _assert_well_defined
-    runs once for each distinct (N, d, phi) that D_divisor is asked for."""
-    from eiscong import cusps
-
-    real_check, real_D = cusps._assert_well_defined, cusps.D_divisor
+    runs once for each distinct (N, d, phi) whose D-divisor exponents the
+    row path asks for."""
+    real_check, real_exponents = cusps._assert_well_defined, cusps._D_exponents
     checked, asked = [], set()
 
-    def check(N, d, phi, support):
+    def check(N, d, phi, exponents):
         checked.append((N, d, phi))
-        real_check(N, d, phi, support)
+        real_check(N, d, phi, exponents)
 
-    def counting_D(N, d, phi):
+    def counting_exponents(N, d, phi):
         asked.add((N, d, phi))
-        return real_D(N, d, phi)
+        return real_exponents(N, d, phi)
 
+    real_exponents.cache_clear()
     monkeypatch.setattr(cusps, "_assert_well_defined", check)
-    monkeypatch.setattr(cusps, "D_divisor", counting_D)
-    cusps._D_support.cache_clear()
+    monkeypatch.setattr(cusps, "_D_exponents", counting_exponents)
     for _ in range(2):
         for P in _eigenbasis():
             assert cusps.verify_boundary(P)

@@ -11,12 +11,12 @@ import eisenstein_oracle
 from eisenstein_oracle import (hecke_Tl, hecke_Uq, refine_critical, refine_ordinary,
                                slash_scale)
 from helpers import character_with_value, scalar_multiple
+from lambda_oracle import lambda_pm, lambda_twisted
 from eiscong.arith import DomainError, prime_divisors, primes_up_to, sturm_bound
 from eiscong.characters import (DirichletCharacter, enumerate_characters,
                                 quadratic_character)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import (EisensteinParams, build_E, lambda_pm, lambda_twisted,
-                                tl_eigenvalue, uq_eigenvalue)
+from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue, uq_eigenvalue
 from eiscong.scanner import eisenstein_basis
 
 

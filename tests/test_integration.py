@@ -184,10 +184,9 @@ def test_traced_counts_do_not_depend_on_passes(monkeypatch, tmp_path, small):
     assert counts[0] == counts[1]
 
 
-# The paper's twisted L-values: exported for library users, with no CLI surface
-# yet.  tl_eigenvalue: the T_l eigenvalue of a series, kept for the
-# eigenform-property check that ROADMAP item 3 plans.
-UNCALLED_EXPORTS = {"lambda_pm", "lambda_twisted", "tl_eigenvalue"}
+# tl_eigenvalue: the T_l eigenvalue of a series, kept for the eigenform-property
+# check that ROADMAP item 3 plans.
+UNCALLED_EXPORTS = {"tl_eigenvalue"}
 
 
 def test_every_export_has_a_caller():

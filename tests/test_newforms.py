@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from fractions import Fraction
 from importlib import resources
 from math import gcd
@@ -227,6 +228,21 @@ def test_fetch_errors(tmp_path):
     with pytest.raises(NewformDataError):
         fetch_newforms(13, endpoint="http://x/api", cache_dir=tmp_path, session=bad_rec)
     assert not (tmp_path / "newforms_13.json").exists()
+
+
+def test_fetch_without_requests(tmp_path, monkeypatch):
+    """A missing `requests` package is an unreachable endpoint: a warm cache
+    is served with the warning, and an empty one raises NetworkUnavailable,
+    never ImportError."""
+    monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` fails
+    with pytest.raises(NetworkUnavailable, match="requests"):
+        fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path)
+    data = [{"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
+             "an": [[1], [-2], [-1], [2], [1], [2]]}]
+    (tmp_path / "newforms_11.json").write_text(json.dumps(data))
+    with pytest.warns(UserWarning, match="serving cached data"):
+        recs = fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path)
+    assert recs == fetch_newforms(11, cache_dir=tmp_path, offline=True)
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
