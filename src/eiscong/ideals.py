@@ -41,13 +41,21 @@ def s1_set(N: int) -> frozenset[int]:
 
 
 def s2_set(N: int, p: int) -> frozenset[int]:
-    """Primes s | N_{Q(phi)/Q}(6 p B2(xi^{-1})), over nontrivial phi mod p."""
+    """Primes s | N_{Q(phi)/Q}(6 p B2(xi^{-1})), over nontrivial phi mod p.
+
+    The norm is taken once per Galois orbit of phi: conjugation acts on
+    B2(xi^{-1}) as on phi and fixes its norm, and two characters mod p are
+    conjugate exactly when their kernels, the residues with exponent 0, are
+    equal."""
     if valuation(N, p) < 2:
         raise DomainError(f"s2_set needs p^2 | N (p={p}, N={N})")
     out = set()
+    kernels = set()
     for phi in enumerate_characters(p):
-        if phi.is_trivial():
+        kernel = frozenset(a for a, e in enumerate(phi.exponents) if e == 0)
+        if phi.is_trivial() or kernel in kernels:
             continue
+        kernels.add(kernel)
         xi = (phi * phi).primitive_part()
         k = phi.order
         elt = bernoulli_B2(xi.inverse()).embed(k) * (6 * p)

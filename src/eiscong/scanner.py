@@ -13,19 +13,26 @@ integers, so the certified pair is the smallest of its Frobenius orbit.
 
 Both sides store a coefficient as integer power-basis numerators over one
 denominator (`CycElement.num`/`den`, `NewformRecord.an`), and `scan` reads
-them as stored.  num/den reduces at a root through the root's power table
-(root^0, ..., root^(d-1)): one integer dot product mod q per coordinate of F,
-times den^-1 mod q.  Each a_n is reduced only when the pair loop reaches it.
+them as stored, once per series or record.  num/den reduces at a root
+through the root's power table (root^0, ..., root^(d-1)): one integer dot
+product mod q per coordinate of F, times den^-1 mod q.  Each series or
+record keeps, per F and root, one list of reduced a_1, a_2, ..., grown in
+chunks (a_1..a_4, then to a_16, a_64, ... and at most the bound) as the
+pair loop compares further; a chunk may reduce a_n past a pair's first
+mismatch, which another pair may then read.  An a_n with q in its
+denominator is never reduced: the scan raises when a pair's comparison
+reaches it, and not before.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
-inputs fix across scans: per (phi order, field_poly, q) the reduction
-embeddings; the factorization of each polynomial, Phi_k or a field
-polynomial, once per (polynomial, q), which picks r and from which its
-roots in every F of characteristic q are read, and those roots once per F;
-and, per series and per newform record, the power tables and reduced
-coefficients.  It holds no state between `full_scan` calls.  A
-(newform, l) pair whose coefficients have l in a denominator is skipped by
-`full_scan` with the reason; the rest of the scan runs.
+inputs fix across scans: one F_{q^r} per (q, r); per (phi order, field_poly,
+q) the reduction embeddings; the factorization of each polynomial, Phi_k or
+a field polynomial, once per (polynomial, q), which picks r and from which
+its roots in every F of characteristic q are read, and those roots once per
+F; one power table per (root, F, d); and, per series and per newform record,
+the coefficients and the lists of reduced coefficients.  It holds no state
+between `full_scan` calls.  A (newform, l) pair whose coefficients have l in
+a denominator is skipped by `full_scan` with the reason; the rest of the
+scan runs.
 
 The certified pair is the one choice of a prime above l: `full_scan` hands
 its field and zeta-root to `descriptor`, so the printed ideal is the one at
@@ -34,7 +41,6 @@ which the congruence was proved.
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd, lcm
 from operator import mul
 
@@ -81,9 +87,9 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     F_{q^r}, and all (zeta-root, poly-root) pairs, sorted; `scan` certifies
     the first pair that matches, the least of its Frobenius orbit.
 
-    `memo` (a scan memo, see `scan`) shares between calls the factorization
-    mod q of Phi_k and of field_poly, from which r and their roots in F are
-    read, and those roots per F."""
+    `memo` (a scan memo, see `scan`) shares between calls the field per
+    (q, r), the factorization mod q of Phi_k and of field_poly, from which r
+    and their roots in F are read, and those roots per F."""
     if not is_prime(q):
         raise DomainError(f"{q} is not prime")
     if memo is None:
@@ -92,7 +98,7 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
     zeta_factors, factors = (_shared(memo, ("factors", f, q), factor_mod_q, list(f), q)
                              for f in (zeta_poly, poly))
     r = min(lcm(d, e) for d, _ in zeta_factors for e, _ in factors)
-    F = FiniteField.create(q, r)
+    F = _shared(memo, ("field", q, r), FiniteField.create, q, r)
     zroots, groots = (_shared(memo, ("roots", f, F), roots_in_field, list(f), F, factors=fs)
                       for f, fs in ((zeta_poly, zeta_factors), (poly, factors)))
     assert zroots and groots
@@ -114,29 +120,68 @@ def _power_table(root, F: FiniteField, d: int):
     return tuple(zip(*powers))
 
 
-def _reduce_vector(num, den, table, q: int):
-    """sum num[i] root^i / den in F from root's power table; q | den is an error."""
-    if den % q == 0:
-        raise UnsupportedPrimeError(f"denominator {den} not invertible mod {q}")
-    inv = pow(den, -1, q)
-    return tuple(sum(map(mul, num, col)) * inv % q for col in table)
+class _Reductions:
+    """One owner's a_n = nums[n-1] / dens[n-1] reduced into F: one list per
+    root, a_1, a_2, ... in order, which `upto` extends by one comprehension
+    per coordinate of F.  No a_n with q | den is reduced: `usable` counts the
+    a_n before the first of them, which `_first_difference` reports when a
+    comparison reaches it.  Power tables are read from and added to `tables`,
+    keyed (root, F, d), which all owners share."""
+
+    def __init__(self, owner, nums, dens, F: FiniteField, tables: dict):
+        q = F.q
+        self.owner, self.nums, self.F, self.tables = owner, nums, F, tables
+        inverses = {den: pow(den, -1, q) for den in set(dens) if den % q}
+        self.usable = next((i for i, den in enumerate(dens) if den not in inverses), len(dens))
+        self.error = (None if self.usable == len(dens) else
+                      f"denominator {dens[self.usable]} not invertible mod {q}")
+        self.invs = list(map(inverses.__getitem__, dens[:self.usable]))
+        self.degree = max(map(len, nums))
+        self.lists: dict = {}
+
+    def upto(self, root, m: int) -> list:
+        """root's list, holding at least a_1..a_m (m <= usable)."""
+        out = self.lists.get(root)
+        if out is None:
+            out = self.lists[root] = []
+        n = len(out)
+        if n < m:
+            F, q = self.F, self.F.q
+            table = _shared(self.tables, (root, F, self.degree),
+                            _power_table, root, F, self.degree)
+            chunk = tuple(zip(self.nums[n:m], self.invs[n:m]))
+            out.extend(zip(*[[sum(map(mul, num, col)) * inv % q for num, inv in chunk]
+                             for col in table]))
+        return out
 
 
-def _reducer(memo: dict, owner, F: FiniteField, coefficient):
-    """(root, n) -> owner's a_n, given as coefficient(n) = (num, den), reduced
-    at root in F through one power table per root, each computed once per
-    memo.  The entry is keyed on owner's identity (newform labels may repeat)
-    and holds owner, so that identity is not reused while the memo lives."""
-    key = ("reduced", id(owner), F)
-    if key not in memo:
-        table = cache(lambda root, d: _power_table(root, F, d))
+def _reductions(memo: dict, owner, F: FiniteField, coefficients) -> _Reductions:
+    """owner's _Reductions in F; coefficients() = (nums, dens) is read once
+    per owner.  Both entries are keyed on owner's identity (newform labels may
+    repeat); the _Reductions holds owner, which keeps that identity taken."""
+    nums_dens = _shared(memo, ("coefficients", id(owner)), coefficients)
+    tables = _shared(memo, "powers", dict)
+    return _shared(memo, ("reduced", id(owner), F), _Reductions, owner, *nums_dens, F, tables)
 
-        @cache
-        def reduced(root, n):
-            num, den = coefficient(n)
-            return _reduce_vector(num, den, table(root, len(num)), F.q)
-        memo[key] = owner, reduced
-    return memo[key][1]
+
+_PREFIX, _STEP = 4, 4  # chunk ends 4, 16, 64, ...: most pairs differ at a_2 or a_3
+
+
+def _first_difference(lhs: _Reductions, zr, rhs: _Reductions, gr, B: int):
+    """The first n <= B with lhs's a_n at zr != rhs's a_n at gr, or None.
+    The lists are compared chunk by chunk; an a_n with q in its denominator
+    raises UnsupportedPrimeError, lhs's first, when the comparison reaches it."""
+    stop = min(B, lhs.usable, rhs.usable)
+    n, end = 0, _PREFIX
+    while n < stop:
+        end = min(end, stop)
+        a, b = lhs.upto(zr, end), rhs.upto(gr, end)
+        if a[n:end] != b[n:end]:
+            return next(i for i in range(n, end) if a[i] != b[i]) + 1
+        n, end = end, end * _STEP
+    if stop < B:
+        raise UnsupportedPrimeError(lhs.error if lhs.usable == stop else rhs.error)
+    return None
 
 
 def scan(
@@ -156,10 +201,10 @@ def scan(
 
     `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
     reduction_embeddings result, and also holds what those results share
-    (the factorization of Phi_k and of field_poly per q and their roots per
-    F), the root power tables and the reduced coefficients of E and of the
-    record.  A caller that scans many pairs passes one dict, so that each of
-    these is computed once."""
+    (the field per (q, r), the factorization of Phi_k and of field_poly per
+    q and their roots per F), the root power tables and the lists of reduced
+    coefficients of E and of the record.  A caller that scans many pairs
+    passes one dict, so that each of these is computed once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
     if B is None:
@@ -178,26 +223,20 @@ def scan(
         embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
 
-    def eisenstein_coefficient(n):
-        c = E.coefficient(n)
-        return c.num, c.den
-
-    lhs = _reducer(embeddings, E, F, eisenstein_coefficient)
-    rhs = _reducer(embeddings, record, F, lambda n: record.an[n - 1])
+    lhs = _reductions(embeddings, E, F,
+                      lambda: ([c.num for c in E.coeffs], [c.den for c in E.coeffs]))
+    rhs = _reductions(embeddings, record, F,
+                      lambda: ([num for num, _ in record.an], [den for _, den in record.an]))
 
     first_mismatch = None
     for zr, gr in pairs:
-        ok = True
-        for n in range(1, B + 1):
-            if lhs(zr, n) != rhs(gr, n):
-                ok = False
-                if first_mismatch is None:
-                    first_mismatch = n
-                break
-        if ok:
+        n = _first_difference(lhs, zr, rhs, gr, B)
+        if n is None:
             return CongruenceReport(
                 params.label(), record.label, q, r, (zr, gr), B, True, None
             )
+        if first_mismatch is None:
+            first_mismatch = n
     return CongruenceReport(
         params.label(), record.label, q, r, pairs[0], B, False, first_mismatch
     )

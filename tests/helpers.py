@@ -2,9 +2,11 @@
 suite (single source of truth for the heavier sweeps)."""
 
 import importlib.util
+import inspect
 import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 from pathlib import Path
 
 from eiscong import cusps, polys
@@ -13,7 +15,7 @@ from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.eisenstein import EisensteinParams
 from eiscong.ideals import descriptor
-from eiscong.scanner import reduction_embeddings
+from eiscong.scanner import UnsupportedPrimeError, reduction_embeddings
 
 
 def tensor_gauss_product(chi):
@@ -144,6 +146,15 @@ def integer_coefficient(vec):
     return tuple(c.numerator * (den // c.denominator) for c in vec), den
 
 
+def reduce_coefficient(num, den, table, q: int):
+    """sum num[i] root^i / den in F from root's power table (`scanner._power_table`);
+    q | den is an error.  One coefficient at a time, as `scan` once reduced them."""
+    if den % q == 0:
+        raise UnsupportedPrimeError(f"denominator {den} not invertible mod {q}")
+    inv = pow(den, -1, q)
+    return tuple(sum(map(mul, num, col)) * inv % q for col in table)
+
+
 def hit_labels(res):
     """The sorted (series label, newform label, l) triples of a FullScanResult's hits."""
     return sorted({(h.params.label(), h.report.newform, h.report.prime) for h in res.hits})
@@ -164,6 +175,21 @@ def scalar_multiple(f, g, B):
         elif c != ratio:
             return None
     return c
+
+
+def count_calls(monkeypatch, owner, *names):
+    """Count the calls of each owner.<name> for the rest of the test: owner is
+    a module or a class, name a function, method or static method.  Returns
+    the dict name -> count, which the calls update."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        if isinstance(inspect.getattr_static(owner, name), staticmethod):
+            counted = staticmethod(counted)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
 
 
 def fixture_script(monkeypatch):

@@ -1,6 +1,6 @@
 """No code path in the library uses floating point: every module of the
 package is parsed and searched for float literals and float(...) calls.  The
-root-finding and scan modules keep no process-wide cache."""
+root-finding, scan and candidate-prime modules keep no process-wide cache."""
 
 import ast
 from pathlib import Path
@@ -31,13 +31,14 @@ def _is_cache(node):
 
 
 def test_no_process_wide_caches_in_ffield_and_scanner():
-    """ffield.py and scanner.py define no module-level functools cache but
-    `conway_style_modulus`.  A cache that outlives one scan helps only repeated
-    identical scans, which is what a benchmark that repeats its scans rewards,
-    and not the first scan in a fresh process."""
+    """ffield.py, scanner.py and ideals.py define no module-level functools
+    cache but `conway_style_modulus`.  A cache that outlives one scan helps
+    only repeated identical scans, which is what a benchmark that repeats its
+    scans rewards, and not the first scan in a fresh process; the same holds
+    for the B2 norms behind the candidate primes of every scan."""
     package = Path(eiscong.__file__).parent
     found = []
-    for name in ("ffield.py", "scanner.py"):
+    for name in ("ffield.py", "scanner.py", "ideals.py"):
         body = list(ast.parse((package / name).read_text(), filename=name).body)
         for node in body:
             if isinstance(node, ast.ClassDef):

@@ -1,10 +1,14 @@
+import ideals_oracle
 import pytest
-from helpers import character_with_value, descriptor_at
+from helpers import character_with_value, count_calls, descriptor_at
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from lattice_oracle import numerator_ideal
 
-from eiscong.arith import DomainError
+from eiscong.arith import DomainError, is_p_good, primes_up_to
 from eiscong.characters import enumerate_characters, quadratic_character
 from eiscong.cusps import beta_tilde
+from eiscong.cyclotomic import CycElement
 from eiscong.eisenstein import EisensteinParams
 from eiscong.ffield import FiniteField
 from eiscong.ideals import (_isqrt, _render_bivariate, candidate_characteristics,
@@ -55,6 +59,34 @@ def test_s_sets():
     assert sorted(s2_set(9, 3)) == [3]
     with pytest.raises(DomainError):
         s2_set(33, 3)
+
+
+def test_s2_set_takes_one_norm_per_galois_orbit(monkeypatch):
+    """The nine nontrivial characters mod 11 fall into three Galois orbits,
+    of orders 2, 5 and 10, and candidate_characteristics takes one B2 norm
+    per orbit."""
+    calls = count_calls(monkeypatch, CycElement, "norm_to_Q")
+    assert sorted(candidate_characteristics(121, 11).union) == [2, 3, 5, 11]
+    assert calls == {"norm_to_Q": 3}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(primes_up_to(23)[1:]), st.randoms(use_true_random=False))
+def test_s2_set_matches_every_character_oracle(p, rng):
+    """s2_set equals the former loop over every nontrivial character, at
+    random p-good levels with p <= 23, and characters with equal kernels
+    have equal B2 norms."""
+    eligible = [q for q in primes_up_to(200) if q % p in (1, p - 1)]
+    N = p * p
+    for q in rng.sample(eligible, rng.randrange(0, 3)):
+        N *= q
+    assert is_p_good(N, p)
+    assert s2_set(N, p) == ideals_oracle.s2_set(N, p)
+    by_kernel = {}
+    for phi in enumerate_characters(p):
+        kernel = frozenset(a for a in range(1, p) if phi.value_exponent(a) == 0)
+        by_kernel.setdefault(kernel, set()).add(ideals_oracle.b2_norm(phi, p))
+    assert all(len(norms) == 1 for norms in by_kernel.values())
 
 
 def test_candidate_characteristics():

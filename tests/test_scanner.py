@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import ffield_oracle
-from helpers import character_with_value, fixture_script, hit_labels, integer_coefficient
+from helpers import (character_with_value, count_calls, fixture_script, hit_labels,
+                     integer_coefficient, reduce_coefficient)
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import quadratic_character
@@ -14,17 +15,17 @@ from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
 from eiscong.newforms import NewformRecord, bundled_newforms, parse_newforms
-from eiscong.scanner import (UnsupportedPrimeError, _power_table, _reduce_vector,
-                             eisenstein_basis, full_scan, reduction_embeddings, scan)
+from eiscong.scanner import (UnsupportedPrimeError, _power_table, eisenstein_basis,
+                             full_scan, reduction_embeddings, scan)
 
 
 def _reduce_newform(vec, root, F):
     num, den = integer_coefficient(vec)
-    return _reduce_vector(num, den, _power_table(root, F, len(num)), F.q)
+    return reduce_coefficient(num, den, _power_table(root, F, len(num)), F.q)
 
 
 def _reduce_element(x, root, F):
-    return _reduce_vector(x.num, x.den, _power_table(root, F, len(x.num)), F.q)
+    return reduce_coefficient(x.num, x.den, _power_table(root, F, len(x.num)), F.q)
 
 
 def test_reduction_embeddings():
@@ -238,8 +239,8 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
     """full_scan computes reduction_embeddings once per distinct (phi order,
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
     Within them it factors each polynomial, a field polynomial or Phi_k, once
-    per l (13 calls) and reads its roots off that factorization once per F
-    (23)."""
+    per l (13 calls), reads its roots off that factorization once per F (23),
+    and builds each F_{l^r} once (4 fields)."""
     from eiscong import scanner
 
     keys = []
@@ -249,17 +250,14 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
         keys.append((k, tuple(field_poly), q))
         return original(k, field_poly, q, **kwargs)
 
-    calls = {}
-    for name in ("roots_in_field", "factor_mod_q"):
-        def counted(*args, _fn=getattr(scanner, name), _name=name, **kwargs):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scanner, name, counted)
+    calls = count_calls(monkeypatch, scanner, "roots_in_field", "factor_mod_q")
+    fields = count_calls(monkeypatch, scanner.FiniteField, "create")
     monkeypatch.setattr(scanner, "reduction_embeddings", counting)
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
     assert calls == {"roots_in_field": 23, "factor_mod_q": 13}
+    assert fields == {"create": 4}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
 
@@ -285,7 +283,7 @@ def test_descriptor_relations_hold_at_the_certified_prime(monkeypatch, N, p, hit
             if N * l % r == 0:
                 continue
             num, den = rec.an[r - 1]
-            x = _reduce_vector(num, den, _power_table(rep.embedding[1], F, len(num)), l)
+            x = reduce_coefficient(num, den, _power_table(rep.embedding[1], F, len(num)), l)
             group = next(g for g in hit.descriptor.tr_groups if r % p in g.classes)
             value = F.pow(x, group.degree)
             for i, row in enumerate(group.poly):
@@ -331,23 +329,55 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
         assert len(calls) == scans and sum(rep.matched for rep in calls) == matched
 
 
+def _with_fifth_added(rec, n, label):
+    """rec with 1/5 added to a_n, so that 5 divides its denominator."""
+    an = integer_coefficient(c + Fraction(1, 5) for c in rec.coefficient(n))
+    return NewformRecord(label, rec.level, rec.weight, rec.field_poly,
+                         rec.an[:n - 1] + (an,) + rec.an[n:])
+
+
 def test_full_scan_skips_unusable_newform_prime():
     """A newform with 5 in a coefficient denominator cannot be reduced mod a
-    prime above 5: full_scan records one skipped entry for the pair and
-    scans everything else as before."""
+    prime above 5: full_scan records one skipped entry for the pair, with the
+    text it has always had, and scans everything else as before."""
     recs = bundled_newforms(121)
     d = next(r for r in recs if r.label == "121.2.a.d")
-    a2 = integer_coefficient(c + Fraction(1, 5) for c in d.coefficient(2))
-    bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly, (d.an[0], a2) + d.an[2:])
+    bad = _with_fifth_added(d, 2, "121.2.a.z")
     with pytest.raises(UnsupportedPrimeError):
         scan(build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), 22),
              EisensteinParams(quadratic_character(11), 121, 1, 1), bad, 5)
     base = full_scan(121, 11)
     res = full_scan(121, 11, records=recs + [bad])
     extra = [s for s in res.skipped if s not in base.skipped]
-    assert len(extra) == 1 and extra[0].startswith("121.2.a.z at l=5:")
+    assert extra == ["121.2.a.z at l=5: denominator 5 not invertible mod 5 (reduction undefined)"]
     assert res.reports == base.reports
     assert hit_labels(res) == hit_labels(base)
+
+
+def test_late_denominator_is_reached_only_by_a_comparison():
+    """5 in the denominator of a_B, the last coefficient a scan checks: a
+    newform whose every pair fails earlier gets the per-coefficient oracle's
+    mismatch report, not a skip; one whose pairs match up to a_B is skipped."""
+    recs = bundled_newforms(121)
+    a, d = (next(r for r in recs if r.label == f"121.2.a.{x}") for x in "ad")
+    late_a, late_d = _with_fifth_added(a, 22, "121.2.a.y"), _with_fifth_added(d, 22, "121.2.a.z")
+    res = full_scan(121, 11, records=recs + [late_a, late_d])
+    assert [s for s in res.skipped if "121.2.a.y" in s] == []
+    assert [s for s in res.skipped if "121.2.a.z" in s] == [
+        "121.2.a.z at l=5: denominator 5 not invertible mod 5 (reduction undefined)"]
+    late_reports = [rep for rep in res.reports if rep.newform == "121.2.a.y"]
+    assert len(late_reports) == 5 and not any(rep.matched for rep in late_reports)
+    memo = {}
+    for params in eisenstein_basis(121, 11):
+        if eisenstein_character(params.phi, 5).is_trivial():
+            continue
+        E = build_E(params, 22)
+        rep = scan(E, params, late_a, 5, 22, embeddings=memo)
+        r, F, pairs = memo[(params.phi.order, late_a.field_poly, 5)]
+        assert rep == ffield_oracle.scan_pairs(E, params, late_a, 5, 22, r, F, pairs)
+        assert rep in late_reports
+        with pytest.raises(UnsupportedPrimeError, match="^denominator 5 not invertible mod 5$"):
+            scan(E, params, late_d, 5, 22, embeddings=memo)
 
 
 def _brute_orbit_minima(F, pairs):
