@@ -7,9 +7,9 @@ from .arith import (DomainError, Factorization, euler_phi, factor, is_p_good,
 from .characters import (DirichletCharacter, bernoulli_B2,
                          character_from_label, enumerate_characters,
                          gauss_sum, gauss_sum_inverse, quadratic_character)
-from .cusps import (Cusp, CuspDivisor, D_divisor, D_NML, beta_constant,
-                    beta_tilde, boundary_divisor, closed_form_boundary,
-                    cusp_from_fraction, enumerate_cusps, verify_boundary)
+from .cusps import (Cusp, CuspDivisor, beta_constant, beta_tilde,
+                    boundary_divisor, closed_form_boundary, cusp_from_fraction,
+                    enumerate_cusps, verify_boundary)
 from .cyclotomic import CycElement, CyclotomicField, cyclotomic_polynomial
 from .eisenstein import EisensteinParams, QExpansion, build_E
 from .ffield import FiniteField

@@ -14,40 +14,42 @@ Course in Modular Forms*, 3.8; Stein, *Modular Forms: A Computational
 Approach*, ch. 8).  This cusp map (c, y, index) depends only on (A, l) and
 the covering, so it is built once per process.
 
-Both sides of the boundary theorem run on integer rows: a coefficient in
-Q(zeta_k), k = order(phi), is its numerator on the power basis, over one
-denominator for the whole divisor.  zeta_k^j times a row is a rotation read
-off the field's table of zeta powers, and a pullback multiplies each row by
-its ramification index.  The recursion starts from D_{Gamma0(f^2),f}(phi),
-the row zeta_k^e at each cusp (f^2, f, x), phi(x) = zeta_k^e.  The
-refinement [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* becomes l pi_(l)^* R minus
-the rotated pi_l^* R over one more factor l of the denominator, and
-[q]^- = pi_(q)^* - phi^-1(q) pi_q^* needs no new factor; the scaling by
-ML/(T1 T2) and the promotion to N are pullbacks.  `boundary_divisor`
-multiplies the result by beta_{Gamma0(f^2),phi,1,1} at the end.
+Both boundary divisors are integer rows scaled by one factor.  A
+coefficient in Q(zeta_k), k = order(phi), is its numerator on the power
+basis, over one denominator for the whole divisor; zeta_k^j times a row is a
+rotation read off the field's table of zeta powers.  `_scaled` turns such
+rows into a divisor, each row over the denominator times
+beta_{Gamma0(f^2),phi,1,1} = `_beta_start(phi)`, the factor of every
+beta_{Gamma0(N),phi,M,L} that phi alone fixes.  The rest of beta is sigma
+(`_sigma`), a rational times the Euler factors (1 - xi(l)/l^2) at l | T1,
+each applied to a row as l^2 row minus the row rotated by xi(l); so
+`beta_constant` is `_beta_start(phi)` times sigma.
 
-The closed form is beta_{Gamma0(N),phi,M,L} times D_{Gamma0(N),M,L}(phi) of
-Lemma `induction2`, a sum of c_d D_{Gamma0(N),d}(phi).  The multi-sum runs
-over the primes p of N prime to f (l | T1, q | T2 and the promotion-only
-t | N/(f^2 M L)); its alpha/beta/gamma tables are one recurrence on rows, a
-slash step (pi_p^*) up to nu_p(ML), then a promotion step (pi_(p)^*) up to
-nu_p(N), run from three start vectors.  These primes are distinct and prime
-to the f-part, so each term has its own d, and c_d is one row, a product of
-one table entry per prime; at the cusp (d, x) it is rotated by phi(x).
+`boundary_divisor` scales the pullback recursion.  It starts from
+D_{Gamma0(f^2),f}(phi), the row zeta_k^e at each cusp (f^2, f, x),
+phi(x) = zeta_k^e, and a pullback multiplies each row by its ramification
+index.  The refinement [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* becomes
+l pi_(l)^* R minus the rotated pi_l^* R over one more factor l of the
+denominator, and [q]^- = pi_(q)^* - phi^-1(q) pi_q^* needs no new factor;
+the scaling by ML/(T1 T2) and the promotion to N are pullbacks.
 
-Every beta_{Gamma0(N),phi,M,L} is the core tau(phi^-1) tau(xi^-1)^-1
-B2(xi^-1) in Q(zeta_lcm(f,k)), computed once per phi, times a factor rho
-in Q(zeta_k): a rational times the Euler factors (1 - xi(p)/p^2) at
-p | f T1, each applied to a row as p^2 row minus the row rotated by xi(p).
-rho is the recursion start's rho times sigma, the rational part over the
-start's times the Euler factors at l | T1.  So verify_boundary leaves out
-the core and the start's rho: it multiplies sigma into c_d once per
-divisor class d, rotates the product to each cusp of d, and compares it
-with the recursion's row cusp by cusp in (d, x) order, cross-multiplying
-the denominators; the first cusp that differs is the mismatch of the two
-scaled divisors.  The exponents of D_{Gamma0(N),d}(phi), checked by
-`_assert_well_defined`, are computed once per (N, d, phi), and every
-`D_divisor` call returns a fresh divisor built from them.  A `Cusp` is the
+`closed_form_boundary` scales D_{Gamma0(N),M,L}(phi) times sigma, so it is
+beta_{Gamma0(N),phi,M,L} D_{Gamma0(N),M,L}(phi) of Lemma `induction2`, a
+sum of c_d D_{Gamma0(N),d}(phi).  The multi-sum runs over the primes p of N
+prime to f (l | T1, q | T2 and the promotion-only t | N/(f^2 M L)); its
+alpha/beta/gamma tables are one recurrence on rows, a slash step (pi_p^*)
+up to nu_p(ML), then a promotion step (pi_(p)^*) up to nu_p(N), run from
+three start vectors.  These primes are distinct and prime to the f-part, so
+each term has its own d, and c_d is one row, a product of one table entry
+per prime.  sigma is multiplied into c_d once per divisor class d, and the
+product is rotated by phi(x) at each cusp (d, x).
+
+`verify_boundary` compares the two sets of rows before they are scaled,
+cusp by cusp in (d, x) order, cross-multiplying the denominators: the
+shared factor beta_{Gamma0(f^2),phi,1,1} is nonzero, so the first cusp
+that differs is the mismatch of the two divisors, and the check never
+computes the Gauss sums.  The exponents of D_{Gamma0(N),d}(phi), checked by
+`_assert_well_defined`, are computed once per (N, d, phi).  A `Cusp` is the
 tuple (level, d, x): it hashes and sorts as that tuple, which keeps the
 divisors' dict lookups cheap.
 """
@@ -63,7 +65,7 @@ from . import polys
 from .arith import (DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, record,
                     valuation)
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
-from .cyclotomic import CycElement, CyclotomicField, _canonical, _element
+from .cyclotomic import CycElement, CyclotomicField, _canonical
 from .eisenstein import EisensteinParams
 
 
@@ -155,45 +157,11 @@ class CuspDivisor:
             return self.support[cusp]
         return CyclotomicField(1).zero()
 
-    def _combine(self, other: "CuspDivisor", sign: int) -> "CuspDivisor":
-        """self + sign * other, sign = 1 or -1, coefficient by coefficient;
-        the constructor drops the coefficients that cancel."""
-        if self.level != other.level:
-            raise DomainError("divisor level mismatch")
-        out = dict(self.support)
-        for c, v in other.support.items():
-            if c in out:
-                out[c] = out[c] + v if sign == 1 else out[c] - v
-            else:
-                out[c] = v if sign == 1 else -v
-        return CuspDivisor(self.level, out)
-
-    def __add__(self, other: "CuspDivisor") -> "CuspDivisor":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "CuspDivisor") -> "CuspDivisor":
-        return self._combine(other, -1)
-
-    def scale(self, c) -> "CuspDivisor":
-        return CuspDivisor(self.level, {k: v * c for k, v in self.support.items()})
-
-    def degree(self) -> CycElement:
-        acc = CyclotomicField(1).zero()
-        for v in self.support.values():
-            acc = acc + v
-        return acc
-
     def __eq__(self, other):
         if not isinstance(other, CuspDivisor) or self.level != other.level:
             return False
         keys = set(self.support) | set(other.support)
         return all(self.coefficient(k) == other.coefficient(k) for k in keys)
-
-    def first_mismatch(self, other: "CuspDivisor"):
-        for c in sorted(set(self.support) | set(other.support), key=lambda k: (k.d, k.x)):
-            if self.coefficient(c) != other.coefficient(c):
-                return c
-        return None
 
     def __repr__(self):
         return f"CuspDivisor({self.level}, {len(self.support)} cusps)"
@@ -212,18 +180,6 @@ def _rotate(K, row, j: int) -> list[int]:
             for t, y in terms[(i + j) % m]:
                 out[t] += x * y
     return out
-
-
-def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
-    """D_{Gamma0(N),d}(phi) = sum phi(ab) [a; db] over cusps of divisor d.
-
-    Defined when conductor(phi) | gcd(d, N/d); the coefficient at the class
-    (d, x) is phi(x), which `_assert_well_defined` re-derives from
-    representative pairs.  The checked exponents are computed once per
-    (N, d, phi), and every call returns a fresh divisor with its own copy.
-    """
-    K = CyclotomicField(phi.order)
-    return CuspDivisor(N, {c: K.zeta(e) for c, e in _D_exponents(N, d, phi).items()})
 
 
 @cache
@@ -308,17 +264,6 @@ def _cusp_map(A: int, l: int, scaled: bool):
 # ----------------------------------------------------- beta and the boundary
 
 
-@cache
-def _beta_core(phi: DirichletCharacter) -> CycElement:
-    """tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1) in Q(zeta_lcm(f,k)), xi the primitive
-    character of phi^2: the factor of every beta_{Gamma0(N),phi,M,L} that phi
-    alone fixes, computed once per phi."""
-    xi = (phi * phi).primitive_part()
-    m = lcm(phi.modulus, phi.order)
-    return (gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
-            * bernoulli_B2(xi.inverse()).embed(m))
-
-
 def _euler(K, row, factors) -> tuple[list[int], int]:
     """row times the Euler factors (1 - xi(p)/p^2), as an integer row of
     Q(zeta_k) and its denominator prod p^2, for (p, j) in `factors` with
@@ -335,13 +280,28 @@ def _euler(K, row, factors) -> tuple[list[int], int]:
     return row, den
 
 
+@cache
+def _beta_start(phi: DirichletCharacter) -> CycElement:
+    """beta_{Gamma0(f^2),phi,1,1} = tau(phi^-1) tau(xi^-1)^-1 B2(xi^-1)
+    f^3 / (4 cond(xi)) prod_{p|f} (1 - xi(p)/p^2) in Q(zeta_lcm(f,k)), xi
+    the primitive character of phi^2: the factor of every
+    beta_{Gamma0(N),phi,M,L} that phi alone fixes, computed once per phi."""
+    f, xi = phi.modulus, (phi * phi).primitive_part()  # xi primitive: cond(xi) = its modulus
+    K = CyclotomicField(phi.order)
+    step = K.m // xi.order  # xi(p) = zeta_order(xi)^e = zeta_k^(e step)
+    row, den = _euler(K, [f ** 3] + [0] * (K.degree - 1),
+                      [(p, None if (e := xi.value_exponent(p)) is None else e * step)
+                       for p in prime_divisors(f)])
+    m = lcm(f, phi.order)
+    return (gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
+            * bernoulli_B2(xi.inverse()).embed(m) * _canonical(K, row, den * 4 * xi.modulus))
+
+
 def _sigma(params: EisensteinParams) -> tuple[list[int], int]:
-    """_beta_rho(params) / _beta_rho(phi, f^2, 1, 1), as an integer row of
+    """beta_{Gamma0(N),phi,M,L} / _beta_start(phi), as an integer row of
     Q(zeta_k) and its denominator: T1 euler_phi(T2_phi)
     prod_{p|f} p^(nu_p(M) + delta_p) times the Euler factors at l | T1,
-    where xi(l) = phi(l)^2 as l is prime to f.  The start (phi, f^2, 1, 1)
-    has T1 = T2 = M = 1 and every delta_p = 0, so its rho is
-    f^3 / (4 cond(xi)) times the Euler factors at p | f."""
+    where xi(l) = phi(l)^2 as l is prime to f."""
     phi, f, N, M = params.phi, params.f, params.N, params.M
     T1 = params.T1
     scale = T1 * euler_phi(params.T2_phi)
@@ -354,25 +314,11 @@ def _sigma(params: EisensteinParams) -> tuple[list[int], int]:
     return _euler(K, row, [(l, 2 * phi.value_exponent(l)) for l in prime_divisors(T1)])
 
 
-def _beta_rho(params: EisensteinParams) -> CycElement:
-    """beta_{Gamma0(N),phi,M,L} / _beta_core(phi) in Q(zeta_k), k = order(phi):
-    f^3 T1 euler_phi(T2_phi) prod_{p|f} p^(nu_p(M) + delta_p) / (4 cond(xi))
-    times the Euler factors (1 - xi(p)/p^2) for p | f T1: _sigma times the
-    start's f^3 / (4 cond(xi)) and Euler factors at p | f."""
-    f, xi = params.f, params.xi  # primitive, so its conductor is its modulus
-    K = CyclotomicField(params.phi.order)
-    step = K.m // xi.order  # xi(p) = zeta_order(xi)^e = zeta_k^(e step)
-    row, den = _sigma(params)
-    row, den_f = _euler(K, row, [(p, None if (e := xi.value_exponent(p)) is None else e * step)
-                                 for p in prime_divisors(f)])
-    return _canonical(K, [f ** 3 * x for x in row], den * den_f * 4 * xi.modulus)
-
-
 def beta_constant(params: EisensteinParams) -> CycElement:
-    """beta_{Gamma0(N),phi,M,L} = _beta_core(phi) * _beta_rho(params), exact
-    in Q(zeta_lcm(f,k))."""
-    core = _beta_core(params.phi)
-    return core * _beta_rho(params).embed(core.field.m)
+    """beta_{Gamma0(N),phi,M,L} = _beta_start(phi) * sigma, exact in
+    Q(zeta_lcm(f,k))."""
+    return _beta_start(params.phi) * _canonical(CyclotomicField(params.phi.order),
+                                                *_sigma(params))
 
 
 def beta_tilde(params: EisensteinParams) -> CycElement:
@@ -380,12 +326,12 @@ def beta_tilde(params: EisensteinParams) -> CycElement:
     return beta_constant(params) * (params.f * params.T1)
 
 
-@cache
-def _beta_start(phi: DirichletCharacter) -> CycElement:
-    """beta_{Gamma0(f^2),phi,1,1}, the scale of the recursion's start
-    D_{Gamma0(f^2),f}(phi), computed once per phi."""
-    f = phi.modulus
-    return beta_constant(EisensteinParams(phi, f * f, 1, 1))
+def _scaled(params: EisensteinParams, den: int, rows: dict) -> CuspDivisor:
+    """The divisor of X0(N) with coefficient row / den times
+    beta_{Gamma0(f^2),phi,1,1} at each cusp of `rows`, {cusp: integer row
+    of Q(zeta_k)}."""
+    K, beta = CyclotomicField(params.phi.order), _beta_start(params.phi)
+    return CuspDivisor(params.N, {c: _canonical(K, row, den) * beta for c, row in rows.items()})
 
 
 def _recursion(params: EisensteinParams) -> tuple[int, dict]:
@@ -421,12 +367,8 @@ def _recursion(params: EisensteinParams) -> tuple[int, dict]:
 
 
 def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
-    """delta_{Gamma0(N)}(E_{phi,M,L}) via the pullback recursion, run on
-    integer rows of Q(zeta_k) and scaled by beta_{Gamma0(f^2),phi,1,1} at
-    the end."""
-    den, rows = _recursion(params)
-    K, beta = CyclotomicField(params.phi.order), _beta_start(params.phi)
-    return CuspDivisor(params.N, {c: _canonical(K, row, den) * beta for c, row in rows.items()})
+    """delta_{Gamma0(N)}(E_{phi,M,L}): the pullback recursion's rows, scaled."""
+    return _scaled(params, *_recursion(params))
 
 
 # -- closed-form path: Lemma `induction2` coefficient recurrences ---------------
@@ -492,23 +434,6 @@ def _D_terms(params: EisensteinParams) -> list[tuple[int, list[int]]]:
     return terms
 
 
-def D_NML(params: EisensteinParams) -> CuspDivisor:
-    """D_{Gamma0(N),M,L}(phi): the terms c_d D_{Gamma0(N),d}(phi), whose
-    divisors d differ, so their supports are disjoint."""
-    K = CyclotomicField(params.phi.order)
-    support = {}
-    for d, row in _D_terms(params):
-        D = D_divisor(params.N, d, params.phi)
-        coeff = _element(K, tuple(row))  # in Z[zeta_k]: canonical
-        support.update((D if coeff == 1 else D.scale(coeff)).support)
-    return CuspDivisor(params.N, support)
-
-
-def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
-    """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
-    return D_NML(params).scale(beta_constant(params))
-
-
 def _closed_rows(params: EisensteinParams) -> tuple[int, dict]:
     """D_{Gamma0(N),M,L}(phi) times _sigma(params) as (den, {cusp: integer
     row of Q(zeta_k)}): c_d times sigma once per divisor d, then rotated by
@@ -521,6 +446,12 @@ def _closed_rows(params: EisensteinParams) -> tuple[int, dict]:
         for cusp, e in _D_exponents(params.N, d, params.phi).items():
             rows[cusp] = _rotate(K, scaled, e)
     return den, rows
+
+
+def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
+    """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form: the rows of
+    D_{Gamma0(N),M,L}(phi) times sigma, scaled."""
+    return _scaled(params, *_closed_rows(params))
 
 
 @record
@@ -536,13 +467,12 @@ class BoundaryReport:
 def verify_boundary(params: EisensteinParams) -> BoundaryReport:
     """Recursion path vs closed-form path; the theorem asserts equality.
 
-    The recursion path is beta_{Gamma0(f^2),phi,1,1} = _beta_core(phi) rho_0
-    times _recursion(params), the closed form is _beta_core(phi) rho times
-    D_{Gamma0(N),M,L}(phi), and rho = rho_0 sigma with rho_0 and the core
-    nonzero.  So the two agree at a cusp exactly when the recursion's row
-    there equals D_{Gamma0(N),M,L}(phi) times sigma, which is compared
-    cusp by cusp over the two denominators, in (d, x) order; the first cusp
-    that differs is the mismatch."""
+    boundary_divisor and closed_form_boundary are the rows of
+    _recursion and _closed_rows, each scaled by the same nonzero
+    beta_{Gamma0(f^2),phi,1,1}.  So the two agree at a cusp exactly when
+    the rows there agree, which is compared cusp by cusp over the two
+    denominators, in (d, x) order; the first cusp that differs is the
+    mismatch."""
     den, lhs = _recursion(params)
     sden, rhs = _closed_rows(params)
     zero = [0] * CyclotomicField(params.phi.order).degree

@@ -96,6 +96,13 @@ class EisensteinParams:
     N: int
     M: int
     L: int
+    T1: int  # the product of the primes of M prime to f
+    T2: int  # the product of the primes of L
+    S_phi: tuple[int, ...]  # the primes q | T2 with phi(q)^2 = 1
+    T2_phi: int  # the product of S_phi
+    xi: DirichletCharacter  # the primitive character attached to phi^2
+    # set by __post_init__; outside ==, hash and repr
+    _computed = ("T1", "T2", "S_phi", "T2_phi", "xi")
 
     def __post_init__(self):
         phi, N, M, L = self.phi, self.N, self.M, self.L
@@ -115,36 +122,17 @@ class EisensteinParams:
                     f"side condition violated at p={p}: nu_p(N/f^2)={n_p} > 1 "
                     f"requires nu_p(M)={n_p}, got {valuation(M, p)}"
                 )
+        primes_L = prime_divisors(L)
+        S_phi = tuple(q for q in primes_L if 2 * phi.value_exponent(q) % phi.order == 0)
+        object.__setattr__(self, "T1", prod(l for l in prime_divisors(M) if f % l))
+        object.__setattr__(self, "T2", prod(primes_L))
+        object.__setattr__(self, "S_phi", S_phi)
+        object.__setattr__(self, "T2_phi", prod(S_phi))
+        object.__setattr__(self, "xi", (phi * phi).primitive_part())
 
     @property
     def f(self) -> int:
         return self.phi.modulus
-
-    @property
-    def T1(self) -> int:
-        return prod(l for l in prime_divisors(self.M) if self.f % l)
-
-    @property
-    def T2(self) -> int:
-        return prod(prime_divisors(self.L))
-
-    @property
-    def S_phi(self) -> tuple[int, ...]:
-        out = []
-        for q in prime_divisors(self.T2):
-            e = self.phi.value_exponent(q)
-            if e is not None and (2 * e) % self.phi.order == 0:
-                out.append(q)
-        return tuple(out)
-
-    @property
-    def T2_phi(self) -> int:
-        return prod(self.S_phi)
-
-    @property
-    def xi(self) -> DirichletCharacter:
-        """Primitive character attached to phi^2."""
-        return (self.phi * self.phi).primitive_part()
 
     def field(self):
         """Q(zeta_f, phi) realized as Q(zeta_lcm(f, k))."""

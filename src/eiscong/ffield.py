@@ -57,6 +57,8 @@ from operator import mul
 from . import polys
 from .arith import DomainError, is_prime, record
 
+# The library enumerates no field; the benchmark's traced run counts the root
+# searches in fields above this size.
 ENUMERATION_CAP = 1 << 16
 
 
@@ -161,11 +163,6 @@ class FiniteField:
             rest = self.mul(rest, conjugate)
         c = pow(self.mul(a, rest)[0], -1, q)
         return tuple(x * c % q for x in rest)
-
-    def elements(self):
-        if self.size > ENUMERATION_CAP:
-            raise DomainError("field too large to enumerate")
-        return map(self.element, range(self.size))
 
     def element(self, n: int):
         """The n-th element in the fixed order: the base-q digits of n."""

@@ -8,9 +8,14 @@ scales every D-divisor, also when its coefficient is 1.  Its alpha, beta
 and gamma tables are the former `_alpha_table`, `_beta_table` and
 `_gamma_table`, which write the slash and promotion recurrences out once
 per table, where the library runs one `_slash` and one `_promote` step from
-three start vectors.  The code is verbatim; `D_divisor` and `CuspDivisor`
-are the library's.  `gamma0_equivalent`, the classical criterion for two
-cusps to be Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
+three start vectors.  The code is verbatim apart from its divisor
+arithmetic: `CuspDivisor` is the library's, while `D_divisor` and the
+module functions `add`, `sub`, `scale`, `degree` and `first_mismatch` are
+the former library function and `CuspDivisor` methods, which only tests
+used.  The library's closed form has no D_{Gamma0(N),M,L}(phi) of its own:
+it scales the rows of D_{Gamma0(N),M,L}(phi) times sigma.
+`gamma0_equivalent`, the classical criterion for two cusps to be
+Gamma0(N)-equivalent, is the oracle for the (d, x) classifier
 `cusp_from_fraction`, which the Manin-symbol boundary map now uses too.
 
 `boundary_divisor` is the former recursion, verbatim: it scales
@@ -40,10 +45,64 @@ from math import gcd, prod
 from eiscong.arith import (DomainError, euler_phi, factor, is_prime, prime_divisors,
                           valuation, xgcd)
 from eiscong.characters import bernoulli_B2, gauss_sum, gauss_sum_inverse
-from eiscong.cusps import (BoundaryReport, Cusp, CuspDivisor, D_divisor, cusp_from_fraction,
+from eiscong.characters import DirichletCharacter
+from eiscong.cusps import (BoundaryReport, Cusp, CuspDivisor, _D_exponents, cusp_from_fraction,
                            enumerate_cusps)
 from eiscong.cyclotomic import CycElement, CyclotomicField
 from eiscong.eisenstein import EisensteinParams
+
+
+def D_divisor(N: int, d: int, phi: DirichletCharacter) -> CuspDivisor:
+    """D_{Gamma0(N),d}(phi) = sum phi(ab) [a; db] over cusps of divisor d.
+
+    Defined when conductor(phi) | gcd(d, N/d); the coefficient at the class
+    (d, x) is phi(x), which the library's `_assert_well_defined` re-derives
+    from representative pairs.  The checked exponents are computed once per
+    (N, d, phi), and every call returns a fresh divisor with its own copy.
+    """
+    K = CyclotomicField(phi.order)
+    return CuspDivisor(N, {c: K.zeta(e) for c, e in _D_exponents(N, d, phi).items()})
+
+
+def _combine(a: CuspDivisor, b: CuspDivisor, sign: int) -> CuspDivisor:
+    """a + sign * b, sign = 1 or -1, coefficient by coefficient; the
+    constructor drops the coefficients that cancel."""
+    if a.level != b.level:
+        raise DomainError("divisor level mismatch")
+    out = dict(a.support)
+    for c, v in b.support.items():
+        if c in out:
+            out[c] = out[c] + v if sign == 1 else out[c] - v
+        else:
+            out[c] = v if sign == 1 else -v
+    return CuspDivisor(a.level, out)
+
+
+def add(a: CuspDivisor, b: CuspDivisor) -> CuspDivisor:
+    return _combine(a, b, 1)
+
+
+def sub(a: CuspDivisor, b: CuspDivisor) -> CuspDivisor:
+    return _combine(a, b, -1)
+
+
+def scale(D: CuspDivisor, c) -> CuspDivisor:
+    return CuspDivisor(D.level, {k: v * c for k, v in D.support.items()})
+
+
+def degree(D: CuspDivisor) -> CycElement:
+    acc = CyclotomicField(1).zero()
+    for v in D.support.values():
+        acc = acc + v
+    return acc
+
+
+def first_mismatch(a: CuspDivisor, b: CuspDivisor):
+    """The first cusp in (d, x) order where a and b differ, or None."""
+    for c in sorted(set(a.support) | set(b.support), key=lambda k: (k.d, k.x)):
+        if a.coefficient(c) != b.coefficient(c):
+            return c
+    return None
 
 
 def beta_constant(params: EisensteinParams) -> CycElement:
@@ -155,7 +214,7 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
     def rec(i, d, coeff):
         nonlocal total
         if i == len(tables):
-            total = total + D_divisor(N, d, phi).scale(coeff)
+            total = add(total, scale(D_divisor(N, d, phi), coeff))
             return
         p, table = tables[i]
         for e, v in table.items():
@@ -166,7 +225,7 @@ def D_NML(params: EisensteinParams) -> CuspDivisor:
 
 def closed_form_boundary(params: EisensteinParams) -> CuspDivisor:
     """beta * D_{Gamma0(N),M,L}(phi), the theorem's closed form."""
-    return D_NML(params).scale(beta_constant(params))
+    return scale(D_NML(params), beta_constant(params))
 
 
 def gamma0_equivalent(N: int, frac1: tuple[int, int], frac2: tuple[int, int]) -> bool:
@@ -259,13 +318,13 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
     refinement/scaling/promotion construction (proof order)."""
     phi = params.phi
     f, N, M, L = params.f, params.N, params.M, params.L
-    D = D_divisor(f * f, f, phi).scale(beta_constant(EisensteinParams(phi, f * f, 1, 1)))
+    D = scale(D_divisor(f * f, f, phi), beta_constant(EisensteinParams(phi, f * f, 1, 1)))
     # [l]^+ = pi_(l)^* - (phi(l)/l) pi_l^* for l | T1,
     # [q]^- = pi_(q)^* - phi^{-1}(q) pi_q^* for q | T2
     steps = [(l, phi.value(l) * Fraction(1, l)) for l in prime_divisors(params.T1)]
     steps += [(q, phi.inverse().value(q)) for q in prime_divisors(params.T2)]
     for p, c in steps:
-        D = pullback_pi_paren(D, p) - pullback_pi_l(D, p).scale(c)
+        D = sub(pullback_pi_paren(D, p), scale(pullback_pi_l(D, p), c))
     for p, e in factor(M * L // (params.T1 * params.T2)):
         for _ in range(e):
             D = pullback_pi_l(D, p)
@@ -282,4 +341,4 @@ def verify_boundary(params: EisensteinParams) -> BoundaryReport:
     rhs = closed_form_boundary(params)
     if lhs == rhs:
         return BoundaryReport(True, params.N, None)
-    return BoundaryReport(False, params.N, lhs.first_mismatch(rhs))
+    return BoundaryReport(False, params.N, first_mismatch(lhs, rhs))

@@ -17,9 +17,15 @@ was composed from the functions below, which are verbatim:
 coefficient's vector of counts of zeta_k exponents through
 `CyclotomicField.element`, which validates, folds and reduces it mod Phi_k and
 canonicalizes it.  `hecke_Tl` and `hecke_Uq` act on the expansions.
+
+`derived` gives the former `EisensteinParams` properties T1, T2, S_phi,
+T2_phi and xi, verbatim, which recomputed each value on every access; the
+library now computes them once, with the parameters.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from eiscong.arith import DomainError, is_prime, prime_divisors
 from eiscong.characters import DirichletCharacter
@@ -162,3 +168,17 @@ def hecke_Uq(g: QExpansion, q: int) -> QExpansion:
     B = g.precision // q
     coeffs = [g.coeffs[q * n - 1] for n in range(1, B + 1)]
     return QExpansion(g.level, B, tuple(coeffs), g.a0 * q)
+
+
+def derived(P: EisensteinParams) -> dict:
+    """{name: value} of the derived data T1, T2, S_phi, T2_phi and xi of P."""
+    T1 = prod(l for l in prime_divisors(P.M) if P.f % l)
+    T2 = prod(prime_divisors(P.L))
+    out = []
+    for q in prime_divisors(T2):
+        e = P.phi.value_exponent(q)
+        if e is not None and (2 * e) % P.phi.order == 0:
+            out.append(q)
+    S_phi = tuple(out)
+    return {"T1": T1, "T2": T2, "S_phi": S_phi, "T2_phi": prod(S_phi),
+            "xi": (P.phi * P.phi).primitive_part()}

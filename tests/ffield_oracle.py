@@ -16,8 +16,9 @@ taking the modulus from this module's search.  Its Rabin test
 `_irreducible_modq` calls every linear polynomial reducible; the search
 never asks it at r = 1, and the library now tests irreducibility by the
 degree of the first factor of the distinct-degree split.
-`multiplicative_order` is the former `FiniteField.multiplicative_order`,
-which only tests called.
+`multiplicative_order` and `elements` are the former
+`FiniteField.multiplicative_order` and `FiniteField.elements`, which only
+tests called.
 
 `roots_by_gcd`, `_one_root` and `_distinct_degree` are the root search that
 `roots_in_field` replaced, verbatim apart from the name of the first: it
@@ -270,7 +271,7 @@ def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
     if len(fp) == 1:
         return []
     if F.size <= ENUMERATION_CAP and not force_splitting:
-        return sorted(x for x in F.elements() if not any(_fpoly_eval(fp, x, F)))
+        return sorted(x for x in elements(F) if not any(_fpoly_eval(fp, x, F)))
     # split off the linear factors: g = gcd(f, y^{|F|} - y)
     yq = _fpoly_powmod([F.zero(), F.one()], F.size, fp, F)
     diff = [F.sub(a, b) for a, b in _pad(yq, [F.zero(), F.one()], F)]
@@ -415,6 +416,13 @@ def scan_pairs(E, params, record, q, B, r, F, pairs) -> CongruenceReport:
     return CongruenceReport(
         params.label(), record.label, q, r, pairs[0], B, False, first_mismatch
     )
+
+
+def elements(F: FiniteField):
+    """The elements of F in the fixed order, refused above ENUMERATION_CAP."""
+    if F.size > ENUMERATION_CAP:
+        raise DomainError("field too large to enumerate")
+    return map(F.element, range(F.size))
 
 
 def multiplicative_order(F: FiniteField, a) -> int:

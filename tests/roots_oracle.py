@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import random
 
+from ffield_oracle import elements
+
 from eiscong.arith import DomainError
 from eiscong.ffield import (ENUMERATION_CAP, FiniteField, _pdivmod, _pgcd, _pmul,
                             _ppowmod, _psub, _reduce_monic, _trim)
@@ -36,7 +38,7 @@ def roots_in_field(int_poly, F: FiniteField, force_splitting: bool = False):
     if count <= 0:
         return roots
     if F.size <= ENUMERATION_CAP and not force_splitting:
-        for x in F.elements():
+        for x in elements(F):
             if not any(_peval(g, x, F)):
                 roots.append(x)
                 if len(roots) == count:

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cusps_oracle
+from cusps_oracle import D_divisor, add, degree, first_mismatch, scale, sub
 from helpers import (character_with_value, pullback_pi_l, pullback_pi_paren,
                      random_pgood_params)
 
 from eiscong import cusps
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
 from eiscong.characters import enumerate_characters, gauss_sum, quadratic_character
-from eiscong.cusps import (Cusp, CuspDivisor, D_NML, D_divisor,
-                           DivisorUndefinedError, beta_constant, beta_tilde,
+from eiscong.cusps import (Cusp, CuspDivisor, DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
                            cusp_from_fraction, enumerate_cusps,
                            _cusp_map, _table, verify_boundary)
@@ -131,9 +131,9 @@ def test_pullback_degree_equals_index():
             if v:
                 support[c] = K1.from_rational(v)
         D = CuspDivisor(A, support)
-        deg = D.degree()
-        d1 = pullback_pi_paren(D, l).degree()
-        d2 = pullback_pi_l(D, l).degree()
+        deg = degree(D)
+        d1 = degree(pullback_pi_paren(D, l))
+        d2 = degree(pullback_pi_l(D, l))
         assert d1 == deg * index, (A, l, "pi_(l)")
         assert d2 == deg * index, (A, l, "pi_l")
 
@@ -167,7 +167,7 @@ def test_D_divisor_basics():
     phi = quadratic_character(11)
     D = D_divisor(121, 11, phi)
     assert len(D.support) == 10
-    assert D.degree().is_zero()
+    assert degree(D).is_zero()
     vals = sorted(v.rational_value() for v in D.support.values())
     assert vals == [-1] * 5 + [1] * 5
     # conductor condition violated
@@ -177,7 +177,7 @@ def test_D_divisor_basics():
         D_divisor(22, 11, phi)
     # degree = sum of phi over units = 0 for nontrivial phi
     phi10 = character_with_value(11, 2, 10, 1)
-    assert D_divisor(121, 11, phi10).degree().is_zero()
+    assert degree(D_divisor(121, 11, phi10)).is_zero()
     # f^2 case of the appendix proposition: euler_phi(f) cusps
     assert len(D_divisor(49, 7, quadratic_character(7)).support) == 6
 
@@ -193,25 +193,25 @@ def test_pullback_four_case_table():
     # case l coprime to A and d: pi_(l)* D_{A,d} = l D + phi(l) D_{dl}
     A, d, l = 9, 3, 2
     lhs = pullback_pi_paren(DD(A, d), l)
-    rhs = DD(A * l, d).scale(l) + DD(A * l, d * l).scale(phi.value(l))
+    rhs = add(scale(DD(A * l, d), l), scale(DD(A * l, d * l), phi.value(l)))
     assert lhs == rhs
     # pi_l* D_{A,d} = l D_{dl} + phi(l) D_d
     lhs = pullback_pi_l(DD(A, d), l)
-    rhs = DD(A * l, d * l).scale(l) + DD(A * l, d).scale(phi.value(l))
+    rhs = add(scale(DD(A * l, d * l), l), scale(DD(A * l, d), phi.value(l)))
     assert lhs == rhs
     # case l | A/d, nu_l(d) <= nu_l(A/d): pi_(l)* = l D_d
     A, d, l = 18, 3, 2
-    assert pullback_pi_paren(DD(A, d), l) == DD(A * l, d).scale(l)
+    assert pullback_pi_paren(DD(A, d), l) == scale(DD(A * l, d), l)
     # case l | d, nu_l(A/d) <= nu_l(d): pi_l* = l D_{dl}
     A, d, l = 18, 6, 2
-    assert pullback_pi_l(DD(A, d), l) == DD(A * l, d * l).scale(l)
+    assert pullback_pi_l(DD(A, d), l) == scale(DD(A * l, d * l), l)
     # case l | A/d, nu_l(d) > nu_l(A/d): pi_(l)* = D_d
     A, d, l = 288, 24, 2  # nu_2(24) = 3 > nu_2(12) = 2
     assert pullback_pi_paren(DD(A, d), l) == DD(A * l, d)
     # case l not dividing d, l | A/d for pi_l*: D_{dl} + phi(l) D_d
     A, d, l = 18, 3, 2
     lhs = pullback_pi_l(DD(A, d), l)
-    rhs = DD(A * l, d * l) + DD(A * l, d).scale(phi.value(l))
+    rhs = add(DD(A * l, d * l), scale(DD(A * l, d), phi.value(l)))
     assert lhs == rhs
 
 
@@ -268,8 +268,8 @@ def test_boundary_121():
     phi = quadratic_character(11)
     P = EisensteinParams(phi, 121, 1, 1)
     D = boundary_divisor(P)
-    assert D == D_divisor(121, 11, phi).scale(gauss_sum(phi) * 55)
-    assert D.degree().is_zero()
+    assert D == scale(D_divisor(121, 11, phi), gauss_sum(phi) * 55)
+    assert degree(D).is_zero()
     # the coefficient at infinity is 0
     inf = cusp_from_fraction(121, 1, 0)
     assert D.coefficient(inf).is_zero()
@@ -304,7 +304,7 @@ def test_verify_boundary_detects_mutation():
     mutated = CuspDivisor(rhs.level, {**rhs.support, cusp: -val})
     assert lhs == rhs
     assert lhs != mutated
-    assert lhs.first_mismatch(mutated) == cusp
+    assert first_mismatch(lhs, mutated) == cusp
 
 
 def test_divisor_support_rationality_pgood():
@@ -403,20 +403,30 @@ def _check_beta_against_oracle(P):
             assert all(v.field is K and v.den == 1 for v in table.values()), (P.label(), p)
             rows = [list(row) for row in _table(P, p)]
             assert rows == [list(table[e].num) for e in range(len(table))], (P.label(), p)
-    # rho = rho of the recursion's start (phi, f^2, 1, 1) times sigma
-    sigma, den = cusps._sigma(P)
-    start = EisensteinParams(P.phi, P.f ** 2, 1, 1)
-    assert cusps._beta_rho(P) == cusps._beta_rho(start) * K.element(sigma) / den, P.label()
-    assert _same_divisor(D_NML(P), cusps_oracle.D_NML(P)), P.label()
+    # beta = beta_{Gamma0(f^2),phi,1,1} times sigma, with the oracle's beta
+    srow, sden = cusps._sigma(P)
+    sigma = K.element(srow) / sden
+    start = cusps_oracle.beta_constant(EisensteinParams(P.phi, P.f ** 2, 1, 1))
+    assert _reprs({0: cusps._beta_start(P.phi)}) == _reprs({0: start}), P.label()
+    assert want == start * sigma, P.label()
+    # the closed form's rows are D_{Gamma0(N),M,L}(phi) times sigma
+    den, rows = cusps._closed_rows(P)
+    got = {c: K.element(row) / den for c, row in rows.items() if any(row)}
+    assert _reprs(got) == _reprs(scale(cusps_oracle.D_NML(P), sigma).support), P.label()
     assert _same_divisor(closed_form_boundary(P), cusps_oracle.closed_form_boundary(P)), P.label()
     assert verify_boundary(P).ok
 
 
 def test_beta_matches_oracle_on_eigenbases():
-    """beta, the alpha/beta/gamma tables, D_NML and the closed form agree
-    with the former code on the 19 eigenbasis series at 121, 234 and 725."""
-    for P in _eigenbasis():
+    """beta, the alpha/beta/gamma tables, D_NML, the closed form and the
+    recursion agree with the oracle on the 19 eigenbasis series at 121, 234
+    and 725 and the 43 at 169, 289 and 361, whose characters have order up
+    to 18."""
+    larger = [P for N, p in ((169, 13), (289, 17), (361, 19)) for P in eisenstein_basis(N, p)]
+    assert len(larger) == 43
+    for P in _eigenbasis() + larger:
         _check_beta_against_oracle(P)
+        assert _same_divisor(boundary_divisor(P), cusps_oracle.boundary_divisor(P)), P.label()
 
 
 def test_beta_matches_oracle_with_promotions():
@@ -429,7 +439,17 @@ def test_beta_matches_oracle_with_promotions():
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.randoms(use_true_random=False))
 def test_beta_matches_oracle_on_random_pgood_params(rng):
-    for P in random_pgood_params(rng, 2):
+    for P in random_pgood_params(rng, 2, nprime_max=60, primes=(3, 5, 7, 11, 13)):
+        _check_beta_against_oracle(P)
+
+
+def test_beta_matches_oracle_on_random_valid_params():
+    """beta, the tables, D_NML and the closed form agree with the oracle on
+    100 valid sets across conductors 3..12; conductors 4, 8, 9 and 12 reach
+    the Euler factors at p | f that are not 1."""
+    from helpers import random_valid_params
+
+    for P in random_valid_params(random.Random(47), 100):
         _check_beta_against_oracle(P)
 
 
@@ -479,14 +499,12 @@ def test_boundary_divisor_matches_oracle_cold_and_warm():
 
 
 def test_verify_boundary_matches_oracle():
-    """The check in Q(zeta_k) gives the former scaled comparison's ok and
-    mismatch cusp, and beta is its Gauss-sum core times _beta_rho, field,
-    num and den, on the oracle sets."""
+    """The check on unscaled rows gives the former scaled comparison's ok
+    and mismatch cusp, and beta its field, num and den, on the oracle sets."""
     for P in _oracle_sets():
         got, want = verify_boundary(P), cusps_oracle.verify_boundary(P)
         assert (got.ok, got.mismatch_cusp) == (want.ok, want.mismatch_cusp), P.label()
-        core = cusps._beta_core(P.phi)
-        beta, oracle = core * cusps._beta_rho(P).embed(core.field.m), cusps_oracle.beta_constant(P)
+        beta, oracle = beta_constant(P), cusps_oracle.beta_constant(P)
         assert (beta.field, beta.num, beta.den) == (oracle.field, oracle.num, oracle.den), P.label()
 
 
@@ -559,14 +577,19 @@ def test_verify_boundary_mutation_matches_oracle_on_random_pgood_params(p, rng, 
 
 
 def test_verify_boundary_stays_off_the_gauss_sum_core(monkeypatch):
-    """verify_boundary needs no factor of beta that lives in Q(zeta_lcm(f,k))."""
-    def refuse(phi):
+    """verify_boundary needs no factor of beta that lives in Q(zeta_lcm(f,k)):
+    with the Gauss sums and B2 refused where cusps binds them, and
+    _beta_start emptied, it still passes, while beta itself is refused."""
+    def refuse(chi):
         raise AssertionError("verify_boundary computed the Gauss-sum core")
 
-    monkeypatch.setattr(cusps, "_beta_core", refuse)
+    for name in ("gauss_sum", "gauss_sum_inverse", "bernoulli_B2"):
+        monkeypatch.setattr(cusps, name, refuse)
     cusps._beta_start.cache_clear()
     for P in _eigenbasis():
         assert cusps.verify_boundary(P)
+    with pytest.raises(AssertionError, match="Gauss-sum core"):
+        cusps.beta_constant(P)
 
 
 def test_divisor_difference_by_coefficient():
@@ -577,13 +600,13 @@ def test_divisor_difference_by_coefficient():
     b = D_divisor(121, 11, phi)
     up, scaled = pullback_pi_paren(b, 11), pullback_pi_l(b, 11)
     assert set(up.support) != set(scaled.support)
-    for x, y in ((a, b), (b, a), (a, a.scale(2)), (b, CuspDivisor(121)), (up, scaled),
+    for x, y in ((a, b), (b, a), (a, scale(a, 2)), (b, CuspDivisor(121)), (up, scaled),
                  (scaled, up)):
-        assert _same_divisor(x - y, x + y.scale(-1))
-    assert not (a - a).support
+        assert _same_divisor(sub(x, y), add(x, scale(y, -1)))
+    assert not sub(a, a).support
     c = next(iter(b.support))
     half = CuspDivisor(121, {c: b.support[c]})
-    assert set((b - half).support) == set(b.support) - {c}
+    assert set(sub(b, half).support) == set(b.support) - {c}
 
 
 def test_D_divisor_checked_once_per_argument_triple(monkeypatch):

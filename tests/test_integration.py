@@ -190,18 +190,25 @@ UNCALLED_EXPORTS = {"tl_eigenvalue"}
 
 
 def test_every_export_has_a_caller():
-    """Every name `eiscong/__init__.py` imports, and every public module-level
-    function of `src/eiscong`, is referenced in a library module, in bench/ or
-    scripts/, or imported by the README's python block; a function that only
-    tests call belongs under tests/.  Names are read off the AST, so a name in
-    a string or comment, or a function's own definition, is no caller."""
+    """Every name `eiscong/__init__.py` imports, every public module-level
+    function of `src/eiscong`, and every public method or property of its
+    classes, is referenced in a library module, in bench/ or scripts/, or
+    imported by the README's python block; what only tests call belongs
+    under tests/.  Names are read off the AST, so a name in a string or
+    comment, or a function's own definition, is no caller.  A method counts
+    as called when any attribute of that name is read, so the check is
+    conservative: it misses a dead method that shares its name with a live
+    attribute."""
     root = BENCH.parent
     src = root / "src" / "eiscong"
     exported = {alias.asname or alias.name
                 for node in ast.parse((src / "__init__.py").read_text()).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    exported |= {node.name for p in src.glob("*.py") for node in ast.parse(p.read_text()).body
-                 if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    for p in src.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            exported |= {f.name for f in body
+                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
 
     def referenced(tree):
         for node in ast.walk(tree):

@@ -3,15 +3,20 @@ reprs, the same constructor, and instances that stay frozen."""
 
 import copy
 import pickle
+import random
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+import eisenstein_oracle
 import record_oracle
+from helpers import random_pgood_params, random_valid_params
+
 from eiscong.arith import FrozenRecordError, record
 from eiscong.characters import character_from_label
 from eiscong.cyclotomic import CycElement, CyclotomicField, _CycField
+from eiscong.eisenstein import EisensteinParams
 from eiscong.ffield import FiniteField
 from eiscong.scanner import CongruenceReport
 
@@ -87,6 +92,15 @@ def test_computed_fields_of_library_records():
     K = CyclotomicField(12)
     assert _CycField._fields == ("m", "degree", "modulus") and len(K.powers) == 12
     assert K == _CycField(12, 4, K.modulus) and hash(K) == hash((12, 4, K.modulus))
+    assert EisensteinParams._fields == ("phi", "N", "M", "L")
+    sets = random_valid_params(random.Random(3), 60) + random_pgood_params(
+        random.Random(4), 60, nprime_max=60, primes=(3, 5, 7, 11, 13))
+    for P in sets:
+        want = eisenstein_oracle.derived(P)
+        assert {name: vars(P)[name] for name in want} == want, P.label()
+        key = (P.phi, P.N, P.M, P.L)
+        assert P == EisensteinParams(*key) and hash(P) == hash(key)
+        assert repr(P) == "EisensteinParams(phi={!r}, N={!r}, M={!r}, L={!r})".format(*key)
 
 
 def test_own_dunders_are_kept():
