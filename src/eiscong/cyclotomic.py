@@ -333,17 +333,6 @@ class CycElement:
 
     # -- Galois action -------------------------------------------------------
 
-    def galois(self, j: int) -> "CycElement":
-        """sigma_j: zeta -> zeta^j, for gcd(j, m) = 1."""
-        m = self.field.m
-        if gcd(j, m) != 1:
-            raise DomainError(f"sigma_{j} is not a Galois element for m={m}")
-        return _canonical(self.field, self._galois_num(j), self.den)
-
-    def conjugate(self) -> "CycElement":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        return self.galois(self.field.m - 1) if self.field.m > 1 else self
-
     def norm_to_Q(self) -> Fraction:
         """N_{Q(zeta_m)/Q}: the product of all Galois conjugates."""
         if self.is_zero():

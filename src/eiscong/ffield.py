@@ -26,13 +26,18 @@ a^((q^e-1)/2) - 1) for a random a, or the trace sum_{i<e} a^(2^i) in
 characteristic 2 (Cohen, GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).  The
 roots of f in F_{q^r} are read off the factors whose degree e divides r: the
 roots of a factor u of degree e are one Frobenius orbit x, x^q, ...,
-x^(q^(e-1)).  One is found by splitting u over F with y + c (c y in
-characteristic 2), c the trace to F_{q^e} of a random element (a c in F_q
-cannot separate conjugates): the norm prod_i (y^(q^i) + c^(q^i)), or the
-trace sum_i c^(2^i) y^(2^i), has its values at the roots in F_q, so the e = 1
-split applies, with y^(q^i) mod u computed once over F_q.  A caller that
-needs the roots of one f in several fields passes the factorization to each
-`roots_in_field`.
+x^(q^(e-1)).  Where the degree settles them they are read directly: a
+linear y + u_0 gives -u_0, and for odd q an irreducible y^2 + b y + c in
+F_{q^2} = F_q[x]/(x^2 + h_1 x + h_0) gives (-b +- s (2x + h_1)) / 2, since
+(2x + h_1)^2 = disc(h), with s^2 = disc(u) / disc(h) (two non-squares) one
+Tonelli-Shanks square root in F_q (Cohen, GTM 138, 1.5).  Any other factor,
+a quadratic over F_2 or in F_{q^r} with r > 2, or of degree >= 3, has one
+root found by splitting u over F with y + c (c y in characteristic 2), c the
+trace to F_{q^e} of a random element (a c in F_q cannot separate
+conjugates): the norm prod_i (y^(q^i) + c^(q^i)), or the trace sum_i c^(2^i)
+y^(2^i), has its values at the roots in F_q, so the e = 1 split applies,
+with y^(q^i) mod u computed once over F_q.  A caller that needs the roots of
+one f in several fields passes the factorization to each `roots_in_field`.
 
 Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
@@ -294,12 +299,44 @@ def roots_in_field(int_poly, F: FiniteField, *, factors=None):
     rng = random.Random(0x5EED)
     roots = []
     for e, u in factors:
-        if F.r % e == 0:
+        if e == 1:
+            roots.append(F.from_int(-u[0]))
+        elif e == F.r == 2 and F.q != 2:
+            roots += _quadratic_roots(u, F)
+        elif F.r % e == 0:
             orbit = [_one_root(u, e, F, rng)]
             while len(orbit) < e:
                 orbit.append(F.frob(orbit[-1]))
             roots += orbit
     return sorted(roots)
+
+
+def _quadratic_roots(u, F):
+    """Both roots in F = F_q[x]/(h), deg h = 2 and q odd, of the irreducible
+    y^2 + b y + c = u over F_q: (-b +- s (2x + h_1)) / 2, since (2x + h_1)^2 =
+    disc(h), with s^2 = disc(u) / disc(h) in F_q (both are non-squares)."""
+    q, (h0, h1, _), (c, b, _) = F.q, F.modulus, u
+    half = (q + 1) // 2
+    s = _sqrt_mod((b * b - 4 * c) * pow(h1 * h1 - 4 * h0, -1, q), q)
+    return [((s * h1 - b) * half % q, s), ((-s * h1 - b) * half % q, -s % q)]
+
+
+def _sqrt_mod(a, q):
+    """A square root of the square a mod the odd prime q (Tonelli-Shanks;
+    Cohen, GTM 138, Alg. 1.5.1)."""
+    e, t = 0, q - 1
+    while t % 2 == 0:
+        e, t = e + 1, t // 2
+    z = next(z for z in range(2, q) if pow(z, (q - 1) // 2, q) == q - 1)
+    y, x, b = pow(z, t, q), pow(a, (t + 1) // 2, q), pow(a, t, q)
+    while b != 1:
+        m, b2 = 1, b * b % q  # the order of b is 2^m
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % q
+        w = pow(y, 1 << (e - m - 1), q)
+        y, e = w * w % q, m
+        x, b = x * w % q, b * y % q
+    return x
 
 
 def cyclotomic_residue(k: int, q: int) -> tuple[int, int]:

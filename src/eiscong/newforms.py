@@ -87,12 +87,12 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
     label = item["label"]
     _require(isinstance(label, str), where, "label must be a string")
     level = item["level"]
-    _require(isinstance(level, int) and level >= 1, where, "level must be a positive int")
+    _require(type(level) is int and level >= 1, where, "level must be a positive int")
     if item["weight"] != 2:
         return None  # only weight-2 trivial-nebentypus forms are accepted
     poly = item["field_poly"]
     _require(
-        isinstance(poly, list) and poly and all(isinstance(c, int) for c in poly),
+        isinstance(poly, list) and poly and all(type(c) is int for c in poly),
         where, "field_poly must be a nonempty list of ints",
     )
     _require(poly[-1] == 1, where, "field_poly must be monic")
@@ -107,19 +107,23 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
         bd = item.get("basis_denominators")
         _require(isinstance(bm, list) and len(bm) == deg, where, "basis_matrix must be deg x deg")
         _require(isinstance(bd, list) and len(bd) == deg, where, "basis_denominators must have length deg")
-        _require(all(isinstance(r, list) and len(r) == deg and all(isinstance(c, int) for c in r) for r in bm),
+        _require(all(isinstance(r, list) and len(r) == deg and all(type(c) is int for c in r) for r in bm),
                  where, "basis_matrix entries must be ints")
-        _require(all(isinstance(x, int) and x >= 1 for x in bd), where, "denominators must be positive ints")
+        _require(all(type(x) is int and x >= 1 for x in bd), where, "denominators must be positive ints")
         den = lcm(*bd)
         basis = [[num * (den // d) for num in row] for row, d in zip(bm, bd)]
 
+    # one pass over all of an; the per-vector walk only names the first bad vector
+    lengths = {len(vec) if isinstance(vec, list) else -1 for vec in an_raw}
+    if lengths != {deg} or {type(c) for vec in an_raw for c in vec} != {int}:
+        for i, vec in enumerate(an_raw):
+            if not (isinstance(vec, list) and len(vec) == deg):
+                raise NewformDataError(f"{where}.an[{i}]: coefficient vector must have length {deg}")
+            if not all(type(c) is int for c in vec):
+                raise NewformDataError(f"{where}.an[{i}]: coefficients must be ints (no floats)")
+
     an = []
-    for i, vec in enumerate(an_raw):
-        # the location is formatted only when a check fails
-        if not (isinstance(vec, list) and len(vec) == deg):
-            raise NewformDataError(f"{where}.an[{i}]: coefficient vector must have length {deg}")
-        if not all(isinstance(c, int) for c in vec):
-            raise NewformDataError(f"{where}.an[{i}]: coefficients must be ints (no floats)")
+    for vec in an_raw:
         if basis is None:
             an.append((tuple(vec), 1))
         else:

@@ -310,13 +310,15 @@ def full_scan(
     embeddings: dict = {}  # the scan memo: one root search per field polynomial and F
     unusable: set[tuple[str, int]] = set()  # (newform, l) with l in a denominator
     for params in eisenstein_basis(N, p):
-        E = build_E(params, bound)
+        E = None  # built at the first l that is scanned
         for l in ls:
             if eisenstein_character(params.phi, l).is_trivial():
                 skipped.append(
                     f"{params.label()} at l={l}: reduced character is trivial (rational case)"
                 )
                 continue
+            if E is None:
+                E = build_E(params, bound)
             for rec in records:
                 if (rec.label, l) in unusable:
                     continue

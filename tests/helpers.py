@@ -9,7 +9,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 
-from eiscong import cusps, polys
+from eiscong import cusps, cyclotomic, polys
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, primes_up_to
 from eiscong.characters import enumerate_characters
 from eiscong.cyclotomic import cyclotomic_polynomial
@@ -175,6 +175,13 @@ def scalar_multiple(f, g, B):
         elif c != ratio:
             return None
     return c
+
+
+def galois(a, j):
+    """sigma_j(a), zeta -> zeta^j, for a library CycElement a and gcd(j, m) = 1,
+    through the numerator map the library's norm and inverse use."""
+    assert gcd(j, a.field.m) == 1, f"sigma_{j} is not a Galois element for m={a.field.m}"
+    return cyclotomic._canonical(a.field, a._galois_num(j), a.den)
 
 
 def count_calls(monkeypatch, owner, *names):

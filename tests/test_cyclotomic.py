@@ -11,6 +11,7 @@ from eiscong.arith import DomainError, FrozenRecordError
 from eiscong.cyclotomic import (CycElement, CyclotomicField,
                                 cyclotomic_polynomial)
 from cyclotomic_oracle import divmod_exact
+from helpers import galois
 
 
 def test_cyclotomic_polynomials():
@@ -123,13 +124,13 @@ def test_galois_and_conjugate():
     K = CyclotomicField(11)
     tau = _sqrt_minus_11(K)
     # complex conjugation on sqrt(-11) flips the sign
-    assert tau.conjugate() == -tau
-    assert tau.conjugate().conjugate() == tau
+    assert galois(tau, 10) == -tau
+    assert galois(galois(tau, 10), 10) == tau
     # product of an element with all its conjugates is the norm
     e = K.element([1, 1])
     prod = K.one()
     for j in K.galois_group():
-        prod = prod * e.galois(j)
+        prod = prod * galois(e, j)
     assert prod == K.from_rational(e.norm_to_Q())
 
 
@@ -181,7 +182,7 @@ def test_ring_operations_match_oracle(mc, c, data):
     assert _same(a * c, oa * c) and _same(c * a, c * oa)
     assert _same(a + c, oa + c) and _same(c - a, c - oa)
     j = data.draw(st.sampled_from(K.galois_group()))
-    assert _same(a.galois(j), oa.galois(j))
+    assert _same(galois(a, j), oa.galois(j))
     t = data.draw(st.sampled_from((1, 2, 3)))
     assert _same(a.embed(m * t), oa.embed(m * t))
     assert str(a) == str(oa)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import ffield_oracle
 import roots_oracle
+from helpers import count_calls
 from eiscong import ffield, polys
 from eiscong.arith import DomainError, is_prime
 from eiscong.cyclotomic import cyclotomic_polynomial
@@ -278,6 +279,69 @@ def test_characteristic_two_splitting_terminates():
     roots = roots_in_field(cyclotomic_polynomial(7), FiniteField.create(2, 3))
     F = FiniteField.create(2, 3)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(7), F) and len(roots) == 6
+
+
+# ------------------------------------- roots read off without a splitting search
+
+_ODD_PRIMES_TO_101 = tuple(q for q in range(3, 102) if is_prime(q))
+
+
+@pytest.mark.parametrize("q", _ODD_PRIMES_TO_101)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_quadratic_roots_in_F_q2_match_the_search(q, data):
+    """The roots of an irreducible monic quadratic u over F_q in F_{q^2},
+    read off the field's generator, are the Frobenius orbit of the root that
+    the splitting search finds, and each is a root of u."""
+    b = data.draw(st.integers(0, q - 1))
+    c = data.draw(st.integers(0, q - 1).filter(
+        lambda c: ffield_oracle._irreducible_modq([c, b, 1], q)))
+    F = FiniteField.create(q, 2)
+    roots = ffield._quadratic_roots((c, b, 1), F)
+    x = ffield._one_root((c, b, 1), 2, F, random.Random(q))
+    assert sorted(roots) == sorted([x, F.frob(x)])
+    for y in roots:
+        assert not any(F.add(F.mul(F.add(y, F.from_int(b)), y), F.from_int(c)))
+
+
+@st.composite
+def _product_of_small_factors(draw):
+    """F_{q^r} and an integer product of 1 to 4 random factors of degree 1, 2
+    or 3, each with a lead coefficient 1 or a random unit mod q."""
+    q = draw(st.sampled_from((3, 5, 7, 11, 13, 73)))
+    r = draw(st.sampled_from((1, 2, 4, 6)))
+    poly = [1]
+    for _ in range(draw(st.integers(1, 4))):
+        lead = draw(st.sampled_from((1, draw(st.integers(1, q - 1)) * draw(st.sampled_from((1, -1))))))
+        factor = draw(st.lists(st.integers(-30, 30), min_size=1, max_size=3)) + [lead]
+        poly = polys.mul(poly, factor)
+    return FiniteField.create(q, r), list(poly)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_product_of_small_factors())
+def test_roots_in_field_matches_roots_oracle_on_small_factors(case):
+    """Linear and F_{q^2} quadratic roots read directly, and the search for
+    the rest, against the former gcd search (enumeration up to its cap)."""
+    F, poly = case
+    assert roots_in_field(poly, F) == roots_oracle.roots_in_field(poly, F)
+
+
+@pytest.mark.parametrize("q, r, poly, searches", [
+    (2, 2, [1, 1, 1], 1),  # y^2 + y + 1 over F_2: q = 2 keeps the search
+    (7, 2, polys.mul([1, 0, 1], [2, -3, 1]), 0),  # (y^2 + 1)(y - 1)(y - 2)
+    (7, 4, polys.mul([1, 0, 1], [2, -3, 1]), 1),  # a quadratic in F_{7^4}
+    (7, 6, [-2, 0, 0, 1], 1),  # y^3 - 2, irreducible over F_7
+])
+def test_only_the_remaining_factors_take_the_search(monkeypatch, q, r, poly, searches):
+    """Linear factors, and quadratics in F_{q^2} for odd q, take no splitting
+    search; quadratics over F_2 or in F_{q^r} with r > 2, and factors of
+    degree >= 3, take one each.  The roots match the former gcd search."""
+    F = FiniteField.create(q, r)
+    calls = count_calls(monkeypatch, ffield, "_one_root")
+    roots = roots_in_field(poly, F)
+    assert calls == {"_one_root": searches}
+    assert roots == roots_oracle.roots_in_field(poly, F) and roots
 
 
 # ------------------------------- one factorization mod q, Frobenius as a map

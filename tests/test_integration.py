@@ -195,38 +195,43 @@ def test_every_export_has_a_caller():
     classes, is referenced in a library module, in bench/ or scripts/, or
     imported by the README's python block; what only tests call belongs
     under tests/.  Names are read off the AST, so a name in a string or
-    comment, or a function's own definition, is no caller.  A method counts
-    as called when any attribute of that name is read, so the check is
-    conservative: it misses a dead method that shares its name with a live
-    attribute."""
+    comment, or a function's own definition, is no caller.  A function or an
+    imported name counts as called by any reference to its name; a method
+    only by an attribute read of its name, so a local variable of the same
+    name does not hide a dead method.  The check stays conservative: it
+    misses a dead method that shares its name with a live attribute."""
     root = BENCH.parent
     src = root / "src" / "eiscong"
-    exported = {alias.asname or alias.name
-                for node in ast.parse((src / "__init__.py").read_text()).body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    functions = {alias.asname or alias.name
+                 for node in ast.parse((src / "__init__.py").read_text()).body
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    methods = set()
     for p in src.glob("*.py"):
         for node in ast.parse(p.read_text()).body:
-            body = node.body if isinstance(node, ast.ClassDef) else [node]
-            exported |= {f.name for f in body
-                         if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+            if isinstance(node, ast.ClassDef):
+                methods |= {f.name for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions.add(node.name)
 
     def referenced(tree):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                yield node.id
+                yield "name", node.id
             elif isinstance(node, ast.Attribute):
-                yield node.attr
+                yield "attribute", node.attr
             elif isinstance(node, ast.ImportFrom):
-                yield from (alias.name for alias in node.names)
+                yield from (("name", alias.name) for alias in node.names)
 
     paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
     paths += sorted(BENCH.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
-    called = {name for p in paths for name in referenced(ast.parse(p.read_text()))}
+    refs = {ref for p in paths for ref in referenced(ast.parse(p.read_text()))}
     readme = (root / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    called |= {alias.name for node in ast.parse(block).body
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
-    uncalled = exported - called
+    refs |= {("name", alias.name) for node in ast.parse(block).body
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    attributes = {name for kind, name in refs if kind == "attribute"}
+    uncalled = (functions - {name for _, name in refs}) | (methods - attributes)
     assert not uncalled - UNCALLED_EXPORTS, f"only tests call {sorted(uncalled)}"
     assert not UNCALLED_EXPORTS - uncalled, "an exception now has a caller"
 

@@ -103,6 +103,26 @@ def test_load_empty_and_errors(tmp_path):
     assert parse_newforms([dict(good, weight=4)]) == []
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("level", True, ": level must be a positive int"),
+    ("field_poly", [0, True], ": field_poly must be a nonempty list of ints"),
+    ("an", [[True], [-2]], ".an[0]: coefficients must be ints (no floats)"),
+    ("an", [[1], [False]], ".an[1]: coefficients must be ints (no floats)"),
+    ("basis_matrix", [[True]], ": basis_matrix entries must be ints"),
+    ("basis_denominators", [True], ": denominators must be positive ints"),
+])
+def test_json_booleans_are_not_ints(field, value, message):
+    """JSON true and false are bools, which Python counts as ints; the schema's
+    ints refuse them at every place it names an int."""
+    good = {"label": "x", "level": 11, "weight": 2, "field_poly": [0, 1], "an": [[1], [-2]],
+            "basis_matrix": [[1]], "basis_denominators": [1]}
+    assert len(parse_newforms([good])) == 1
+    data = json.loads(json.dumps([dict(good, **{field: value})]))
+    with pytest.raises(NewformDataError) as exc:
+        parse_newforms(data)
+    assert str(exc.value) == "newforms[0]" + message
+
+
 def test_multiplicativity_spot_check():
     rec = {
         "label": "x", "level": 35, "weight": 2, "field_poly": [0, 1],

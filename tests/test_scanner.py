@@ -240,8 +240,9 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
     Within them it factors each polynomial, a field polynomial or Phi_k, once
     per l (13 calls), reads its roots off that factorization once per F (23),
-    and builds each F_{l^r} once (4 fields)."""
-    from eiscong import scanner
+    and builds each F_{l^r} once (4 fields).  Only 5 factors, those of degree
+    3 over F_7 and Phi_4's quadratic in F_{7^6}, take a splitting search."""
+    from eiscong import ffield, scanner
 
     keys = []
     original = scanner.reduction_embeddings
@@ -252,14 +253,32 @@ def test_full_scan_one_root_search_per_key(monkeypatch):
 
     calls = count_calls(monkeypatch, scanner, "roots_in_field", "factor_mod_q")
     fields = count_calls(monkeypatch, scanner.FiniteField, "create")
+    searches = count_calls(monkeypatch, ffield, "_one_root")
     monkeypatch.setattr(scanner, "reduction_embeddings", counting)
     res = full_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
     assert calls == {"roots_in_field": 23, "factor_mod_q": 13}
     assert fields == {"create": 4}
+    assert searches == {"_one_root": 5}
     golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
+
+
+@pytest.mark.parametrize("N, p, builds, searches", [(121, 11, 5, 0), (234, 3, 4, 0),
+                                                    (725, 5, 6, 5)])
+def test_full_scan_builds_and_searches_only_what_it_scans(monkeypatch, N, p, builds, searches):
+    """full_scan builds a series' E at its first scanned l: at 121 the four
+    order-5 series, whose one l = 5 is skipped as rational, are not built.
+    Roots of linear factors and of quadratics in F_{l^2} are read directly,
+    so only 725 runs splitting searches.  The result is the golden one."""
+    from eiscong import ffield, scanner
+
+    built = count_calls(monkeypatch, scanner, "build_E")
+    searched = count_calls(monkeypatch, ffield, "_one_root")
+    res = full_scan(N, p)
+    assert (built, searched) == ({"build_E": builds}, {"_one_root": searches})
+    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
 
 
 @pytest.mark.parametrize("N, p, hit_count", [(169, 13, 5), (289, 17, 8), (361, 19, 13)])
