@@ -170,18 +170,6 @@ class CuspDivisor:
 # -------------------------------------------------------------------- rows
 
 
-def _rotate(K, row, j: int) -> list[int]:
-    """zeta^j times an integer row of Q(zeta_m), read off the field's table
-    of zeta powers: one addition per nonzero entry of each power."""
-    out = [0] * K.degree
-    terms, m = K.terms, K.m
-    for i, x in enumerate(row):
-        if x:
-            for t, y in terms[(i + j) % m]:
-                out[t] += x * y
-    return out
-
-
 @cache
 def _D_exponents(N: int, d: int, phi: DirichletCharacter):
     """{cusp (d, x): e} with phi(x) = zeta_k^e, the support of
@@ -275,7 +263,7 @@ def _euler(K, row, factors) -> tuple[list[int], int]:
         if j is None:
             row = [pp * x for x in row]
         else:
-            row = [pp * x - y for x, y in zip(row, _rotate(K, row, j))]
+            row = [pp * x - y for x, y in zip(row, K.rotate(row, j))]
         den *= pp
     return row, den
 
@@ -286,7 +274,7 @@ def _beta_start(phi: DirichletCharacter) -> CycElement:
     f^3 / (4 cond(xi)) prod_{p|f} (1 - xi(p)/p^2) in Q(zeta_lcm(f,k)), xi
     the primitive character of phi^2: the factor of every
     beta_{Gamma0(N),phi,M,L} that phi alone fixes, computed once per phi."""
-    f, xi = phi.modulus, (phi * phi).primitive_part()  # xi primitive: cond(xi) = its modulus
+    f, xi = phi.modulus, phi.power(2).primitive_part()  # xi primitive: cond(xi) = its modulus
     K = CyclotomicField(phi.order)
     step = K.m // xi.order  # xi(p) = zeta_order(xi)^e = zeta_k^(e step)
     row, den = _euler(K, [f ** 3] + [0] * (K.degree - 1),
@@ -349,7 +337,7 @@ def _recursion(params: EisensteinParams) -> tuple[int, dict]:
     steps = [(l, l, phi.value_exponent(l)) for l in prime_divisors(T1)]
     steps += [(q, 1, -phi.value_exponent(q)) for q in prime_divisors(T2)]
     for p, u, j in steps:
-        turned = {y: _rotate(K, row, j) for y, row in rows.items()}
+        turned = {y: K.rotate(row, j) for y, row in rows.items()}
         rows = {c: row if u == 1 else [u * x for x in row]
                 for c, row in _pullback(rows, A, p, False).items()}
         for c, row in _pullback(turned, A, p, True).items():
@@ -377,7 +365,7 @@ def boundary_divisor(params: EisensteinParams) -> CuspDivisor:
 def _slash(K, vec: list, n: int, p: int, j: int) -> list:
     """One slash pi_p^* at exponent n: a new bottom entry phi(p) vec[0],
     phi(p) = zeta^j, and every entry moves up one, times p above (n + 1) // 2."""
-    return [_rotate(K, vec[0], j)] + [
+    return [K.rotate(vec[0], j)] + [
         v if i <= (n + 1) // 2 else [p * x for x in v] for i, v in enumerate(vec, 1)]
 
 
@@ -386,7 +374,7 @@ def _promote(K, vec: list, n: int, p: int, j: int | None) -> list:
     and a new top entry zeta^j vec[n] unless j is None."""
     new = [[p * x for x in v] if i <= n // 2 else v for i, v in enumerate(vec)]
     if j is not None:
-        new.append(_rotate(K, vec[n], j))
+        new.append(K.rotate(vec[n], j))
     return new
 
 
@@ -444,7 +432,7 @@ def _closed_rows(params: EisensteinParams) -> tuple[int, dict]:
     for d, c in _D_terms(params):
         scaled = K.reduce(polys.mul(c, srow))
         for cusp, e in _D_exponents(params.N, d, params.phi).items():
-            rows[cusp] = _rotate(K, scaled, e)
+            rows[cusp] = K.rotate(scaled, e)
     return den, rows
 
 

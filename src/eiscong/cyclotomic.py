@@ -116,6 +116,17 @@ class _CycField:
                     out[i] += c * x
         return out
 
+    def rotate(self, row, j: int) -> list[int]:
+        """zeta^j times an integer row, read off the table of zeta powers:
+        one addition per nonzero entry of each power."""
+        out = [0] * self.degree
+        terms, m = self.terms, self.m
+        for i, x in enumerate(row):
+            if x:
+                for t, y in terms[(i + j) % m]:
+                    out[t] += x * y
+        return out
+
     def element(self, coeffs) -> "CycElement":
         cs = list(coeffs)
         den = 1

@@ -128,7 +128,7 @@ class EisensteinParams:
         object.__setattr__(self, "T2", prod(primes_L))
         object.__setattr__(self, "S_phi", S_phi)
         object.__setattr__(self, "T2_phi", prod(S_phi))
-        object.__setattr__(self, "xi", (phi * phi).primitive_part())
+        object.__setattr__(self, "xi", phi.power(2).primitive_part())
 
     @property
     def f(self) -> int:

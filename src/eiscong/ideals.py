@@ -56,7 +56,7 @@ def s2_set(N: int, p: int) -> frozenset[int]:
         if phi.is_trivial() or kernel in kernels:
             continue
         kernels.add(kernel)
-        xi = (phi * phi).primitive_part()
+        xi = phi.power(2).primitive_part()
         k = phi.order
         elt = bernoulli_B2(xi.inverse()).embed(k) * (6 * p)
         nrm = elt.norm_to_Q()
@@ -109,7 +109,7 @@ def eisenstein_character(phi: DirichletCharacter, l: int) -> DirichletCharacter:
     if lv == 1:
         return phi
     if k == 1:
-        return DirichletCharacter.trivial(phi.modulus).primitive_part()
+        return DirichletCharacter.trivial()
     t = pow(lv, -1, k)
     return phi.power(lv * t)
 

@@ -121,9 +121,9 @@ class IntegralIdeal:
 
 def _mult_rows(e: CycElement) -> list[list[int]]:
     """Coordinates of e * zeta^i for i < degree, e integral: e's numerator
-    shifted up by i places, reduced mod Phi_m through the field's zeta table."""
+    rotated by i, read off the field's zeta table."""
     K = e.field
-    return [K.reduce([0] * i + list(e.num)) for i in range(K.degree)]
+    return [K.rotate(e.num, i) for i in range(K.degree)]
 
 
 def numerator_index(e: CycElement) -> int:

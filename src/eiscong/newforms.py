@@ -88,6 +88,7 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
     _require(isinstance(label, str), where, "label must be a string")
     level = item["level"]
     _require(type(level) is int and level >= 1, where, "level must be a positive int")
+    _require(type(item["weight"]) is int, where, "weight must be an int")
     if item["weight"] != 2:
         return None  # only weight-2 trivial-nebentypus forms are accepted
     poly = item["field_poly"]

@@ -1,11 +1,14 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
+import characters_oracle
 import pytest
 from helpers import character_with_value, galois
 
-from eiscong.arith import DomainError, euler_phi
+from eiscong import characters
+from eiscong.arith import DomainError, divisors, euler_phi
 from lambda_oracle import bernoulli_B1, chi_in_XS
 
 from eiscong.characters import (DirichletCharacter, bernoulli_B2, character_from_label,
@@ -159,3 +162,77 @@ def test_labels_roundtrip():
     assert character_from_label("11.2.1") == quadratic_character(11)
     with pytest.raises(DomainError):
         character_from_label("11.3.1")
+
+
+def _same(new, old):
+    """The library's character and the oracle's are the same character."""
+    assert (new.modulus, new.order, new.exponents, new.label()) == (
+        old.modulus, old.order, old.exponents, old.label())
+
+
+def test_characters_match_the_oracle():
+    """Enumeration order, labels, tables and group operations agree with the
+    table-stored module the label form replaced."""
+    for f in range(1, 121):
+        new, old = enumerate_characters(f), characters_oracle.enumerate_characters(f)
+        assert len(new) == len(old) == euler_phi(f)
+        for a, b in zip(new, old):
+            _same(a, b)
+            assert a.conductor() == b.conductor() and a.is_even() == b.is_even()
+            _same(a.primitive_part(), b.primitive_part())
+            for j in (-1, 2, 3):
+                _same(a.power(j), b.power(j))
+            if f > 40:
+                continue
+            _same(a.extend(2 * f), b.extend(2 * f))
+            _same(a.extend(3 * f), b.extend(3 * f))
+            for d in divisors(f):
+                for x, y in zip(enumerate_characters(d), characters_oracle.enumerate_characters(d)):
+                    _same(a * x, b * y)
+                    _same(x * a, y * b)
+
+
+_LABELS = ["11.3.1", "2.1.5", "1.1.3", "4.1.0-0", "11.2", "11.10.-1", "0.1.0", "x.2.1",
+           "11.10.2", "11.1.5", "11.1.0-0", "011.2.1", "11.2. 1", "11.2.1-", "11.0.1",
+           "11.-2.1", "1.2.0", "-3.1.0", "10001.1.0", "12.2.1-1-1", "16.4.1-3", "5.4.5"]
+_LABELS += [f"{f}.{k}." + "-".join(map(str, es)) for f in range(-1, 26) for k in (-1, 0, 1, 2, 3, 4, 6)
+            for n in (1, 2, 3) for es in product((-1, 0, 1, 2, 5), repeat=n)]
+
+
+def _parse(parse, label):
+    try:
+        return parse(label)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_labels_parse_as_the_oracle_parses():
+    """Valid, non-canonical and malformed labels give the oracle's character
+    or its DomainError text."""
+    for label in _LABELS:
+        new, old = _parse(character_from_label, label), _parse(characters_oracle.character_from_label, label)
+        if isinstance(old, str):
+            assert new == old, label
+        else:
+            _same(new, old)
+
+
+def test_label_parse_builds_one_character(monkeypatch):
+    """character_from_label builds the character its label names, not the
+    euler_phi(f) characters mod f."""
+    built = []
+    init = DirichletCharacter.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def no_enumeration(f):
+        raise AssertionError("character_from_label enumerated the characters")
+
+    monkeypatch.setattr(DirichletCharacter, "__init__", counting_init)
+    monkeypatch.setattr(characters, "enumerate_characters", no_enumeration)
+    for label in ["4001.2.1", "4001.4000.1", "1009.2.1", "720.4.2-1-2-1", "11.3.1", "2.1.5", "x.2.1"]:
+        built.clear()
+        _parse(character_from_label, label)
+        assert len(built) <= 2, label

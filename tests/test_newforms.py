@@ -123,6 +123,17 @@ def test_json_booleans_are_not_ints(field, value, message):
     assert str(exc.value) == "newforms[0]" + message
 
 
+@pytest.mark.parametrize("weight", [2.0, [2], True])
+def test_weight_must_be_an_int(weight):
+    """A weight that is not a JSON int names its record; an int weight other
+    than 2 is skipped."""
+    good = {"label": "x", "level": 11, "weight": 2, "field_poly": [0, 1], "an": [[1], [-2]]}
+    assert len(parse_newforms([good])) == 1 and parse_newforms([dict(good, weight=3)]) == []
+    with pytest.raises(NewformDataError) as exc:
+        parse_newforms(json.loads(json.dumps([good, dict(good, weight=weight)])))
+    assert str(exc.value) == "newforms[1]: weight must be an int"
+
+
 def test_multiplicativity_spot_check():
     rec = {
         "label": "x", "level": 35, "weight": 2, "field_poly": [0, 1],

@@ -112,7 +112,7 @@ def test_own_dunders_are_kept():
     assert repr(K) == "Q(zeta_12)"
     chi = character_from_label("11.2.1")
     assert repr(chi) == "DirichletCharacter(11.2.1)"
-    assert hash(chi) == hash((chi.modulus, chi.order, chi.exponents))
+    assert hash(chi) == hash((chi.modulus, chi.order, chi.gens))
 
 
 @pytest.mark.parametrize("args, kwargs", [
