@@ -9,7 +9,10 @@ policy: the generator of each coefficient field (`finalize_orbit`, with
 `PREFERRED_POLYS`), the published basis of 725.2.a.l, LMFDB-style labels
 from trace vectors, the JSON records, and the checks against the
 coefficients the paper displays (`check_paper_data`) and against known
-small levels (`selfcheck`).  Dense linear algebra over Q on the d <= 6
+small levels (`selfcheck`).  The a_n come from the a_p by one Hecke
+recursion over n: with p the least prime of n, a_n = a_p a_{n/p}, minus
+p a_{n/p^2} when p^2 | n and p does not divide N (Diamond-Shurman, *A First
+Course in Modular Forms*, section 5.8).  Dense linear algebra over Q on the d <= 6
 dimensional coefficient vectors scales each row to integers and eliminates
 with the library's fraction-free `eiscong.lattices.echelon`.  The results are
 frozen as JSON under src/eiscong/data/.
@@ -80,47 +83,19 @@ class Orbit:
         self._theta_ap = {p: list(v) for p, v in orbit.ap.items()}
 
     def an_vectors(self, bound):
-        """a_n for n=1..bound in the generator power basis (Fraction vectors)."""
+        """a_n for n=1..bound in the generator power basis (Fraction vectors),
+        by one Hecke recursion over n (Diamond-Shurman, section 5.8): with p the
+        least prime of n, a_n = a_p a_{n/p}, minus p a_{n/p^2} when p^2 | n
+        and p does not divide the level."""
         g = self.field_poly  # monic, so products reduce by divmod_monic
-        one = [Fraction(1)] + [Fraction(0)] * (self.dim - 1)
-        an = {1: one}
-        N = self.level
-        for p, ap in sorted(self.ap.items()):
-            if p > bound:
-                continue
-            pk = p
-            prev2, prev1 = one, ap
-            an[p] = ap
-            k = 1
-            while pk * p <= bound:
-                pk *= p
-                k += 1
-                if N % p == 0:
-                    cur = polys.divmod_monic(polys.mul(prev1, ap), g)[1]
-                else:
-                    apa = polys.divmod_monic(polys.mul(ap, prev1), g)[1]
-                    cur = [a - p * b for a, b in zip(apa, prev2)]
-                an[pk] = cur
-                prev2, prev1 = prev1, cur
-        out = [None] * (bound + 1)
-        out[1] = one
+        an = [None, [Fraction(1)] + [Fraction(0)] * (self.dim - 1)]
         for n in range(2, bound + 1):
-            m = n
-            acc = one
-            ok = True
-            for p in prime_divisors(n):
-                pk = 1
-                while m % p == 0:
-                    m //= p
-                    pk *= p
-                if pk not in an:
-                    ok = False
-                    break
-                acc = polys.divmod_monic(polys.mul(acc, an[pk]), g)[1]
-            if not ok:
-                raise RuntimeError(f"missing a_p for n={n}")
-            out[n] = acc
-        return out[1:]
+            p = prime_divisors(n)[0]
+            a = polys.divmod_monic(polys.mul(self.ap[p], an[n // p]), g)[1]
+            if n % (p * p) == 0 and self.level % p:
+                a = [x - p * y for x, y in zip(a, an[n // (p * p)])]
+            an.append(a)
+        return an[1:]
 
     def trace_vector(self, bound):
         """[tr(a_1), ..., tr(a_bound)] via Newton power sums of field_poly."""
@@ -251,10 +226,6 @@ def record_for_orbit(orbit, bound):
         "weight": 2,
         "field_poly": orbit.field_poly,
     }
-    if orbit.dim == 1:
-        assert all(v[0].denominator == 1 for v in an)
-        rec["an"] = [[int(v[0])] for v in an]
-        return rec
 
     def integral_coordinates(basis_rows):
         # the an in the basis with these elements, which must be integral

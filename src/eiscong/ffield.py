@@ -45,16 +45,17 @@ gcd a heuristic one that division confirms.  It is split mod the prime l,
 among the first five that keep it squarefree, with the fewest factors, by
 the distinct- and equal-degree splitting above; each prime's distinct-degree
 split is counted in full, and only the chosen one is split by equal degree.
-A tree of quadratic Hensel steps lifts the factors mod l^k past twice
-Mignotte's bound on the coefficients of a factor, and the smallest subsets
-whose product divides f exactly give the irreducible factors.  Their
-multiplicities come from repeated division.
+Its factors become integer lists once, and from there on all arithmetic is
+on integer lists mod a power of l: a tree of quadratic Hensel steps lifts
+them mod l^k past twice Mignotte's bound on the coefficients of a factor,
+and the smallest subsets whose product divides f exactly give the
+irreducible factors.  Their multiplicities come from repeated division.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, zip_longest
 from math import gcd, isqrt
 from operator import mul
@@ -480,23 +481,14 @@ def _hensel(f, g, h, ell, top):
 
 
 def _lift_all(f, factors, ell, top):
-    """Monic lifts mod top of the monic factors mod ell of f, by a balanced
-    tree of two-factor lifts."""
+    """Monic lifts mod top of the monic factors of f mod ell (integer lists),
+    by a balanced tree of two-factor lifts."""
     if len(factors) == 1:
         return [_zmod(f, top)]
     half = len(factors) // 2
-    g, h = ([x[0] for x in _product(part, ell)] for part in (factors[:half], factors[half:]))
+    g, h = (_zmod(reduce(polys.mul, part), ell) for part in (factors[:half], factors[half:]))
     g, h = _hensel(f, g, h, ell, top)
     return _lift_all(g, factors[:half], ell, top) + _lift_all(h, factors[half:], ell, top)
-
-
-def _product(factors, ell):
-    """The product of polynomials over F_ell."""
-    Fl = FiniteField(ell, 1, (0, 1))
-    out = [Fl.one()]
-    for u in factors:
-        out = _pmul(out, u, Fl)
-    return out
 
 
 def _gcd_z(f, g):
@@ -555,7 +547,7 @@ def _zassenhaus(f):
             best = (count, ell, Fl, split)
     _, ell, Fl, split = best
     rng = random.Random(0x5EED)
-    factors = [u for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]
+    factors = [[c[0] for c in u] for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]
     bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
     top = ell
     while top <= 2 * bound:
@@ -564,9 +556,7 @@ def _zassenhaus(f):
     out, size = [], 1
     while 2 * size <= len(lifted):
         for subset in combinations(range(len(lifted)), size):
-            g = [1]
-            for i in subset:
-                g = _zmod(polys.mul(g, lifted[i]), top)
+            g = _zmod(reduce(polys.mul, (lifted[i] for i in subset)), top)
             g = [c - top if 2 * c > top else c for c in g]
             q, r = polys.divmod_monic(f, g)
             if not any(r):

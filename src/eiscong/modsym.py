@@ -426,12 +426,9 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
         assert piv == list(range(d)), "dual vectors psi_i are dependent"
         ap = {p: tuple(Fraction(R[i][d + t], R[i][i]) for i in range(d))
               for t, p in enumerate(plist)}
-        Psi = [0] * sp.dim  # psi_0 on the symbols, over den
-        for i, c in enumerate(cols):
-            Psi[c] = P[0][i]
         for p in good:
             # psi_0 o T_p from the full matrix must be sum_i c_i psi_i
-            full = _vec_mat(_vec_mat(Psi, hecke[p]), B)
+            full = _vec_mat(_vec_mat(P[0], [hecke[p][c] for c in cols]), B)
             c = [R[i][d + plist.index(p)] for i in range(d)]
             assert [R[0][0] * den ** (d - 1) * x for x in full] == [
                 sum(c[i] * den ** (d - i) * P[i][j] for i in range(d)) for j in range(genus)

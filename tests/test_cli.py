@@ -118,6 +118,15 @@ def test_json_round_trip(capsys):
         assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == out
 
 
+@pytest.mark.parametrize("label", ["1_1.2.1", " 11.2.1", "+11.2.+1", "011.2.1"])
+def test_label_must_read_back_as_written(capsys, label):
+    """int() reads these as 11.2.1, but a label's numbers must be spelled
+    exactly as they read back: no digit separator, space, sign or leading zero."""
+    for cmd in ("beta", "qexp"):
+        code, out, err = run_cli(capsys, cmd, "--level", "121", "--char", label)
+        assert (code, out) == (2, "") and err == f"error: bad character label {label!r}\n"
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "beta", "--level", "121", "--char", "11.3.1")
     assert code == 2 and "error" in err

@@ -8,10 +8,11 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fixtures_oracle
 import newforms_oracle
 from helpers import fixture_script
 from eiscong import polys
-from eiscong.arith import DomainError
+from eiscong.arith import DomainError, sturm_bound
 from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
                               bundled_newforms, fetch_newforms, load_newforms,
                               parse_newforms)
@@ -348,6 +349,18 @@ def test_fixture_script_regenerates_bundled(monkeypatch, N, bound):
     script = fixture_script(monkeypatch)
     bundled = (script.DATA_DIR / f"newforms_{N}.json").read_text()
     assert json.dumps(script.build_level(N, bound), indent=1) == bundled
+
+
+@pytest.mark.parametrize("N, bound", [(121, 32), (234, 94), (725, 160), (169, sturm_bound(169)),
+                                      (289, sturm_bound(289)), (361, sturm_bound(361))])
+def test_an_recursion_matches_the_oracle(monkeypatch, N, bound):
+    """The one recursion over n gives the a_n vectors of the former table of
+    prime powers, for every orbit up to the bound the fixtures use."""
+    script = fixture_script(monkeypatch)
+    orbits = script.extract_newforms(N, bound)
+    for o in orbits:
+        script.finalize_orbit(o, bound)
+        assert o.an_vectors(bound) == fixtures_oracle.an_vectors(o, bound), o.field_poly
 
 
 def test_fixture_script_selfcheck(monkeypatch):
