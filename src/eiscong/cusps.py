@@ -3,6 +3,9 @@
 A cusp [a; b] with d = gcd(b, N) and t = gcd(d, N/d) is classified by the
 pair (d, a*(b/d) mod t); there are euler_phi(t) cusps of divisor d, each
 defined over Q(zeta_t), with ramification index (= width) w = N/(d t).
+The cusp count gives the genus of X0(N), and with it the dimensions of the
+new and old weight-2 cusp forms, which the scan reads without loading the
+Manin-symbol code.
 
 The two coverings X0(Al) -> X0(A) are pulled back at cusp level, one loop
 over the cusps c = [a; b] of X0(Al): pi_(l) is the forgetful map, with image
@@ -65,7 +68,7 @@ from . import polys
 from .arith import (DomainError, divisors, euler_phi, factor, is_prime, prime_divisors, record,
                     valuation)
 from .characters import DirichletCharacter, bernoulli_B2, gauss_sum, gauss_sum_inverse
-from .cyclotomic import CycElement, CyclotomicField, _canonical
+from .cyclotomic import CycElement, CyclotomicField, _element
 from .eisenstein import EisensteinParams
 
 
@@ -132,6 +135,30 @@ def enumerate_cusps(N: int) -> tuple[Cusp, ...]:
 
 def cusp_count(N: int) -> int:
     return sum(euler_phi(gcd(d, N // d)) for d in divisors(N))
+
+
+def genus_gamma0(N: int) -> int:
+    """The genus of X0(N): 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2."""
+    ps = prime_divisors(N)
+    mu = N * prod(p + 1 for p in ps) // prod(ps)
+    nu2 = 0 if N % 4 == 0 else prod(1 + (1 if p % 4 == 1 else -1) for p in ps if p != 2)
+    nu3 = 0 if N % 9 == 0 else prod(1 + (1 if p % 3 == 1 else -1) for p in ps if p != 3)
+    g12 = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusp_count(N)
+    assert g12 % 12 == 0
+    return g12 // 12
+
+
+@lru_cache(maxsize=None)
+def new_dimension(M: int) -> int:
+    """Dimension of the weight-2 newforms of level M."""
+    return genus_gamma0(M) - old_dimension(M)
+
+
+def old_dimension(N: int) -> int:
+    """Dimension of the old part of S_2(Gamma0(N)): each newform of level
+    M | N, M < N, occurs once for every divisor of N/M."""
+    return sum(new_dimension(M) * len(divisors(N // M))
+               for M in divisors(N) if 11 <= M < N)
 
 
 # --------------------------------------------------------------- divisors
@@ -282,7 +309,7 @@ def _beta_start(phi: DirichletCharacter) -> CycElement:
                        for p in prime_divisors(f)])
     m = lcm(f, phi.order)
     return (gauss_sum(phi.inverse()).embed(m) * gauss_sum_inverse(xi.inverse()).embed(m)
-            * bernoulli_B2(xi.inverse()).embed(m) * _canonical(K, row, den * 4 * xi.modulus))
+            * bernoulli_B2(xi.inverse()).embed(m) * _element(K, row, den * 4 * xi.modulus))
 
 
 def _sigma(params: EisensteinParams) -> tuple[list[int], int]:
@@ -305,8 +332,8 @@ def _sigma(params: EisensteinParams) -> tuple[list[int], int]:
 def beta_constant(params: EisensteinParams) -> CycElement:
     """beta_{Gamma0(N),phi,M,L} = _beta_start(phi) * sigma, exact in
     Q(zeta_lcm(f,k))."""
-    return _beta_start(params.phi) * _canonical(CyclotomicField(params.phi.order),
-                                                *_sigma(params))
+    return _beta_start(params.phi) * _element(CyclotomicField(params.phi.order),
+                                              *_sigma(params))
 
 
 def beta_tilde(params: EisensteinParams) -> CycElement:
@@ -319,7 +346,7 @@ def _scaled(params: EisensteinParams, den: int, rows: dict) -> CuspDivisor:
     beta_{Gamma0(f^2),phi,1,1} at each cusp of `rows`, {cusp: integer row
     of Q(zeta_k)}."""
     K, beta = CyclotomicField(params.phi.order), _beta_start(params.phi)
-    return CuspDivisor(params.N, {c: _canonical(K, row, den) * beta for c, row in rows.items()})
+    return CuspDivisor(params.N, {c: _element(K, row, den) * beta for c, row in rows.items()})
 
 
 def _recursion(params: EisensteinParams) -> tuple[int, dict]:

@@ -2,8 +2,8 @@
 
 An element is num/den: `num` holds integer coefficients on the power basis
 1, zeta, ..., zeta^(d-1) (d = euler_phi(m)) and `den` > 0 is one common
-denominator, kept canonical with gcd(den, content(num)) = 1 (the design of
-FLINT's fmpq_poly).  Equal elements of one field therefore have equal
+denominator, kept canonical with gcd(den, content(num)) = 1 by
+`polys.canonical`.  Equal elements of one field therefore have equal
 (num, den) and equal hashes.  All arithmetic stays in Z.  Rational scalars
 scale num and den and are never promoted to elements.  The inverse is the
 product of the nontrivial Galois conjugates divided by the norm.
@@ -23,13 +23,13 @@ factor.  `power_sum(counts)`, the element sum_j counts[j] zeta^j that Gauss
 sums and Bernoulli numbers are made of, is the reduction of the counts;
 q-expansion coefficients add the same table entries as they are sieved.
 
-CycElement is a `record` with `__slots__`.  Every element is built by
-`_element`, which sets the three slots through their descriptors rather than
-through the record's `__init__` (the class stays frozen: assigning to a field
-raises) and trusts its caller for canonical num/den.  `_canonical` divides
-out gcd(den, content(num)) and is skipped for den = 1, where that gcd is 1
-whatever num is: an element of Z[zeta_m], such as a power sum or a product
-of integral elements, is canonical as it is computed.  Arithmetic between
+CycElement is a `record` with `__slots__`, and every element is built by
+`_element`, which puts num/den into the package's one coefficient format with
+`polys.canonical` (den = 1 needs no gcd: an element of Z[zeta_m], such as a
+power sum or a product of integral elements, is canonical as it is
+computed).  Q-expansions and newform records store their coefficients in
+that format as (num, den) pairs, not as elements; an element is built from a
+pair only to be shown or to enter field arithmetic.  Arithmetic between
 elements of one field object skips `promote`; only mixed fields embed into
 the compositum.
 
@@ -88,10 +88,10 @@ class _CycField:
     def __post_init__(self):
         m, d = self.m, self.degree
         h = m if m % 2 else m // 2  # zeta^h = -1 when m is even
-        powers = [_element(self, tuple(int(i == j) for i in range(d))) for j in range(min(d, h))]
+        powers = [_element(self, [int(i == j) for i in range(d)]) for j in range(min(d, h))]
         for _ in range(d, h):  # zeta^j = zeta * zeta^(j-1), less its top entry times Phi_m
             *low, top = 0, *powers[-1].num
-            powers.append(_element(self, tuple(c - top * p for c, p in zip(low, self.modulus))))
+            powers.append(_element(self, [c - top * p for c, p in zip(low, self.modulus)]))
         if h < m:
             powers += [-z for z in powers]
         object.__setattr__(self, "powers", tuple(powers))
@@ -134,13 +134,13 @@ class _CycField:
             cs = [Fraction(c) for c in cs]
             den = lcm(*(c.denominator for c in cs))
             cs = [c.numerator * (den // c.denominator) for c in cs]
-        return _canonical(self, self.reduce(cs), den)
+        return _element(self, self.reduce(cs), den)
 
     def power_sum(self, counts) -> "CycElement":
         """sum_j counts[j] * zeta^j for integers counts[j], the reduction of the
         counts.  The sum lies in Z[zeta_m], so den = 1 and the result is
         canonical as built."""
-        return _element(self, tuple(self.reduce(list(counts))))
+        return _element(self, self.reduce(list(counts)))
 
     def zero(self) -> "CycElement":
         return self.element([])
@@ -157,19 +157,6 @@ class _CycField:
 
     def galois_group(self) -> list[int]:
         return [a for a in range(1, self.m + 1) if gcd(a, self.m) == 1]
-
-
-def _canonical(field: _CycField, num: list[int], den: int) -> "CycElement":
-    """num/den with gcd(den, content(num)) = 1 and den > 0."""
-    if den == 1:
-        return _element(field, tuple(num))
-    g = gcd(den, *num)
-    if den < 0:
-        g = -g
-    if g != 1:
-        num = [c // g for c in num]
-        den //= g
-    return _element(field, tuple(num), den)
 
 
 def _rational(q) -> tuple[int, int] | None:
@@ -228,7 +215,7 @@ class CycElement:
         out = [0] * m
         for i, c in enumerate(self.num):
             out[(i * step) % m] += c
-        return _canonical(target, target.reduce(out), self.den)
+        return _element(target, target.reduce(out), self.den)
 
     @staticmethod
     def promote(a: "CycElement", b: "CycElement"):
@@ -245,19 +232,19 @@ class CycElement:
             a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
             den = lcm(a.den, b.den)
             sa, sb = den // a.den, sign * (den // b.den)
-            return _canonical(a.field, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
+            return _element(a.field, [x * sa + y * sb for x, y in zip(a.num, b.num)], den)
         q = _rational(other)
         if q is None:
             return NotImplemented
         n, d = q
         num = [c * d for c in self.num]
         num[0] += sign * n * self.den
-        return _canonical(self.field, num, self.den * d)
+        return _element(self.field, num, self.den * d)
 
     __add__ = __radd__ = _add
 
     def __neg__(self):
-        return _element(self.field, tuple([-c for c in self.num]), self.den)
+        return _element(self.field, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self._add(other, -1)
@@ -270,17 +257,17 @@ class CycElement:
         n, d = q
         num = [-c * d for c in self.num]
         num[0] += n * self.den
-        return _canonical(self.field, num, self.den * d)
+        return _element(self.field, num, self.den * d)
 
     def __mul__(self, other):
         if isinstance(other, CycElement):
             a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
-            return _canonical(a.field, a.field.reduce(polys.mul(a.num, b.num)), a.den * b.den)
+            return _element(a.field, a.field.reduce(polys.mul(a.num, b.num)), a.den * b.den)
         q = _rational(other)
         if q is None:
             return NotImplemented
         n, d = q
-        return _canonical(self.field, [c * n for c in self.num], self.den * d)
+        return _element(self.field, [c * n for c in self.num], self.den * d)
 
     __rmul__ = __mul__
 
@@ -305,7 +292,7 @@ class CycElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of 0 in cyclotomic field")
         others, norm = self._conjugate_product()
-        return _canonical(self.field, [c * self.den for c in others], norm)
+        return _element(self.field, [c * self.den for c in others], norm)
 
     def __truediv__(self, other):
         if isinstance(other, CycElement):
@@ -379,16 +366,6 @@ class CycElement:
         return out
 
 
-_field_slot, _num_slot, _den_slot = (CycElement.__dict__[f].__set__ for f in ("field", "num", "den"))
-
-
-def _element(field: _CycField, num: tuple[int, ...], den: int = 1) -> CycElement:
-    """CycElement(field, num, den) for a canonical num/den, with the three
-    slots set through their descriptors, skipping the argument binding and
-    per-field object.__setattr__ of the record's __init__; assigning to a
-    field of the result still raises."""
-    e = object.__new__(CycElement)
-    _field_slot(e, field)
-    _num_slot(e, num)
-    _den_slot(e, den)
-    return e
+def _element(field: _CycField, num, den: int = 1) -> CycElement:
+    """The CycElement num/den of `field`, in canonical form."""
+    return CycElement(field, *polys.canonical(num, den))

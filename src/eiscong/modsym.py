@@ -33,37 +33,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import polys
-from .arith import crt, divisors, is_prime, prime_divisors, primes_up_to, record, xgcd
-from .cusps import cusp_count, cusp_from_fraction
+from .arith import crt, divisors, is_prime, primes_up_to, record, xgcd
+# the dimensions live beside cusp_count, where the scan reads them without
+# loading this module; they are also read from here
+from .cusps import cusp_from_fraction, genus_gamma0, new_dimension, old_dimension
 from .ffield import factor_over_z
 from .lattices import echelon
-
-
-def genus_gamma0(N: int) -> int:
-    """The genus of X0(N): 1 + mu/12 - nu2/4 - nu3/3 - nu_inf/2."""
-    ps = prime_divisors(N)
-    mu = N * prod(p + 1 for p in ps) // prod(ps)
-    nu2 = 0 if N % 4 == 0 else prod(1 + (1 if p % 4 == 1 else -1) for p in ps if p != 2)
-    nu3 = 0 if N % 9 == 0 else prod(1 + (1 if p % 3 == 1 else -1) for p in ps if p != 3)
-    g12 = 12 + mu - 3 * nu2 - 4 * nu3 - 6 * cusp_count(N)
-    assert g12 % 12 == 0
-    return g12 // 12
-
-
-@lru_cache(maxsize=None)
-def new_dimension(M: int) -> int:
-    """Dimension of the weight-2 newforms of level M."""
-    return genus_gamma0(M) - old_dimension(M)
-
-
-def old_dimension(N: int) -> int:
-    """Dimension of the old part of S_2(Gamma0(N)): each newform of level
-    M | N, M < N, occurs once for every divisor of N/M."""
-    return sum(new_dimension(M) * len(divisors(N // M))
-               for M in divisors(N) if 11 <= M < N)
 
 
 # ----------------------------------------------------------------- P^1(Z/N)

@@ -10,7 +10,9 @@ in which case each an entry holds coordinates in that basis and ingestion
 converts exactly to the power basis of the field_poly root.
 
 A `NewformRecord` stores a_n as (num, den), integer power-basis numerators
-over one denominator with gcd(den, content(num)) = 1, as `CycElement` does.
+over one denominator in the canonical form of `polys.canonical`, the format
+that `QExpansion.an` and `CycElement` share, and the scan reads the pairs as
+stored.
 A basis matrix is scaled once by the lcm of its denominators, so parsing and
 its checks stay in Z; `coefficient(n)` gives the Fraction view.  Each
 bundled fixture is read and parsed once per process.
@@ -24,7 +26,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 from .arith import DomainError, record
@@ -67,12 +69,6 @@ class NewformRecord:
             raise DomainError(f"a_{n} outside available range 1..{self.bound}")
         num, den = self.an[n - 1]
         return tuple(Fraction(c, den) for c in num)
-
-
-def _canonical(num, den: int):
-    """(num, den) with den > 0 and gcd(den, content(num)) = 1."""
-    g = gcd(den, *num)
-    return tuple(c // g for c in num), den // g
 
 
 def _require(cond, where, msg):
@@ -132,14 +128,14 @@ def _parse_record(item: dict, where: str) -> NewformRecord | None:
             for c, row in zip(vec, basis):
                 if c:
                     acc = [x + c * y for x, y in zip(acc, row)]
-            an.append(_canonical(acc, den))
+            an.append(polys.canonical(acc, den))
 
     rec = NewformRecord(label, level, 2, tuple(poly), tuple(an))
     _require(rec.an[0] == ((1,) + (0,) * (deg - 1), 1), where, "a_1 must be 1")
     # multiplicativity spot check where gcd conditions hold
     if rec.bound >= 6 and level % 2 and level % 3:
         (n2, d2), (n3, d3) = rec.an[1:3]
-        a6 = _canonical(polys.divmod_monic(polys.mul(n2, n3), rec.field_poly)[1], d2 * d3)
+        a6 = polys.canonical(polys.divmod_monic(polys.mul(n2, n3), rec.field_poly)[1], d2 * d3)
         _require(rec.an[5] == a6, where, "a_6 != a_2 * a_3")
     return rec
 

@@ -3,11 +3,31 @@
 Only ring operations are used, so the same code serves integer polynomials
 (the cyclotomic kernel) and Fraction polynomials (newform fields).  Division
 is by monic polynomials only, which keeps integer inputs in Z.
+
+`canonical` fixes the one coefficient format of the package: integer
+power-basis numerators over one denominator, (num, den) with den > 0 and
+gcd(den, content(num)) = 1 (the design of FLINT's fmpq_poly).  Elements of
+Q(zeta_m), q-expansion coefficients and newform coefficients are all stored
+so, and equal values have equal pairs.
 """
 
 from __future__ import annotations
 
+from math import gcd
+
 Poly = list  # ascending coefficients; [] is the zero polynomial
+
+
+def canonical(num, den: int) -> tuple[tuple[int, ...], int]:
+    """num/den as (num, den) with den > 0 and gcd(den, content(num)) = 1;
+    den = 1 needs no gcd, since it is canonical whatever num is."""
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple([c // g for c in num]), den // g
+    return tuple(num), den
 
 
 def mul(f: Poly, g: Poly) -> Poly:

@@ -11,9 +11,10 @@ certifies the first that matches.  Whether a pair matches does not change
 when x -> x^q is applied to both roots, since Frobenius fixes the reduced
 integers, so the certified pair is the smallest of its Frobenius orbit.
 
-Both sides store a coefficient as integer power-basis numerators over one
-denominator (`CycElement.num`/`den`, `NewformRecord.an`), and `scan` reads
-them as stored, once per series or record.  num/den reduces at a root
+Both sides store each a_n as the same canonical integer pair (num, den),
+power-basis numerators over one denominator (`QExpansion.an`,
+`NewformRecord.an`), and `scan` reads `owner.an` as stored for a series and
+for a record alike; it builds no element.  num/den reduces at a root
 through the root's power table (root^0, ..., root^(d-1)): one integer dot
 product mod q per coordinate of F, times den^-1 mod q.  Each series or
 record keeps, per F and root, one list of reduced a_1, a_2, ..., grown in
@@ -28,8 +29,8 @@ inputs fix across scans: one F_{q^r} per (q, r); per (phi order, field_poly,
 q) the reduction embeddings; the factorization of each polynomial, Phi_k or
 a field polynomial, once per (polynomial, q), which picks r and from which
 its roots in every F of characteristic q are read, and those roots once per
-F; one power table per (root, F, d); and, per series and per newform record,
-the coefficients and the lists of reduced coefficients.  It holds no state
+F; one power table per (root, F, d); and, per series and per newform record
+and F, the lists of reduced coefficients.  It holds no state
 between `full_scan` calls.  A (newform, l) pair whose coefficients have l in
 a denominator is skipped by `full_scan` with the reason; the rest of the
 scan runs.
@@ -46,12 +47,13 @@ from operator import mul
 
 from .arith import DomainError, divisors, is_p_good, is_prime, record, sturm_bound
 from .characters import enumerate_characters
+from .cusps import new_dimension
 from .cyclotomic import cyclotomic_polynomial
 from .eisenstein import EisensteinParams, QExpansion, build_E
 from .ffield import FiniteField, factor_mod_q, roots_in_field
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
-from .newforms import NewformRecord, newforms_for_level
+from .newforms import NewformDataError, NewformRecord, newforms_for_level
 
 
 class UnsupportedPrimeError(DomainError):
@@ -121,22 +123,23 @@ def _power_table(root, F: FiniteField, d: int):
 
 
 class _Reductions:
-    """One owner's a_n = nums[n-1] / dens[n-1] reduced into F: one list per
-    root, a_1, a_2, ... in order, which `upto` extends by one comprehension
-    per coordinate of F.  No a_n with q | den is reduced: `usable` counts the
-    a_n before the first of them, which `_first_difference` reports when a
-    comparison reaches it.  Power tables are read from and added to `tables`,
-    keyed (root, F, d), which all owners share."""
+    """One owner's a_n = num/den, the pairs of `owner.an`, reduced into F: one
+    list per root, a_1, a_2, ... in order, which `upto` extends by one
+    comprehension per coordinate of F.  No a_n with q | den is reduced:
+    `usable` counts the a_n before the first of them, which
+    `_first_difference` reports when a comparison reaches it.  Power tables
+    are read from and added to `tables`, keyed (root, F, d), which all owners
+    share."""
 
-    def __init__(self, owner, nums, dens, F: FiniteField, tables: dict):
-        q = F.q
-        self.owner, self.nums, self.F, self.tables = owner, nums, F, tables
-        inverses = {den: pow(den, -1, q) for den in set(dens) if den % q}
-        self.usable = next((i for i, den in enumerate(dens) if den not in inverses), len(dens))
-        self.error = (None if self.usable == len(dens) else
-                      f"denominator {dens[self.usable]} not invertible mod {q}")
-        self.invs = list(map(inverses.__getitem__, dens[:self.usable]))
-        self.degree = max(map(len, nums))
+    def __init__(self, owner, F: FiniteField, tables: dict):
+        q, an = F.q, owner.an
+        self.owner, self.F, self.tables = owner, F, tables
+        inverses = {den: pow(den, -1, q) for den in {den for _, den in an} if den % q}
+        self.usable = next((i for i, (_, den) in enumerate(an) if den not in inverses), len(an))
+        self.error = (None if self.usable == len(an) else
+                      f"denominator {an[self.usable][1]} not invertible mod {q}")
+        self.invs = [inverses[den] for _, den in an[:self.usable]]
+        self.degree = len(an[0][0])
         self.lists: dict = {}
 
     def upto(self, root, m: int) -> list:
@@ -149,19 +152,17 @@ class _Reductions:
             F, q = self.F, self.F.q
             table = _shared(self.tables, (root, F, self.degree),
                             _power_table, root, F, self.degree)
-            chunk = tuple(zip(self.nums[n:m], self.invs[n:m]))
-            out.extend(zip(*[[sum(map(mul, num, col)) * inv % q for num, inv in chunk]
+            chunk = tuple(zip(self.owner.an[n:m], self.invs[n:m]))
+            out.extend(zip(*[[sum(map(mul, num, col)) * inv % q for (num, _), inv in chunk]
                              for col in table]))
         return out
 
 
-def _reductions(memo: dict, owner, F: FiniteField, coefficients) -> _Reductions:
-    """owner's _Reductions in F; coefficients() = (nums, dens) is read once
-    per owner.  Both entries are keyed on owner's identity (newform labels may
-    repeat); the _Reductions holds owner, which keeps that identity taken."""
-    nums_dens = _shared(memo, ("coefficients", id(owner)), coefficients)
+def _reductions(memo: dict, owner, F: FiniteField) -> _Reductions:
+    """owner's _Reductions in F, keyed on owner's identity (newform labels
+    may repeat); the _Reductions holds owner, which keeps that identity taken."""
     tables = _shared(memo, "powers", dict)
-    return _shared(memo, ("reduced", id(owner), F), _Reductions, owner, *nums_dens, F, tables)
+    return _shared(memo, ("reduced", id(owner), F), _Reductions, owner, F, tables)
 
 
 _PREFIX, _STEP = 4, 4  # chunk ends 4, 16, 64, ...: most pairs differ at a_2 or a_3
@@ -223,10 +224,7 @@ def scan(
         embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
 
-    lhs = _reductions(embeddings, E, F,
-                      lambda: ([c.num for c in E.coeffs], [c.den for c in E.coeffs]))
-    rhs = _reductions(embeddings, record, F,
-                      lambda: ([num for num, _ in record.an], [den for _, den in record.an]))
+    lhs, rhs = _reductions(embeddings, E, F), _reductions(embeddings, record, F)
 
     first_mismatch = None
     for zr, gr in pairs:
@@ -286,14 +284,19 @@ def full_scan(
     """Scan the whole eigenbasis against all newforms at every candidate
     residual characteristic l coprime to 6p; emit a descriptor per certified
     congruence (pairs whose reduced character is trivial are skipped: those
-    would be rational Eisenstein congruences, out of scope)."""
+    would be rational Eisenstein congruences, out of scope).
+
+    `records` defaults to the bundled data or the cache, and to no newforms
+    at all where S_2^new(Gamma0(N)) = 0 (at 9, 18 and 25 among the p-good
+    levels); no records at a level with newforms is a NewformDataError."""
     if bound is not None and bound < 1:
         raise DomainError(f"the bound must be at least 1 (got {bound})")
     if records is None:
-        records = newforms_for_level(N, cache_dir=cache_dir)
-    if not records:
-        raise DomainError(
-            f"no newform data for level {N}; run `eiscong fetch --level {N}` first"
+        records = newforms_for_level(N, cache_dir=cache_dir) if new_dimension(N) else []
+    if not records and (dim := new_dimension(N)):
+        raise NewformDataError(
+            f"no newform data for level {N} (S_2^new has dimension {dim}); "
+            f"run `eiscong fetch --level {N}` first"
         )
     if bound is None:
         bound = sturm_bound(N)

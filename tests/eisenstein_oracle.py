@@ -2,8 +2,9 @@
 test oracle.
 
 `build_E` now runs the sieve, the refinements and the scaling on integer
-numerator rows and makes one element per coefficient at the end.  Before, it
-was composed from the functions below, which are verbatim:
+numerator rows and stores each row as a (num, 1) pair.  Before, it was
+composed from the functions below, which are verbatim, on the former
+container `QExpansion`, kept here too:
 - `e_phi`, the sieve into power-basis numerators read off the field's table
   of zeta powers, with the nontrivial, primitive, B >= 1 and precision-cap
   checks;
@@ -21,16 +22,49 @@ canonicalizes it.  `hecke_Tl` and `hecke_Uq` act on the expansions.
 `derived` gives the former `EisensteinParams` properties T1, T2, S_phi,
 T2_phi and xi, verbatim, which recomputed each value on every access; the
 library now computes them once, with the parameters.
+
+`QExpansion` is the former library container, its fields and `coefficient`
+(the display methods stay in the library): one CycElement per coefficient
+plus the constant term a0, where
+the library's `QExpansion` stores (num, den) pairs.  `from_library` builds
+it from a library expansion, so that `hecke_Tl` and `hecke_Uq` act on built
+series.
 """
 
 from __future__ import annotations
 
 from math import prod
 
-from eiscong.arith import DomainError, is_prime, prime_divisors
+from eiscong.arith import DomainError, is_prime, prime_divisors, record
 from eiscong.characters import DirichletCharacter
 from eiscong.cyclotomic import CycElement, CyclotomicField, _element
-from eiscong.eisenstein import PRECISION_CAP, EisensteinParams, QExpansion
+from eiscong.eisenstein import PRECISION_CAP, EisensteinParams
+
+
+@record
+class QExpansion:
+    """Truncated expansion sum a_n q^n, coefficients exact CycElements.
+
+    `precision` B means a_1..a_B are valid; `a0` is the constant term at the
+    cusp infinity.
+    """
+
+    level: int
+    precision: int
+    coeffs: tuple[CycElement, ...]
+    a0: CycElement
+
+    def coefficient(self, n: int) -> CycElement:
+        if not 1 <= n <= self.precision:
+            raise DomainError(f"coefficient a_{n} outside valid precision {self.precision}")
+        return self.coeffs[n - 1]
+
+
+def from_library(E) -> QExpansion:
+    """The library expansion E, each (num, den) pair built into its element,
+    with constant term 0."""
+    coeffs = tuple(E.coefficient(n) for n in range(1, E.precision + 1))
+    return QExpansion(E.level, E.precision, coeffs, E.field.zero())
 
 
 def e_phi(phi: DirichletCharacter, B: int) -> QExpansion:

@@ -161,15 +161,17 @@ def hit_labels(res):
 
 
 def scalar_multiple(f, g, B):
-    """The scalar c with the q-expansion f = c * g up to q^B, or None."""
+    """The scalar c with the q-expansion f = c * g up to q^B, or None; f and g
+    are library or oracle expansions, read through `coefficient`."""
     assert B <= min(f.precision, g.precision), "comparison bound exceeds available precision"
     c = None
-    for i in range(B):
-        if g.coeffs[i].is_zero():
-            if not f.coeffs[i].is_zero():
+    for n in range(1, B + 1):
+        fn, gn = f.coefficient(n), g.coefficient(n)
+        if gn.is_zero():
+            if not fn.is_zero():
                 return None
             continue
-        ratio = f.coeffs[i] / g.coeffs[i]
+        ratio = fn / gn
         if c is None:
             c = ratio
         elif c != ratio:
@@ -181,7 +183,7 @@ def galois(a, j):
     """sigma_j(a), zeta -> zeta^j, for a library CycElement a and gcd(j, m) = 1,
     through the numerator map the library's norm and inverse use."""
     assert gcd(j, a.field.m) == 1, f"sigma_{j} is not a Galois element for m={a.field.m}"
-    return cyclotomic._canonical(a.field, a._galois_num(j), a.den)
+    return cyclotomic._element(a.field, a._galois_num(j), a.den)
 
 
 def count_calls(monkeypatch, owner, *names):

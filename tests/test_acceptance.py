@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from cusps_oracle import degree
-from eisenstein_oracle import hecke_Tl
+from eisenstein_oracle import from_library, hecke_Tl
 from helpers import (character_with_value, check_gauss_identity, descriptor_at,
                      pullback_pi_l, pullback_pi_paren, random_pgood_params,
                      random_valid_params, scalar_multiple)
@@ -222,7 +222,7 @@ def test_criterion_6_property_suites():
         for r in primes_up_to(13):
             if N % r == 0:
                 continue
-            lam = scalar_multiple(hecke_Tl(E, r), E, B // r)
+            lam = scalar_multiple(hecke_Tl(from_library(E), r), E, B // r)
             assert lam is not None and lam == tl_eigenvalue(phi, r).embed(lam.field.m)
     # boundary divisors have degree 0 (paper sets + randoms)
     rng = random.Random(727)

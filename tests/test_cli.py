@@ -184,6 +184,25 @@ def test_fetch_offline_warm_cache(capsys, tmp_path):
         {"label": "11.2.a.a", "degree": 1, "coefficients": 6}]}
 
 
+def test_scan_at_a_level_without_newforms(capsys, tmp_path):
+    """X0(9) has genus 0: `scan --offline` at 9 needs no cache, certifies
+    nothing and exits 0.  An empty cache at 169, which has newforms, is a
+    data error (exit 1) naming their dimension."""
+    argv = ("scan", "--level", "9", "--p", "3", "--offline", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == ("scan N=9 p=3 bound=2 candidate primes []:\n"
+                   "  no congruences certified\n"
+                   "  (0 certified, 0 non-matches, 0 skipped rational reductions)\n")
+    assert not any(tmp_path.iterdir())
+    (tmp_path / "newforms_169.json").write_text("[]")
+    code, out, err = run_cli(capsys, "scan", "--level", "169", "--p", "13", "--offline",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == ("error: no newform data for level 169 (S_2^new has dimension 8); "
+                   "run `eiscong fetch --level 169` first\n")
+
+
 def test_scan_without_requests_falls_back(capsys, tmp_path, monkeypatch):
     """With no `requests` package and an empty cache, `scan` without
     --offline falls back to the bundled newforms: exit 0 and the stdout of

@@ -338,3 +338,26 @@ def test_polys_mul_matches_plain_product(f, g, fractions):
         f = [Fraction(c, 3) for c in f]
     assert polys.mul(f, g) == _plain_product(f, g)
     assert polys.mul(g, f) == _plain_product(f, g)
+
+
+def test_polys_canonical():
+    """The one (num, den) form of the package: den > 0 and
+    gcd(den, content(num)) = 1, whatever the sign of den; den = 1 is kept as
+    it stands and a zero numerator goes over 1."""
+    assert polys.canonical([4, -6], 8) == ((2, -3), 4)
+    assert polys.canonical([4, -6], -8) == ((-2, 3), 4)
+    assert polys.canonical([3, 5], -1) == ((-3, -5), 1)
+    assert polys.canonical([3, 5], -7) == ((-3, -5), 7)
+    assert polys.canonical([4, -6], 1) == ((4, -6), 1)
+    assert polys.canonical((0, 0, 0), 6) == ((0, 0, 0), 1)
+    assert polys.canonical([0, 0], -6) == ((0, 0), 1)
+    assert polys.canonical([0, 0], 1) == ((0, 0), 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-60, 60), min_size=1, max_size=6),
+       st.integers(-60, 60).filter(bool))
+def test_polys_canonical_keeps_the_value(num, den):
+    out, d = polys.canonical(num, den)
+    assert d > 0 and gcd(d, *out) == 1 and isinstance(out, tuple)
+    assert [Fraction(c, d) for c in out] == [Fraction(c, den) for c in num]

@@ -1,22 +1,23 @@
 import hashlib
 import json
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eisenstein_oracle
-from eisenstein_oracle import (hecke_Tl, hecke_Uq, refine_critical, refine_ordinary,
-                               slash_scale)
+from eisenstein_oracle import (from_library, hecke_Tl, hecke_Uq, refine_critical,
+                               refine_ordinary, slash_scale)
 from helpers import character_with_value, scalar_multiple
 from lambda_oracle import lambda_pm, lambda_twisted
 from eiscong.arith import DomainError, prime_divisors, primes_up_to, sturm_bound
 from eiscong.characters import (DirichletCharacter, enumerate_characters,
                                 quadratic_character)
 from eiscong.cyclotomic import CyclotomicField
-from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue, uq_eigenvalue
+from eiscong.eisenstein import (EisensteinParams, QExpansion, build_E, tl_eigenvalue,
+                                 uq_eigenvalue)
 from eiscong.scanner import eisenstein_basis
 
 
@@ -33,7 +34,7 @@ def test_e_phi_121_quadratic():
     E = e_phi(quadratic_character(11), 12)
     assert rational_coeffs(E, 12) == [1, -3, 4, 7, 6, -12, -8, -15, 13, -18, 0, 28]
     assert E.level == 121
-    assert E.a0.is_zero()
+    assert E.field is CyclotomicField(2)
     assert E.pretty() == (
         "q - 3*q^2 + 4*q^3 + 7*q^4 + 6*q^5 - 12*q^6 - 8*q^7 - 15*q^8 "
         "+ 13*q^9 - 18*q^10 + 28*q^12"
@@ -83,7 +84,7 @@ def test_refinements_234():
     for (M, L), want in displayed.items():
         E = build_E(EisensteinParams(phi, 234, M, L), 15)
         assert rational_coeffs(E, 15) == want, (M, L)
-        assert E.level == 234 and E.a0.is_zero()
+        assert E.level == 234 and E.field is CyclotomicField(2)
 
 
 def test_refinement_coefficient_rules():
@@ -160,7 +161,7 @@ def test_hecke_eigenform_property():
         for r in primes_up_to(13):
             if N % r == 0:
                 continue
-            TE = hecke_Tl(E, r)
+            TE = hecke_Tl(from_library(E), r)
             lam = scalar_multiple(TE, E, B // r)
             assert lam is not None and lam == tl_eigenvalue(phi, r).embed(lam.field.m), (N, r)
 
@@ -170,18 +171,18 @@ def test_u_eigenvalues():
     for (M, L), q, want in [((29, 1), 29, 29), ((1, 29), 29, 1)]:
         P = EisensteinParams(phi2, 725, M, L)
         E = build_E(P, 60)
-        UE = hecke_Uq(E, q)
+        UE = hecke_Uq(from_library(E), q)
         lam = scalar_multiple(UE, E, 2)
         assert lam == uq_eigenvalue(P, q).embed(lam.field.m)
     phi = quadratic_character(11)
     E = build_E(EisensteinParams(phi, 121, 1, 1), 22)
-    U = hecke_Uq(E, 11)
+    U = hecke_Uq(from_library(E), 11)
     assert all(U.coefficient(n).is_zero() for n in range(1, U.precision + 1))
     phi3 = quadratic_character(3)
     P = EisensteinParams(phi3, 234, 13, 2)
     E = build_E(P, 60)
-    assert scalar_multiple(hecke_Uq(E, 2), E, 20) == phi3.value(2)
-    lam13 = scalar_multiple(hecke_Uq(E, 13), E, 4)
+    assert scalar_multiple(hecke_Uq(from_library(E), 2), E, 20) == phi3.value(2)
+    lam13 = scalar_multiple(hecke_Uq(from_library(E), 13), E, 4)
     assert lam13 == uq_eigenvalue(P, 13).embed(lam13.field.m)
 
 
@@ -189,9 +190,9 @@ def test_hecke_routing():
     phi = quadratic_character(11)
     E = build_E(EisensteinParams(phi, 121, 1, 1), 22)
     with pytest.raises(DomainError):
-        hecke_Tl(E, 11)
+        hecke_Tl(from_library(E), 11)
     with pytest.raises(DomainError):
-        hecke_Uq(E, 3)
+        hecke_Uq(from_library(E), 3)
 
 
 def test_params_validation():
@@ -284,7 +285,7 @@ def test_hecke_eigenform_property_randomized():
         for r in (2, 3, 5, 7):
             if P.N % r == 0:
                 continue
-            lam = scalar_multiple(hecke_Tl(E, r), E, B // r)
+            lam = scalar_multiple(hecke_Tl(from_library(E), r), E, B // r)
             assert lam is not None and lam == tl_eigenvalue(P.phi, r).embed(lam.field.m)
 
 
@@ -292,12 +293,17 @@ def test_hecke_eigenform_property_randomized():
 
 
 def assert_same_expansion(E, O):
-    """Equal level and precision, and every coefficient and a0 the same field
-    object, num, den and hash."""
-    assert (E.level, E.precision, len(E.coeffs)) == (O.level, O.precision, len(O.coeffs))
-    for a, b in zip(E.coeffs + (E.a0,), O.coeffs + (O.a0,)):
+    """Equal level and precision; every (num, den) pair of E the num and den
+    of the oracle's element, and the element built from it the same field
+    object and hash; and the oracle's a0 the zero of E's field."""
+    assert (E.level, E.precision, len(E.an)) == (O.level, O.precision, len(O.coeffs))
+    for n, (pair, b) in enumerate(zip(E.an, O.coeffs), 1):
+        a = E.coefficient(n)
         assert a.field is b.field
-        assert (a.num, a.den, hash(a)) == (b.num, b.den, hash(b))
+        assert (pair, hash(a)) == ((b.num, b.den), hash(b))
+    zero = E.field.zero()
+    assert zero.field is O.a0.field
+    assert (zero.num, zero.den, hash(zero)) == (O.a0.num, O.a0.den, hash(O.a0))
 
 
 _ORACLE_CHARACTERS = [phi for f in range(3, 41) for phi in enumerate_characters(f)
@@ -307,9 +313,9 @@ _ORACLE_CHARACTERS = [phi for f in range(3, 41) for phi in enumerate_characters(
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(_ORACLE_CHARACTERS), st.integers(1, 100))
 def test_e_phi_matches_oracle(phi, B):
-    """Every coefficient of build_E at (phi, f^2, 1, 1), read off the table of
-    zeta powers, is the element the former per-coefficient `K.element` built:
-    same num, den and hash."""
+    """Every coefficient pair of build_E at (phi, f^2, 1, 1), read off the
+    table of zeta powers, is the num and den of the element the former
+    per-coefficient `K.element` built, with the same hash."""
     assert_same_expansion(e_phi(phi, B), eisenstein_oracle.e_phi_counts(phi, B))
 
 
@@ -343,9 +349,29 @@ def _valid_params(draw):
 @given(_valid_params(), st.integers(1, 100))
 def test_build_E_matches_oracle(P, B):
     """build_E on integer rows against the former composition of e_phi, the
-    CycElement refinement steps and slash_scale: equal level, precision and
-    a0, and every coefficient the same field object, num, den and hash."""
+    CycElement refinement steps and slash_scale: equal level and precision,
+    every (num, den) pair the num and den of the oracle's element, with the
+    same field object and hash, and the oracle's a0 zero."""
     assert_same_expansion(build_E(P, B), eisenstein_oracle.build_E(P, B))
+
+
+def test_build_E_stores_canonical_pairs():
+    """A QExpansion holds exactly level, field and an; every pair build_E
+    writes is canonical (den > 0, gcd(den, content(num)) = 1) with one entry
+    per power-basis coordinate of the field, for the 19 eigenbasis series and
+    25 seeded random p-good parameter sets."""
+    import random
+
+    from helpers import random_pgood_params
+
+    assert QExpansion._fields == ("level", "field", "an")
+    params = [P for N, p in ((121, 11), (234, 3), (725, 5)) for P in eisenstein_basis(N, p)]
+    for P in params + random_pgood_params(random.Random(3232), 25):
+        E = build_E(P, sturm_bound(P.N))
+        assert E.field is CyclotomicField(P.phi.order) and E.precision == sturm_bound(P.N)
+        for num, den in E.an:
+            assert isinstance(num, tuple) and len(num) == E.field.degree
+            assert den > 0 and gcd(den, *num) == 1
 
 
 def test_build_E_matches_benchmark_goldens():

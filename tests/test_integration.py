@@ -22,6 +22,27 @@ from eiscong.newforms import NetworkUnavailable
 from eiscong.scanner import full_scan
 
 
+def test_a_failing_hypothesis_test_is_reported(tmp_path, pytestconfig):
+    """Under this suite's warning filters a failing @given test is reported
+    as one failure (exit 1).  Reporting a falsifying example imports libcst,
+    which warns on some installs; as an error, that warning stopped pytest
+    with an INTERNALERROR, and the later tests never ran."""
+    import subprocess
+
+    filters = pytestconfig.getini("filterwarnings")
+    assert "error" in filters
+    (tmp_path / "pytest.ini").write_text(
+        "[pytest]\nfilterwarnings =\n" + "".join(f"    {f}\n" for f in filters))
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_negative(x):\n    assert x < 0\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = proc.stdout + proc.stderr
+    assert "INTERNALERROR" not in out
+    assert proc.returncode == 1 and "1 failed" in proc.stdout, out
+
+
 def test_full_scan_missing_data_is_actionable(tmp_path, monkeypatch):
     monkeypatch.setenv("EISCONG_CACHE", str(tmp_path))
     with pytest.raises(NetworkUnavailable, match="eiscong fetch"):

@@ -7,6 +7,7 @@ from math import prod
 
 import pytest
 
+from eiscong import cusps
 from eiscong.arith import prime_divisors
 from eiscong.modsym import P1, PlusQuotient, genus_gamma0, new_dimension
 
@@ -28,6 +29,10 @@ def test_genus_and_new_dimensions():
     assert [genus_gamma0(N) for N in (1, 10, 11, 23, 37, 121, 234, 725)] == [
         0, 0, 1, 2, 2, 6, 35, 69]
     assert [new_dimension(N) for N in (11, 23, 37, 121, 234, 725)] == [1, 2, 2, 4, 5, 45]
+    # the p-good levels below 2000 (p <= 13) without newforms, which full_scan
+    # reads from cusps
+    assert [new_dimension(N) for N in (9, 18, 25)] == [0, 0, 0]
+    assert cusps.new_dimension is new_dimension
 
 
 @pytest.mark.parametrize("N", [37, 121, 234])

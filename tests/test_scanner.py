@@ -14,7 +14,7 @@ from eiscong.characters import quadratic_character
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
-from eiscong.newforms import NewformRecord, bundled_newforms, parse_newforms
+from eiscong.newforms import NewformDataError, NewformRecord, bundled_newforms, parse_newforms
 from eiscong.scanner import (UnsupportedPrimeError, _power_table, eisenstein_basis,
                              full_scan, reduction_embeddings, scan)
 
@@ -279,6 +279,48 @@ def test_full_scan_builds_and_searches_only_what_it_scans(monkeypatch, N, p, bui
     res = full_scan(N, p)
     assert (built, searched) == ({"build_E": builds}, {"_one_root": searches})
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
+
+
+def test_a_scan_pass_builds_few_elements(monkeypatch):
+    """full_scan at 121, 234 and 725 and build_E over their eigenbases read
+    and store (num, den) pairs: they build at most 50 elements of Q(zeta_m),
+    20 once the fields exist, where one element per coefficient made
+    thousands.
+    Every element is built by `_element`, counted in each module that binds
+    it."""
+    import sys
+
+    counts = [count_calls(monkeypatch, module, "_element") for name, module in
+              list(sys.modules.items()) if name.startswith("eiscong") and "_element" in vars(module)]
+    for N, p in ((121, 11), (234, 3), (725, 5)):
+        full_scan(N, p)
+        for P in eisenstein_basis(N, p):
+            build_E(P, sturm_bound(N))
+    assert 0 < sum(c["_element"] for c in counts) <= 50
+
+
+@pytest.mark.parametrize("N, p", [(9, 3), (18, 3), (25, 5)])
+def test_levels_without_newforms_scan_none(monkeypatch, tmp_path, N, p):
+    """S_2^new(Gamma0(N)) = 0 at the p-good levels 9, 18 and 25: full_scan
+    scans no newforms and reads neither the cache nor the network."""
+    from eiscong import scanner
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("newform data read at a level without newforms")
+
+    monkeypatch.setattr(scanner, "newforms_for_level", no_data)
+    res = full_scan(N, p, cache_dir=tmp_path)
+    assert (res.level, res.p, res.bound) == (N, p, sturm_bound(N))
+    assert (res.reports, res.hits, res.skipped) == ((), (), ())
+    assert not any(tmp_path.iterdir())
+
+
+def test_no_records_at_a_level_with_newforms():
+    """An empty record list where newforms exist (dimension 4 at 121) is a
+    data error that names the dimension."""
+    with pytest.raises(NewformDataError, match=r"^no newform data for level 121 "
+                       r"\(S_2\^new has dimension 4\); run `eiscong fetch --level 121` first$"):
+        full_scan(121, 11, records=[])
 
 
 @pytest.mark.parametrize("N, p, hit_count", [(169, 13, 5), (289, 17, 8), (361, 19, 13)])
