@@ -13,7 +13,7 @@ import sys
 
 from .arith import DomainError, RoughCofactorError, factor, prime_divisors, sturm_bound
 from .characters import character_from_label, gauss_sum_inverse
-from .cusps import beta_tilde
+from .cusps import beta_tilde, new_dimension
 from .cyclotomic import CycElement
 from .eisenstein import EisensteinParams, build_E, uq_eigenvalue
 from .ideals import candidate_characteristics, cuspidal_order
@@ -144,7 +144,8 @@ def cmd_classify(args) -> None:
 
 def cmd_scan(args) -> None:
     records = None
-    if not args.offline:
+    # a level without newforms needs no data, so nothing is fetched for it
+    if not args.offline and new_dimension(args.level):
         try:
             records = fetch_newforms(args.level, endpoint=args.endpoint, cache_dir=args.cache_dir)
         except NetworkUnavailable:

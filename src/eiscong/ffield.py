@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import combinations, zip_longest
+from itertools import combinations, product, zip_longest
 from math import gcd, isqrt
 from operator import mul
 
@@ -138,8 +138,6 @@ class FiniteField:
         return tuple(x % q for x in prod[:r])
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
         result = self.one()
         base = a
         while e:
@@ -256,16 +254,9 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
     if r == 1:
         return (0, 1)
     Fq = FiniteField(q, 1, (0, 1))
-    # iterate constant-first tuples in lexicographic order
-    for total in range(q ** r):
-        coeffs = []
-        t = total
-        for _ in range(r):
-            coeffs.append(t % q)
-            t //= q
-        h = coeffs + [1]
-        if h[0] == 0:
-            continue
+    # lexicographic in (c_{r-1}, ..., c_1, c_0), with c_0 != 0
+    for top in product(*[range(q)] * (r - 1), range(1, q)):
+        h = [*top[::-1], 1]
         if next(_distinct_degree(_reduce_monic(h, Fq), Fq))[0] == r:  # irreducible
             return tuple(h)
     raise ArithmeticError("no irreducible polynomial found")

@@ -11,21 +11,25 @@ map, eliminated by `lattices.echelon`, with an integer basis that is a
 multiple of the identity on the free columns of that kernel, so a cuspidal
 vector's coordinates are its entries there.
 
-`newform_orbits` factors over Z (`ffield.factor_over_z`) the characteristic
-polynomial chi of a generic combination T of six Hecke operators on the
-cuspidal subspace.  Its factors of multiplicity 1 are the newform Galois
-orbits once the old part has the dimension that the levels below predict;
-otherwise the weights change.  For such a factor g of degree d,
-psi_0 = u q(T), q = chi / g, lies in ker g(T^t) and is nonzero for all but
-special row vectors u, so one Krylov sequence u, u T, ..., u T^n serves
-every orbit.  Then psi_0 o T_p = sum_i c_i psi_0 o T^i, where
-a_p = sum_i c_i theta^i and theta is the eigenvalue of T.  With
-psi_i = psi_0 o T^i, the c_i solve sum_i c_i psi_{i+k}(x) = psi_k(T_p x),
-k < d, for one cuspidal basis vector x with psi_0(x) != 0: the Hankel
-matrix [psi_{i+k}(x)] is invertible, since (a, b) -> psi_0(a(T) b(T) x) is
-a nonzero trace form on the field Q[T]/(g).  So a_p needs only T_p x, from
-the images of the few Manin symbols in x's support.  Full matrices are
-built for the six primes of T alone, and those check the symbols' answer.
+`newform_orbits` works on one scale, that of the integer matrices: with den
+= D s (s the kernel basis's scale, both 1 at every level measured), the
+generic combination T of six Hecke operators on the cuspidal subspace is
+A / den for an integer matrix A, and theta' = den theta is an eigenvalue of
+A.  It factors over Z (`ffield.factor_over_z`) chi = charpoly(A).  Its
+factors of multiplicity 1 are the newform Galois orbits once the old part
+has the dimension that the levels below predict; otherwise the weights
+change.  For such a factor g of degree d, psi_0 = u q(A), q = chi / g, lies
+in ker g(A^t) and is nonzero for all but special row vectors u, so one
+Krylov sequence u, u A, ..., u A^n serves every orbit.  Then psi_0 o T_p =
+sum_i c_i psi_0 o A^i, where a_p = sum_i c_i theta'^i.  With P_i = psi_0 o
+A^i, the c_i solve sum_i c_i den P_{i+k}(x) = P_k(den T_p x), k < d, for one
+cuspidal basis vector x with psi_0(x) != 0: the Hankel matrix [P_{i+k}(x)]
+is invertible, since (a, b) -> psi_0(a(A) b(A) x) is a nonzero trace form on
+the field Q[A]/(g).  So a_p needs only den T_p x, from the images of the
+few Manin symbols in x's support.  Full matrices are built for the six
+primes of T alone, and those check the symbols' answer.  Only the output
+leaves this scale: theta's minimal polynomial has coefficients g_i /
+den^(d-i), and a_p's coordinates in powers of theta are c_i den^i.
 """
 
 from __future__ import annotations
@@ -279,18 +283,17 @@ def _charpoly_modp(A, p):
     return charpolys[n]
 
 
-def charpoly(A, den: int):
-    """The characteristic polynomial of A / den (A an integer matrix), which
-    must be integral: ascending coefficients, lifted by CRT one 61-bit prime
-    at a time until the lift is stable for three primes."""
+def charpoly(A):
+    """The characteristic polynomial of the integer matrix A: ascending
+    integer coefficients, lifted by CRT one 61-bit prime at a time until the
+    signed lift is stable for three primes."""
     p = (1 << 61) - 1
     M, lifted, current, stable = 1, [0] * (len(A) + 1), None, 0
     for _ in range(80):
         p += 2
-        while not is_prime(p) or den % p == 0:
+        while not is_prime(p):
             p += 2
-        inv = pow(den, -1, p)
-        poly = _charpoly_modp([[x * inv for x in row] for row in A], p)
+        poly = _charpoly_modp(A, p)
         lifted = [crt(r, M, x, p) for r, x in zip(lifted, poly)]
         M *= p
         signed = [r - M if r > M // 2 else r for r in lifted]
@@ -307,8 +310,10 @@ def charpoly(A, den: int):
 @record
 class NewformOrbit:
     """A Galois orbit of newforms: theta_poly (ascending, monic, integer) is
-    the minimal polynomial of the eigenvalue theta of the generic operator,
-    and ap[p] = (c_0, ..., c_{d-1}) gives a_p = sum_i c_i theta^i."""
+    the minimal polynomial of the eigenvalue theta of the generic operator T,
+    and ap[p] = (c_0, ..., c_{d-1}) gives a_p = sum_i c_i theta^i.  Both are
+    on T's scale, converted from the integer matrix den T that
+    `newform_orbits` computes with."""
 
     level: int
     theta_poly: tuple[int, ...]
@@ -336,7 +341,7 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
             b[pc] = -row[fc] * s // row[pc]
         basis.append(b)
     B = [list(r) for r in zip(*basis)]  # sp.dim x genus
-    den = sp.D * s  # T on the cuspidal subspace is A / den
+    den = sp.D * s  # the integer matrix A of an operator T is den * T
 
     def restrict(H):
         HB = [_vec_mat(row, B) for row in H]
@@ -352,14 +357,14 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
         weights = [(3 * attempt + 1) * (i * i + i + 1) % 23 + (i == 0) for i in range(len(good))]
         A = restrict([[sum(w * hecke[p][i][j] for w, p in zip(weights, good))
                        for j in range(sp.dim)] for i in range(sp.dim)])
-        chi = charpoly(A, den)
+        chi = charpoly(A)
         factors = factor_over_z(chi)
         if sum((len(g) - 1) * m for g, m in factors if m > 1) == old_dimension(N):
             break
     else:
         raise ArithmeticError("could not separate new and old eigensystems")
 
-    krylov = []  # u A^k = den^k u T^k for a pseudo-random u, one sequence per seed
+    krylov = []  # u, u A, ..., u A^n for a pseudo-random u, one sequence per seed
     images = {}  # (generator k, p) -> D * T_p x_k, shared by the orbits
     orbits = []
     for g in (g for g, m in factors if m == 1):
@@ -371,20 +376,20 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
                 krylov.append([[rng.randrange(-5, 6) for _ in A]])
                 for _ in A:
                     krylov[-1].append(_vec_mat(krylov[-1][-1], A))
-            psi = [0] * genus  # den^deg(q) u q(T)
-            for k, (c, row) in enumerate(zip(q, krylov[seed])):
+            psi = [0] * genus  # u q(A)
+            for c, row in zip(q, krylov[seed]):
                 if c:
-                    psi = [x + c * den ** (len(q) - 1 - k) * y for x, y in zip(psi, row)]
+                    psi = [x + c * y for x, y in zip(psi, row)]
             if any(psi):
                 break
         else:
             raise ArithmeticError("no dual eigenvector found")
         content = gcd(*psi)
-        P = [[x // content for x in psi]]  # psi_i = P[i] / den^i
+        P = [[x // content for x in psi]]  # P[i] = psi_0 o A^i
         for _ in range(2 * d - 1):
             P.append(_vec_mat(P[-1], A))
-        assert not any(sum(c * den ** (d - i) * P[i][j] for i, c in enumerate(g))
-                       for j in range(genus)), "dual vector fails annihilation by g(T)"
+        assert not any(sum(c * P[i][j] for i, c in enumerate(g))
+                       for j in range(genus)), "dual vector fails annihilation by g(A)"
         # x = b_j with psi_0(x) != 0, and den times the coordinates of T_p x
         j = next(j for j in range(genus) if P[0][j])
         rhs = []
@@ -396,20 +401,24 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
                         images[k, p] = sp.image(sp.free_symbols[k], p)
                     _add_into(acc, images[k, p], bk)
             rhs.append([acc.get(c, 0) for c in cols])
-        # sum_i c_i den^2d psi_{i+k}(x) = den^2d psi_k(T_p x) for k < d
-        system = [[P[i + k][j] * den ** (2 * d - i - k) for i in range(d)]
-                  + [sum(a * b for a, b in zip(P[k], y)) * den ** (2 * d - k - 1) for y in rhs]
+        # psi_0 o T_p = sum_i c_i P[i], at x and at A^k x: the c_i solve
+        # sum_i c_i den P[i+k](x) = P[k](den T_p x) for k < d
+        system = [[den * P[i + k][j] for i in range(d)]
+                  + [sum(a * b for a, b in zip(P[k], y)) for y in rhs]
                   for k in range(d)]
         R, piv = echelon(system)
         assert piv == list(range(d)), "dual vectors psi_i are dependent"
-        ap = {p: tuple(Fraction(R[i][d + t], R[i][i]) for i in range(d))
-              for t, p in enumerate(plist)}
         for p in good:
-            # psi_0 o T_p from the full matrix must be sum_i c_i psi_i
+            # den * psi_0 o T_p from the full matrix must be den * sum_i c_i P[i]
             full = _vec_mat(_vec_mat(P[0], [hecke[p][c] for c in cols]), B)
             c = [R[i][d + plist.index(p)] for i in range(d)]
-            assert [R[0][0] * den ** (d - 1) * x for x in full] == [
-                sum(c[i] * den ** (d - i) * P[i][j] for i in range(d)) for j in range(genus)
+            assert [R[0][0] * x for x in full] == [
+                den * sum(c[i] * P[i][j] for i in range(d)) for j in range(genus)
             ], f"T_{p} from the symbols disagrees with the full matrix"
-        orbits.append(NewformOrbit(N, tuple(g), ap))
-    return orbits
+        # theta' = den theta has minimal polynomial g: to theta's scale
+        theta, rem = zip(*(divmod(c, den ** (d - i)) for i, c in enumerate(g)))
+        assert not any(rem), "theta's minimal polynomial is not integral"
+        ap = {p: tuple(Fraction(R[i][d + t], R[i][i]) * den ** i for i in range(d))
+              for t, p in enumerate(plist)}
+        orbits.append(NewformOrbit(N, theta, ap))
+    return sorted(orbits, key=lambda o: (len(o.theta_poly), o.theta_poly[::-1]))

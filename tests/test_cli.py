@@ -203,6 +203,28 @@ def test_scan_at_a_level_without_newforms(capsys, tmp_path):
                    "run `eiscong fetch --level 169` first\n")
 
 
+@pytest.mark.parametrize("level, p", [(9, 3), (18, 3), (25, 5)])
+def test_scan_fetches_nothing_without_newforms(capsys, tmp_path, monkeypatch, level, p):
+    """Without --offline, `scan` at a level with no newforms sends no request
+    and writes no cache file: its stdout is that of `scan --offline`."""
+    calls = []
+    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
+    argv = ("scan", "--level", str(level), "--p", str(p), "--cache-dir", str(tmp_path),
+            "--endpoint", "http://localhost:9/none")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, calls) == (0, "", [])
+    assert out == run_cli(capsys, *argv, "--offline")[1]
+    assert not any(tmp_path.iterdir())
+
+
+def test_scan_at_level_zero_keeps_its_error(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
+    code, out, err = run_cli(capsys, "scan", "--level", "0", "--p", "3",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out, err, calls) == (2, "", "error: factor requires n >= 1 (got 0)\n", [])
+
+
 def test_scan_without_requests_falls_back(capsys, tmp_path, monkeypatch):
     """With no `requests` package and an empty cache, `scan` without
     --offline falls back to the bundled newforms: exit 0 and the stdout of
