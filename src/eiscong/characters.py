@@ -7,6 +7,10 @@ form is canonical.  The table of exponents at every unit, chi(a) =
 zeta_k^e(a) (non-units map to 0), is derived from gens through unit_group's
 discrete logs once per character.  Values, Gauss sums and the generalized
 Bernoulli number B2 are exact CycElements.
+
+The library takes powers of one character (`power`, `inverse`) and its
+primitive part.  It never multiplies two characters or induces one to a
+larger modulus, and it reads a value with `value`.
 """
 
 from __future__ import annotations
@@ -130,37 +134,16 @@ class DirichletCharacter:
             return K.zero()
         return K.zeta(e)
 
-    def __call__(self, n: int) -> CycElement:
-        return self.value(n)
-
     def is_even(self) -> bool:
         return self.value_exponent(-1) == 0
 
-    # -- group operations ------------------------------------------------------
+    # -- powers ----------------------------------------------------------------
 
     def power(self, j: int) -> "DirichletCharacter":
         return _make(self.modulus, self.order, [e * j for e in self.gens])
 
-    def __pow__(self, j: int) -> "DirichletCharacter":
-        return self.power(j)
-
     def inverse(self) -> "DirichletCharacter":
         return self.power(-1)
-
-    def extend(self, M: int) -> "DirichletCharacter":
-        """The (imprimitive) character mod M induced by chi; modulus | M."""
-        if M % self.modulus:
-            raise DomainError(f"cannot extend modulus {self.modulus} to {M}")
-        if M == self.modulus:
-            return self
-        return _make(M, self.order, [self.value_exponent(g) for g in unit_group(M)[0]])
-
-    def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
-        M = lcm(self.modulus, other.modulus)
-        a, b = self.extend(M), other.extend(M)
-        k = lcm(a.order, b.order)
-        return _make(M, k, [x * (k // a.order) + y * (k // b.order)
-                            for x, y in zip(a.gens, b.gens)])
 
     # -- conductor / primitivity ------------------------------------------------
 

@@ -2,13 +2,15 @@
 
 Subcommands: basis, qexp, beta, order, classify, scan, fetch.  Output is
 plain text or JSON (--json); exit codes: 0 success, 2 usage/domain error,
-1 computational/environment error.
+1 computational/environment error, a full stdout among them.  A reader that
+closes the pipe early ends the command with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DomainError, RoughCofactorError, factor, prime_divisors, sturm_bound
@@ -273,11 +275,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed or full stdout fails here, not at exit
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NetworkUnavailable, NewformDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NetworkUnavailable, NewformDataError, OSError) as exc:
+        if not isinstance(exc, BrokenPipeError):  # a reader that stops early is no error
+            print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and sys.stdout is sys.__stdout__:
+            # what stdout still buffers goes to os.devnull, so the exit flush is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
 

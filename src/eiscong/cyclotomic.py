@@ -4,9 +4,10 @@ An element is num/den: `num` holds integer coefficients on the power basis
 1, zeta, ..., zeta^(d-1) (d = euler_phi(m)) and `den` > 0 is one common
 denominator, kept canonical with gcd(den, content(num)) = 1 by
 `polys.canonical`.  Equal elements of one field therefore have equal
-(num, den) and equal hashes.  All arithmetic stays in Z.  Rational scalars
-scale num and den and are never promoted to elements.  The inverse is the
-product of the nontrivial Galois conjugates divided by the norm.
+(num, den) and equal hashes.  All arithmetic stays in Z.  Elements form a
+ring under +, - and *, and nothing divides: the one inverse the library
+takes, 1/tau(chi), has the closed form of `characters.gauss_sum_inverse`.
+Rational scalars scale num and den and are never promoted to elements.
 
 Each field holds the m powers zeta^0, ..., zeta^(m-1) as a table built once,
 in O(m d), when the field is made; `zeta(j)` returns entry j mod m, so a
@@ -35,10 +36,11 @@ the compositum.
 
 Z[zeta_f, phi] (phi of order k) is realized as Z[zeta_lcm(f,k)]: values of phi
 are k-th roots of unity, so a single power basis carries all compositum
-arithmetic.  Degrees are capped at DEGREE_CAP = 200, a bound set for an
-earlier inverse and not from a measured cost.  It refuses Q(zeta_253) and
-Q(zeta_506), both of degree 220, and so every phi of order 11 or 22 at the
-23-good level 529.
+arithmetic.  Degrees are capped at DEGREE_CAP = 200.  The reason once given
+for it, the cost of a generic inverse, went with that inverse, and no
+measured cost stands in its place: ROADMAP item 6 replaces it with a
+measured cap.  It refuses Q(zeta_253) and Q(zeta_506), both of degree 220,
+and so every phi of order 11 or 22 at the 23-good level 529.
 """
 
 from __future__ import annotations
@@ -224,7 +226,7 @@ class CycElement:
         m = lcm(a.field.m, b.field.m)
         return a.embed(m), b.embed(m)
 
-    # -- ring/field operations ----------------------------------------------
+    # -- ring operations ---------------------------------------------------
 
     def _add(self, other, sign: int = 1):
         """self + sign * other, sign = 1 or -1, without building sign * other."""
@@ -271,52 +273,6 @@ class CycElement:
 
     __rmul__ = __mul__
 
-    def _galois_num(self, j: int) -> list[int]:
-        m = self.field.m
-        out = [0] * m
-        for i, c in enumerate(self.num):
-            out[(i * j) % m] += c
-        return self.field.reduce(out)
-
-    def _conjugate_product(self) -> tuple[list[int], int]:
-        """(prod of sigma_j(num) over j != 1, N(num)): num times the first is
-        the second, a rational integer."""
-        K = self.field
-        others = K.reduce([1])
-        for j in K.galois_group()[1:]:
-            others = K.reduce(polys.mul(others, self._galois_num(j)))
-        return others, K.reduce(polys.mul(self.num, others))[0]
-
-    def inverse(self) -> "CycElement":
-        """Product of the nontrivial Galois conjugates over the norm."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of 0 in cyclotomic field")
-        others, norm = self._conjugate_product()
-        return _element(self.field, [c * self.den for c in others], norm)
-
-    def __truediv__(self, other):
-        if isinstance(other, CycElement):
-            a, b = CycElement.promote(self, other)
-            return a * b.inverse()
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if isinstance(other, CycElement):
             a, b = (self, other) if self.field is other.field else CycElement.promote(self, other)
@@ -331,11 +287,21 @@ class CycElement:
 
     # -- Galois action -------------------------------------------------------
 
+    def _galois_num(self, j: int) -> list[int]:
+        """The numerator of sigma_j(self), zeta -> zeta^j."""
+        m = self.field.m
+        out = [0] * m
+        for i, c in enumerate(self.num):
+            out[(i * j) % m] += c
+        return self.field.reduce(out)
+
     def norm_to_Q(self) -> Fraction:
-        """N_{Q(zeta_m)/Q}: the product of all Galois conjugates."""
-        if self.is_zero():
-            return Fraction(0)
-        return Fraction(self._conjugate_product()[1], self.den ** self.field.degree)
+        """N_{Q(zeta_m)/Q}: the product of all Galois conjugates, whose
+        numerator is a rational integer, over den^degree."""
+        K, num = self.field, self.num
+        for j in K.galois_group()[1:]:
+            num = K.reduce(polys.mul(num, self._galois_num(j)))
+        return Fraction(num[0], self.den ** K.degree)
 
     # -- display ---------------------------------------------------------------
 

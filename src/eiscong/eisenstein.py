@@ -107,9 +107,8 @@ class EisensteinParams:
     T2: int  # the product of the primes of L
     S_phi: tuple[int, ...]  # the primes q | T2 with phi(q)^2 = 1
     T2_phi: int  # the product of S_phi
-    xi: DirichletCharacter  # the primitive character attached to phi^2
     # set by __post_init__; outside ==, hash and repr
-    _computed = ("T1", "T2", "S_phi", "T2_phi", "xi")
+    _computed = ("T1", "T2", "S_phi", "T2_phi")
 
     def __post_init__(self):
         phi, N, M, L = self.phi, self.N, self.M, self.L
@@ -135,7 +134,6 @@ class EisensteinParams:
         object.__setattr__(self, "T2", prod(primes_L))
         object.__setattr__(self, "S_phi", S_phi)
         object.__setattr__(self, "T2_phi", prod(S_phi))
-        object.__setattr__(self, "xi", phi.power(2).primitive_part())
 
     @property
     def f(self) -> int:

@@ -150,19 +150,15 @@ def parse_newforms(data, where="newforms") -> list[NewformRecord]:
     return out
 
 
-def load_newforms(source) -> list[NewformRecord]:
-    """Load records from a path or open file; empty file -> empty list."""
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+def load_newforms(path) -> list[NewformRecord]:
+    """Load records from the JSON file at `path`; an empty file gives []."""
+    text = Path(path).read_text()
     if not text.strip():
         return []
     try:
-        data = json.loads(text)
+        return parse_newforms(json.loads(text), where=str(path))
     except json.JSONDecodeError as exc:
         raise NewformDataError(f"invalid JSON: {exc}") from exc
-    return parse_newforms(data, where=str(source))
 
 
 def bundled_newforms(level: int) -> list[NewformRecord]:
@@ -207,8 +203,10 @@ def fetch_newforms(
     service).  Successful responses are cached under EISCONG_CACHE; when the
     endpoint is unreachable, or the `requests` package is missing, a warm
     cache is served with a warning, and offline mode never touches the
-    network.
+    network.  A level below 1 is a DomainError before either is touched.
     """
+    if level < 1:
+        raise DomainError(f"level must be >= 1 (got {level})")
     cdir = _cache_dir(cache_dir)
     cache_file = cdir / f"newforms_{level}.json"
     if offline:

@@ -109,7 +109,7 @@ def beta_constant(params: EisensteinParams) -> CycElement:
     """beta_{Gamma0(N),phi,M,L}, exact in Q(zeta_lcm(f,k))."""
     phi = params.phi
     f, N, M = params.f, params.N, params.M
-    xi = params.xi
+    xi = phi.power(2).primitive_part()
     n = xi.conductor()
     K = params.field()
     m = K.m

@@ -205,7 +205,7 @@ def hecke_Uq(g: QExpansion, q: int) -> QExpansion:
 
 
 def derived(P: EisensteinParams) -> dict:
-    """{name: value} of the derived data T1, T2, S_phi, T2_phi and xi of P."""
+    """{name: value} of the derived data T1, T2, S_phi and T2_phi of P."""
     T1 = prod(l for l in prime_divisors(P.M) if P.f % l)
     T2 = prod(prime_divisors(P.L))
     out = []
@@ -214,5 +214,4 @@ def derived(P: EisensteinParams) -> dict:
         if e is not None and (2 * e) % P.phi.order == 0:
             out.append(q)
     S_phi = tuple(out)
-    return {"T1": T1, "T2": T2, "S_phi": S_phi, "T2_phi": prod(S_phi),
-            "xi": (P.phi * P.phi).primitive_part()}
+    return {"T1": T1, "T2": T2, "S_phi": S_phi, "T2_phi": prod(S_phi)}

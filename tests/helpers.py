@@ -3,6 +3,7 @@ suite (single source of truth for the heavier sweeps)."""
 
 import importlib.util
 import inspect
+import os
 import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -171,7 +172,7 @@ def scalar_multiple(f, g, B):
             if not fn.is_zero():
                 return None
             continue
-        ratio = fn / gn
+        ratio = fn * inverse(gn)
         if c is None:
             c = ratio
         elif c != ratio:
@@ -181,9 +182,18 @@ def scalar_multiple(f, g, B):
 
 def galois(a, j):
     """sigma_j(a), zeta -> zeta^j, for a library CycElement a and gcd(j, m) = 1,
-    through the numerator map the library's norm and inverse use."""
+    through the numerator map the library's norm uses."""
     assert gcd(j, a.field.m) == 1, f"sigma_{j} is not a Galois element for m={a.field.m}"
     return cyclotomic._element(a.field, a._galois_num(j), a.den)
+
+
+def inverse(a):
+    """1/a for a nonzero library CycElement a: the product of its conjugates
+    other than a, over its norm.  The library itself never divides."""
+    others = a.field.one()
+    for j in a.field.galois_group()[1:]:
+        others = others * galois(a, j)
+    return others * (1 / a.norm_to_Q())
 
 
 def count_calls(monkeypatch, owner, *names):
@@ -199,6 +209,13 @@ def count_calls(monkeypatch, owner, *names):
             counted = staticmethod(counted)
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports this eiscong."""
+    src = str(Path(cyclotomic.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def fixture_script(monkeypatch):

@@ -10,7 +10,7 @@ from eiscong.characters import bernoulli_B2, enumerate_characters
 
 def b2_norm(phi, p: int):
     """N_{Q(phi)/Q}(6 p B2(xi^{-1})), xi the primitive part of phi^2."""
-    xi = (phi * phi).primitive_part()
+    xi = phi.power(2).primitive_part()
     return (bernoulli_B2(xi.inverse()).embed(phi.order) * (6 * p)).norm_to_Q()
 
 

@@ -1,21 +1,31 @@
 """The paper's twisted L-values Lambda(E, chi, 1) and Lambda_pm(E, chi, 1)
-in closed form, and the two character helpers only they use, kept as test
-code: the library has no caller for them.
+in closed form, and the character helpers only they use, kept as test code:
+the library has no caller for them.
 
 `lambda_twisted`, `lambda_pm` and their shared factor `_lambda_common` come
 verbatim from eiscong.eisenstein; `bernoulli_B1` and the X_S membership test
-`chi_in_XS` come verbatim from eiscong.characters.
+`chi_in_XS` come verbatim from eiscong.characters.  `character_product`
+multiplies characters of different moduli, which the library never does.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from eiscong.arith import DomainError, is_prime, prime_divisors
-from eiscong.characters import DirichletCharacter, gauss_sum, gauss_sum_inverse
+from eiscong.characters import (DirichletCharacter, _make, gauss_sum, gauss_sum_inverse,
+                                unit_group)
 from eiscong.cyclotomic import CycElement, CyclotomicField
 from eiscong.eisenstein import EisensteinParams
+
+
+def character_product(a: DirichletCharacter, b: DirichletCharacter) -> DirichletCharacter:
+    """The character a b mod lcm of the moduli, from its values at the
+    generators of that unit group."""
+    M, k = lcm(a.modulus, b.modulus), lcm(a.order, b.order)
+    return _make(M, k, [a.value_exponent(g) * (k // a.order) + b.value_exponent(g) * (k // b.order)
+                        for g in unit_group(M)[0]])
 
 
 def bernoulli_B1(chi: DirichletCharacter) -> CycElement:
@@ -55,7 +65,8 @@ def _lambda_common(params: EisensteinParams, chi: DirichletCharacter) -> CycElem
         out = out * (1 - chi.value(l) * phi.value(l) * Fraction(1, l))
     for q in prime_divisors(T2):
         out = out * (1 - chi.value(q) * phi_inv.value(q))
-    return out * bernoulli_B1(chi.inverse() * phi_inv) * bernoulli_B1(chi * phi_inv)
+    return (out * bernoulli_B1(character_product(chi.inverse(), phi_inv))
+            * bernoulli_B1(character_product(chi, phi_inv)))
 
 
 def lambda_twisted(params: EisensteinParams, chi: DirichletCharacter) -> CycElement:

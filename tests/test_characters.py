@@ -9,7 +9,7 @@ from helpers import character_with_value, galois
 
 from eiscong import characters
 from eiscong.arith import DomainError, divisors, euler_phi
-from lambda_oracle import bernoulli_B1, chi_in_XS
+from lambda_oracle import bernoulli_B1, character_product, chi_in_XS
 
 from eiscong.characters import (DirichletCharacter, bernoulli_B2, character_from_label,
                                 enumerate_characters, gauss_sum, gauss_sum_inverse,
@@ -48,23 +48,24 @@ def test_values_and_multiplicativity():
 
 def test_conductor_primitive_part():
     q11 = quadratic_character(11)
-    xi = (q11 * q11).primitive_part()
+    xi = q11.power(2).primitive_part()
     assert xi.conductor() == 1 and xi.is_trivial()
     phi10 = character_with_value(11, 2, 10, 1)
-    xi = (phi10 * phi10).primitive_part()
+    xi = phi10.power(2).primitive_part()
     assert xi.conductor() == 11 and xi.order == 5
     assert DirichletCharacter.trivial(12).conductor() == 1
-    q3 = quadratic_character(3)
-    assert q3.extend(12).conductor() == 3
-    assert q3.extend(12).primitive_part() == q3
+    q3_mod12 = character_from_label("12.2.0-1")  # quadratic_character(3) mod 12
+    assert q3_mod12.conductor() == 3 and not q3_mod12.is_primitive()
+    assert q3_mod12.primitive_part() == quadratic_character(3)
 
 
 def test_gauss_sums():
-    assert gauss_sum(quadratic_character(5)) ** 2 == CyclotomicField(5).from_rational(5)
-    assert gauss_sum(quadratic_character(11)) ** 2 == CyclotomicField(11).from_rational(-11)
+    for p, square in ((5, 5), (11, -11)):
+        tau = gauss_sum(quadratic_character(p))
+        assert tau * tau == CyclotomicField(p).from_rational(square)
     assert gauss_sum(DirichletCharacter.trivial()) == CyclotomicField(1).one()
     with pytest.raises(DomainError):
-        gauss_sum(quadratic_character(3).extend(12))
+        gauss_sum(character_from_label("12.2.0-1"))
 
 
 def test_gauss_sum_identity_small_fields():
@@ -97,8 +98,7 @@ def test_gauss_sum_inverse_closed_form():
     """gauss_sum_inverse rests on tau(chi) tau(chi^-1) = chi(-1) f, checked for
     every primitive chi of conductor <= 60 by the tensor-algebra sweep above;
     here the closed form is an inverse in the library's own arithmetic wherever
-    Q(zeta_lcm(f, k)) is within the degree cap, and equals the generic inverse
-    on the small fields."""
+    Q(zeta_lcm(f, k)) is within the degree cap."""
     checked = 0
     for f in range(1, 61):
         for chi in enumerate_characters(f):
@@ -107,8 +107,6 @@ def test_gauss_sum_inverse_closed_form():
             tau, inv = gauss_sum(chi), gauss_sum_inverse(chi)
             assert inv.field == tau.field
             assert tau * inv == 1, chi.label()
-            if tau.field.degree <= 12:
-                assert inv == tau.inverse(), chi.label()
             checked += 1
     assert checked > 300
 
@@ -131,7 +129,7 @@ def test_bernoulli_B2():
     assert bernoulli_B2(DirichletCharacter.trivial(12)).rational_value() == Fraction(1, 6)
     assert bernoulli_B2(quadratic_character(5)).rational_value() == Fraction(4, 5)
     phi10 = character_with_value(11, 2, 10, 1)
-    xi_inv = ((phi10 * phi10).primitive_part()).inverse()
+    xi_inv = phi10.power(2).primitive_part().inverse()
     K5 = CyclotomicField(5)
     want = K5.element(
         [Fraction(61, 33), Fraction(-59, 33), Fraction(-23, 33), Fraction(-47, 33), Fraction(13, 33)]
@@ -171,8 +169,9 @@ def _same(new, old):
 
 
 def test_characters_match_the_oracle():
-    """Enumeration order, labels, tables and group operations agree with the
-    table-stored module the label form replaced."""
+    """Enumeration order, labels, tables, primitive parts and powers agree
+    with the table-stored module the label form replaced, and the Lambda
+    oracle's `character_product` with its products and induced characters."""
     for f in range(1, 121):
         new, old = enumerate_characters(f), characters_oracle.enumerate_characters(f)
         assert len(new) == len(old) == euler_phi(f)
@@ -184,12 +183,12 @@ def test_characters_match_the_oracle():
                 _same(a.power(j), b.power(j))
             if f > 40:
                 continue
-            _same(a.extend(2 * f), b.extend(2 * f))
-            _same(a.extend(3 * f), b.extend(3 * f))
+            for t in (2, 3):
+                _same(character_product(a, DirichletCharacter.trivial(t * f)), b.extend(t * f))
             for d in divisors(f):
                 for x, y in zip(enumerate_characters(d), characters_oracle.enumerate_characters(d)):
-                    _same(a * x, b * y)
-                    _same(x * a, y * b)
+                    _same(character_product(a, x), b * y)
+                    _same(character_product(x, a), y * b)
 
 
 _LABELS = ["11.3.1", "2.1.5", "1.1.3", "4.1.0-0", "11.2", "11.10.-1", "0.1.0", "x.2.1",

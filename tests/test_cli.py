@@ -4,12 +4,14 @@ import re
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import pytest
+from helpers import fresh_env
 
 import eiscong
-from eiscong import arith, cli
+from eiscong import arith, cli, newforms
 from eiscong.arith import is_prime
 from eiscong.cli import _display_factorization, main
 from eiscong.eisenstein import PRECISION_CAP
@@ -19,6 +21,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+QEXP_3000 = ("qexp", "--level", "121", "--char", "11.10.1", "--prec", "3000")  # 234 KB of stdout
+
+
+def test_a_closed_stdout_ends_quietly():
+    """A reader that closes the pipe after one line ends the command with
+    exit 1 and an empty stderr, not a BrokenPipeError traceback."""
+    proc = subprocess.Popen([sys.executable, "-m", "eiscong.cli", *QEXP_3000],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_env())
+    assert proc.stdout.readline().endswith(b" to q^3000:\n")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [("beta", "--level", "121", "--char", "11.2.1"), QEXP_3000],
+                         ids=["buffered", "large"])
+def test_a_full_stdout_is_an_error(argv):
+    """Output into a full device is an error (exit 1) with one line on
+    stderr, whether it fails at a write or only at the final flush."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "eiscong.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "error: [Errno 28] No space left on device\n")
 
 
 def test_beta_golden(capsys):
@@ -184,6 +212,24 @@ def test_fetch_offline_warm_cache(capsys, tmp_path):
         {"label": "11.2.a.a", "degree": 1, "coefficients": 6}]}
 
 
+@pytest.mark.parametrize("level", [0, -5])
+def test_fetch_refuses_a_level_below_one(capsys, tmp_path, monkeypatch, level):
+    """`fetch` below level 1 is a domain error (exit 2), offline and online,
+    before it reads the cache or sends a request."""
+    requests = []
+
+    class Session:
+        def get(self, *args, **kwargs):
+            requests.append((args, kwargs))
+
+    monkeypatch.setattr(cli, "fetch_newforms", partial(newforms.fetch_newforms, session=Session()))
+    for offline in ((), ("--offline",)):
+        code, out, err = run_cli(capsys, "fetch", "--level", str(level),
+                                 "--cache-dir", str(tmp_path), *offline)
+        assert (code, out, err) == (2, "", f"error: level must be >= 1 (got {level})\n")
+    assert requests == [] and not any(tmp_path.iterdir())
+
+
 def test_scan_at_a_level_without_newforms(capsys, tmp_path):
     """X0(9) has genus 0: `scan --offline` at 9 needs no cache, certifies
     nothing and exits 0.  An empty cache at 169, which has newforms, is a
@@ -244,13 +290,10 @@ def test_cli_import_stays_light():
     process ~15 ms; and no source file in the package holds the words
     `exec`, `eval` or `inspect`, or the string `dataclass`."""
     package = Path(eiscong.__file__).parent
-    src = str(package.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     heavy = ("eiscong.modsym", "requests", "dataclasses", "inspect")
     probe = f"import sys, eiscong.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=fresh_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
     for path in sorted(package.rglob("*.py")):

@@ -14,7 +14,8 @@ from helpers import (character_with_value, pullback_pi_l, pullback_pi_paren,
 
 from eiscong import cusps
 from eiscong.arith import DomainError, divisors, euler_phi, prime_divisors, valuation
-from eiscong.characters import enumerate_characters, gauss_sum, quadratic_character
+from eiscong.characters import (enumerate_characters, gauss_sum, gauss_sum_inverse,
+                                quadratic_character)
 from eiscong.cusps import (Cusp, CuspDivisor, DivisorUndefinedError, beta_constant, beta_tilde,
                            boundary_divisor, closed_form_boundary, cusp_count,
                            cusp_from_fraction, enumerate_cusps,
@@ -239,7 +240,7 @@ def test_beta_tilde_goldens_725():
         # (5^4 * 29^2 / (4*5)) * (tau(phi^{-1}) / sqrt 5) * (4/5) * (1 - 1/29^2)
         want = (
             tinv.embed(m)
-            / t2.embed(m)
+            * gauss_sum_inverse(phi2).embed(m)
             * Fraction(5 ** 4 * 29 ** 2, 20)
             * Fraction(4, 5)
             * (1 - Fraction(1, 29 ** 2))
@@ -251,7 +252,7 @@ def test_beta_tilde_goldens_725():
 
 def test_beta_tilde_order_ten_121():
     phi = character_with_value(11, 2, 10, 1)
-    xi = (phi * phi).primitive_part()
+    xi = phi.power(2).primitive_part()
     from eiscong.characters import bernoulli_B2
 
     m = 110
@@ -405,13 +406,13 @@ def _check_beta_against_oracle(P):
             assert rows == [list(table[e].num) for e in range(len(table))], (P.label(), p)
     # beta = beta_{Gamma0(f^2),phi,1,1} times sigma, with the oracle's beta
     srow, sden = cusps._sigma(P)
-    sigma = K.element(srow) / sden
+    sigma = K.element(srow) * Fraction(1, sden)
     start = cusps_oracle.beta_constant(EisensteinParams(P.phi, P.f ** 2, 1, 1))
     assert _reprs({0: cusps._beta_start(P.phi)}) == _reprs({0: start}), P.label()
     assert want == start * sigma, P.label()
     # the closed form's rows are D_{Gamma0(N),M,L}(phi) times sigma
     den, rows = cusps._closed_rows(P)
-    got = {c: K.element(row) / den for c, row in rows.items() if any(row)}
+    got = {c: K.element(row) * Fraction(1, den) for c, row in rows.items() if any(row)}
     assert _reprs(got) == _reprs(scale(cusps_oracle.D_NML(P), sigma).support), P.label()
     assert _same_divisor(closed_form_boundary(P), cusps_oracle.closed_form_boundary(P)), P.label()
     assert verify_boundary(P).ok

@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -11,6 +12,7 @@ from pathlib import Path
 from types import ModuleType
 
 import pytest
+from helpers import fresh_env
 
 import eiscong
 from eiscong import cusps, ffield, newforms, scanner
@@ -67,13 +69,18 @@ def test_boundary_coefficient_at_one_over_p():
     assert D.coefficient(c) == beta_constant(P)
 
 
+def _readme_python() -> str:
+    """The README's python block, the worked example."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_worked_example():
     """The README's worked example runs as printed, and each value its
     comments give holds: both ends of the expansion, beta~ = 605 sqrt(-11)
     with sqrt(-11) the Gauss sum of phi, the order 605^10 11^5, the boundary
     check, the certified newform and prime, and the rendered descriptor."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    block = _readme_python()
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     comment = {}  # code line -> its comment, a comment-only line joining the line above
@@ -92,7 +99,7 @@ def test_readme_worked_example():
     beta = ns["beta_tilde"](P)
     assert beta.field.m == 22
     root = beta * Fraction(1, 605)
-    assert root ** 2 == -11 and root * gauss_sum_inverse(phi) == 1
+    assert root * root == -11 and root * gauss_sum_inverse(phi) == 1
     assert comment["cuspidal_order(P)"] == "605**10 * 11**5"
     assert ns["cuspidal_order"](P) == 605 ** 10 * 11 ** 5
     assert comment["verify_boundary(P).ok"].startswith("True")
@@ -247,14 +254,67 @@ def test_every_export_has_a_caller():
     paths = [p for p in src.glob("*.py") if p.name != "__init__.py"]
     paths += sorted(BENCH.glob("*.py")) + sorted((root / "scripts").glob("*.py"))
     refs = {ref for p in paths for ref in referenced(ast.parse(p.read_text()))}
-    readme = (root / "README.md").read_text()
-    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    refs |= {("name", alias.name) for node in ast.parse(block).body
+    refs |= {("name", alias.name) for node in ast.parse(_readme_python()).body
              if isinstance(node, ast.ImportFrom) for alias in node.names}
     attributes = {name for kind, name in refs if kind == "attribute"}
     uncalled = (functions - {name for _, name in refs}) | (methods - attributes)
     assert not uncalled - UNCALLED_EXPORTS, f"only tests call {sorted(uncalled)}"
     assert not UNCALLED_EXPORTS - uncalled, "an exception now has a caller"
+
+
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+           "lshift", "rshift", "and", "xor", "or")
+OPERATOR_DUNDERS = {f"__{side}{op}__" for op in _BINARY for side in ("", "r", "i")}
+OPERATOR_DUNDERS |= {"__neg__", "__pos__", "__abs__", "__invert__", "__call__"}
+# CycElement addition and subtraction: tl_eigenvalue adds, and it is kept for
+# the eigenform-property check that ROADMAP item 3 plans.
+UNRUN_OPERATORS = {("CycElement", name) for name in ("__add__", "__radd__", "__sub__", "__rsub__")}
+
+
+# Runs the README's worked example (argv[1]) and `cli.main` on each later
+# argument under a profile hook, and prints the exit codes and the methods of
+# the value types whose code ran.
+_OPERATOR_PROBE = """
+import contextlib, io, json, sys
+from eiscong.characters import DirichletCharacter
+from eiscong.cli import main
+from eiscong.cyclotomic import CycElement
+
+ran = set()
+sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call" else None)
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(compile(sys.argv[1], "README.md", "exec"), {})
+    codes = [main(argv.split()) for argv in sys.argv[2:]]
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "ran": [
+    [cls.__name__, name] for cls in (CycElement, DirichletCharacter)
+    for name, value in vars(cls).items() if getattr(value, "__code__", None) in ran]}))
+"""
+
+
+def test_value_type_operators_run():
+    """Every arithmetic or call dunder that CycElement and DirichletCharacter
+    define runs in the README's worked example or in the CLI's `beta`,
+    `order` and `qexp`: the name-based export check above cannot see an
+    operator, so an operator that only tests use shows up here.  A dunder is
+    matched by its code object, so an alias (`__radd__ = __add__`) runs when
+    its target does.  The probe runs in a fresh interpreter, where no
+    memoized field or record hides a call."""
+    from eiscong.characters import DirichletCharacter
+    from eiscong.cyclotomic import CycElement
+
+    commands = ["beta --level 121 --char 11.2.1", "order --level 121 --char 11.2.1",
+                "qexp --level 234 --char 3.2.1 --M 13 --L 2 --prec 16"]
+    proc = subprocess.run([sys.executable, "-c", _OPERATOR_PROBE, _readme_python(), *commands],
+                          capture_output=True, text=True, env=fresh_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["codes"] == [0, 0, 0]
+    ran = {tuple(pair) for pair in probe["ran"]}
+    unrun = {(cls.__name__, name) for cls in (CycElement, DirichletCharacter)
+             for name in OPERATOR_DUNDERS & set(vars(cls)) if (cls.__name__, name) not in ran}
+    assert not unrun - UNRUN_OPERATORS, f"only tests run {sorted(unrun - UNRUN_OPERATORS)}"
+    assert not UNRUN_OPERATORS - unrun, "an exception now runs"
 
 
 def test_benchmark_names_exist(monkeypatch):

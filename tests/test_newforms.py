@@ -80,9 +80,12 @@ def test_bundled_fixtures_parsed_once(monkeypatch):
 
 
 def test_load_empty_and_errors(tmp_path):
-    assert load_newforms(io.StringIO("")) == []
+    path = tmp_path / "newforms.json"
+    path.write_text("")
+    assert load_newforms(path) == []
+    path.write_text("not json")
     with pytest.raises(NewformDataError):
-        load_newforms(io.StringIO("not json"))
+        load_newforms(path)
     good = {
         "label": "x", "level": 11, "weight": 2, "field_poly": [0, 1], "an": [[1], [-2]],
     }
