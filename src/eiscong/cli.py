@@ -67,17 +67,17 @@ def cmd_qexp(args) -> None:
     P = _params_from_args(args)
     prec = sturm_bound(args.level) + 1 if args.prec is None else args.prec
     E = build_E(P, prec)
-    lines = [f"{P.label()} to q^{prec}:", E.pretty()] + E.machine_lines()
+    pretty, coefficients = E.pretty(), E.machine_lines()
     _emit(
         args,
         {
             "series": P.label(),
             "level": args.level,
             "precision": prec,
-            "pretty": E.pretty(),
-            "coefficients": E.machine_lines(),
+            "pretty": pretty,
+            "coefficients": coefficients,
         },
-        lines,
+        [f"{P.label()} to q^{prec}:", pretty, *coefficients],
     )
 
 

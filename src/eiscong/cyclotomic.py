@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import polys
-from .arith import DomainError, divisors, euler_phi, record
+from .arith import DomainError, divisors, euler_phi, factor, record
 
 DEGREE_CAP = 200
 
@@ -283,7 +283,13 @@ class CycElement:
         return self.is_rational() and (self.num[0], self.den) == q
 
     def __hash__(self):
-        return hash((self.field.m, self.num, self.den))
+        """The hash of Tr(x)/[K:Q], which `embed` keeps and which is x for a
+        rational x, so that the equal values of two fields, and a rational
+        element and its int or Fraction, hash alike.  Tr(zeta_m^i)/[K:Q] is
+        mu(n)/phi(n) for n = m/gcd(i, m)."""
+        m = self.field.m
+        trace = sum(c * _mean_conjugate(m // gcd(i, m)) for i, c in enumerate(self.num) if c)
+        return hash(Fraction(trace) / self.den)
 
     # -- Galois action -------------------------------------------------------
 
@@ -330,6 +336,14 @@ class CycElement:
         for t in terms[1:]:
             out += f" + {t}" if not t.startswith("-") else f" - {t[1:]}"
         return out
+
+
+@lru_cache(maxsize=None)
+def _mean_conjugate(n: int) -> Fraction:
+    """mu(n)/phi(n), the mean of the primitive n-th roots of unity."""
+    exponents = [e for _, e in factor(n)]
+    mu = 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+    return Fraction(mu, euler_phi(n))
 
 
 def _element(field: _CycField, num, den: int = 1) -> CycElement:

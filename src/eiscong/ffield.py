@@ -4,8 +4,9 @@ The field is realized as F_q[x]/(h) with h the lexicographically smallest
 monic irreducible of degree r (a fixed, bundled, Conway-style choice, so
 element representations are reproducible).  A candidate h is irreducible
 exactly when the first factor that the distinct-degree split below yields
-has degree r, so the search reads no further than that first factor.  A
-product is a schoolbook product into 2r - 1 integers, folded down by the
+has degree r, so the search reads no further than that first factor.  An
+element is the r-tuple of its ints on the power basis 1, x, ..., x^(r-1),
+and the field has no enumeration order.  A product is a schoolbook product into 2r - 1 integers, folded down by the
 monic h, with one `% q` at the end.  Frobenius a -> a^q is F_q-linear, so
 each field carries its r x r matrix on the power basis (the columns are
 x^(iq) mod h), built with the field; a^(q^i) costs i matrix-vector
@@ -18,14 +19,17 @@ leading coefficient.  One set of functions serves every such F: F_q itself
 is the r = 1 case FiniteField(q, 1, (0, 1)), whose elements are 1-tuples.
 Division is by monic divisors only.  Inputs are made monic once, on entry,
 and the gcd makes each remainder monic before dividing by it.
+`ideals.descriptor` forms its bivariate T_r relations with the same
+product, by Kronecker substitution.
 
-An integer polynomial f is factored mod q once (`factor_mod_q`): into its
-distinct monic irreducible factors over F_q, by distinct-degree splitting
-and then equal-degree (Cantor-Zassenhaus) splitting, with gcd(g,
+An integer polynomial f is factored mod the prime q once (`factor_mod_q`):
+into its distinct monic irreducible factors over F_q, by distinct-degree
+splitting and then equal-degree (Cantor-Zassenhaus) splitting, with gcd(g,
 a^((q^e-1)/2) - 1) for a random a, or the trace sum_{i<e} a^(2^i) in
-characteristic 2 (Cohen, GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).  The
-roots of f in F_{q^r} are read off the factors whose degree e divides r: the
-roots of a factor u of degree e are one Frobenius orbit x, x^q, ...,
+characteristic 2 (Cohen, GTM 138, 3.4; von zur Gathen-Gerhard, ch. 14).
+`roots_in_field` takes that factorization, not f: the roots of f in F_{q^r}
+are read off the factors whose degree e divides r, and the roots of a
+factor u of degree e are one Frobenius orbit x, x^q, ...,
 x^(q^(e-1)).  Where the degree settles them they are read directly: a
 linear y + u_0 gives -u_0, and for odd q an irreducible y^2 + b y + c in
 F_{q^2} = F_q[x]/(x^2 + h_1 x + h_0) gives (-b +- s (2x + h_1)) / 2, since
@@ -37,15 +41,14 @@ trace to F_{q^e} of a random element (a c in F_q cannot separate
 conjugates): the norm prod_i (y^(q^i) + c^(q^i)), or the trace sum_i c^(2^i)
 y^(2^i), has its values at the roots in F_q, so the e = 1 split applies,
 with y^(q^i) mod u computed once over F_q.  A caller that needs the roots of
-one f in several fields passes the factorization to each `roots_in_field`.
+one f in several fields factors f once and passes the factorization to each
+`roots_in_field`.
 
 Monic integer polynomials factor over Z on the same core (Zassenhaus; von
 zur Gathen-Gerhard, ch. 15).  The squarefree part is f / gcd(f, f'), the
-gcd a heuristic one that division confirms.  It is split mod the prime l,
-among the first five that keep it squarefree, with the fewest factors, by
-the distinct- and equal-degree splitting above; each prime's distinct-degree
-split is counted in full, and only the chosen one is split by equal degree.
-Its factors become integer lists once, and from there on all arithmetic is
+gcd a heuristic one that division confirms.  It is factored mod the first
+prime l >= 3 that keeps it squarefree, by `factor_mod_q`.  Its factors
+become integer lists once, and from there on all arithmetic is
 on integer lists mod a power of l: a tree of quadratic Hensel steps lifts
 them mod l^k past twice Mignotte's bound on the coefficients of a factor,
 and the smallest subsets whose product divides f exactly give the
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache, reduce
-from itertools import combinations, product, zip_longest
+from itertools import combinations, count, product, zip_longest
 from math import gcd, isqrt
 from operator import mul
 
@@ -82,7 +85,7 @@ class FiniteField:
     def __post_init__(self):
         matrix = None
         if self.r > 1:
-            xq = self.pow(self.element(self.q), self.q)  # element q is x
+            xq = self.pow((0, 1) + (0,) * (self.r - 2), self.q)  # x^q
             columns = [self.one()]
             for _ in range(self.r - 1):
                 columns.append(self.mul(columns[-1], xq))
@@ -167,14 +170,6 @@ class FiniteField:
             rest = self.mul(rest, conjugate)
         c = pow(self.mul(a, rest)[0], -1, q)
         return tuple(x * c % q for x in rest)
-
-    def element(self, n: int):
-        """The n-th element in the fixed order: the base-q digits of n."""
-        vec = []
-        for _ in range(self.r):
-            n, c = divmod(n, self.q)
-            vec.append(c)
-        return tuple(vec)
 
 
 # ------------------------------------------------- polynomials over a field F
@@ -263,31 +258,22 @@ def conway_style_modulus(q: int, r: int) -> tuple[int, ...]:
 
 
 def factor_mod_q(int_poly, q: int) -> list[tuple[int, tuple[int, ...]]]:
-    """[(e, u)]: the distinct monic irreducible factors u of f mod q (ascending
-    int coefficients), each with its degree e, sorted."""
+    """[(e, u)]: the distinct monic irreducible factors u of f mod the prime q
+    (ascending int coefficients), each with its degree e, sorted."""
+    if not is_prime(q):
+        raise DomainError(f"{q} is not prime")
     Fq = FiniteField(q, 1, (0, 1))
     fp = _reduce_monic(int_poly, Fq)
     if len(fp) <= 1:
         raise DomainError("polynomial is constant mod q")
-    return _factor(fp, Fq)
-
-
-def _factor(fp, Fq):
-    """factor_mod_q of fp, monic over F_q; [] when fp is constant."""
     rng = random.Random(0x5EED)
     return sorted((e, tuple(c[0] for c in u)) for e, fe in _distinct_degree(fp, Fq)
                   for u in _equal_degree(fe, e, Fq, rng))
 
 
-def roots_in_field(int_poly, F: FiniteField, *, factors=None):
-    """All roots in F of an integer polynomial (each distinct root once),
-    sorted.  `factors`, when given, is factor_mod_q(int_poly, F.q)."""
-    if factors is None:
-        Fq = FiniteField(F.q, 1, (0, 1))
-        fp = _reduce_monic(int_poly, Fq)
-        if not fp:
-            raise DomainError("polynomial vanishes identically mod q")
-        factors = _factor(fp, Fq)
+def roots_in_field(factors, F: FiniteField):
+    """All roots in F (each distinct root once), sorted, of the integer
+    polynomial f whose factorization mod F.q is `factors` = factor_mod_q(f, F.q)."""
     rng = random.Random(0x5EED)
     roots = []
     for e, u in factors:
@@ -514,31 +500,16 @@ def _eval(f, x):
 
 def _zassenhaus(f):
     """The monic irreducible factors over Z of the monic squarefree f: factor
-    mod the prime ell (among the first five that keep f squarefree) with the
-    fewest factors, lift them past twice Mignotte's bound, and recombine the
-    smallest subsets whose product divides f."""
+    mod the first prime ell >= 3 that keeps f squarefree, lift the factors
+    past twice Mignotte's bound, and recombine the smallest subsets whose
+    product divides f."""
     n = len(f) - 1
-    best = None
-    ell, tried = 2, 0
-    while tried < 5:
-        ell += 1
-        if not is_prime(ell):
-            continue
+    for ell in filter(is_prime, count(3, 2)):
         Fl = FiniteField(ell, 1, (0, 1))
-        fl = _reduce_monic(f, Fl)
         derivative = _trim([Fl.from_int(i * c) for i, c in enumerate(f)][1:])
-        if len(_pgcd(fl, derivative, Fl)) != 1:
-            continue
-        tried += 1
-        split = list(_distinct_degree(fl, Fl))
-        count = sum((len(fe) - 1) // e for e, fe in split)
-        if count == 1:
-            return [f]
-        if best is None or count < best[0]:
-            best = (count, ell, Fl, split)
-    _, ell, Fl, split = best
-    rng = random.Random(0x5EED)
-    factors = [[c[0] for c in u] for e, fe in split for u in _equal_degree(fe, e, Fl, rng)]
+        if len(_pgcd(_reduce_monic(f, Fl), derivative, Fl)) == 1:
+            break
+    factors = [list(u) for _, u in factor_mod_q(f, ell)]
     bound = 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
     top = ell
     while top <= 2 * bound:

@@ -23,7 +23,7 @@ from .characters import DirichletCharacter, bernoulli_B2, enumerate_characters
 from .cusps import beta_tilde
 from .cyclotomic import cyclotomic_polynomial
 from .eisenstein import EisensteinParams
-from .ffield import FiniteField, cyclotomic_residue
+from .ffield import FiniteField, _pmul, cyclotomic_residue
 from .lattices import numerator_index
 
 
@@ -293,22 +293,16 @@ def descriptor(params: EisensteinParams, F: FiniteField, zeta_root) -> IdealDesc
     tr_groups = []
     for orbit, classes in groups.items():
         deg = len(orbit)
-        # symbolic product over the orbit: prod_j (X - eps_j - r eps_j^{-1})
-        # bivariate poly over F: dict (i_X, j_r) -> element
-        poly = {(0, 0): F.one()}
+        # prod_j (X - eps_j - r eps_j^{-1}) over the orbit, a polynomial over F
+        # in X and r of total degree deg: X^i r^j is the entry i + j (deg + 1)
+        poly = [F.one()]
         for ej in orbit:
-            term = {(1, 0): F.one(), (0, 0): F.neg(ej), (0, 1): F.neg(F.inv(ej))}
-            new: dict = {}
-            for (i1, j1), v1 in poly.items():
-                for (i2, j2), v2 in term.items():
-                    key = (i1 + i2, j1 + j2)
-                    acc = new.get(key)
-                    prodv = F.mul(v1, v2)
-                    new[key] = F.add(acc, prodv) if acc else prodv
-            poly = {k2: v for k2, v in new.items() if any(v)}
+            term = [F.neg(ej), F.one()] + [F.zero()] * (deg - 1) + [F.neg(F.inv(ej))]
+            poly = _pmul(poly, term, F)
         rows = [[0] * (deg + 1) for _ in range(deg + 1)]
-        for (i, j), v in poly.items():
+        for k, v in enumerate(poly):
             assert not any(v[1:]), "relation coefficients must be in F_l"
+            j, i = divmod(k, deg + 1)
             rows[i][j] = _balanced(v[0], l)
         assert rows[deg][0] == 1 and all(c == 0 for c in rows[deg][1:])
         tr_groups.append(

@@ -14,8 +14,8 @@ over one denominator in the canonical form of `polys.canonical`, the format
 that `QExpansion.an` and `CycElement` share, and the scan reads the pairs as
 stored.
 A basis matrix is scaled once by the lcm of its denominators, so parsing and
-its checks stay in Z; `coefficient(n)` gives the Fraction view.  Each
-bundled fixture is read and parsed once per process.
+its checks stay in Z.  Each bundled fixture is read and parsed once per
+process.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 from math import lcm
@@ -62,13 +61,6 @@ class NewformRecord:
     @property
     def bound(self) -> int:
         return len(self.an)
-
-    def coefficient(self, n: int) -> tuple[Fraction, ...]:
-        """The power-basis coordinates of a_n as Fractions."""
-        if not 1 <= n <= self.bound:
-            raise DomainError(f"a_{n} outside available range 1..{self.bound}")
-        num, den = self.an[n - 1]
-        return tuple(Fraction(c, den) for c in num)
 
 
 def _require(cond, where, msg):

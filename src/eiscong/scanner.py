@@ -101,16 +101,16 @@ def reduction_embeddings(k, field_poly, q: int, *, memo: dict | None = None):
                              for f in (zeta_poly, poly))
     r = min(lcm(d, e) for d, _ in zeta_factors for e, _ in factors)
     F = _shared(memo, ("field", q, r), FiniteField.create, q, r)
-    zroots, groots = (_shared(memo, ("roots", f, F), roots_in_field, list(f), F, factors=fs)
+    zroots, groots = (_shared(memo, ("roots", f, F), roots_in_field, fs, F)
                       for f, fs in ((zeta_poly, zeta_factors), (poly, factors)))
     assert zroots and groots
     return r, F, [(z, g) for z in zroots for g in groots]
 
 
-def _shared(memo: dict, key, fn, *args, **kwargs):
-    """fn(*args, **kwargs), computed once per key of `memo`."""
+def _shared(memo: dict, key, fn, *args):
+    """fn(*args), computed once per key of `memo`."""
     if key not in memo:
-        memo[key] = fn(*args, **kwargs)
+        memo[key] = fn(*args)
     return memo[key]
 
 

@@ -40,6 +40,7 @@ from eiscong.arith import DomainError, is_prime, prime_divisors
 from eiscong.ffield import (ENUMERATION_CAP, FiniteField, _pdivmod, _pgcd, _pmul, _ppowmod,
                             _psub, _reduce_monic, _trim)
 from eiscong.scanner import CongruenceReport, UnsupportedPrimeError
+from helpers import newform_coefficient
 
 
 def _polmul(a, b, q):
@@ -403,7 +404,7 @@ def scan_pairs(E, params, record, q, B, r, F, pairs) -> CongruenceReport:
         ok = True
         for n in range(1, B + 1):
             lhs = reduce_vector(E.coefficient(n).coeffs, zr, F)
-            rhs = reduce_vector(record.coefficient(n), gr, F)
+            rhs = reduce_vector(newform_coefficient(record, n), gr, F)
             if lhs != rhs:
                 ok = False
                 if first_mismatch is None:
@@ -419,10 +420,11 @@ def scan_pairs(E, params, record, q, B, r, F, pairs) -> CongruenceReport:
 
 
 def elements(F: FiniteField):
-    """The elements of F in the fixed order, refused above ENUMERATION_CAP."""
+    """The elements of F in the fixed order, refused above ENUMERATION_CAP:
+    the n-th is the tuple of the base-q digits of n, least significant first."""
     if F.size > ENUMERATION_CAP:
         raise DomainError("field too large to enumerate")
-    return map(F.element, range(F.size))
+    return (tuple(n // F.q ** i % F.q for i in range(F.r)) for n in range(F.size))
 
 
 def multiplicative_order(F: FiniteField, a) -> int:

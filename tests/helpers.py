@@ -147,6 +147,13 @@ def integer_coefficient(vec):
     return tuple(c.numerator * (den // c.denominator) for c in vec), den
 
 
+def newform_coefficient(rec, n: int):
+    """The power-basis coordinates of a_n of a `NewformRecord` as Fractions,
+    read off its (num, den) pair."""
+    num, den = rec.an[n - 1]
+    return tuple(Fraction(c, den) for c in num)
+
+
 def reduce_coefficient(num, den, table, q: int):
     """sum num[i] root^i / den in F from root's power table (`scanner._power_table`);
     q | den is an error.  One coefficient at a time, as `scan` once reduced them."""

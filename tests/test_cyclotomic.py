@@ -212,6 +212,32 @@ def test_equal_values_hash_equal(mc, c):
     assert hash(K.element([2, 4]) * Fraction(1, 2)) == hash(K.element([1, 2]))
 
 
+# (a, m) with a | m, for elements of Q(zeta_a) embedded into Q(zeta_m)
+_EMBEDDINGS = ((4, 12), (5, 10), (3, 15), (11, 110), (1, 7), (8, 24), (9, 18), (12, 60))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_EMBEDDINGS).flatmap(
+    lambda am: st.tuples(st.just(am), _elements(am[0]).map(lambda u: u[0]))))
+def test_equal_values_of_two_fields_hash_equal(case):
+    """x and its image in a larger field are equal, so they hash alike, and a
+    set holds them once."""
+    (a, m), u = case
+    x = CyclotomicField(a).element(u)
+    y = x.embed(m)
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert CyclotomicField(4).zeta(1) in {CyclotomicField(12).zeta(3)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(_ORACLE_FIELDS + (24, 60)), _scalars)
+def test_rational_elements_hash_as_their_value(m, c):
+    """A rational element equals its int or Fraction and hashes alike."""
+    x = CyclotomicField(m).element([c])
+    for value in (c, Fraction(c)):
+        assert x == value and hash(x) == hash(value) and len({x, value}) == 1
+
+
 # operand pairs from two fields: m | m', and coprime m and m'
 _CROSS_FIELDS = ((3, 12), (4, 12), (5, 10), (11, 110), (3, 4), (5, 7), (4, 9))
 

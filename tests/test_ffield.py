@@ -12,28 +12,36 @@ from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.ffield import FiniteField, conway_style_modulus, factor_mod_q, roots_in_field
 
 
+def _roots(int_poly, F):
+    """The roots in F of an integer polynomial, read off its factorization mod
+    F.q; a polynomial that is constant mod F.q has none."""
+    if any(c % F.q for c in int_poly[1:]):
+        return roots_in_field(factor_mod_q(int_poly, F.q), F)
+    return []
+
+
 def _degrees(int_poly, q):
     """The degrees of the distinct irreducible factors of f mod q, ascending."""
     return [e for e, _ in factor_mod_q(int_poly, q)]
 
 
 def test_root_examples():
-    assert roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 1)) == []
-    roots = roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5))
+    assert _roots(cyclotomic_polynomial(11), FiniteField.create(5, 1)) == []
+    roots = _roots(cyclotomic_polynomial(11), FiniteField.create(5, 5))
     assert len(roots) == 10
     F = FiniteField.create(5, 5)
     assert all(ffield_oracle.multiplicative_order(F, x) == 11 for x in roots)
-    assert roots_in_field([-2, 0, 1], FiniteField.create(7, 1)) == [(3,), (4,)]
+    assert _roots([-2, 0, 1], FiniteField.create(7, 1)) == [(3,), (4,)]
     # ramified reduction: zeta_10 -> -1 above 5
-    assert roots_in_field(cyclotomic_polynomial(10), FiniteField.create(5, 1)) == [(4,)]
+    assert _roots(cyclotomic_polynomial(10), FiniteField.create(5, 1)) == [(4,)]
 
 
 def test_splitting_matches_enumeration():
-    r1 = roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5))
+    r1 = _roots(cyclotomic_polynomial(11), FiniteField.create(5, 5))
     r2 = ffield_oracle.roots_in_field(cyclotomic_polynomial(11), FiniteField.create(5, 5),
                                       force_splitting=True)
     assert r1 == r2
-    r3 = roots_in_field([-1, 0, 41, 0, -13, 0, 1], FiniteField.create(7, 2))
+    r3 = _roots([-1, 0, 41, 0, -13, 0, 1], FiniteField.create(7, 2))
     r4 = ffield_oracle.roots_in_field([-1, 0, 41, 0, -13, 0, 1], FiniteField.create(7, 2),
                                       force_splitting=True)
     assert r3 == r4 and len(r3) == 4
@@ -190,7 +198,7 @@ def test_roots_in_field_non_monic_matches_oracle(case, force_splitting):
     F = FiniteField.create(q, r)
     # the oracle's split probes with (y + c)^((|F|-1)/2), which never
     # separates roots in characteristic 2, so there it enumerates F
-    assert (roots_in_field(poly, F)
+    assert (_roots(poly, F)
             == ffield_oracle.roots_in_field(poly, F, force_splitting=force_splitting and q != 2))
 
 
@@ -211,7 +219,7 @@ def _small_field_and_poly(draw, odd=True):
 @given(_small_field_and_poly(), st.booleans())
 def test_roots_in_field_matches_oracle(case, force_splitting):
     F, poly = case
-    assert (roots_in_field(poly, F)
+    assert (_roots(poly, F)
             == ffield_oracle.roots_in_field(poly, F, force_splitting=force_splitting))
 
 
@@ -219,7 +227,7 @@ def test_roots_in_field_matches_oracle(case, force_splitting):
 @given(_small_field_and_poly(odd=False))
 def test_characteristic_two_splitting_matches_enumeration(case):
     F, poly = case
-    assert roots_in_field(poly, F) == ffield_oracle.roots_in_field(poly, F)
+    assert _roots(poly, F) == ffield_oracle.roots_in_field(poly, F)
 
 
 @st.composite
@@ -242,7 +250,7 @@ def _same_degree_product(draw):
 @given(_same_degree_product(), st.booleans())
 def test_frobenius_orbit_roots_match_gcd_roots(case, force_splitting):
     F, poly = case
-    roots = roots_in_field(poly, F)
+    roots = _roots(poly, F)
     assert roots == roots_oracle.roots_in_field(poly, F, force_splitting=force_splitting)
     assert len(roots) == len(poly) - 1
 
@@ -262,12 +270,12 @@ def _field_and_cyclotomic_index(draw):
 def test_cyclotomic_roots_match_oracle(case):
     F, k = case
     phi_k = cyclotomic_polynomial(k)
-    assert roots_in_field(phi_k, F) == ffield_oracle.roots_in_field(phi_k, F)
+    assert _roots(phi_k, F) == ffield_oracle.roots_in_field(phi_k, F)
 
 
 def test_cyclotomic_roots_above_enumeration_cap():
     F = FiniteField.create(7, 6)  # 117649 elements, too many to enumerate
-    roots = roots_in_field(cyclotomic_polynomial(4), F)
+    roots = _roots(cyclotomic_polynomial(4), F)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(4), F)
     assert [ffield_oracle.multiplicative_order(F, z) for z in roots] == [4, 4]
 
@@ -275,8 +283,8 @@ def test_cyclotomic_roots_above_enumeration_cap():
 def test_characteristic_two_splitting_terminates():
     """In characteristic 2 the probe (y + c)^((|F|-1)/2) - 1 of odd
     characteristic is constant, so the split must use the trace map."""
-    assert roots_in_field([0, 1, 1], FiniteField.create(2, 1)) == [(0,), (1,)]
-    roots = roots_in_field(cyclotomic_polynomial(7), FiniteField.create(2, 3))
+    assert _roots([0, 1, 1], FiniteField.create(2, 1)) == [(0,), (1,)]
+    roots = _roots(cyclotomic_polynomial(7), FiniteField.create(2, 3))
     F = FiniteField.create(2, 3)
     assert roots == ffield_oracle.roots_in_field(cyclotomic_polynomial(7), F) and len(roots) == 6
 
@@ -324,7 +332,7 @@ def test_roots_in_field_matches_roots_oracle_on_small_factors(case):
     """Linear and F_{q^2} quadratic roots read directly, and the search for
     the rest, against the former gcd search (enumeration up to its cap)."""
     F, poly = case
-    assert roots_in_field(poly, F) == roots_oracle.roots_in_field(poly, F)
+    assert _roots(poly, F) == roots_oracle.roots_in_field(poly, F)
 
 
 @pytest.mark.parametrize("q, r, poly, searches", [
@@ -339,7 +347,7 @@ def test_only_the_remaining_factors_take_the_search(monkeypatch, q, r, poly, sea
     degree >= 3, take one each.  The roots match the former gcd search."""
     F = FiniteField.create(q, r)
     calls = count_calls(monkeypatch, ffield, "_one_root")
-    roots = roots_in_field(poly, F)
+    roots = _roots(poly, F)
     assert calls == {"_one_root": searches}
     assert roots == roots_oracle.roots_in_field(poly, F) and roots
 
@@ -376,13 +384,12 @@ def test_frobenius_and_norm_inverse_match_powers(case):
     lambda q: st.tuples(st.builds(FiniteField.create, st.just(q), st.integers(1, 6)),
                         _int_poly(q))))
 def test_roots_from_one_factorization_match_gcd_oracle(case):
-    """Roots read off factor_mod_q, passed in or not, against the former
-    gcd(f, y^|F| - y) search with the former inverse; the polynomials are
-    non-monic mod q and often have repeated factors (q | discriminant)."""
+    """Roots read off factor_mod_q against the former gcd(f, y^|F| - y)
+    search with the former inverse; the polynomials are non-monic mod q and
+    often have repeated factors (q | discriminant)."""
     F, poly = case
     want = ffield_oracle.roots_by_gcd(poly, ffield_oracle.FermatField(F.q, F.r, F.modulus))
-    assert roots_in_field(poly, F) == want
-    assert roots_in_field(poly, F, factors=factor_mod_q(poly, F.q)) == want
+    assert roots_in_field(factor_mod_q(poly, F.q), F) == want
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -408,20 +415,29 @@ def test_factor_mod_q_gives_the_distinct_irreducible_factors(case):
 
 def test_constant_and_vanishing_polynomials_keep_their_results():
     """A nonzero constant mod q has no roots and no factorization; a
-    polynomial that vanishes mod q has neither roots nor factors."""
+    polynomial that vanishes mod q has neither roots nor factors.  Roots are
+    read off a factorization, and factor_mod_q refuses both."""
     for q, r in ((2, 1), (2, 3), (7, 3), (13, 2)):
         F = FiniteField.create(q, r)
         fermat = ffield_oracle.FermatField(q, r, F.modulus)
         for poly in ([1], [q + 3], [5, q, 2 * q]):
-            assert roots_in_field(poly, F) == ffield_oracle.roots_by_gcd(poly, fermat) == []
+            assert ffield_oracle.roots_by_gcd(poly, fermat) == []
             with pytest.raises(DomainError, match="constant"):
                 factor_mod_q(poly, q)
         for poly in ([], [0], [q], [q, 0, 3 * q]):
-            for roots in (roots_in_field, ffield_oracle.roots_by_gcd):
-                with pytest.raises(DomainError, match="vanishes"):
-                    roots(poly, F)
+            with pytest.raises(DomainError, match="vanishes"):
+                ffield_oracle.roots_by_gcd(poly, fermat)
             with pytest.raises(DomainError, match="constant"):
                 factor_mod_q(poly, q)
+
+
+@pytest.mark.parametrize("q", [4, 9, 0, 1, -3, -7, 561])
+def test_factor_mod_q_refuses_a_modulus_that_is_not_prime(q):
+    """Factoring mod q needs the field F_q: every other modulus is refused
+    with the DomainError that conway_style_modulus raises."""
+    for poly in ([-2, 0, 1], [1, 1]):
+        with pytest.raises(DomainError, match=f"^{q} is not prime$"):
+            factor_mod_q(poly, q)
 
 
 # ---------------------------------------------------------- factoring over Z
@@ -467,41 +483,33 @@ def test_factor_over_z_recovers_products(parts):
     assert [g for g, _ in got] == sorted((list(g) for g in expected), key=_descending_key)
 
 
-def _fewest_factors_prime(f):
-    """The prime the full count picks: the first, among the first five that
-    keep f squarefree, with the fewest factors; None when one proves f
-    irreducible."""
-    best, ell, tried = None, 2, 0
-    while tried < 5:
-        ell += 1
-        degrees = _degrees(f, ell) if is_prime(ell) else []
-        if sum(degrees) != len(f) - 1:  # not prime, or f not squarefree mod ell
-            continue
-        tried += 1
-        if len(degrees) == 1:
-            return None
-        if best is None or len(degrees) < best[0]:
-            best = (len(degrees), ell)
-    return best[1]
+def _first_squarefree_prime(f):
+    """The first prime l >= 3 that keeps f squarefree: the degrees of the
+    distinct factors of f mod l add up to deg f."""
+    return next(ell for ell in range(3, 10 ** 4)
+                if is_prime(ell) and sum(_degrees(f, ell)) == len(f) - 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(_IRREDUCIBLES.map(tuple), min_size=1, max_size=4, unique=True))
-def test_zassenhaus_lifts_from_the_fewest_factors_prime(parts):
-    """_zassenhaus lifts from the first prime, among the first five that keep
-    f squarefree, with the fewest factors mod that prime, and lifts nothing
-    when one of them proves f irreducible."""
+def test_zassenhaus_lifts_from_the_first_squarefree_prime(parts):
+    """_zassenhaus lifts the factors of f mod the first prime l >= 3 that
+    keeps f squarefree, also when f is irreducible mod l, and returns the
+    irreducibles f was built from."""
     f = [1]
     for g in parts:
         f = polys.mul(f, list(g))
-    chosen = []  # the prime of every lift, the first one's included
+    lifts = []  # (l, the factors mod l) of every lift, the first one's included
     lift_all = ffield._lift_all
-    ffield._lift_all = lambda f, factors, ell, top: chosen.append(ell) or lift_all(f, factors, ell, top)
+    ffield._lift_all = lambda f, factors, ell, top: (lifts.append((ell, factors))
+                                                     or lift_all(f, factors, ell, top))
     try:
-        ffield._zassenhaus(f)
+        got = ffield._zassenhaus(f)
     finally:
         ffield._lift_all = lift_all
-    assert chosen[:1] == [ell for ell in [_fewest_factors_prime(f)] if ell is not None]
+    ell = _first_squarefree_prime(f)
+    assert lifts[0] == (ell, [list(u) for _, u in factor_mod_q(f, ell)])
+    assert sorted(map(tuple, got)) == sorted(parts)
 
 
 def test_factor_over_z_edges():

@@ -272,13 +272,15 @@ UNRUN_OPERATORS = {("CycElement", name) for name in ("__add__", "__radd__", "__s
 
 
 # Runs the README's worked example (argv[1]) and `cli.main` on each later
-# argument under a profile hook, and prints the exit codes and the methods of
-# the value types whose code ran.
-_OPERATOR_PROBE = """
+# argument under a profile hook, and prints the exit codes and the methods and
+# properties (by their getter) of the value types whose code ran.
+_VALUE_TYPE_PROBE = """
 import contextlib, io, json, sys
 from eiscong.characters import DirichletCharacter
 from eiscong.cli import main
 from eiscong.cyclotomic import CycElement
+from eiscong.eisenstein import QExpansion
+from eiscong.newforms import NewformRecord
 
 ran = set()
 sys.setprofile(lambda frame, event, arg: ran.add(frame.f_code) if event == "call" else None)
@@ -287,34 +289,47 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv.split()) for argv in sys.argv[2:]]
 sys.setprofile(None)
 print(json.dumps({"codes": codes, "ran": [
-    [cls.__name__, name] for cls in (CycElement, DirichletCharacter)
-    for name, value in vars(cls).items() if getattr(value, "__code__", None) in ran]}))
+    [cls.__name__, name] for cls in (CycElement, DirichletCharacter, NewformRecord, QExpansion)
+    for name, value in vars(cls).items()
+    if getattr(getattr(value, "fget", value), "__code__", None) in ran]}))
 """
 
 
-def test_value_type_operators_run():
+def test_value_type_operators_run(tmp_path):
     """Every arithmetic or call dunder that CycElement and DirichletCharacter
-    define runs in the README's worked example or in the CLI's `beta`,
-    `order` and `qexp`: the name-based export check above cannot see an
-    operator, so an operator that only tests use shows up here.  A dunder is
-    matched by its code object, so an alias (`__radd__ = __add__`) runs when
-    its target does.  The probe runs in a fresh interpreter, where no
-    memoized field or record hides a call."""
+    define, and every public method and property of NewformRecord and
+    QExpansion, runs in the README's worked example or in the CLI's `beta`,
+    `order`, `qexp`, an offline `scan` and an offline `fetch` from a warm
+    cache.  The name-based export check above cannot see an operator, nor a
+    method that shares its name with a live one, so one that only tests use
+    shows up here.  A dunder is matched by its code object, so an alias
+    (`__radd__ = __add__`) runs when its target does.  The probe runs in a
+    fresh interpreter, where no memoized field or record hides a call."""
     from eiscong.characters import DirichletCharacter
     from eiscong.cyclotomic import CycElement
+    from eiscong.eisenstein import QExpansion
+    from eiscong.newforms import NewformRecord
 
+    data = resources.files("eiscong.data").joinpath("newforms_121.json").read_text()
+    (tmp_path / "newforms_121.json").write_text(data)
     commands = ["beta --level 121 --char 11.2.1", "order --level 121 --char 11.2.1",
-                "qexp --level 234 --char 3.2.1 --M 13 --L 2 --prec 16"]
-    proc = subprocess.run([sys.executable, "-c", _OPERATOR_PROBE, _readme_python(), *commands],
+                "qexp --level 234 --char 3.2.1 --M 13 --L 2 --prec 16",
+                "scan --level 121 --p 11 --offline",
+                f"fetch --level 121 --offline --cache-dir {tmp_path}"]
+    proc = subprocess.run([sys.executable, "-c", _VALUE_TYPE_PROBE, _readme_python(), *commands],
                           capture_output=True, text=True, env=fresh_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout)
-    assert probe["codes"] == [0, 0, 0]
+    assert probe["codes"] == [0] * len(commands)
     ran = {tuple(pair) for pair in probe["ran"]}
     unrun = {(cls.__name__, name) for cls in (CycElement, DirichletCharacter)
              for name in OPERATOR_DUNDERS & set(vars(cls)) if (cls.__name__, name) not in ran}
     assert not unrun - UNRUN_OPERATORS, f"only tests run {sorted(unrun - UNRUN_OPERATORS)}"
     assert not UNRUN_OPERATORS - unrun, "an exception now runs"
+    unrun = {(cls.__name__, name) for cls in (NewformRecord, QExpansion)
+             for name, value in vars(cls).items() if not name.startswith("_")
+             and hasattr(getattr(value, "fget", value), "__code__") and (cls.__name__, name) not in ran}
+    assert not unrun, f"only tests run {sorted(unrun)}"
 
 
 def test_benchmark_names_exist(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import fixtures_oracle
 import newforms_oracle
-from helpers import fixture_script
+from helpers import fixture_script, newform_coefficient
 from eiscong import polys
 from eiscong.arith import DomainError, sturm_bound
 from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
@@ -31,25 +31,25 @@ def test_bundled_levels():
 
 def test_bundled_paper_coefficients():
     d121 = next(r for r in bundled_newforms(121) if r.label == "121.2.a.d")
-    got = [r[0] for r in (d121.coefficient(n) for n in range(1, 13))]
+    got = [r[0] for r in (newform_coefficient(d121, n) for n in range(1, 13))]
     assert got == [1, 2, -1, 2, 1, -2, 2, 0, -2, 2, 0, -2]
 
     b725 = next(r for r in bundled_newforms(725) if r.label == "725.2.a.b")
     assert b725.field_poly == (-2, 0, 1)
-    assert b725.coefficient(2) == (1, 1)       # 1 + sqrt 2
-    assert b725.coefficient(6) == (-3, -2)
-    assert b725.coefficient(14) == (4, 2)
+    assert newform_coefficient(b725, 2) == (1, 1)       # 1 + sqrt 2
+    assert newform_coefficient(b725, 6) == (-3, -2)
+    assert newform_coefficient(b725, 14) == (4, 2)
 
     l725 = next(r for r in bundled_newforms(725) if r.label == "725.2.a.l")
     assert l725.field_poly == (-1, 0, 41, 0, -13, 0, 1)
     # beta-basis record: a_2 = beta_1 converts to the power-basis vector e_1
-    assert l725.coefficient(2) == (0, 1, 0, 0, 0, 0)
+    assert newform_coefficient(l725, 2) == (0, 1, 0, 0, 0, 0)
     # a_3 = beta_1 - beta_4 = x - (x^5 - 12x^3 + 35x)/2
-    assert l725.coefficient(3) == (
+    assert newform_coefficient(l725, 3) == (
         Fraction(0), Fraction(-33, 2), Fraction(0), Fraction(6), Fraction(0), Fraction(-1, 2),
     )
     # a_6 = 2 - beta_3 = 2 - (x^4 - 8x^2 + 5)/2
-    assert l725.coefficient(6) == (
+    assert newform_coefficient(l725, 6) == (
         Fraction(-1, 2), Fraction(0), Fraction(4), Fraction(0), Fraction(-1, 2), Fraction(0),
     )
 
@@ -163,7 +163,7 @@ def _assert_same_parse(data):
     assert [(r.label, r.level, r.field_poly) for r in got] == [
         (r.label, r.level, r.field_poly) for r in want]
     for g, w in zip(got, want):
-        assert tuple(g.coefficient(n) for n in range(1, g.bound + 1)) == w.an
+        assert tuple(newform_coefficient(g, n) for n in range(1, g.bound + 1)) == w.an
         assert all(den > 0 and gcd(den, *num) == 1 for num, den in g.an)
 
 

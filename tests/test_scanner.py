@@ -7,7 +7,7 @@ import pytest
 
 import ffield_oracle
 from helpers import (character_with_value, count_calls, fixture_script, hit_labels,
-                     integer_coefficient, reduce_coefficient)
+                     integer_coefficient, newform_coefficient, reduce_coefficient)
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import quadratic_character
@@ -155,7 +155,7 @@ def test_hecke_consistency_of_hits():
     for r in primes_up_to(80):
         if 234 % r == 0:
             continue
-        lhs = _reduce_newform(rec.coefficient(r), gr, F)
+        lhs = _reduce_newform(newform_coefficient(rec, r), gr, F)
         val = tl_eigenvalue(eps, r)
         rhs = _reduce_element(val.embed(eps.order) if val.field.m != eps.order else val, zr, F)
         assert lhs == rhs, r
@@ -182,10 +182,10 @@ def test_u_eigenvalue_consistency_of_hits():
             F = FiniteField.create(l, h.report.residue_degree)
             zr, gr = h.report.embedding
             # U_p in m: a_p = 0 mod the prime
-            assert _reduce_newform(rec.coefficient(p), gr, F) == F.zero()
+            assert _reduce_newform(newform_coefficient(rec, p), gr, F) == F.zero()
             eps = eisenstein_character(h.params.phi, l)
             for pi in (q for q in (2, 13, 29) if N % q == 0 and q != p):
-                api = _reduce_newform(rec.coefficient(pi), gr, F)
+                api = _reduce_newform(newform_coefficient(rec, pi), gr, F)
                 eb = _reduce_element(eps.value(pi), zr, F)
                 alt = F.mul(F.from_int(pi), F.inv(eb))
                 assert api in (eb, alt), (N, h.report.newform, pi)
@@ -392,7 +392,7 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
 
 def _with_fifth_added(rec, n, label):
     """rec with 1/5 added to a_n, so that 5 divides its denominator."""
-    an = integer_coefficient(c + Fraction(1, 5) for c in rec.coefficient(n))
+    an = integer_coefficient(c + Fraction(1, 5) for c in newform_coefficient(rec, n))
     return NewformRecord(label, rec.level, rec.weight, rec.field_poly,
                          rec.an[:n - 1] + (an,) + rec.an[n:])
 
