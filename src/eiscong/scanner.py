@@ -11,29 +11,41 @@ certifies the first that matches.  Whether a pair matches does not change
 when x -> x^q is applied to both roots, since Frobenius fixes the reduced
 integers, so the certified pair is the smallest of its Frobenius orbit.
 
+Both sides are normalized eigenforms on Gamma0(N) with trivial character:
+a_1 = 1, a_mn = a_m a_n for coprime m and n, a_{p^(k+1)} = a_p a_{p^k} -
+p a_{p^(k-1)} for p not dividing N, and a_{q^k} = a_q^k for q | N
+(Diamond-Shurman 5.8).  So a_p congruent for every prime p <= B gives a_n
+congruent for every n <= B, and the first mismatch is always at a prime.
+`scan` compares a_n only for n in the index list {1} and the primes up to
+the bound.  a_1 stays in it because `scan` accepts a series with d =
+ML/(T1 T2) > 1, whose a_1 is 0.
+
 Both sides store each a_n as the same canonical integer pair (num, den),
 power-basis numerators over one denominator (`QExpansion.an`,
 `NewformRecord.an`), and `scan` reads `owner.an` as stored for a series and
 for a record alike; it builds no element.  num/den reduces at a root
 through the root's power table (root^0, ..., root^(d-1)): one integer dot
 product mod q per coordinate of F, times den^-1 mod q.  Each series or
-record keeps, per F and root, one list of reduced a_1, a_2, ..., grown in
-chunks (a_1..a_4, then to a_16, a_64, ... and at most the bound) as the
-pair loop compares further; a chunk may reduce a_n past a pair's first
-mismatch, which another pair may then read.  An a_n with q in its
-denominator is never reduced: the scan raises when a pair's comparison
-reaches it, and not before.
+record keeps, per F and root, one list of its reduced a_n along the index
+list, grown in chunks (its first 4 entries, a_1, a_2, a_3, a_5, then to 16,
+64, ... entries and at most the whole list) as the pair loop compares
+further; a chunk may reduce a_n past a pair's first mismatch, which another
+pair may then read.  An a_n with q in its denominator is never reduced: the
+scan raises when a pair's comparison reaches it, and not before.  The
+unusable index is the first in the list whose denominator q divides; an a_n
+off the list is never read, and for an eigenform its denominator divides a
+product of a_p denominators, so the first unusable n is always on it.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
 inputs fix across scans: one F_{q^r} per (q, r); per (phi order, field_poly,
 q) the reduction embeddings; the factorization of each polynomial, Phi_k or
 a field polynomial, once per (polynomial, q), which picks r and from which
 its roots in every F of characteristic q are read, and those roots once per
-F; one power table per (root, F, d); and, per series and per newform record
-and F, the lists of reduced coefficients.  It holds no state
-between `full_scan` calls.  A (newform, l) pair whose coefficients have l in
-a denominator is skipped by `full_scan` with the reason; the rest of the
-scan runs.
+F; one power table per (root, F, d); the index list per bound; and, per
+series and per newform record, F and index list, the lists of reduced
+coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
+pair whose coefficients have l in a denominator is skipped by `full_scan`
+with the reason; the rest of the scan runs.
 
 The certified pair is the one choice of a prime above l: `full_scan` hands
 its field and zeta-root to `descriptor`, so the printed ideal is the one at
@@ -45,7 +57,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from operator import mul
 
-from .arith import DomainError, divisors, is_p_good, is_prime, record, sturm_bound
+from .arith import (DomainError, divisors, is_p_good, is_prime, primes_up_to, record,
+                    sturm_bound)
 from .characters import enumerate_characters
 from .cusps import new_dimension
 from .cyclotomic import cyclotomic_polynomial
@@ -123,17 +136,19 @@ def _power_table(root, F: FiniteField, d: int):
 
 
 class _Reductions:
-    """One owner's a_n = num/den, the pairs of `owner.an`, reduced into F: one
-    list per root, a_1, a_2, ... in order, which `upto` extends by one
-    comprehension per coordinate of F.  No a_n with q | den is reduced:
-    `usable` counts the a_n before the first of them, which
+    """One owner's a_n = num/den, the pairs of `owner.an` at the n of an index
+    list, reduced into F: one list per root, in the index list's order, which
+    `upto` extends by one comprehension per coordinate of F.  Only those a_n
+    are reduced and only their denominators inverted, and none with q | den:
+    `usable` counts the entries before the first of them, which
     `_first_difference` reports when a comparison reaches it.  Power tables
     are read from and added to `tables`, keyed (root, F, d), which all owners
     share."""
 
-    def __init__(self, owner, F: FiniteField, tables: dict):
-        q, an = F.q, owner.an
-        self.owner, self.F, self.tables = owner, F, tables
+    def __init__(self, owner, F: FiniteField, indices: tuple, tables: dict):
+        q = F.q
+        an = [owner.an[n - 1] for n in indices]
+        self.owner, self.F, self.an, self.tables = owner, F, an, tables
         inverses = {den: pow(den, -1, q) for den in {den for _, den in an} if den % q}
         self.usable = next((i for i, (_, den) in enumerate(an) if den not in inverses), len(an))
         self.error = (None if self.usable == len(an) else
@@ -143,7 +158,7 @@ class _Reductions:
         self.lists: dict = {}
 
     def upto(self, root, m: int) -> list:
-        """root's list, holding at least a_1..a_m (m <= usable)."""
+        """root's list, holding at least its first m entries (m <= usable)."""
         out = self.lists.get(root)
         if out is None:
             out = self.lists[root] = []
@@ -152,35 +167,43 @@ class _Reductions:
             F, q = self.F, self.F.q
             table = _shared(self.tables, (root, F, self.degree),
                             _power_table, root, F, self.degree)
-            chunk = tuple(zip(self.owner.an[n:m], self.invs[n:m]))
+            chunk = tuple(zip(self.an[n:m], self.invs[n:m]))
             out.extend(zip(*[[sum(map(mul, num, col)) * inv % q for (num, _), inv in chunk]
                              for col in table]))
         return out
 
 
-def _reductions(memo: dict, owner, F: FiniteField) -> _Reductions:
-    """owner's _Reductions in F, keyed on owner's identity (newform labels
-    may repeat); the _Reductions holds owner, which keeps that identity taken."""
+def _index_list(B: int) -> tuple:
+    """The n that `scan` compares up to B: 1 and the primes."""
+    return (1, *primes_up_to(B))
+
+
+def _reductions(memo: dict, owner, F: FiniteField, indices: tuple) -> _Reductions:
+    """owner's _Reductions in F along `indices`, keyed on owner's identity
+    (newform labels may repeat); the _Reductions holds owner, which keeps that
+    identity taken."""
     tables = _shared(memo, "powers", dict)
-    return _shared(memo, ("reduced", id(owner), F), _Reductions, owner, F, tables)
+    return _shared(memo, ("reduced", id(owner), F, indices), _Reductions, owner, F, indices,
+                   tables)
 
 
-_PREFIX, _STEP = 4, 4  # chunk ends 4, 16, 64, ...: most pairs differ at a_2 or a_3
+_PREFIX, _STEP = 4, 4  # chunk ends 4, 16, 64, ... entries: most pairs differ at a_2 or a_3
 
 
-def _first_difference(lhs: _Reductions, zr, rhs: _Reductions, gr, B: int):
-    """The first n <= B with lhs's a_n at zr != rhs's a_n at gr, or None.
-    The lists are compared chunk by chunk; an a_n with q in its denominator
-    raises UnsupportedPrimeError, lhs's first, when the comparison reaches it."""
-    stop = min(B, lhs.usable, rhs.usable)
-    n, end = 0, _PREFIX
-    while n < stop:
+def _first_difference(lhs: _Reductions, zr, rhs: _Reductions, gr, indices: tuple):
+    """The first n in `indices` with lhs's a_n at zr != rhs's a_n at gr, or
+    None.  The lists are compared chunk by chunk, by position in `indices`;
+    an a_n with q in its denominator raises UnsupportedPrimeError, lhs's
+    first, when the comparison reaches it."""
+    stop = min(len(indices), lhs.usable, rhs.usable)
+    i, end = 0, _PREFIX
+    while i < stop:
         end = min(end, stop)
         a, b = lhs.upto(zr, end), rhs.upto(gr, end)
-        if a[n:end] != b[n:end]:
-            return next(i for i in range(n, end) if a[i] != b[i]) + 1
-        n, end = end, end * _STEP
-    if stop < B:
+        if a[i:end] != b[i:end]:
+            return indices[next(j for j in range(i, end) if a[j] != b[j])]
+        i, end = end, end * _STEP
+    if stop < len(indices):
         raise UnsupportedPrimeError(lhs.error if lhs.usable == stop else rhs.error)
     return None
 
@@ -197,14 +220,15 @@ def scan(
     """Coefficientwise congruence check of E against one newform at q.
 
     The report certifies the first embedding pair, in sorted order, at which
-    every a_n up to B matches; when none does, it names the first pair and
-    the first n at which that pair fails.
+    a_1 and every a_p for primes p up to B match, and so every a_n up to B
+    for eigenforms; when none does, it names the first pair and the first n
+    at which that pair fails.
 
     `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
     reduction_embeddings result, and also holds what those results share
     (the field per (q, r), the factorization of Phi_k and of field_poly per
-    q and their roots per F), the root power tables and the lists of reduced
-    coefficients of E and of the record.  A caller that scans many pairs
+    q and their roots per F), the root power tables, the index list per B
+    and the lists of reduced coefficients of E and of the record.  A caller that scans many pairs
     passes one dict, so that each of these is computed once."""
     if E.level != record.level:
         raise DomainError(f"level mismatch: {E.level} vs {record.level}")
@@ -224,11 +248,12 @@ def scan(
         embeddings[key] = reduction_embeddings(*key, memo=embeddings)
     r, F, pairs = embeddings[key]
 
-    lhs, rhs = _reductions(embeddings, E, F), _reductions(embeddings, record, F)
+    indices = _shared(embeddings, ("indices", B), _index_list, B)
+    lhs, rhs = (_reductions(embeddings, owner, F, indices) for owner in (E, record))
 
     first_mismatch = None
     for zr, gr in pairs:
-        n = _first_difference(lhs, zr, rhs, gr, B)
+        n = _first_difference(lhs, zr, rhs, gr, indices)
         if n is None:
             return CongruenceReport(
                 params.label(), record.label, q, r, (zr, gr), B, True, None

@@ -163,6 +163,39 @@ def reduce_coefficient(num, den, table, q: int):
     return tuple(sum(map(mul, num, col)) * inv % q for col in table)
 
 
+def hecke_relation_failures(level, modulus, an, B):
+    """The Hecke relations of a normalized eigenform on Gamma0(level) with
+    trivial character that a_1..a_B break, checked in exact arithmetic: a_1 =
+    1; a_mn = a_m a_n for coprime m, n; a_{p^(k+1)} = a_p a_{p^k} - p
+    a_{p^(k-1)} for p not dividing level; a_{q^k} = a_q^k for q | level
+    (Diamond-Shurman 5.8).  `an` holds (num, den) pairs on the power basis of
+    Q[x]/(modulus), modulus monic, as `QExpansion.an` (modulus Phi_m) and
+    `NewformRecord.an` (modulus field_poly) store them.  Returns the failing
+    (relation, n) pairs."""
+    d = len(modulus) - 1
+    a = [None] + [[Fraction(c, den) for c in num] for num, den in an[:B]]
+
+    def times(x, y):
+        return polys.divmod_monic(polys.mul(x, y), modulus)[1]
+
+    failures = [("a_1 = 1", 1)] if a[1] != [1] + [0] * (d - 1) else []
+    for m in range(2, B + 1):
+        for n in range(m + 1, B // m + 1):
+            if gcd(m, n) == 1 and a[m * n] != times(a[m], a[n]):
+                failures.append(("a_mn = a_m a_n", m * n))
+    for p in primes_up_to(B):
+        pk = p
+        while pk * p <= B:
+            if level % p:
+                want = [x - p * y for x, y in zip(times(a[p], a[pk]), a[pk // p])]
+            else:
+                want = times(a[p], a[pk])
+            if a[pk * p] != want:
+                failures.append(("a_{p^k}", pk * p))
+            pk *= p
+    return failures
+
+
 def hit_labels(res):
     """The sorted (series label, newform label, l) triples of a FullScanResult's hits."""
     return sorted({(h.params.label(), h.report.newform, h.report.prime) for h in res.hits})

@@ -1,16 +1,20 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ffield_oracle
-from helpers import (character_with_value, count_calls, fixture_script, hit_labels,
-                     integer_coefficient, newform_coefficient, reduce_coefficient)
+from helpers import (character_with_value, count_calls, fixture_script, hecke_relation_failures,
+                     hit_labels, integer_coefficient, newform_coefficient, random_pgood_params,
+                     reduce_coefficient)
 
 from eiscong.arith import DomainError, primes_up_to, sturm_bound
 from eiscong.characters import quadratic_character
+from eiscong.cyclotomic import cyclotomic_polynomial
 from eiscong.eisenstein import EisensteinParams, build_E, tl_eigenvalue
 from eiscong.ffield import FiniteField
 from eiscong.ideals import cuspidal_order, eisenstein_character
@@ -323,6 +327,11 @@ def test_no_records_at_a_level_with_newforms():
         full_scan(121, 11, records=[])
 
 
+def _fixture_records(monkeypatch, N):
+    """The fixture generator's newform records at N, to the Sturm bound."""
+    return parse_newforms(fixture_script(monkeypatch).build_level(N, sturm_bound(N)))
+
+
 @pytest.mark.parametrize("N, p, hit_count", [(169, 13, 5), (289, 17, 8), (361, 19, 13)])
 def test_descriptor_relations_hold_at_the_certified_prime(monkeypatch, N, p, hit_count):
     """With newforms built by the fixture generator, the T_r relation that a
@@ -332,7 +341,7 @@ def test_descriptor_relations_hold_at_the_certified_prime(monkeypatch, N, p, hit
     a descriptor that picked its own prime above l broke this for 2, 6 and
     10 of the hits.  The four order-12 hits at 169 print one ideal."""
     bound = sturm_bound(N)
-    records = parse_newforms(fixture_script(monkeypatch).build_level(N, bound))
+    records = _fixture_records(monkeypatch, N)
     by_label = {rec.label: rec for rec in records}
     res = full_scan(N, p, records=records)
     assert len(res.hits) == hit_count
@@ -361,16 +370,17 @@ def _golden_scan_hash(level):
     return golden["scan"][str(level)]
 
 
-@pytest.mark.parametrize("N,p", [(121, 11), (234, 3)])
+@pytest.mark.parametrize("N,p", [(121, 11), (234, 3), (725, 5)])
 def test_full_scan_golden(N, p):
     res = full_scan(N, p)
     assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
 
 
 def test_scan_matches_per_coefficient_oracle(monkeypatch):
-    """Every scan of full_scan at 121, 234 and 725 gives the report of the
-    former per-coefficient Horner reduction over every embedding pair in
-    order."""
+    """Every scan of full_scan at 121, 234 and 725, and at 169, 289 and 361
+    with the fixture generator's records, gives the report of the former
+    per-coefficient Horner reduction of every a_n up to the bound over every
+    embedding pair in order."""
     from eiscong import scanner
 
     calls = []
@@ -384,10 +394,63 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
         return rep
 
     monkeypatch.setattr(scanner, "scan", checking)
-    for N, p, scans, matched in ((121, 11, 20, 5), (234, 3, 20, 1), (725, 5, 72, 6)):
+    for N, p, scans, matched in ((121, 11, 20, 5), (234, 3, 20, 1), (725, 5, 72, 6),
+                                 (169, 13, 66, 5), (289, 17, 90, 8), (361, 19, 306, 13)):
+        records = _fixture_records(monkeypatch, N) if N in (169, 289, 361) else None
         calls.clear()
-        full_scan(N, p)
+        res = full_scan(N, p, records=records)
         assert len(calls) == scans and sum(rep.matched for rep in calls) == matched
+        assert len(res.hits) == matched
+
+
+def test_a1_is_compared_for_a_series_with_d_above_1():
+    """E[3.2.1; M=49, L=1]@441 has d = ML/(T1 T2) = 7, so a_1 = 0.  Against a
+    rational record equal to it but for a_1 = 1, every pair first differs at
+    n = 1, which is not a prime: the scan reports first_mismatch 1, as the
+    per-coefficient oracle does."""
+    params = EisensteinParams(quadratic_character(3), 441, 49, 1)
+    B = sturm_bound(441)
+    E = build_E(params, B)
+    assert E.an[0] == ((0,), 1)
+    record = NewformRecord("441.2.a.z", 441, 2, (0, 1), (((1,), 1),) + E.an[1:])
+    memo = {}
+    rep = scan(E, params, record, 5, embeddings=memo)
+    assert (rep.matched, rep.first_mismatch) == (False, 1)
+    r, F, pairs = memo[(2, (0, 1), 5)]
+    assert rep == ffield_oracle.scan_pairs(E, params, record, 5, B, r, F, pairs)
+
+
+def _assert_eigenform(level, modulus, an, name):
+    """a_1..a_B of `an` satisfy the Hecke relations, B the Sturm bound at level."""
+    assert hecke_relation_failures(level, modulus, an, sturm_bound(level)) == [], name
+
+
+def test_scanned_series_and_records_are_hecke_eigenforms(monkeypatch):
+    """`scan` compares a_1 and the a_p only, which certifies every a_n up to
+    the bound because both sides are normalized Hecke eigenforms.  That
+    premise holds, in exact arithmetic up to the Sturm bound, for the 19
+    eigenbasis series, the bundled records at 121, 234 and 725 and the
+    fixture generator's records at 169, 289 and 361.  A series or record
+    that is not an eigenform fails here, rather than being certified on its
+    primes."""
+    for N, p in ((121, 11), (234, 3), (725, 5)):
+        for params in eisenstein_basis(N, p):
+            E = build_E(params, sturm_bound(N))
+            _assert_eigenform(N, cyclotomic_polynomial(E.field.m), E.an, params.label())
+        for rec in bundled_newforms(N):
+            _assert_eigenform(N, rec.field_poly, rec.an, rec.label)
+    for N in (169, 289, 361):
+        for rec in _fixture_records(monkeypatch, N):
+            _assert_eigenform(N, rec.field_poly, rec.an, rec.label)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_random_pgood_series_are_hecke_eigenforms(seed):
+    """The same premise for build_E at seeded random p-good parameters."""
+    (params,) = random_pgood_params(random.Random(seed), 1)
+    E = build_E(params, sturm_bound(params.N))
+    _assert_eigenform(params.N, cyclotomic_polynomial(E.field.m), E.an, params.label())
 
 
 def _with_fifth_added(rec, n, label):
@@ -416,18 +479,24 @@ def test_full_scan_skips_unusable_newform_prime():
 
 
 def test_late_denominator_is_reached_only_by_a_comparison():
-    """5 in the denominator of a_B, the last coefficient a scan checks: a
-    newform whose every pair fails earlier gets the per-coefficient oracle's
-    mismatch report, not a skip; one whose pairs match up to a_B is skipped."""
+    """5 in the denominator of a_19, the last prime up to B = 22 and so the
+    last coefficient a scan checks: a newform whose every pair fails earlier
+    gets the per-coefficient oracle's mismatch report, not a skip; one whose
+    pairs match up to a_19 is skipped.  A denominator only in a composite
+    a_n is never read: with 5 in a_22 alone the newform scans as before."""
     recs = bundled_newforms(121)
     a, d = (next(r for r in recs if r.label == f"121.2.a.{x}") for x in "ad")
-    late_a, late_d = _with_fifth_added(a, 22, "121.2.a.y"), _with_fifth_added(d, 22, "121.2.a.z")
-    res = full_scan(121, 11, records=recs + [late_a, late_d])
-    assert [s for s in res.skipped if "121.2.a.y" in s] == []
+    late_a, late_d = _with_fifth_added(a, 19, "121.2.a.y"), _with_fifth_added(d, 19, "121.2.a.z")
+    composite_d = _with_fifth_added(d, 22, "121.2.a.x")
+    res = full_scan(121, 11, records=recs + [late_a, late_d, composite_d])
+    assert [s for s in res.skipped if "121.2.a.y" in s or "121.2.a.x" in s] == []
     assert [s for s in res.skipped if "121.2.a.z" in s] == [
         "121.2.a.z at l=5: denominator 5 not invertible mod 5 (reduction undefined)"]
     late_reports = [rep for rep in res.reports if rep.newform == "121.2.a.y"]
     assert len(late_reports) == 5 and not any(rep.matched for rep in late_reports)
+    assert ([rep.to_json() | {"newform": "121.2.a.d"} for rep in res.reports
+             if rep.newform == "121.2.a.x"] ==
+            [rep.to_json() for rep in res.reports if rep.newform == "121.2.a.d"])
     memo = {}
     for params in eisenstein_basis(121, 11):
         if eisenstein_character(params.phi, 5).is_trivial():
