@@ -15,12 +15,12 @@ import sys
 
 from .arith import DomainError, RoughCofactorError, factor, prime_divisors, sturm_bound
 from .characters import character_from_label, gauss_sum_inverse
-from .cusps import beta_tilde, new_dimension
+from .cusps import beta_tilde
 from .cyclotomic import CycElement
 from .eisenstein import EisensteinParams, build_E, uq_eigenvalue
 from .ideals import candidate_characteristics, cuspidal_order
 from .newforms import (DEFAULT_ENDPOINT, NetworkUnavailable, NewformDataError,
-                       fetch_newforms)
+                       fetch_newforms, newforms_for_level)
 from .scanner import eisenstein_basis, full_scan
 
 
@@ -145,14 +145,9 @@ def cmd_classify(args) -> None:
 
 
 def cmd_scan(args) -> None:
-    records = None
-    # a level without newforms needs no data, so nothing is fetched for it
-    if not args.offline and new_dimension(args.level):
-        try:
-            records = fetch_newforms(args.level, endpoint=args.endpoint, cache_dir=args.cache_dir)
-        except NetworkUnavailable:
-            records = None  # fall back to bundled/cache below
-    res = full_scan(args.level, args.p, bound=args.bound, records=records, cache_dir=args.cache_dir)
+    records = newforms_for_level(args.level, args.cache_dir, offline=args.offline,
+                                 endpoint=args.endpoint)
+    res = full_scan(args.level, args.p, bound=args.bound, records=records)
     lines = [
         f"scan N={res.level} p={res.p} bound={res.bound} candidate primes {list(res.candidate_primes)}:"
     ]
@@ -170,28 +165,7 @@ def cmd_scan(args) -> None:
     lines.append(f"  ({len(res.hits)} certified, {len(unmatched)} non-matches, "
                  f"{len(rational)} skipped rational reductions)")
     lines.extend(f"  skipped {s}" for s in res.skipped if s not in rational)
-    _emit(
-        args,
-        {
-            "level": res.level,
-            "p": res.p,
-            "bound": res.bound,
-            "candidate_primes": list(res.candidate_primes),
-            "hits": [
-                {
-                    "eisenstein": h.report.eisenstein,
-                    "newform": h.report.newform,
-                    "prime": h.report.prime,
-                    "largest_M": h.largest_M,
-                    "descriptor": h.descriptor.to_json(),
-                }
-                for h in res.hits
-            ],
-            "reports": [r.to_json() for r in res.reports],
-            "skipped": list(res.skipped),
-        },
-        lines,
-    )
+    _emit(args, res.to_json(), lines)
 
 
 def cmd_fetch(args) -> None:

@@ -1,5 +1,11 @@
 """Newform q-expansion records: bundled fixtures, JSON schema, remote fetch.
 
+`newforms_for_level` alone decides where a level's records come from, in
+one order: no data at all where S_2^new(Gamma0(N)) = 0, then the bundled
+fixtures, then the cache, then the endpoint, which an offline call never
+reaches.  So a bundled level sends no request and writes no cache, and a
+warm cache is read before the network.
+
 Schema (bit-exact, UTF-8, no floats): a top-level list of records
   {"label": str, "level": int, "weight": 2,
    "field_poly": [int, ...]   # ascending, monic
@@ -29,6 +35,7 @@ from math import lcm
 from pathlib import Path
 
 from .arith import DomainError, record
+from .cusps import new_dimension
 from . import polys
 
 DEFAULT_ENDPOINT = "https://www.lmfdb.org/api/mf_newforms"
@@ -172,13 +179,12 @@ def _bundled_records(level: int) -> tuple[NewformRecord, ...]:
     return tuple(parse_newforms(json.loads(text), where=name))
 
 
-def _cache_dir(cache_dir=None) -> Path:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "eiscong"
+def _cache_file(level: int, cache_dir=None) -> Path:
+    """The cache file of a level: in cache_dir, else in EISCONG_CACHE, else
+    in ~/.cache/eiscong."""
+    if cache_dir is None:
+        cache_dir = os.environ.get(CACHE_ENV) or Path.home() / ".cache" / "eiscong"
+    return Path(cache_dir) / f"newforms_{level}.json"
 
 
 def fetch_newforms(
@@ -199,8 +205,7 @@ def fetch_newforms(
     """
     if level < 1:
         raise DomainError(f"level must be >= 1 (got {level})")
-    cdir = _cache_dir(cache_dir)
-    cache_file = cdir / f"newforms_{level}.json"
+    cache_file = _cache_file(level, cache_dir)
     if offline:
         if cache_file.exists():
             return load_newforms(cache_file)
@@ -255,8 +260,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def newforms_for_level(level: int, cache_dir=None) -> list[NewformRecord]:
-    """Bundled data when available, else the fetch cache (never the network)."""
+def newforms_for_level(level: int, cache_dir=None, *, offline: bool = True,
+                       endpoint: str = DEFAULT_ENDPOINT) -> list[NewformRecord]:
+    """The newform records at a level, from the first source that has them:
+    none at all where S_2^new(Gamma0(level)) = 0, then the bundled fixtures,
+    then the cache, then `endpoint`, which an offline call never reaches.  A
+    bundled level sends no request and writes no cache."""
+    if not new_dimension(level):
+        return []
     if level in BUNDLED_LEVELS:
         return bundled_newforms(level)
-    return fetch_newforms(level, cache_dir=cache_dir, offline=True)
+    warm = _cache_file(level, cache_dir).exists()
+    return fetch_newforms(level, endpoint, cache_dir, offline=offline or warm)

@@ -1,5 +1,9 @@
 """Congruence detection between built Eisenstein series and newforms.
 
+`scan(params, record, q, B)` compares the series E = build_E(params, B)
+with one newform record; the scan memo builds E, so the series scanned is
+always the one its params fix.
+
 Both coefficient rings are reduced into a common F_{q^r}: the Eisenstein side
 through a root of Phi_k (k = order of phi; at ramified q this realizes the
 reduction zeta -> 1 on the q-part), the newform side through a root of its
@@ -37,15 +41,18 @@ off the list is never read, and for an eigenform its denominator divides a
 product of a_p denominators, so the first unusable n is always on it.
 
 A scan memo, the dict that `full_scan` passes to every `scan`, holds what the
-inputs fix across scans: one F_{q^r} per (q, r); per (phi order, field_poly,
-q) the reduction embeddings; the factorization of each polynomial, Phi_k or
-a field polynomial, once per (polynomial, q), which picks r and from which
-its roots in every F of characteristic q are read, and those roots once per
-F; one power table per (root, F, d); the index list per bound; and, per
-series and per newform record, F and index list, the lists of reduced
-coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
+inputs fix across scans: the series E once per (params, B), built at its
+first scan, so a series whose every l is skipped is never built; one F_{q^r}
+per (q, r); per (phi order, field_poly, q) the reduction embeddings; the
+factorization of each polynomial, Phi_k or a field polynomial, once per
+(polynomial, q), which picks r and from which its roots in every F of
+characteristic q are read, and those roots once per F; one power table per
+(root, F, d); the index list per bound; and, per series and per newform
+record, F and index list, the lists of reduced coefficients.  It holds no state between `full_scan` calls.  A (newform, l)
 pair whose coefficients have l in a denominator is skipped by `full_scan`
-with the reason; the rest of the scan runs.
+with the reason; the rest of the scan runs.  `full_scan` takes its records
+from `newforms.newforms_for_level` unless it is given them, and
+`FullScanResult.to_json` is the `scan --json` payload.
 
 The certified pair is the one choice of a prime above l: `full_scan` hands
 its field and zeta-root to `descriptor`, so the printed ideal is the one at
@@ -62,7 +69,7 @@ from .arith import (DomainError, divisors, is_p_good, is_prime, primes_up_to, re
 from .characters import enumerate_characters
 from .cusps import new_dimension
 from .cyclotomic import cyclotomic_polynomial
-from .eisenstein import EisensteinParams, QExpansion, build_E
+from .eisenstein import EisensteinParams, build_E
 from .ffield import FiniteField, factor_mod_q, roots_in_field
 from .ideals import (IdealDescriptor, candidate_characteristics, descriptor,
                      eisenstein_character)
@@ -209,47 +216,46 @@ def _first_difference(lhs: _Reductions, zr, rhs: _Reductions, gr, indices: tuple
 
 
 def scan(
-    E: QExpansion,
     params: EisensteinParams,
     record: NewformRecord,
     q: int,
     B: int | None = None,
     *,
-    embeddings: dict | None = None,
+    memo: dict | None = None,
 ) -> CongruenceReport:
-    """Coefficientwise congruence check of E against one newform at q.
+    """Coefficientwise congruence check of the series E = build_E(params, B)
+    against one newform at q.
 
     The report certifies the first embedding pair, in sorted order, at which
     a_1 and every a_p for primes p up to B match, and so every a_n up to B
     for eigenforms; when none does, it names the first pair and the first n
     at which that pair fails.
 
-    `embeddings` is the scan memo.  It maps (phi order, field_poly, q) to the
-    reduction_embeddings result, and also holds what those results share
-    (the field per (q, r), the factorization of Phi_k and of field_poly per
-    q and their roots per F), the root power tables, the index list per B
-    and the lists of reduced coefficients of E and of the record.  A caller that scans many pairs
-    passes one dict, so that each of these is computed once."""
-    if E.level != record.level:
-        raise DomainError(f"level mismatch: {E.level} vs {record.level}")
+    `memo` is the scan memo.  It holds E once per (params, B), maps (phi
+    order, field_poly, q) to the reduction_embeddings result, and also holds
+    what those results share (the field per (q, r), the factorization of
+    Phi_k and of field_poly per q and their roots per F), the root power
+    tables, the index list per B and the lists of reduced coefficients of E
+    and of the record.  A caller that scans many pairs passes one dict, so
+    that each of these is computed once."""
+    if params.N != record.level:
+        raise DomainError(f"level mismatch: {params.N} vs {record.level}")
     if B is None:
-        B = sturm_bound(E.level)
+        B = sturm_bound(params.N)
     if B < 1:
         raise DomainError(f"the bound must be at least 1 (got {B})")
-    if B > E.precision or B > record.bound:
-        raise DomainError(
-            f"bound {B} exceeds available precision ({E.precision} Eisenstein, "
-            f"{record.bound} newform)"
-        )
+    if B > record.bound:
+        raise DomainError(f"bound {B} exceeds the {record.bound} coefficients of {record.label}")
+    if memo is None:
+        memo = {}
     key = (params.phi.order, record.field_poly, q)
-    if embeddings is None:
-        embeddings = {}
-    if key not in embeddings:
-        embeddings[key] = reduction_embeddings(*key, memo=embeddings)
-    r, F, pairs = embeddings[key]
+    if key not in memo:
+        memo[key] = reduction_embeddings(*key, memo=memo)
+    r, F, pairs = memo[key]
 
-    indices = _shared(embeddings, ("indices", B), _index_list, B)
-    lhs, rhs = (_reductions(embeddings, owner, F, indices) for owner in (E, record))
+    E = _shared(memo, ("E", params, B), build_E, params, B)
+    indices = _shared(memo, ("indices", B), _index_list, B)
+    lhs, rhs = (_reductions(memo, owner, F, indices) for owner in (E, record))
 
     first_mismatch = None
     for zr, gr in pairs:
@@ -283,6 +289,27 @@ class FullScanResult:
     hits: tuple[ScanHit, ...]
     skipped: tuple[str, ...]
 
+    def to_json(self) -> dict:
+        """The `scan --json` payload."""
+        return {
+            "level": self.level,
+            "p": self.p,
+            "bound": self.bound,
+            "candidate_primes": list(self.candidate_primes),
+            "hits": [
+                {
+                    "eisenstein": h.report.eisenstein,
+                    "newform": h.report.newform,
+                    "prime": h.report.prime,
+                    "largest_M": h.largest_M,
+                    "descriptor": h.descriptor.to_json(),
+                }
+                for h in self.hits
+            ],
+            "reports": [r.to_json() for r in self.reports],
+            "skipped": list(self.skipped),
+        }
+
 
 def eisenstein_basis(N: int, p: int) -> list[EisensteinParams]:
     """The eigenbasis {E_{phi,M,N'/M}} of non-rational Eisenstein series for a
@@ -304,20 +331,18 @@ def full_scan(
     p: int,
     bound: int | None = None,
     records: list[NewformRecord] | None = None,
-    cache_dir=None,
 ) -> FullScanResult:
     """Scan the whole eigenbasis against all newforms at every candidate
     residual characteristic l coprime to 6p; emit a descriptor per certified
     congruence (pairs whose reduced character is trivial are skipped: those
     would be rational Eisenstein congruences, out of scope).
 
-    `records` defaults to the bundled data or the cache, and to no newforms
-    at all where S_2^new(Gamma0(N)) = 0 (at 9, 18 and 25 among the p-good
-    levels); no records at a level with newforms is a NewformDataError."""
+    `records` defaults to `newforms_for_level(N)`, offline; no records at a
+    level with newforms is a NewformDataError."""
     if bound is not None and bound < 1:
         raise DomainError(f"the bound must be at least 1 (got {bound})")
     if records is None:
-        records = newforms_for_level(N, cache_dir=cache_dir) if new_dimension(N) else []
+        records = newforms_for_level(N)
     if not records and (dim := new_dimension(N)):
         raise NewformDataError(
             f"no newform data for level {N} (S_2^new has dimension {dim}); "
@@ -335,30 +360,27 @@ def full_scan(
     reports: list[CongruenceReport] = []
     skipped: list[str] = []
     raw_hits: list[tuple[CongruenceReport, EisensteinParams, IdealDescriptor]] = []
-    embeddings: dict = {}  # the scan memo: one root search per field polynomial and F
+    memo: dict = {}  # the scan memo: one E per series, one root search per field polynomial and F
     unusable: set[tuple[str, int]] = set()  # (newform, l) with l in a denominator
     for params in eisenstein_basis(N, p):
-        E = None  # built at the first l that is scanned
         for l in ls:
             if eisenstein_character(params.phi, l).is_trivial():
                 skipped.append(
                     f"{params.label()} at l={l}: reduced character is trivial (rational case)"
                 )
                 continue
-            if E is None:
-                E = build_E(params, bound)
             for rec in records:
                 if (rec.label, l) in unusable:
                     continue
                 try:
-                    rep = scan(E, params, rec, l, bound, embeddings=embeddings)
+                    rep = scan(params, rec, l, bound, memo=memo)
                 except UnsupportedPrimeError as exc:
                     unusable.add((rec.label, l))
                     skipped.append(f"{rec.label} at l={l}: {exc} (reduction undefined)")
                     continue
                 reports.append(rep)
                 if rep.matched:
-                    F = embeddings[params.phi.order, rec.field_poly, l][1]
+                    F = memo[params.phi.order, rec.field_poly, l][1]
                     desc = descriptor(params, F, rep.embedding[0])
                     raw_hits.append((rep, params, desc, (rep.prime, rep.newform, desc.render())))
     # mark the largest certifying M within each (l, ideal, newform) group

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from functools import partial
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -254,7 +255,7 @@ def test_scan_fetches_nothing_without_newforms(capsys, tmp_path, monkeypatch, le
     """Without --offline, `scan` at a level with no newforms sends no request
     and writes no cache file: its stdout is that of `scan --offline`."""
     calls = []
-    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
+    monkeypatch.setattr(newforms, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
     argv = ("scan", "--level", str(level), "--p", str(p), "--cache-dir", str(tmp_path),
             "--endpoint", "http://localhost:9/none")
     code, out, err = run_cli(capsys, *argv)
@@ -265,7 +266,7 @@ def test_scan_fetches_nothing_without_newforms(capsys, tmp_path, monkeypatch, le
 
 def test_scan_at_level_zero_keeps_its_error(capsys, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
+    monkeypatch.setattr(newforms, "fetch_newforms", lambda *a, **k: calls.append((a, k)))
     code, out, err = run_cli(capsys, "scan", "--level", "0", "--p", "3",
                              "--cache-dir", str(tmp_path))
     assert (code, out, err, calls) == (2, "", "error: factor requires n >= 1 (got 0)\n", [])
@@ -303,8 +304,9 @@ def test_cli_import_stays_light():
 
 
 def test_scan_reports_unusable_newform(capsys, monkeypatch):
-    """A fetched newform with 5 in a denominator is listed as skipped; the
-    rational-reduction count and the certified hits stay as they were."""
+    """A newform with 5 in a denominator, among the records the resolver
+    serves, is listed as skipped; the rational-reduction count and the
+    certified hits stay as they were."""
     from fractions import Fraction
 
     from eiscong.newforms import NewformRecord, bundled_newforms
@@ -315,8 +317,83 @@ def test_scan_reports_unusable_newform(capsys, monkeypatch):
     bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly,
                         (d.an[0], integer_coefficient([newform_coefficient(d, 2)[0] + Fraction(1, 5)]))
                         + d.an[2:])
-    monkeypatch.setattr(cli, "fetch_newforms", lambda *a, **k: recs + [bad])
+    monkeypatch.setattr(newforms, "bundled_newforms", lambda level: recs + [bad])
     code, out, _ = run_cli(capsys, "scan", "--level", "121", "--p", "11")
     assert code == 0
     assert "(5 certified, 15 non-matches, 4 skipped rational reductions)" in out
     assert out.splitlines()[-1].startswith("  skipped 121.2.a.z at l=5: ")
+
+
+class _RecordingRequests:
+    """A stand-in for the `requests` module that opens no socket: it records
+    each GET and serves `data`, or raises RequestException when `data` is
+    None."""
+
+    class RequestException(OSError):
+        pass
+
+    status_code = 200
+
+    def __init__(self, data=None):
+        self.data, self.calls = data, []
+
+    def get(self, url, params=None, timeout=None):
+        self.calls.append((url, params))
+        if self.data is None:
+            raise self.RequestException("connection refused")
+        return self
+
+    def json(self):
+        return {"data": self.data}
+
+
+STUB = "http://stub.invalid/api"
+
+
+def test_online_scan_at_a_bundled_level_sends_no_request(capsys, tmp_path, monkeypatch):
+    """At a bundled level, `scan` without --offline reads the bundled
+    fixtures: no request, no cache file, and the stdout of `scan --offline`,
+    even where the endpoint would serve other records."""
+    data = json.loads(resources.files("eiscong.data").joinpath("newforms_121.json").read_text())
+    for item in data:
+        item["label"] = item["label"][:-1] + "NET" + item["label"][-1]
+    stub = _RecordingRequests(data)
+    monkeypatch.setitem(sys.modules, "requests", stub)
+    argv = ("scan", "--level", "121", "--p", "11", "--cache-dir", str(tmp_path),
+            "--endpoint", STUB)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, stub.calls) == (0, "", [])
+    assert out == run_cli(capsys, *argv, "--offline")[1]
+    assert not any(tmp_path.iterdir())
+
+
+def test_online_scan_reads_a_warm_cache_first(capsys, tmp_path, monkeypatch):
+    """With a warm cache, here the fixture generator's records at 169, `scan`
+    without --offline sends no request and prints what `scan --offline`
+    prints from that cache."""
+    from helpers import fixture_script
+
+    data = fixture_script(monkeypatch).build_level(169, arith.sturm_bound(169))
+    (tmp_path / "newforms_169.json").write_text(json.dumps(data))
+    stub = _RecordingRequests([])
+    monkeypatch.setitem(sys.modules, "requests", stub)
+    argv = ("scan", "--level", "169", "--p", "13", "--cache-dir", str(tmp_path),
+            "--endpoint", STUB)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err, stub.calls) == (0, "", [])
+    assert out == run_cli(capsys, *argv, "--offline")[1]
+    assert "(5 certified, " in out
+
+
+def test_online_scan_reports_an_unreachable_endpoint(capsys, tmp_path, monkeypatch):
+    """With no cache and an endpoint that cannot be reached, `scan` without
+    --offline exits 1 with an error that names the endpoint, not an offline
+    cache miss; it sends one request and writes nothing."""
+    stub = _RecordingRequests()
+    monkeypatch.setitem(sys.modules, "requests", stub)
+    code, out, err = run_cli(capsys, "scan", "--level", "169", "--p", "13",
+                             "--cache-dir", str(tmp_path), "--endpoint", STUB)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot reach {STUB}: connection refused\n"
+    assert stub.calls == [(STUB, {"level": 169, "weight": 2})]
+    assert not any(tmp_path.iterdir())

@@ -59,39 +59,49 @@ def test_eisenstein_basis():
 def test_scan_121():
     phi = quadratic_character(11)
     P = EisensteinParams(phi, 121, 1, 1)
-    E = build_E(P, 22)
     recs = bundled_newforms(121)
     rec_d = next(r for r in recs if r.label == "121.2.a.d")
-    rep = scan(E, P, rec_d, 5)
+    rep = scan(P, rec_d, 5)
     assert rep.matched and rep.checked_bound == 22
     # a_2: -3 = 2 mod 5 is the first coefficient where the congruence bites
     others = [r for r in recs if r.label != "121.2.a.d"]
-    assert all(not scan(E, P, r, 5).matched for r in others)
-    with pytest.raises(DomainError):
-        scan(E, P, rec_d, 5, B=23)  # beyond Eisenstein precision
+    assert all(not scan(P, r, 5).matched for r in others)
     for B in (0, -1):  # would certify every pair vacuously
         with pytest.raises(DomainError):
-            scan(E, P, rec_d, 5, B=B)
+            scan(P, rec_d, 5, B=B)
+
+
+def test_the_memo_holds_one_series_per_bound(monkeypatch):
+    """A scan builds E = build_E(params, B) once per (params, B) of its memo:
+    scans at B = 11 and then at B = 22 through one memo build two series and
+    give the reports of scans without a memo; a second scan at 22 builds
+    none."""
+    from eiscong import scanner
+
+    P = EisensteinParams(quadratic_character(11), 121, 1, 1)
+    rec_d = next(r for r in bundled_newforms(121) if r.label == "121.2.a.d")
+    fresh = [scan(P, rec_d, 5, B) for B in (11, 22)]
+    built = count_calls(monkeypatch, scanner, "build_E")
+    memo = {}
+    assert [scan(P, rec_d, 5, B, memo=memo) for B in (11, 22, 22)] == fresh + fresh[1:]
+    assert built == {"build_E": 2}
 
 
 def test_scan_725_b_and_l():
     recs = bundled_newforms(725)
     rec_b = next(r for r in recs if r.label == "725.2.a.b")
     rec_l = next(r for r in recs if r.label == "725.2.a.l")
-    B = sturm_bound(725)
     phi2 = quadratic_character(5)
     for M, L in ((1, 29), (29, 1)):
         P = EisensteinParams(phi2, 725, M, L)
-        E = build_E(P, B)
-        rep = scan(E, P, rec_b, 7)
+        rep = scan(P, rec_b, 7)
         assert rep.matched and rep.residue_degree == 1
     phi = character_with_value(5, 2, 4, 1)
     for e in (1, 3):
         P = EisensteinParams(phi.power(e), 725, 1, 29)
-        E = build_E(P, B)
-        rep = scan(E, P, rec_l, 7)
+        rep = scan(P, rec_l, 7)
         assert rep.matched and rep.residue_degree == 2
-        assert not scan(E, P, rec_b, 7).matched
+        assert not scan(P, rec_b, 7).matched
 
 
 def test_full_scan_121():
@@ -205,84 +215,79 @@ def test_paper_234_congruences_mod_2_and_3():
         (1, 26): "ord2,ord13", (13, 2): "ord2,crit13",
         (2, 13): "crit2,ord13", (26, 1): "crit2,crit13",
     }
-    built = {}
-    for (M, L) in series:
-        P = EisensteinParams(phi, 234, M, L)
-        built[(M, L)] = (P, build_E(P, B))
+    built = {(M, L): EisensteinParams(phi, 234, M, L) for (M, L) in series}
     # crit2 series = 234.2.a.e (mod 3)
     for key in ((26, 1), (2, 13)):
-        P, E = built[key]
-        assert scan(E, P, recs["234.2.a.e"], 3, B).matched, key
+        assert scan(built[key], recs["234.2.a.e"], 3, B).matched, key
     # ord2 series = 234.2.a.a, 234.2.a.c, 234.2.a.d (mod 2)
     for key in ((1, 26), (13, 2)):
-        P, E = built[key]
         for lbl in ("234.2.a.a", "234.2.a.c", "234.2.a.d"):
-            assert scan(E, P, recs[lbl], 2, B).matched, (key, lbl)
+            assert scan(built[key], recs[lbl], 2, B).matched, (key, lbl)
 
 
-def _scan_payload(res) -> str:
-    """Canonical JSON of a FullScanResult (the `scan --json` fields), as the
-    benchmark hashes it for its goldens."""
-    return json.dumps({
-        "level": res.level,
-        "p": res.p,
-        "bound": res.bound,
-        "candidate_primes": list(res.candidate_primes),
-        "hits": [
-            {"eisenstein": h.report.eisenstein, "newform": h.report.newform,
-             "prime": h.report.prime, "largest_M": h.largest_M,
-             "descriptor": h.descriptor.to_json()}
-            for h in res.hits
-        ],
-        "reports": [r.to_json() for r in res.reports],
-        "skipped": list(res.skipped),
-    }, sort_keys=True)
+def _payload_hash(res) -> str:
+    """SHA-256 of the canonical `scan --json` payload, as the benchmark
+    hashes it for its goldens."""
+    return hashlib.sha256(json.dumps(res.to_json(), sort_keys=True).encode()).hexdigest()
 
 
-def test_full_scan_one_root_search_per_key(monkeypatch):
+@pytest.fixture(scope="module")
+def counted_scan():
+    """full_scan(N, p), run once per level for this module, with the calls
+    that the pins below count: the reduction_embeddings keys, and the calls
+    of roots_in_field, factor_mod_q, FiniteField.create, build_E (as bound
+    in scanner) and ffield._one_root."""
+    from eiscong import ffield, scanner
+
+    runs = {}
+
+    def get(N, p):
+        if N not in runs:
+            keys = []
+            original = scanner.reduction_embeddings
+
+            def counting(k, field_poly, q, **kwargs):
+                keys.append((k, tuple(field_poly), q))
+                return original(k, field_poly, q, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                counts = [count_calls(mp, scanner, "roots_in_field", "factor_mod_q", "build_E"),
+                          count_calls(mp, scanner.FiniteField, "create"),
+                          count_calls(mp, ffield, "_one_root")]
+                mp.setattr(scanner, "reduction_embeddings", counting)
+                res = full_scan(N, p)
+            runs[N] = res, keys, {name: n for c in counts for name, n in c.items()}
+        return runs[N]
+
+    return get
+
+
+def test_full_scan_one_root_search_per_key(counted_scan):
     """full_scan computes reduction_embeddings once per distinct (phi order,
     field_poly, l): 22 keys among the 72 scans at 725, with the golden result.
     Within them it factors each polynomial, a field polynomial or Phi_k, once
     per l (13 calls), reads its roots off that factorization once per F (23),
     and builds each F_{l^r} once (4 fields).  Only 5 factors, those of degree
     3 over F_7 and Phi_4's quadratic in F_{7^6}, take a splitting search."""
-    from eiscong import ffield, scanner
-
-    keys = []
-    original = scanner.reduction_embeddings
-
-    def counting(k, field_poly, q, **kwargs):
-        keys.append((k, tuple(field_poly), q))
-        return original(k, field_poly, q, **kwargs)
-
-    calls = count_calls(monkeypatch, scanner, "roots_in_field", "factor_mod_q")
-    fields = count_calls(monkeypatch, scanner.FiniteField, "create")
-    searches = count_calls(monkeypatch, ffield, "_one_root")
-    monkeypatch.setattr(scanner, "reduction_embeddings", counting)
-    res = full_scan(725, 5)
+    res, keys, counts = counted_scan(725, 5)
     assert len(res.reports) == 72
     assert len(keys) == len(set(keys)) == 22
-    assert calls == {"roots_in_field": 23, "factor_mod_q": 13}
-    assert fields == {"create": 4}
-    assert searches == {"_one_root": 5}
-    golden = json.loads((Path(__file__).parents[1] / "bench" / "goldens.json").read_text())
-    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == golden["scan"]["725"]
+    assert (counts["roots_in_field"], counts["factor_mod_q"]) == (23, 13)
+    assert counts["create"] == 4
+    assert counts["_one_root"] == 5
+    assert _payload_hash(res) == _golden_scan_hash(725)
 
 
 @pytest.mark.parametrize("N, p, builds, searches", [(121, 11, 5, 0), (234, 3, 4, 0),
                                                     (725, 5, 6, 5)])
-def test_full_scan_builds_and_searches_only_what_it_scans(monkeypatch, N, p, builds, searches):
-    """full_scan builds a series' E at its first scanned l: at 121 the four
+def test_full_scan_builds_and_searches_only_what_it_scans(counted_scan, N, p, builds, searches):
+    """full_scan builds a series' E at its first scan: at 121 the four
     order-5 series, whose one l = 5 is skipped as rational, are not built.
     Roots of linear factors and of quadratics in F_{l^2} are read directly,
     so only 725 runs splitting searches.  The result is the golden one."""
-    from eiscong import ffield, scanner
-
-    built = count_calls(monkeypatch, scanner, "build_E")
-    searched = count_calls(monkeypatch, ffield, "_one_root")
-    res = full_scan(N, p)
-    assert (built, searched) == ({"build_E": builds}, {"_one_root": searches})
-    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
+    res, _, counts = counted_scan(N, p)
+    assert (counts["build_E"], counts["_one_root"]) == (builds, searches)
+    assert _payload_hash(res) == _golden_scan_hash(N)
 
 
 def test_a_scan_pass_builds_few_elements(monkeypatch):
@@ -306,14 +311,16 @@ def test_a_scan_pass_builds_few_elements(monkeypatch):
 @pytest.mark.parametrize("N, p", [(9, 3), (18, 3), (25, 5)])
 def test_levels_without_newforms_scan_none(monkeypatch, tmp_path, N, p):
     """S_2^new(Gamma0(N)) = 0 at the p-good levels 9, 18 and 25: full_scan
-    scans no newforms and reads neither the cache nor the network."""
-    from eiscong import scanner
+    scans no newforms and reads no newform data, bundled, cached or fetched."""
+    from eiscong import newforms
 
     def no_data(*args, **kwargs):
         raise AssertionError("newform data read at a level without newforms")
 
-    monkeypatch.setattr(scanner, "newforms_for_level", no_data)
-    res = full_scan(N, p, cache_dir=tmp_path)
+    monkeypatch.setattr(newforms, "bundled_newforms", no_data)
+    monkeypatch.setattr(newforms, "fetch_newforms", no_data)
+    monkeypatch.setenv(newforms.CACHE_ENV, str(tmp_path))
+    res = full_scan(N, p)
     assert (res.level, res.p, res.bound) == (N, p, sturm_bound(N))
     assert (res.reports, res.hits, res.skipped) == ((), (), ())
     assert not any(tmp_path.iterdir())
@@ -371,9 +378,26 @@ def _golden_scan_hash(level):
 
 
 @pytest.mark.parametrize("N,p", [(121, 11), (234, 3), (725, 5)])
-def test_full_scan_golden(N, p):
-    res = full_scan(N, p)
-    assert hashlib.sha256(_scan_payload(res).encode()).hexdigest() == _golden_scan_hash(N)
+def test_full_scan_golden(counted_scan, N, p):
+    res, _, _ = counted_scan(N, p)
+    assert _payload_hash(res) == _golden_scan_hash(N)
+
+
+@pytest.mark.parametrize("N,p", [(121, 11), (234, 3), (725, 5)])
+def test_scan_payload_has_one_owner(counted_scan, capsys, monkeypatch, N, p):
+    """`FullScanResult.to_json` is the `scan --json` payload: the benchmark's
+    own copy of it hashes the same canonical JSON, and `scan --offline
+    --json` prints it indented."""
+    import importlib
+
+    from eiscong.cli import main
+
+    res, _, _ = counted_scan(N, p)
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    assert json.dumps(res.to_json(), sort_keys=True) == workloads.scan_payload(res)
+    assert main(["scan", "--level", str(N), "--p", str(p), "--offline", "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(res.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def test_scan_matches_per_coefficient_oracle(monkeypatch):
@@ -386,9 +410,11 @@ def test_scan_matches_per_coefficient_oracle(monkeypatch):
     calls = []
     original = scanner.scan
 
-    def checking(E, params, record, q, B=None, *, embeddings=None):
-        rep = original(E, params, record, q, B, embeddings=embeddings)
-        r, F, pairs = embeddings[(params.phi.order, record.field_poly, q)]
+    def checking(params, record, q, B=None, *, memo=None):
+        rep = original(params, record, q, B, memo=memo)
+        r, F, pairs = memo[(params.phi.order, record.field_poly, q)]
+        E = memo[("E", params, B)]
+        assert E.precision == B
         assert rep == ffield_oracle.scan_pairs(E, params, record, q, B, r, F, pairs)
         calls.append(rep)
         return rep
@@ -414,7 +440,7 @@ def test_a1_is_compared_for_a_series_with_d_above_1():
     assert E.an[0] == ((0,), 1)
     record = NewformRecord("441.2.a.z", 441, 2, (0, 1), (((1,), 1),) + E.an[1:])
     memo = {}
-    rep = scan(E, params, record, 5, embeddings=memo)
+    rep = scan(params, record, 5, memo=memo)
     assert (rep.matched, rep.first_mismatch) == (False, 1)
     r, F, pairs = memo[(2, (0, 1), 5)]
     assert rep == ffield_oracle.scan_pairs(E, params, record, 5, B, r, F, pairs)
@@ -468,8 +494,7 @@ def test_full_scan_skips_unusable_newform_prime():
     d = next(r for r in recs if r.label == "121.2.a.d")
     bad = _with_fifth_added(d, 2, "121.2.a.z")
     with pytest.raises(UnsupportedPrimeError):
-        scan(build_E(EisensteinParams(quadratic_character(11), 121, 1, 1), 22),
-             EisensteinParams(quadratic_character(11), 121, 1, 1), bad, 5)
+        scan(EisensteinParams(quadratic_character(11), 121, 1, 1), bad, 5)
     base = full_scan(121, 11)
     res = full_scan(121, 11, records=recs + [bad])
     extra = [s for s in res.skipped if s not in base.skipped]
@@ -502,12 +527,12 @@ def test_late_denominator_is_reached_only_by_a_comparison():
         if eisenstein_character(params.phi, 5).is_trivial():
             continue
         E = build_E(params, 22)
-        rep = scan(E, params, late_a, 5, 22, embeddings=memo)
+        rep = scan(params, late_a, 5, 22, memo=memo)
         r, F, pairs = memo[(params.phi.order, late_a.field_poly, 5)]
         assert rep == ffield_oracle.scan_pairs(E, params, late_a, 5, 22, r, F, pairs)
         assert rep in late_reports
         with pytest.raises(UnsupportedPrimeError, match="^denominator 5 not invertible mod 5$"):
-            scan(E, params, late_d, 5, 22, embeddings=memo)
+            scan(params, late_d, 5, 22, memo=memo)
 
 
 def _brute_orbit_minima(F, pairs):
