@@ -22,6 +22,14 @@ stored.
 A basis matrix is scaled once by the lcm of its denominators, so parsing and
 its checks stay in Z.  Each bundled fixture is read and parsed once per
 process.
+
+The fetch is one GET, on the standard library: no runtime dependency.  A
+caller's `session`, any object whose `get(url, params=, timeout=)` returns a
+response with `.status_code` and `.json()`, does the GET with no HTTP module
+imported here.  Without one, `_urllib_get` does it with `urllib.request`,
+which checks HTTPS certificates against the system CA store.  Either way a
+transport failure is an OSError, and records of another level than the one
+asked for are a NewformDataError, never served or cached.
 """
 
 from __future__ import annotations
@@ -196,32 +204,33 @@ def fetch_newforms(
 ) -> list[NewformRecord]:
     """Fetch weight-2 trivial-nebentypus newforms for a level.
 
-    Queries `endpoint?level=N&weight=2` expecting `{"data": [<record>, ...]}`
-    in the schema above (the documented mapping for an LMFDB-compatible
-    service).  Successful responses are cached under EISCONG_CACHE; when the
-    endpoint is unreachable, or the `requests` package is missing, a warm
-    cache is served with a warning, and offline mode never touches the
-    network.  A level below 1 is a DomainError before either is touched.
+    Queries `endpoint?level=N&weight=2` (joined with `&` when the endpoint
+    already has a query) expecting `{"data": [<record>, ...]}` in the schema
+    above (the documented mapping for an LMFDB-compatible service), through
+    `session.get` when a session is given and on `urllib.request` otherwise.
+    Successful responses are cached under EISCONG_CACHE; a status other than
+    200 is NetworkUnavailable and serves no cache.  When the endpoint cannot
+    be reached (an OSError: refused, timed out, no route, a failed
+    certificate check) a warm cache is served with a warning, and offline
+    mode never touches the network.  A record whose level is not `level`, in
+    the response or in the cache, is a NewformDataError, and nothing is
+    cached.  A level below 1 is a DomainError before either is touched.
     """
     if level < 1:
         raise DomainError(f"level must be >= 1 (got {level})")
     cache_file = _cache_file(level, cache_dir)
     if offline:
         if cache_file.exists():
-            return load_newforms(cache_file)
+            return _read_cache(cache_file, level)
         raise NetworkUnavailable(
             f"offline and no cache at {cache_file}; "
             f"run `eiscong fetch --level {level}` online first"
         )
+    get = _urllib_get if session is None else session.get
     try:
-        import requests  # slow to import, and only a network fetch needs it
-    except ImportError as exc:  # no HTTP client, so no endpoint can be reached
-        return _unreachable(cache_file, endpoint, exc)
-    http = session if session is not None else requests
-    try:
-        resp = http.get(endpoint, params={"level": level, "weight": 2}, timeout=30)
-    except requests.RequestException as exc:
-        return _unreachable(cache_file, endpoint, exc)
+        resp = get(endpoint, params={"level": level, "weight": 2}, timeout=30)
+    except OSError as exc:
+        return _unreachable(cache_file, level, endpoint, exc)
     if resp.status_code != 200:
         raise NetworkUnavailable(f"endpoint returned HTTP {resp.status_code}")
     try:
@@ -230,17 +239,62 @@ def fetch_newforms(
         raise NewformDataError(f"endpoint returned non-JSON payload: {exc}") from exc
     if not isinstance(payload, dict) or "data" not in payload:
         raise NewformDataError("endpoint payload must be an object with a 'data' list")
-    records = parse_newforms(payload["data"], where=f"{endpoint}?level={level}")
+    where = f"{endpoint}?level={level}"
+    records = _at_level(parse_newforms(payload["data"], where=where), level, where)
     _write_atomic(cache_file, json.dumps(payload["data"]))
     return records
 
 
-def _unreachable(cache_file: Path, endpoint: str, exc: Exception) -> list[NewformRecord]:
+class _Response:
+    """The status code and body of a finished GET."""
+
+    def __init__(self, status_code: int, body: bytes):
+        self.status_code, self._body = status_code, body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+def _urllib_get(url: str, params: dict, timeout: float) -> _Response:
+    """GET `url` with `params` added to its query, on `urllib.request`: the
+    transport when no session is given.  An HTTP error status comes back as
+    a response with that status; every other failure, an unusable URL too,
+    raises OSError.  Each response is closed before this returns."""
+    from http.client import HTTPException  # only a fetch without a session needs these
+    from urllib.error import HTTPError
+    from urllib.parse import urlencode, urlsplit, urlunsplit
+    from urllib.request import urlopen
+
+    try:
+        parts = urlsplit(url)
+        query = "&".join(filter(None, (parts.query, urlencode(params))))
+        with urlopen(urlunsplit(parts._replace(query=query)), timeout=timeout) as resp:
+            return _Response(resp.status, resp.read())
+    except HTTPError as exc:
+        exc.close()
+        return _Response(exc.code, b"")
+    except (HTTPException, ValueError) as exc:
+        raise OSError(exc) from exc
+
+
+def _read_cache(cache_file: Path, level: int) -> list[NewformRecord]:
+    return _at_level(load_newforms(cache_file), level, str(cache_file))
+
+
+def _at_level(records: list[NewformRecord], level: int, where: str) -> list[NewformRecord]:
+    """`records`, each of which must be a record of `level`."""
+    for rec in records:
+        _require(rec.level == level, where, f"record {rec.label} has level {rec.level}, not {level}")
+    return records
+
+
+def _unreachable(cache_file: Path, level: int, endpoint: str,
+                 exc: Exception) -> list[NewformRecord]:
     """The warm cache, with a warning, when the endpoint cannot be reached;
     without one, NetworkUnavailable."""
     if cache_file.exists():
         warnings.warn(f"endpoint unreachable ({exc}); serving cached data")
-        return load_newforms(cache_file)
+        return _read_cache(cache_file, level)
     raise NetworkUnavailable(f"cannot reach {endpoint}: {exc}") from exc
 
 

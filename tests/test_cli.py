@@ -213,6 +213,28 @@ def test_fetch_offline_warm_cache(capsys, tmp_path):
         {"label": "11.2.a.a", "degree": 1, "coefficients": 6}]}
 
 
+def test_another_levels_cache_is_a_data_error(capsys, tmp_path, monkeypatch):
+    """Cache files at 37 and 169 that hold the level-11 record are a data
+    error (exit 1) naming that record, for `fetch --offline` and for `scan`
+    with and without --offline; no request is sent."""
+    data = [{"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
+             "an": [[1], [-2], [-1], [2], [1], [2]]}]
+    for level in (37, 169):
+        (tmp_path / f"newforms_{level}.json").write_text(json.dumps(data))
+    stub = _RecordingTransport(monkeypatch, data)
+    code, out, err = run_cli(capsys, "fetch", "--level", "37", "--offline",
+                             "--cache-dir", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path / 'newforms_37.json'}: record 11.2.a.a has level 11, not 37\n"
+    for offline in ((), ("--offline",)):
+        code, out, err = run_cli(capsys, "scan", "--level", "169", "--p", "13",
+                                 "--cache-dir", str(tmp_path), *offline)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {tmp_path / 'newforms_169.json'}: "
+                       "record 11.2.a.a has level 11, not 169\n")
+    assert stub.calls == []
+
+
 @pytest.mark.parametrize("level", [0, -5])
 def test_fetch_refuses_a_level_below_one(capsys, tmp_path, monkeypatch, level):
     """`fetch` below level 1 is a domain error (exit 2), offline and online,
@@ -286,12 +308,13 @@ def test_scan_without_requests_falls_back(capsys, tmp_path, monkeypatch):
 
 def test_cli_import_stays_light():
     """`import eiscong.cli` in a fresh interpreter loads neither the
-    Manin-symbol code nor requests (the README promises both), nor
+    Manin-symbol code nor an HTTP client (the README promises both), nor
     `dataclasses` or `inspect`, whose import and class generation cost each
     process ~15 ms; and no source file in the package holds the words
     `exec`, `eval` or `inspect`, or the string `dataclass`."""
     package = Path(eiscong.__file__).parent
-    heavy = ("eiscong.modsym", "requests", "dataclasses", "inspect")
+    heavy = ("eiscong.modsym", "requests", "urllib.request", "http.client", "dataclasses",
+             "inspect")
     probe = f"import sys, eiscong.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=fresh_env(), timeout=60)
@@ -324,23 +347,21 @@ def test_scan_reports_unusable_newform(capsys, monkeypatch):
     assert out.splitlines()[-1].startswith("  skipped 121.2.a.z at l=5: ")
 
 
-class _RecordingRequests:
-    """A stand-in for the `requests` module that opens no socket: it records
-    each GET and serves `data`, or raises RequestException when `data` is
-    None."""
-
-    class RequestException(OSError):
-        pass
+class _RecordingTransport:
+    """A transport that opens no socket: it records each GET and serves
+    `data`, or is refused when `data` is None.  Installed in place of the
+    `urllib.request` transport that `fetch_newforms` uses without a session."""
 
     status_code = 200
 
-    def __init__(self, data=None):
+    def __init__(self, monkeypatch, data=None):
         self.data, self.calls = data, []
+        monkeypatch.setattr(newforms, "_urllib_get", self.get)
 
     def get(self, url, params=None, timeout=None):
         self.calls.append((url, params))
         if self.data is None:
-            raise self.RequestException("connection refused")
+            raise ConnectionRefusedError("connection refused")
         return self
 
     def json(self):
@@ -357,8 +378,7 @@ def test_online_scan_at_a_bundled_level_sends_no_request(capsys, tmp_path, monke
     data = json.loads(resources.files("eiscong.data").joinpath("newforms_121.json").read_text())
     for item in data:
         item["label"] = item["label"][:-1] + "NET" + item["label"][-1]
-    stub = _RecordingRequests(data)
-    monkeypatch.setitem(sys.modules, "requests", stub)
+    stub = _RecordingTransport(monkeypatch, data)
     argv = ("scan", "--level", "121", "--p", "11", "--cache-dir", str(tmp_path),
             "--endpoint", STUB)
     code, out, err = run_cli(capsys, *argv)
@@ -375,8 +395,7 @@ def test_online_scan_reads_a_warm_cache_first(capsys, tmp_path, monkeypatch):
 
     data = fixture_script(monkeypatch).build_level(169, arith.sturm_bound(169))
     (tmp_path / "newforms_169.json").write_text(json.dumps(data))
-    stub = _RecordingRequests([])
-    monkeypatch.setitem(sys.modules, "requests", stub)
+    stub = _RecordingTransport(monkeypatch, [])
     argv = ("scan", "--level", "169", "--p", "13", "--cache-dir", str(tmp_path),
             "--endpoint", STUB)
     code, out, err = run_cli(capsys, *argv)
@@ -389,8 +408,7 @@ def test_online_scan_reports_an_unreachable_endpoint(capsys, tmp_path, monkeypat
     """With no cache and an endpoint that cannot be reached, `scan` without
     --offline exits 1 with an error that names the endpoint, not an offline
     cache miss; it sends one request and writes nothing."""
-    stub = _RecordingRequests()
-    monkeypatch.setitem(sys.modules, "requests", stub)
+    stub = _RecordingTransport(monkeypatch)
     code, out, err = run_cli(capsys, "scan", "--level", "169", "--p", "13",
                              "--cache-dir", str(tmp_path), "--endpoint", STUB)
     assert (code, out) == (1, "")

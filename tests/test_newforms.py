@@ -1,16 +1,26 @@
+import ast
+import http.client
+import http.server
 import io
 import json
+import socket
+import subprocess
 import sys
+import textwrap
+import threading
+import urllib.error
+import urllib.request
 from fractions import Fraction
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fixtures_oracle
 import newforms_oracle
-from helpers import fixture_script, newform_coefficient
+from helpers import fixture_script, fresh_env, newform_coefficient
 from eiscong import polys
 from eiscong.arith import DomainError, sturm_bound
 from eiscong.newforms import (BUNDLED_LEVELS, NetworkUnavailable, NewformDataError,
@@ -236,18 +246,14 @@ def test_fetch_and_cache(tmp_path):
     recs2 = fetch_newforms(11, cache_dir=tmp_path, offline=True)
     assert recs2 == recs
     # network failure with warm cache -> cache + warning
-    import requests
-
-    failing = _FakeSession(exc=requests.ConnectionError("down"))
+    failing = _FakeSession(exc=ConnectionError("down"))
     with pytest.warns(UserWarning, match="cached"):
         recs3 = fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path, session=failing)
     assert recs3 == recs
 
 
 def test_fetch_errors(tmp_path):
-    import requests
-
-    failing = _FakeSession(exc=requests.ConnectionError("down"))
+    failing = _FakeSession(exc=ConnectionError("down"))
     with pytest.raises(NetworkUnavailable):
         fetch_newforms(13, endpoint="http://x/api", cache_dir=tmp_path, session=failing)
     with pytest.raises(NetworkUnavailable):
@@ -265,19 +271,174 @@ def test_fetch_errors(tmp_path):
     assert not (tmp_path / "newforms_13.json").exists()
 
 
-def test_fetch_without_requests(tmp_path, monkeypatch):
-    """A missing `requests` package is an unreachable endpoint: a warm cache
-    is served with the warning, and an empty one raises NetworkUnavailable,
-    never ImportError."""
-    monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` fails
-    with pytest.raises(NetworkUnavailable, match="requests"):
+REC_11 = {"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
+          "an": [[1], [-2], [-1], [2], [1], [2]]}
+
+
+@pytest.mark.parametrize("exc", [
+    urllib.error.URLError(ConnectionRefusedError(111, "Connection refused")),
+    TimeoutError("timed out"),
+    http.client.IncompleteRead(b"{"),
+], ids=["refused", "timeout", "incomplete-read"])
+def test_fetch_default_transport_unreachable(tmp_path, monkeypatch, exc):
+    """Without a session the GET goes to `urllib.request.urlopen`, here a stub
+    that fails as an unreachable endpoint would: an empty cache raises
+    NetworkUnavailable naming the endpoint, and a warm cache is served with
+    the warning."""
+    urls = []
+
+    def urlopen(url, timeout):
+        urls.append((url, timeout))
+        raise exc
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(NetworkUnavailable, match=r"^cannot reach http://x/api: "):
         fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path)
-    data = [{"label": "11.2.a.a", "level": 11, "weight": 2, "field_poly": [0, 1],
-             "an": [[1], [-2], [-1], [2], [1], [2]]}]
-    (tmp_path / "newforms_11.json").write_text(json.dumps(data))
+    assert urls == [("http://x/api?level=11&weight=2", 30)]
+    (tmp_path / "newforms_11.json").write_text(json.dumps([REC_11]))
     with pytest.warns(UserWarning, match="serving cached data"):
         recs = fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path)
     assert recs == fetch_newforms(11, cache_dir=tmp_path, offline=True)
+
+
+def test_default_transport_closes_an_error_response(tmp_path, monkeypatch):
+    """An HTTP error status from `urlopen` is a response with that status,
+    whose body is closed: the fetch raises NetworkUnavailable naming it,
+    although the cache is warm."""
+    body, raised = io.BytesIO(b"busy"), []  # `raised` keeps the error from being collected
+
+    def urlopen(url, timeout):
+        raised.append(urllib.error.HTTPError(url, 503, "Service Unavailable", {}, body))
+        raise raised[-1]
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    (tmp_path / "newforms_11.json").write_text(json.dumps([REC_11]))
+    with pytest.raises(NetworkUnavailable, match=r"^endpoint returned HTTP 503$"):
+        fetch_newforms(11, endpoint="http://x/api", cache_dir=tmp_path)
+    assert body.closed
+
+
+def test_records_of_another_level_are_a_data_error(tmp_path):
+    """A record whose level is not the one asked for is a NewformDataError
+    that names it: from the endpoint, which then caches nothing; from the
+    cache offline; and from a warm cache served for an unreachable endpoint."""
+    other = r"record 11\.2\.a\.a has level 11, not 37$"
+    session = _FakeSession(_FakeResponse(200, {"data": [REC_11]}))
+    with pytest.raises(NewformDataError, match=r"^http://x/api\?level=37: " + other):
+        fetch_newforms(37, endpoint="http://x/api", cache_dir=tmp_path, session=session)
+    assert not any(tmp_path.iterdir())
+    (tmp_path / "newforms_37.json").write_text(json.dumps([REC_11]))
+    with pytest.raises(NewformDataError, match=other):
+        fetch_newforms(37, cache_dir=tmp_path, offline=True)
+    failing = _FakeSession(exc=ConnectionError("down"))
+    with pytest.raises(NewformDataError, match=other), pytest.warns(UserWarning, match="cached"):
+        fetch_newforms(37, endpoint="http://x/api", cache_dir=tmp_path, session=failing)
+
+
+class _Loopback(http.server.BaseHTTPRequestHandler):
+    """Answers each GET with the next of the server's `replies`, (status,
+    body) pairs, and records the request path in the server's `paths`."""
+
+    def do_GET(self):
+        self.server.paths.append(self.path)
+        status, body = self.server.replies.pop(0)
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """An HTTP server on 127.0.0.1, serving from a thread; no proxy is used."""
+    monkeypatch.setenv("no_proxy", "*")
+    server = http.server.HTTPServer(("127.0.0.1", 0), _Loopback)
+    server.paths, server.replies = [], []
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_default_transport_on_loopback(tmp_path, loopback):
+    """The `urllib.request` transport keeps the fetch's contract: the query
+    is added with `?` or `&`; a 200 gives the records and a cache file; a 500
+    is an error even with a warm cache; a body that is not JSON caches
+    nothing; a refused connection serves the warm cache with the warning."""
+    api = "http://%s:%d/api" % loopback.server_address
+    body = json.dumps({"data": [REC_11]}).encode()
+    loopback.replies += [(200, body), (200, body)]
+    recs = fetch_newforms(11, endpoint=api, cache_dir=tmp_path)
+    assert [r.label for r in recs] == ["11.2.a.a"]
+    assert json.loads((tmp_path / "newforms_11.json").read_text()) == [REC_11]
+    assert fetch_newforms(11, endpoint=api + "?key=k", cache_dir=tmp_path) == recs
+    assert loopback.paths == ["/api?level=11&weight=2", "/api?key=k&level=11&weight=2"]
+
+    loopback.replies.append((500, b"{}"))
+    with pytest.raises(NetworkUnavailable, match=r"^endpoint returned HTTP 500$"):
+        fetch_newforms(11, endpoint=api, cache_dir=tmp_path)
+    loopback.replies.append((200, b"<html></html>"))
+    with pytest.raises(NewformDataError, match="non-JSON payload"):
+        fetch_newforms(13, endpoint=api, cache_dir=tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["newforms_11.json"]
+    assert loopback.replies == [] and len(loopback.paths) == 4
+
+    with socket.socket() as closed:
+        closed.bind(("127.0.0.1", 0))  # bound but not listening: a connect is refused
+        refused = "http://%s:%d/api" % closed.getsockname()
+        with pytest.warns(UserWarning, match="serving cached data"):
+            assert fetch_newforms(11, endpoint=refused, cache_dir=tmp_path) == recs
+
+
+def test_a_given_session_loads_no_http_client(tmp_path):
+    """`fetch_newforms` with a caller's session, in a fresh interpreter,
+    imports none of `requests`, `urllib.request` or `http.client`."""
+    probe = textwrap.dedent(f"""
+        import sys
+        from eiscong.newforms import fetch_newforms
+
+        class Session:
+            status_code = 200
+
+            def get(self, url, params=None, timeout=None):
+                return self
+
+            def json(self):
+                return {{"data": [{REC_11!r}]}}
+
+        recs = fetch_newforms(11, cache_dir={str(tmp_path)!r}, session=Session())
+        http = ("requests", "urllib.request", "http.client")
+        print([r.label for r in recs], [m for m in http if m in sys.modules])
+    """)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['11.2.a.a'] []\n"
+    assert (tmp_path / "newforms_11.json").exists()
+
+
+def test_nothing_imports_requests():
+    """No module of the package or the tests imports `requests`: the fetch
+    runs on the standard library."""
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted([*(root / "src").rglob("*.py"), *(root / "tests").rglob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "requests" for name in names), path
 
 
 def test_cache_env_var(tmp_path, monkeypatch):
@@ -374,10 +535,6 @@ def test_fixture_script_selfcheck(monkeypatch):
 def test_fixture_script_needs_no_sympy():
     """Generating newforms imports no sympy (in a fresh interpreter, since
     another test may have imported it)."""
-    import subprocess
-    import sys
-    from pathlib import Path
-
     script = Path(__file__).resolve().parents[1] / "scripts" / "make_newform_fixtures.py"
     code = (
         "import importlib.util, sys\n"
