@@ -12,10 +12,11 @@ coefficients the paper displays (`check_paper_data`) and against known
 small levels (`selfcheck`).  The a_n come from the a_p by one Hecke
 recursion over n: with p the least prime of n, a_n = a_p a_{n/p}, minus
 p a_{n/p^2} when p^2 | n and p does not divide N (Diamond-Shurman, *A First
-Course in Modular Forms*, section 5.8).  Dense linear algebra over Q on the d <= 6
-dimensional coefficient vectors scales each row to integers and eliminates
-with the library's fraction-free `eiscong.lattices.echelon`.  The results are
-frozen as JSON under src/eiscong/data/.
+Course in Modular Forms*, section 5.8).  Each linear system over Q on the
+coefficient vectors (a generator's minimal polynomial, a change of basis)
+is one call of the library's exact solve, `eiscong.lattices.solve`; a
+candidate generator whose powers are dependent generates a smaller field
+and is passed over.  The results are frozen as JSON under src/eiscong/data/.
 
 Run:  python scripts/make_newform_fixtures.py [--selfcheck]
 """
@@ -33,32 +34,12 @@ sys.path.insert(0, str(HERE.parent / "src"))
 DATA_DIR = HERE.parent / "src" / "eiscong" / "data"
 
 from eiscong import polys  # noqa: E402
-from eiscong.arith import prime_divisors  # noqa: E402
-from eiscong.lattices import echelon, hnf  # noqa: E402
+from eiscong.arith import DomainError, prime_divisors  # noqa: E402
+from eiscong.lattices import hnf, solve  # noqa: E402
 from eiscong.modsym import newform_orbits  # noqa: E402
 
 
 # ------------------------------------------------------------- dense Q linalg
-
-
-def echelon_q(rows):
-    """`echelon` on rational rows, each scaled to integers first: (R, pivot
-    columns), with R[i] / R[i][pivots[i]] the reduced row echelon form."""
-    ints = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        m = lcm(*(x.denominator for x in row))
-        ints.append([x.numerator * (m // x.denominator) for x in row])
-    return echelon(ints)
-
-
-def solve(A, B):
-    """The X with A X = B (A rows x n of full column rank, B rows x m, the
-    system consistent)."""
-    n = len(A[0])
-    R, piv_cols = echelon_q([list(a) + list(b) for a, b in zip(A, B)])
-    assert piv_cols == list(range(n)), "inconsistent, or not of full column rank"
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(R)]
 
 
 def columns(vecs):
@@ -128,18 +109,18 @@ def extract_newforms(N, prime_bound):
 
 
 def _minpoly_and_powers(gamma, theta_poly):
-    """Min poly of gamma (element of Q[x]/(theta_poly)) and its power matrix."""
+    """Min poly of gamma (element of Q[x]/(theta_poly)) and its powers
+    1, gamma, ..., gamma^(d-1), or None when gamma generates a smaller field."""
     d = len(theta_poly) - 1
     pows = [[Fraction(1)] + [Fraction(0)] * (d - 1)]
     for _ in range(d):
         pows.append(polys.divmod_monic(polys.mul(pows[-1], gamma), theta_poly)[1])
-    # the first non-pivot column k of [1, gamma, ..., gamma^d] gives
-    # gamma^k = sum_{i<k} c_i gamma^i, with c_i read off the pivot rows
-    R, piv = echelon_q(columns(pows))
-    k = len(piv)
-    assert piv == list(range(k)), "powers of gamma past a dependent one must stay dependent"
-    minpoly = [-Fraction(R[i][k], R[i][i]) for i in range(k)] + [Fraction(1)]
-    return minpoly, pows[:k]
+    # gamma^d = sum_{i<d} c_i gamma^i
+    try:
+        c = solve(columns(pows[:d]), columns(pows[d:]))
+    except DomainError:  # 1, gamma, ..., gamma^(d-1) are dependent
+        return None
+    return [-row[0] for row in c] + [Fraction(1)], pows[:d]
 
 
 PREFERRED_POLYS = {
@@ -176,13 +157,10 @@ def finalize_orbit(orbit, prime_bound):
     preferred = [ [Fraction(c) for c in poly] for poly in PREFERRED_POLYS.get(orbit.level, []) ]
     best = None
     for gamma in candidates:
-        minpoly, pows = _minpoly_and_powers(gamma, tp)
-        if len(minpoly) - 1 != d:
+        entry = _minpoly_and_powers(gamma, tp)
+        if entry is None or any(c.denominator != 1 for c in entry[0]):
             continue
-        if any(c.denominator != 1 for c in minpoly):
-            continue
-        entry = (minpoly, pows)
-        if any(minpoly == pref for pref in preferred):
+        if entry[0] in preferred:
             best = entry
             break
         if best is None:

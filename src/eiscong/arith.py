@@ -57,18 +57,17 @@ def record(cls):
     generated source.  The fields are the class annotations in order, less
     the names in `cls._computed`, which `__post_init__` sets with
     `object.__setattr__`.  Unless `cls` defines its own, `record` installs
-    `__init__` (fields in order, class-level defaults, then `__post_init__`
-    if there is one), `__eq__` (instances of one class only) and `__hash__`,
+    `__init__` (the fields as positional arguments, in order, then
+    `__post_init__` if there is one; any other call is a TypeError), `__eq__` (instances of one class only) and `__hash__`,
     both over the tuple of field values, the repr `Name(field=value, ...)`,
     and `__setattr__`/`__delattr__` that raise `FrozenRecordError`.
     `__init__` sets each field with `object.__setattr__`, which keeps
     CPython's fast attribute reads.  `cls._fields` names the fields.  A class
-    with `__slots__` names its fields there, takes no defaults, and gets
+    with `__slots__` names its fields there and gets
     `__getstate__`/`__setstate__` over the fields, so that copy and pickle
     work."""
     computed = cls.__dict__.get("_computed", ())
     names = tuple(name for name in cls.__annotations__ if name not in computed)
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     if len(names) > 1:
         key = attrgetter(*names)
     else:
@@ -76,28 +75,10 @@ def record(cls):
             return tuple(getattr(self, name) for name in names)
     post_init = getattr(cls, "__post_init__", None)
 
-    def bind(args, kwargs):
-        """The field values of cls(*args, **kwargs), in field order."""
-        if len(args) > len(names):
+    def __init__(self, *args):
+        if len(args) != len(names):
             raise TypeError(f"{cls.__qualname__}() takes {len(names)} arguments "
                             f"but {len(args)} were given")
-        values = list(args)
-        for name in names[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in defaults:
-                values.append(defaults[name])
-            else:
-                raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
-        if kwargs:
-            name = next(iter(kwargs))
-            why = "multiple values for" if name in names else "an unexpected keyword"
-            raise TypeError(f"{cls.__qualname__}() got {why} argument {name!r}")
-        return values
-
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            args = bind(args, kwargs)
         i = 0
         for value in args:  # indexing names is faster here than zip(names, args)
             _setattr(self, names[i], value)

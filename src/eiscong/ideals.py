@@ -119,71 +119,40 @@ def _balanced(x: int, l: int) -> int:
     return x - l if x > l // 2 else x
 
 
+def _term(c: int, j: int, i: int) -> str:
+    """The signed term c r^j T_r^i, as in " + 3*r*T_r^2" or " - r": a factor
+    1 is left out, and |c| = 1 is shown only as a term of its own."""
+    factors = [str(abs(c))] if abs(c) != 1 or not (i or j) else []
+    factors += ["r" if j == 1 else f"r^{j}"] if j else []
+    factors += ["T_r" if i == 1 else f"T_r^{i}"] if i else []
+    return (" + " if c > 0 else " - ") + "*".join(factors)
+
+
 @record
 class TrClassGroup:
     """T_r generators for the residue classes sharing one symbolic relation.
 
-    poly_in_r: coefficients c[i][j] of X^i r^j (X stands for T_r), balanced
-    integer lifts mod l."""
+    poly: coefficients poly[i][j] of T_r^i r^j for i < degree, balanced
+    integer lifts mod l; the relation is monic in T_r of that degree."""
 
     classes: tuple[int, ...]
     degree: int
     poly: tuple[tuple[int, ...], ...]
 
     def render(self) -> str:
-        xterm = "T_r" if self.degree == 1 else f"T_r^{self.degree}"
-        body = _render_bivariate(self.poly, self.degree)
-        return "{" + xterm + body + " : r = " + ", ".join(map(str, self.classes)) + "}"
-
-
-def _render_bivariate(poly, degree) -> str:
-    """Render sum_{i<degree} (poly-in-r)_i X^i appended after the X^degree term."""
-    # perfect-square prettification: X^2 + (a + b r)^2
-    if degree == 2 and len(poly) >= 1 and all(
-        not any(poly[i]) for i in range(1, min(2, len(poly)))
-    ):
-        c = list(poly[0]) + [0] * (3 - len(poly[0]))
-        c0, c1, c2 = c[0], c[1], c[2]
-        if c2 > 0 and c0 > 0 and c1 * c1 == 4 * c0 * c2:
-            b2 = _isqrt(c2)
-            a2 = _isqrt(c0)
-            if b2 is not None and a2 is not None:
-                rt = "r" if b2 == 1 else f"{b2}*r"
-                return f" + ({a2} {'+' if c1 > 0 else '-'} {rt})^2"
-    parts = []
-    for i in range(len(poly) - 1, -1, -1):
-        if i >= degree:
-            continue
-        for t, s in _render_poly_in_r_power(poly[i], i):
-            parts.append((t, s))
-    out = ""
-    for t, s in parts:
-        out += (" + " if s > 0 else " - ") + t
-    return out
-
-
-def _render_poly_in_r_power(coeffs, xpow) -> list[tuple[str, int]]:
-    xs = "" if xpow == 0 else ("*T_r" if xpow == 1 else f"*T_r^{xpow}")
-    out = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if j == 0:
-            t = f"{mag}{xs}" if (mag != 1 or xpow == 0) else xs.lstrip("*")
-        elif j == 1:
-            rt = "r" if mag == 1 else f"{mag}*r"
-            t = rt + xs
-        else:
-            rt = f"r^{j}" if mag == 1 else f"{mag}*r^{j}"
-            t = rt + xs
-        out.append((t, 1 if c > 0 else -1))
-    return out
-
-
-def _isqrt(n: int):
-    r = isqrt(max(n, 0))
-    return r if r * r == n else None
+        """{T_r^degree + ... : r = classes}, expanded by descending powers of
+        T_r, except T_r^2 + a^2 +- 2ab r + b^2 r^2 (a, b > 0), which reads
+        T_r^2 + (a +- b*r)^2."""
+        rows = self.poly
+        tail = "".join(_term(c, j, i) for i in reversed(range(self.degree))
+                       for j, c in enumerate(rows[i]) if c)
+        if self.degree == 2 and not any(rows[1]):
+            c0, c1, c2 = rows[0]
+            a, b = isqrt(max(c0, 0)), isqrt(max(c2, 0))
+            if a and b and (a * a, b * b, c1 * c1) == (c0, c2, 4 * c0 * c2):
+                tail = f" + ({a}{_term(b if c1 > 0 else -b, 1, 0)})^2"
+        head = "T_r" if self.degree == 1 else f"T_r^{self.degree}"
+        return "{" + head + tail + " : r = " + ", ".join(map(str, self.classes)) + "}"
 
 
 @record
@@ -272,12 +241,7 @@ def descriptor(params: EisensteinParams, F: FiniteField, zeta_root) -> IdealDesc
         else:
             val = e0 % l
         c = _balanced(val, l)
-        if c == 0:
-            u_gens.append(f"U_{s}")
-        elif c > 0:
-            u_gens.append(f"U_{s} - {c}")
-        else:
-            u_gens.append(f"U_{s} + {-c}")
+        u_gens.append(f"U_{s}" + (_term(-c, 0, 0) if c else ""))
 
     # group unit classes r mod p by the Frobenius orbit of eps-bar(r)
     groups: dict[tuple, list[int]] = {}
@@ -310,13 +274,4 @@ def descriptor(params: EisensteinParams, F: FiniteField, zeta_root) -> IdealDesc
         )
     tr_groups.sort(key=lambda g: (g.degree, g.classes))
 
-    return IdealDescriptor(
-        level=N,
-        p=p,
-        residual_char=l,
-        character_label=eps.label(),
-        divisor_M=M,
-        residue_degree=d,
-        u_generators=tuple(u_gens),
-        tr_groups=tuple(tr_groups),
-    )
+    return IdealDescriptor(N, p, l, eps.label(), M, d, tuple(u_gens), tuple(tr_groups))

@@ -1,5 +1,6 @@
-"""Full-rank ideal lattices in Z[zeta_m] as Hermite-normal-form bases, and
-the library's one fraction-free elimination over Z.
+"""Full-rank ideal lattices in Z[zeta_m] as Hermite-normal-form bases, the
+library's one fraction-free elimination over Z, and its one exact solve
+over Q.
 
 An ideal is stored as a degree x degree integer matrix in canonical row HNF
 (upper triangular, positive diagonal, entries above each pivot reduced mod
@@ -25,14 +26,19 @@ det L / p, so D // p serves for the next column and no entry grows past the
 first D.
 
 `echelon` is Bareiss's fraction-free Gauss-Jordan elimination (Math. Comp.
-22, 1968); `modsym` and `hnf` both eliminate through it.  Each pivot is, up to
-sign, the minor of the input on the pivot rows and columns so far, so with n
-pivots the last one is +-det of n independent input rows: `hnf`'s default D.
+22, 1968); `modsym`, `hnf` and `solve` eliminate through it.  Each pivot is,
+up to sign, the minor of the input on the pivot rows and columns so far, so
+with n pivots the last one is +-det of n independent input rows: `hnf`'s
+default D.  `solve` gives the exact solution over Q of a system A X = B with
+A of full column rank: each row of [A | B] scaled to integers, `echelon`,
+then each row of R over its pivot.  The Hankel systems of `modsym` and the
+basis changes of the newform fixture script go through it.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .arith import DomainError, record, xgcd
 from .cyclotomic import CycElement, _CycField
@@ -59,6 +65,23 @@ def echelon(rows):
         if k + 1 == len(rows):
             break
     return rows[:len(pivots)], pivots
+
+
+def solve(A, B):
+    """The X with A X = B over Q, as rows of Fractions, for A (int or
+    Fraction rows) of full column rank and a consistent system.  Each row of
+    [A | B] is scaled to integers for `echelon`; a singular A or an
+    inconsistent system is a DomainError."""
+    n = len(A[0])
+    rows = []
+    for a, b in zip(A, B):
+        row = [Fraction(x) for x in (*a, *b)]
+        m = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    R, pivots = echelon(rows)
+    if pivots != list(range(n)):
+        raise DomainError("singular or inconsistent linear system")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(R)]
 
 
 def hnf(rows: list[list[int]], modulus: int | None = None) -> list[list[int]]:

@@ -25,9 +25,12 @@ sum_i c_i psi_0 o A^i, where a_p = sum_i c_i theta'^i.  With P_i = psi_0 o
 A^i, the c_i solve sum_i c_i den P_{i+k}(x) = P_k(den T_p x), k < d, for one
 cuspidal basis vector x with psi_0(x) != 0: the Hankel matrix [P_{i+k}(x)]
 is invertible, since (a, b) -> psi_0(a(A) b(A) x) is a nonzero trace form on
-the field Q[A]/(g).  So a_p needs only den T_p x, from the images of the
-few Manin symbols in x's support.  Full matrices are built for the six
-primes of T alone, and those check the symbols' answer.  Only the output
+the field Q[A]/(g); `lattices.solve` solves it exactly.  So a_p needs only
+den T_p x, from the images of the few Manin symbols in x's support.  Full
+matrices are built for the six primes of T alone, and each is restricted
+once to the cuspidal subspace, where its stability is checked: A is their
+weighted sum on genus x genus matrices, and psi_0 composed with each
+restricted operator checks the symbols' a_p.  Only the output
 leaves this scale: theta's minimal polynomial has coefficients g_i /
 den^(d-i), and a_p's coordinates in powers of theta are c_i den^i.
 """
@@ -35,7 +38,6 @@ den^(d-i), and a_p's coordinates in powers of theta are c_i den^i.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -45,7 +47,7 @@ from .arith import crt, divisors, is_prime, primes_up_to, record, xgcd
 # loading this module; they are also read from here
 from .cusps import cusp_from_fraction, genus_gamma0, new_dimension, old_dimension
 from .ffield import factor_over_z
-from .lattices import echelon
+from .lattices import echelon, solve
 
 
 # ----------------------------------------------------------------- P^1(Z/N)
@@ -343,20 +345,21 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
     B = [list(r) for r in zip(*basis)]  # sp.dim x genus
     den = sp.D * s  # the integer matrix A of an operator T is den * T
 
-    def restrict(H):
-        HB = [_vec_mat(row, B) for row in H]
+    def restrict(p):
+        """den T_p on the cuspidal basis: a genus x genus integer matrix."""
+        HB = [_vec_mat(row, B) for row in sp.hecke_matrix(p)]
         A = [HB[i] for i in cols]
         assert [_vec_mat(row, A) for row in B] == [[x * s for x in r] for r in HB], \
-            "cuspidal subspace not stable / restriction wrong"
+            f"cuspidal subspace not stable under T_{p} / restriction wrong"
         return A
 
     plist = primes_up_to(prime_bound)
     good = [p for p in plist if N % p][:6]
-    hecke = {p: sp.hecke_matrix(p) for p in good}
+    hecke = {p: restrict(p) for p in good}
     for attempt in range(6):
         weights = [(3 * attempt + 1) * (i * i + i + 1) % 23 + (i == 0) for i in range(len(good))]
-        A = restrict([[sum(w * hecke[p][i][j] for w, p in zip(weights, good))
-                       for j in range(sp.dim)] for i in range(sp.dim)])
+        A = [[sum(w * hecke[p][i][j] for w, p in zip(weights, good)) for j in range(genus)]
+             for i in range(genus)]
         chi = charpoly(A)
         factors = factor_over_z(chi)
         if sum((len(g) - 1) * m for g, m in factors if m > 1) == old_dimension(N):
@@ -403,22 +406,19 @@ def newform_orbits(N: int, prime_bound: int) -> list[NewformOrbit]:
             rhs.append([acc.get(c, 0) for c in cols])
         # psi_0 o T_p = sum_i c_i P[i], at x and at A^k x: the c_i solve
         # sum_i c_i den P[i+k](x) = P[k](den T_p x) for k < d
-        system = [[den * P[i + k][j] for i in range(d)]
-                  + [sum(a * b for a, b in zip(P[k], y)) for y in rhs]
-                  for k in range(d)]
-        R, piv = echelon(system)
-        assert piv == list(range(d)), "dual vectors psi_i are dependent"
+        coef = solve([[den * P[i + k][j] for i in range(d)] for k in range(d)],
+                     [[sum(a * b for a, b in zip(P[k], y)) for y in rhs] for k in range(d)])
         for p in good:
-            # den * psi_0 o T_p from the full matrix must be den * sum_i c_i P[i]
-            full = _vec_mat(_vec_mat(P[0], [hecke[p][c] for c in cols]), B)
-            c = [R[i][d + plist.index(p)] for i in range(d)]
-            assert [R[0][0] * x for x in full] == [
-                den * sum(c[i] * P[i][j] for i in range(d)) for j in range(genus)
-            ], f"T_{p} from the symbols disagrees with the full matrix"
+            # den * psi_0 o T_p from the restricted matrix is den * sum_i c_i P[i];
+            # both sides times the c_i's common denominator e stay in Z
+            c = [row[plist.index(p)] for row in coef]
+            e = lcm(*(x.denominator for x in c))
+            assert [e * x for x in _vec_mat(P[0], hecke[p])] == [
+                den * x for x in _vec_mat([int(x * e) for x in c], P[:d])
+            ], f"T_{p} from the symbols disagrees with the restricted matrix"
         # theta' = den theta has minimal polynomial g: to theta's scale
         theta, rem = zip(*(divmod(c, den ** (d - i)) for i, c in enumerate(g)))
         assert not any(rem), "theta's minimal polynomial is not integral"
-        ap = {p: tuple(Fraction(R[i][d + t], R[i][i]) * den ** i for i in range(d))
-              for t, p in enumerate(plist)}
+        ap = {p: tuple(coef[i][t] * den ** i for i in range(d)) for t, p in enumerate(plist)}
         orbits.append(NewformOrbit(N, theta, ap))
     return sorted(orbits, key=lambda o: (len(o.theta_poly), o.theta_poly[::-1]))

@@ -4,7 +4,8 @@
 one order: no data at all where S_2^new(Gamma0(N)) = 0, then the bundled
 fixtures, then the cache, then the endpoint, which an offline call never
 reaches.  So a bundled level sends no request and writes no cache, and a
-warm cache is read before the network.
+warm cache is read before the network.  It serves only a complete set: the
+records' degrees must sum to dim S_2^new(Gamma0(N)).
 
 Schema (bit-exact, UTF-8, no floats): a top-level list of records
   {"label": str, "level": int, "weight": 2,
@@ -319,10 +320,20 @@ def newforms_for_level(level: int, cache_dir=None, *, offline: bool = True,
     """The newform records at a level, from the first source that has them:
     none at all where S_2^new(Gamma0(level)) = 0, then the bundled fixtures,
     then the cache, then `endpoint`, which an offline call never reaches.  A
-    bundled level sends no request and writes no cache."""
-    if not new_dimension(level):
+    bundled level sends no request and writes no cache.  Records whose
+    degrees do not sum to dim S_2^new(Gamma0(level)), a set that misses an
+    orbit or holds a form of another character, are a NewformDataError; no
+    records at all are returned as they are."""
+    dim = new_dimension(level)
+    if not dim:
         return []
     if level in BUNDLED_LEVELS:
-        return bundled_newforms(level)
-    warm = _cache_file(level, cache_dir).exists()
-    return fetch_newforms(level, endpoint, cache_dir, offline=offline or warm)
+        records = bundled_newforms(level)
+    else:
+        warm = _cache_file(level, cache_dir).exists()
+        records = fetch_newforms(level, endpoint, cache_dir, offline=offline or warm)
+    total = sum(rec.degree for rec in records)
+    if records and total != dim:
+        raise NewformDataError(f"the newforms at level {level} have total degree {total}, "
+                               f"but S_2^new has dimension {dim}")
+    return records

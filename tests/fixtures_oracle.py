@@ -1,8 +1,9 @@
 """Code that scripts/make_newform_fixtures.py replaced, kept as test oracles.
 
 `rref` is the script's former reduced row echelon form over Q by
-Gauss-Jordan elimination in Fractions; the script now scales each row to
-integers and eliminates with the fraction-free `eiscong.lattices.echelon`.
+Gauss-Jordan elimination in Fractions; the script now solves with
+`eiscong.lattices.solve`, which scales each row to integers and eliminates
+with the fraction-free `eiscong.lattices.echelon`.
 `an_vectors` is the former `Orbit.an_vectors`, which built a table of
 a_{p^k} and multiplied the prime-power parts of every n; the script now
 runs one recursion over n.  The code is verbatim, but for the docstring of

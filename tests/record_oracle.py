@@ -3,8 +3,7 @@
 `CongruenceReport` is the scanner's report class as it was declared before
 `record` replaced `@dataclass(frozen=True)` in the library (fields only).
 `Span` exercises what the library classes use besides plain fields: a
-class-level default, a `__post_init__` that validates, and a field that
-`__post_init__` computes.  `tests/test_record.py` declares the same classes
+`__post_init__` that validates, and a field that `__post_init__` computes.  `tests/test_record.py` declares the same classes
 with `record` and compares them.
 """
 
@@ -28,7 +27,7 @@ class CongruenceReport:
 @dataclass(frozen=True)
 class Span:
     lo: int
-    hi: int = 10
+    hi: int
     width: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

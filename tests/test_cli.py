@@ -294,18 +294,6 @@ def test_scan_at_level_zero_keeps_its_error(capsys, tmp_path, monkeypatch):
     assert (code, out, err, calls) == (2, "", "error: factor requires n >= 1 (got 0)\n", [])
 
 
-def test_scan_without_requests_falls_back(capsys, tmp_path, monkeypatch):
-    """With no `requests` package and an empty cache, `scan` without
-    --offline falls back to the bundled newforms: exit 0 and the stdout of
-    `scan --offline`."""
-    argv = ("scan", "--level", "121", "--p", "11", "--cache-dir", str(tmp_path))
-    monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` fails
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out == run_cli(capsys, *argv, "--offline")[1]
-    assert not any(tmp_path.iterdir())
-
-
 def test_cli_import_stays_light():
     """`import eiscong.cli` in a fresh interpreter loads neither the
     Manin-symbol code nor an HTTP client (the README promises both), nor
@@ -327,9 +315,9 @@ def test_cli_import_stays_light():
 
 
 def test_scan_reports_unusable_newform(capsys, monkeypatch):
-    """A newform with 5 in a denominator, among the records the resolver
-    serves, is listed as skipped; the rational-reduction count and the
-    certified hits stay as they were."""
+    """A newform with 5 in a denominator, served by the resolver in place of
+    121.2.a.a so that the set stays complete, is listed as skipped; the
+    rational-reduction count and the certified hits stay as they were."""
     from fractions import Fraction
 
     from eiscong.newforms import NewformRecord, bundled_newforms
@@ -340,10 +328,10 @@ def test_scan_reports_unusable_newform(capsys, monkeypatch):
     bad = NewformRecord("121.2.a.z", 121, 2, d.field_poly,
                         (d.an[0], integer_coefficient([newform_coefficient(d, 2)[0] + Fraction(1, 5)]))
                         + d.an[2:])
-    monkeypatch.setattr(newforms, "bundled_newforms", lambda level: recs + [bad])
+    monkeypatch.setattr(newforms, "bundled_newforms", lambda level: [bad] + recs[1:])
     code, out, _ = run_cli(capsys, "scan", "--level", "121", "--p", "11")
     assert code == 0
-    assert "(5 certified, 15 non-matches, 4 skipped rational reductions)" in out
+    assert "(5 certified, 10 non-matches, 4 skipped rational reductions)" in out
     assert out.splitlines()[-1].startswith("  skipped 121.2.a.z at l=5: ")
 
 
@@ -402,6 +390,28 @@ def test_online_scan_reads_a_warm_cache_first(capsys, tmp_path, monkeypatch):
     assert (code, err, stub.calls) == (0, "", [])
     assert out == run_cli(capsys, *argv, "--offline")[1]
     assert "(5 certified, " in out
+
+
+def test_scan_refuses_an_incomplete_set_of_newforms(capsys, tmp_path, monkeypatch):
+    """A cache at 169 that holds the fixture generator's records less one
+    orbit, or plus one more record, does not sum to dim S_2^new = 8: `scan`
+    exits 1 naming the level and both dimensions, offline and online, and
+    sends no request."""
+    from helpers import fixture_script
+
+    data = fixture_script(monkeypatch).build_level(169, arith.sturm_bound(169))
+    assert sum(len(item["field_poly"]) - 1 for item in data) == 8
+    stub = _RecordingTransport(monkeypatch, data)
+    for records in (data[1:], data + [dict(data[0], label="169.2.a.z")]):
+        (tmp_path / "newforms_169.json").write_text(json.dumps(records))
+        total = sum(len(item["field_poly"]) - 1 for item in records)
+        for offline in ((), ("--offline",)):
+            code, out, err = run_cli(capsys, "scan", "--level", "169", "--p", "13",
+                                     "--cache-dir", str(tmp_path), *offline)
+            assert (code, out) == (1, "")
+            assert err == (f"error: the newforms at level 169 have total degree {total}, "
+                           "but S_2^new has dimension 8\n")
+    assert stub.calls == []
 
 
 def test_online_scan_reports_an_unreachable_endpoint(capsys, tmp_path, monkeypatch):

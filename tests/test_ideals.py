@@ -11,9 +11,8 @@ from eiscong.cusps import beta_tilde
 from eiscong.cyclotomic import CycElement
 from eiscong.eisenstein import EisensteinParams
 from eiscong.ffield import FiniteField
-from eiscong.ideals import (_isqrt, _render_bivariate, candidate_characteristics,
-                            cuspidal_order, descriptor, eisenstein_character, s1_set,
-                            s2_set)
+from eiscong.ideals import (TrClassGroup, candidate_characteristics, cuspidal_order,
+                            descriptor, eisenstein_character, s1_set, s2_set)
 from eiscong.lattices import numerator_index
 from eiscong.scanner import eisenstein_basis
 
@@ -144,10 +143,44 @@ def test_descriptor_displays():
     assert d.residue_field() == "F_7"
 
 
+def _quadratic(c0, c1, c2):
+    """The display of T_r^2 + c0 + c1 r + c2 r^2 on the class r = 1."""
+    return TrClassGroup((1,), 2, ((c0, c1, c2), (0, 0, 0))).render()
+
+
 def test_perfect_square_display():
     """X^2 + (a + b r)^2 shows r, not 1*r, for b = +-1, as every other term does."""
     for b, shown in ((1, "2 + r"), (-1, "2 - r"), (2, "2 + 2*r"), (-2, "2 - 2*r")):
-        assert _render_bivariate(((4, 4 * b, b * b), (0, 0, 0)), 2) == f" + ({shown})^2"
+        assert _quadratic(4, 4 * b, b * b) == f"{{T_r^2 + ({shown})^2 : r = 1}}"
+
+
+_entry = st.sampled_from([0, 1, -1]) | st.integers(-12, 12) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def _relation_tables(draw):
+    """(degree, rows): degree 1-4, rows of degree + 1 entries, some rows zero;
+    or, at degree 2, c0 + c1 r + c2 r^2 within 1 of a square (a + b r)^2."""
+    if draw(st.booleans()):
+        a, b = (draw(st.integers(-1, 12) | st.integers(1, 10 ** 40)) for _ in range(2))
+        off = st.sampled_from([0, 0, 1, -1])
+        c0, c1, c2 = (a * a + draw(off), 2 * a * b * draw(st.sampled_from([1, -1])),
+                      b * b + draw(off))
+        return 2, ((c0, c1, c2), (0, 0, 0))
+    degree = draw(st.integers(1, 4))
+    zero = st.just((0,) * (degree + 1))
+    return degree, tuple(draw(zero | st.tuples(*[_entry] * (degree + 1))) for _ in range(degree))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_relation_tables(), st.lists(st.integers(1, 30), min_size=1, max_size=4, unique=True))
+def test_render_matches_former_renderer(table, classes):
+    """TrClassGroup.render equals the former four-helper renderer on tables of
+    degree 1-4 with zero rows, +-1 and 40-digit entries, and on quadratics
+    that are perfect squares or miss one by 1."""
+    degree, rows = table
+    group = TrClassGroup(tuple(classes), degree, rows)
+    assert group.render() == ideals_oracle.render(classes, degree, rows)
 
 
 def test_descriptor_conjugates_and_errors():
@@ -203,11 +236,14 @@ def test_descriptor_higher_degree_groups():
 
 
 def test_isqrt_exact_at_any_size():
-    # a float square root loses these: the first rounds, the second overflows
-    assert _isqrt((10 ** 30 + 7) ** 2) == 10 ** 30 + 7
-    assert _isqrt((10 ** 30 + 7) ** 2 + 1) is None
-    assert _isqrt(4 ** 600) == 2 ** 600
-    assert [_isqrt(n) for n in (-4, 0, 1, 2, 9)] == [None, 0, 1, None, 3]
+    """Squares are decided in integers: a float square root loses these, the
+    first by rounding, the second by overflow."""
+    a = 10 ** 30 + 7
+    assert _quadratic(a * a, 2 * a, 1) == f"{{T_r^2 + ({a} + r)^2 : r = 1}}"
+    c = a * a + 1  # c + 2c r + c r^2 = c (1 + r)^2, but c is no square
+    assert _quadratic(c, 2 * c, c) == f"{{T_r^2 + {c} + {2 * c}*r + {c}*r^2 : r = 1}}"
+    assert _quadratic(4 ** 600, -2 ** 601, 1) == f"{{T_r^2 + ({2 ** 600} - r)^2 : r = 1}}"
+    assert _quadratic(-4, 4, -1) == "{T_r^2 - 4 + 4*r - r^2 : r = 1}"
 
 
 @pytest.mark.parametrize("N, p", ((121, 11), (234, 3), (725, 5)))

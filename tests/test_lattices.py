@@ -14,7 +14,7 @@ from lattice_oracle import (block_lattice_intersect, full_ring, ideal_from_eleme
 
 from eiscong.arith import DomainError
 from eiscong.cyclotomic import CyclotomicField, _CycField
-from eiscong.lattices import IntegralIdeal, echelon, hnf, numerator_index
+from eiscong.lattices import IntegralIdeal, echelon, hnf, numerator_index, solve
 
 
 def _tau11():
@@ -82,6 +82,35 @@ def test_echelon_matches_rref_oracle():
             assert abs(R[-1][piv[-1]]) == abs(_det(A))
             square += 1
     assert deficient > 30 and square > 10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_solve_matches_gauss_jordan_oracle(n, m, rational, singular, rng):
+    """solve(A, B) is the X read off the oracle's Gauss-Jordan elimination in
+    Fractions of [A | B], for nonsingular n x n int and Fraction A and m
+    right-hand sides; A singular, one row a combination of the others, is a
+    DomainError."""
+    def entry():
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 12)) if rational else x
+
+    A = [[entry() for _ in range(n)] for _ in range(n)]
+    B = [[entry() for _ in range(m)] for _ in range(n)]
+    if singular:
+        k, a, b = rng.randrange(n), rng.randint(-3, 3), rng.randint(-3, 3)
+        A[k] = [a * x + b * y for x, y in zip(A[k - 1], A[k - 2])] if n > 2 else [0] * n
+    R, piv = fixtures_oracle.rref([a + b for a, b in zip(A, B)])
+    if piv[:n] != list(range(n)):  # singular, by construction or by chance
+        with pytest.raises(DomainError):
+            solve(A, B)
+        return
+    assert not singular
+    X = solve(A, B)
+    assert X == [row[n:] for row in R]
+    assert all(isinstance(x, Fraction) for row in X for x in row)
+    assert [[sum(a * X[i][j] for i, a in enumerate(row)) for j in range(m)] for row in A] == B
 
 
 @st.composite
